@@ -34,7 +34,6 @@ from .key_design import (
     CheckResult,
     ConstructionError,
     KeyDesign,
-    ValidationReport,
     build_keys,
     select_field,
     sufficient_field_size,
@@ -81,7 +80,6 @@ __all__ = [
     "StateSpaceError",
     "Topology",
     "Transcript",
-    "ValidationReport",
     "achievable_rates",
     "algebraic_audit",
     "build_code_design",

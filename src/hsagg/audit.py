@@ -6,10 +6,12 @@ rows, and the only relay-message combinations that cancel the keys are
 the recovery combinations.
 
 The exhaustive audits enumerate every realization of (inputs, source key)
-and test the two independence statements on raw count tables.  A joint
-table factorizes exactly (total * joint == marginal * marginal, in
-integers) if and only if the mutual information is zero, so the verdicts
-are exact and never thresholded.  State spaces above the cap are refused
+and test the two independence statements exactly, in integers.  Every
+input vector meets every source key value once, so messages carry no
+information about the inputs (given the sum) exactly when every input
+vector sees the same multiset of message values as every other (with the
+same sum).  The audits compare those multisets as sorted rows, so the
+verdicts are never thresholded.  State spaces above the cap are refused
 rather than sampled.
 
 This module also carries the worked 3-user instance over GF(3) as a
@@ -19,12 +21,10 @@ are intentionally not regenerated by the general constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .gf import Matrix, PrimeField
-from .key_design import CheckResult
+from .key_design import AuditReport, CheckResult, masked_key_span
 from .protocol import SchemeParams
 from .topology import Topology, users_of_relay
 
@@ -34,27 +34,6 @@ class StateSpaceError(RuntimeError):
         self.required = required
         self.cap = cap
         super().__init__(f"state space of {required} realizations exceeds cap {cap}")
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -87,23 +66,12 @@ def relay_security_algebraic(params: SchemeParams, i: int) -> CheckResult:
 def server_security_algebraic(params: SchemeParams) -> CheckResult:
     """Key-canceling combinations must be exactly the recovery combinations."""
     K, B = params.K, params.topo.B
-    masked = params.key_matrix.transpose() @ params.key_coeffs
-    rank = masked.rank()
-    cancels = (masked @ params.recovery).is_zero()
-    null = masked.nullspace()
-    null_dim = 0 if null is None else null.ncols
-    spans = (
-        null_dim == B
-        and params.recovery.rank() == B
-        and cancels
-        and null is not None
-        and null.hstack(params.recovery).rank() == B
-    )
-    passed = rank == K - B and spans
+    span = masked_key_span(params.key_matrix, params.key_coeffs, params.recovery, B)
     return CheckResult(
         "server-security-algebraic",
-        passed,
-        f"masked rank {rank}/{K - B}, null dim {null_dim}/{B}, cancellation {cancels}",
+        span.rank == K - B and span.spans,
+        f"masked rank {span.rank}/{K - B}, null dim {span.null_dim}/{B}, "
+        f"cancellation {span.cancels}",
     )
 
 
@@ -119,14 +87,16 @@ def algebraic_audit(params: SchemeParams) -> AuditReport:
 
 
 class _StateSpace:
-    """All realizations of (inputs, source key), lexicographic, vectorized.
+    """All realizations of (inputs, source key) as a q x ... x q grid.
 
-    Variable v takes value (index // q**(n_vars-1-v)) % q, so variable 0
-    varies slowest.  Input symbols come first, source symbols last.
+    Axis v holds variable v, so in the flattened grid variable 0 varies
+    slowest.  Input symbols come first, source symbols last.  L defaults
+    to one block.
     """
 
-    def __init__(self, params: SchemeParams, L: int, max_states: int):
+    def __init__(self, params: SchemeParams, L: "int | None", max_states: int):
         bs = params.block_size
+        L = bs if L is None else L
         if L <= 0 or L % bs:
             raise ValueError(f"L={L} is not a positive multiple of block size {bs}")
         self.params = params
@@ -140,8 +110,11 @@ class _StateSpace:
         self.size = self.q**self.n_vars
         if self.size > max_states:
             raise StateSpaceError(self.size, max_states)
-        self.index = np.arange(self.size, dtype=np.int64)
-        self._cache: dict[int, np.ndarray] = {}
+        # The widest code packed below is every relay symbol plus every sum
+        # symbol; the narrowest integer type holding it moves the least
+        # memory through each pass over the space.
+        bound = self.q ** (self.K * self.blocks + L)
+        self.dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
 
     def w_var(self, k: int, pos: int) -> int:
         return (k - 1) * self.L + pos
@@ -149,34 +122,26 @@ class _StateSpace:
     def z_var(self, block: int, m: int) -> int:
         return self.n_w + block * self.params.source_key_len + m
 
-    def var(self, v: int) -> np.ndarray:
-        arr = self._cache.get(v)
-        if arr is None:
-            block = self.q ** (self.n_vars - 1 - v)
-            arr = np.tile(
-                np.repeat(np.arange(self.q, dtype=np.int64), block),
-                self.size // (block * self.q),
-            )
-            self._cache[v] = arr
-        return arr
-
-    def evaluate(self, form: dict[int, int]) -> np.ndarray:
-        # q is tiny whenever enumeration is feasible, so the unreduced sum
-        # of coeff * value terms stays far below 2**63; one final mod.
-        acc = np.zeros(self.size, dtype=np.int64)
-        scratch = np.empty(self.size, dtype=np.int64)
-        for v, c in form.items():
-            if c:
-                np.multiply(self.var(v), c, out=scratch)
-                acc += scratch
-        acc %= self.q
-        return acc
-
-    def pack(self, arrays: list[np.ndarray]) -> np.ndarray:
-        code = np.zeros(self.size, dtype=np.int64)
-        for arr in arrays:
-            code = code * self.q + arr
-        return code
+    def evaluate(self, *forms: dict[int, int]) -> np.ndarray:
+        """Values of the linear forms on every realization, packed base q
+        with the first form most significant."""
+        # Broadcasting grows each array only along the variables it uses,
+        # so a form's sum and its single mod run on that small grid and
+        # the full state space is written once.  q is tiny whenever
+        # enumeration is feasible, so unreduced sums stay far below 2**63.
+        code = np.zeros((1,) * self.n_vars, dtype=self.dtype)
+        axis = [1] * self.n_vars
+        for form in forms:
+            acc = np.zeros((1,) * self.n_vars, dtype=np.int64)
+            for v, c in form.items():
+                if c:
+                    axis[v] = self.q
+                    acc = acc + (np.arange(self.q, dtype=np.int64) * c).reshape(axis)
+                    axis[v] = 1
+            code = code * self.q + (acc % self.q).astype(self.dtype)
+        out = np.empty((self.q,) * self.n_vars, dtype=self.dtype)
+        out[...] = code
+        return out.reshape(-1)
 
     def message_form(self, k: int, i: int, block: int) -> dict[int, int]:
         """Linear form of the block-th symbol of the (k, i) message."""
@@ -201,68 +166,43 @@ class _StateSpace:
                 form[v] = (form.get(v, 0) + c) % self.q
         return form
 
-    def input_code(self) -> np.ndarray:
-        """All input symbols packed; they are the leading digits of the index."""
-        return self.index // self.q**self.n_z
-
-    def sum_arrays(self) -> list[np.ndarray]:
-        out = []
-        for pos in range(self.L):
-            form = {self.w_var(k, pos): 1 for k in range(1, self.K + 1)}
-            out.append(self.evaluate(form))
-        return out
-
-    def relay_arrays(self) -> list[list[np.ndarray]]:
-        return [
-            [self.evaluate(self.relay_form(i, t)) for t in range(self.blocks)]
-            for i in self.params.topo.relays()
-        ]
+    def joint(self) -> np.ndarray:
+        """Every relay symbol, relay-major, then every sum symbol, packed."""
+        relays = self.params.topo.relays()
+        return self.evaluate(
+            *(self.relay_form(i, t) for i in relays for t in range(self.blocks)),
+            *({self.w_var(k, pos): 1 for k in range(1, self.K + 1)} for pos in range(self.L)),
+        )
 
 
-def _factorizes(code_a: np.ndarray, n_a: int, code_b: np.ndarray, n_b: int) -> bool:
-    """Exact independence test over known value ranges, via count tables.
+def _rows_match(code: np.ndarray, group: np.ndarray) -> bool:
+    """Exact test that code tells nothing about the inputs beyond group.
 
-    Checks total * joint == marginal_a * marginal_b on every cell, zero
-    cells included.  Caller guarantees n_a * n_b stays within the state
-    cap, so the dense table is affordable.
+    Each input vector is one row of the space holding every source key
+    value once, and group gives one value per row, a function of the
+    inputs.  The mutual information of code and the inputs given group is
+    zero exactly when every row holds the same multiset of code values as
+    the first row of its group; sorted rows compare those multisets.
     """
-    total = len(code_a)
-    joint = np.bincount(code_a * n_b + code_b, minlength=n_a * n_b)
-    count_a = np.bincount(code_a, minlength=n_a).astype(np.int64)
-    count_b = np.bincount(code_b, minlength=n_b).astype(np.int64)
-    return bool(
-        (joint.reshape(n_a, n_b) * total == np.outer(count_a, count_b)).all()
-    )
+    rows = np.sort(code.reshape(len(group), -1), axis=1)
+    _, first, inverse = np.unique(group, return_index=True, return_inverse=True)
+    return bool((rows == rows[first[inverse]]).all())
 
 
-def _factorizes_sparse(code_a: np.ndarray, code_b: np.ndarray) -> bool:
-    """Independence test that first compacts values; for small subsets."""
-    _, inv_a = np.unique(code_a, return_inverse=True)
-    _, inv_b = np.unique(code_b, return_inverse=True)
-    n_a = int(inv_a.max()) + 1
-    n_b = int(inv_b.max()) + 1
-    return _factorizes(inv_a.astype(np.int64), n_a, inv_b.astype(np.int64), n_b)
-
-
-def exhaustive_mi_audit(
-    params: SchemeParams, L: "int | None" = None, max_states: int = 10**8
-) -> AuditReport:
-    """Exact zero-information verdicts for every relay and for the server."""
-    L = params.block_size if L is None else L
-    space = _StateSpace(params, L, max_states)
-    w_code = space.input_code()
-    n_w = space.q**space.n_w
+def _mi_checks(space: _StateSpace) -> tuple[list[CheckResult], np.ndarray]:
+    """Relay and server MI checks, plus the joint code they evaluated."""
+    params = space.params
+    n_rows = space.q**space.n_w
     checks = []
-
     for i in params.topo.relays():
-        msgs = [
-            space.evaluate(space.message_form(k, i, t))
-            for k in users_of_relay(params.topo, i)
-            for t in range(space.blocks)
-        ]
-        # n_msgs * n_w <= state count because each block consumes at least
-        # as many fresh source symbols as any relay sees messages.
-        ok = _factorizes(space.pack(msgs), space.q ** len(msgs), w_code, n_w)
+        msgs = space.evaluate(
+            *(
+                space.message_form(k, i, t)
+                for k in users_of_relay(params.topo, i)
+                for t in range(space.blocks)
+            )
+        )
+        ok = _rows_match(msgs, np.zeros(n_rows, dtype=np.int64))
         checks.append(
             CheckResult(
                 f"relay-mi[{i}]",
@@ -272,14 +212,11 @@ def exhaustive_mi_audit(
             )
         )
 
-    y_code = space.pack([arr for row in space.relay_arrays() for arr in row])
-    sum_code = space.pack(space.sum_arrays())
-    server_ok = True
-    for s in np.unique(sum_code):
-        mask = sum_code == s
-        if not _factorizes_sparse(y_code[mask], w_code[mask]):
-            server_ok = False
-            break
+    joint = space.joint()
+    # The sum depends on the inputs only, so it is constant along a row,
+    # and within a group of equal sums rows of joint codes match exactly
+    # when rows of relay messages do.
+    server_ok = _rows_match(joint, joint.reshape(n_rows, -1)[:, 0] % space.q**space.L)
     checks.append(
         CheckResult(
             "server-mi",
@@ -287,6 +224,44 @@ def exhaustive_mi_audit(
             f"relay messages conditionally independent of inputs given the sum: {server_ok}",
         )
     )
+    return checks, joint
+
+
+def _recovery_check(space: _StateSpace, joint: np.ndarray) -> CheckResult:
+    """Decode equals the true sum on every realization, and the relay
+    messages determine the sum as a function.
+
+    Both are read off one count of (relay messages, sum) pairs: decoding
+    every pair that occurs covers every realization.
+    """
+    q, K, blocks, bs = space.q, space.K, space.blocks, space.params.block_size
+    n_s = q**space.L
+    pairs = np.bincount(joint, minlength=q ** (K * blocks) * n_s).reshape(-1, n_s) > 0
+    functional = bool((pairs.sum(axis=1) <= 1).all())
+
+    y, s = np.nonzero(pairs)
+    # relay i's block-t symbol is base-q digit i * blocks + t of y
+    digits = y[:, None] // q ** np.arange(K * blocks - 1, -1, -1) % q
+    recovery = np.array(space.params.recovery.rows, dtype=np.int64)
+    decoded = np.zeros_like(s)
+    for t in range(blocks):
+        for symbol in (digits[:, t::blocks] @ recovery % q).T:
+            decoded = decoded * q + symbol
+    decode_ok = bool((decoded == s).all())
+
+    return CheckResult(
+        "recovery-exhaustive",
+        decode_ok and functional,
+        f"decode exact: {decode_ok}; messages determine the sum: {functional}"
+        f" ({space.size} realizations)",
+    )
+
+
+def exhaustive_mi_audit(
+    params: SchemeParams, L: "int | None" = None, max_states: int = 10**8
+) -> AuditReport:
+    """Exact zero-information verdicts for every relay and for the server."""
+    checks, _ = _mi_checks(_StateSpace(params, L, max_states))
     return AuditReport(tuple(checks))
 
 
@@ -295,40 +270,8 @@ def exhaustive_recovery_audit(
 ) -> CheckResult:
     """Decode equals the true sum on every realization, and the relay
     messages determine the sum as a function."""
-    L = params.block_size if L is None else L
     space = _StateSpace(params, L, max_states)
-    q = space.q
-    relay_arrays = space.relay_arrays()
-    sums = space.sum_arrays()
-
-    decode_ok = True
-    for t in range(space.blocks):
-        for b in range(params.block_size):
-            col = params.recovery.column(b)
-            acc = np.zeros(space.size, dtype=np.int64)
-            for idx_i, c in enumerate(col):
-                if c:
-                    acc = (acc + c * relay_arrays[idx_i][t]) % q
-            if not (acc == sums[t * params.block_size + b]).all():
-                decode_ok = False
-
-    y_code = space.pack([arr for row in relay_arrays for arr in row])
-    sum_code = space.pack(sums)
-    n_y = q ** (space.K * space.blocks)
-    n_s = q**space.L
-    observed_y = int((np.bincount(y_code, minlength=n_y) > 0).sum())
-    observed_pairs = int(
-        (np.bincount(y_code * n_s + sum_code, minlength=n_y * n_s) > 0).sum()
-    )
-    functional = observed_pairs == observed_y
-
-    passed = decode_ok and functional
-    return CheckResult(
-        "recovery-exhaustive",
-        passed,
-        f"decode exact: {decode_ok}; messages determine the sum: {functional}"
-        f" ({space.size} realizations)",
-    )
+    return _recovery_check(space, space.joint())
 
 
 def full_audit(
@@ -339,8 +282,11 @@ def full_audit(
 ) -> AuditReport:
     checks = list(algebraic_audit(params).checks)
     if level == "exhaustive":
-        checks.extend(exhaustive_mi_audit(params, L, max_states).checks)
-        checks.append(exhaustive_recovery_audit(params, L, max_states))
+        # One space for both audits, so every output is evaluated once.
+        space = _StateSpace(params, L, max_states)
+        mi_checks, joint = _mi_checks(space)
+        checks += mi_checks
+        checks.append(_recovery_check(space, joint))
     elif level != "algebraic":
         raise ValueError(f"unknown audit level {level!r}")
     return AuditReport(tuple(checks))

@@ -13,7 +13,7 @@ A JSON config file (--config, top-level "version": 1) may supply any
 option; explicit flags win.  Reports are JSON with sorted keys, so an
 identical config and seed produces byte-identical output.  Exit codes:
 0 all pass, 2 construction failure, 3 audit/recovery failure, 4 bad
-configuration.  HSA_THREADS caps the simulation worker pool.
+configuration.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .audit import StateSpaceError, full_audit, golden_example1
@@ -47,14 +45,6 @@ CSV_COLUMNS = [
 
 class ConfigError(ValueError):
     pass
-
-
-def worker_count() -> int:
-    raw = os.environ.get("HSA_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit(report: dict, out: "str | None") -> None:
@@ -103,19 +93,11 @@ def cmd_simulate(args) -> int:
     if L % params.block_size:
         raise ConfigError(f"L={L} is not a multiple of block size {params.block_size}")
     trials = args.trials
-
-    def one_trial(t: int) -> bool:
+    passed = 0
+    for t in range(trials):
         inputs = random_inputs(params, L, seed=_trial_seed(args.seed, t, 0))
         result = run_round(params, inputs, seed=_trial_seed(args.seed, t, 1))
-        return result.recovered_sum == direct_sum(params, inputs)
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one_trial, range(trials)))
-    else:
-        outcomes = [one_trial(t) for t in range(trials)]
-    passed = sum(outcomes)
+        passed += result.recovered_sum == direct_sum(params, inputs)
 
     sample = run_round(params, random_inputs(params, L, seed=_trial_seed(args.seed, 0, 0)),
                        seed=_trial_seed(args.seed, 0, 1))

@@ -100,13 +100,6 @@ def evaluation_matrix(field: PrimeField, points: tuple[int, ...]) -> Matrix:
     return vandermonde(field, points, len(points)).transpose()
 
 
-def recovery_matrix(field: PrimeField, points: tuple[int, ...], B: int) -> Matrix:
-    """Last B columns of the inverse evaluation matrix (K x B)."""
-    K = len(points)
-    inv = evaluation_matrix(field, points).inverse()
-    return inv.take_cols(range(K - B, K))
-
-
 def input_coefficients(
     topo: Topology,
     field: PrimeField,

@@ -39,7 +39,7 @@ from itertools import combinations
 from math import comb
 
 from .code_design import CodeDesign
-from .gf import Matrix, PrimeField, SingularMatrixError, is_prime, vandermonde
+from .gf import MAX_MODULUS, Matrix, PrimeField, SingularMatrixError, is_prime, vandermonde
 from .topology import Topology, relays_of_user, users_of_relay
 
 REGIME_SINGLE = "single"
@@ -75,7 +75,7 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
+class AuditReport:
     checks: tuple[CheckResult, ...]
 
     @property
@@ -112,30 +112,29 @@ def sufficient_field_size(K: int, B: int) -> int:
     return comb(K, B) * (K - B) * (K - 1) * (B - 1) + B * K + 2
 
 
-def _next_prime_above(n: int) -> int:
-    q = n + 1
-    while not is_prime(q):
-        q += 1
-    return q
-
-
 def select_field(K: int, B: int) -> PrimeField:
     """Smallest prime field with the guarantees of the (K, B) regime.
 
     Callers may override with any prime; below-bound overrides are still
     attempted and fail with ConstructionError only if the search comes up
-    empty.
+    empty.  A (K, B) whose smallest such prime reaches the 2**31 modulus
+    cap fails with ConstructionError.
     """
     regime = regime_for(K, B)
-    if regime in (REGIME_SINGLE, REGIME_FULL):
-        return PrimeField(_next_prime_above(K + 1))
     if regime == REGIME_CIRCULANT:
         lo = sufficient_field_size(K, B)
-        q = ((lo - 2) // K + 1) * K + 1  # smallest q >= lo with q % K == 1
-        while not is_prime(q):
-            q += K
-        return PrimeField(q)
-    return PrimeField(_next_prime_above(max(K * B, K)))
+        q, step = ((lo - 2) // K + 1) * K + 1, K  # smallest q >= lo with q % K == 1
+    elif regime == REGIME_VANDERMONDE:
+        q, step = K * B + 1, 1
+    else:
+        q, step = K + 2, 1
+    while q < MAX_MODULUS and not is_prime(q):
+        q += step
+    if q >= MAX_MODULUS:
+        raise ConstructionError(
+            f"(K, B) = ({K}, {B}) needs a prime field above the 2**31 modulus cap"
+        )
+    return PrimeField(q)
 
 
 def _search_order(q: int, seed: int) -> list[int]:
@@ -374,7 +373,42 @@ def build_keys(
     return full_assoc_keygen(K, field, points, seed)
 
 
-def validate_scheme(keys: KeyDesign, code: CodeDesign) -> ValidationReport:
+@dataclass(frozen=True)
+class MaskedKeySpan:
+    """Facts about the masked key matrix key_matrix^T @ key_coeffs."""
+
+    rank: int
+    null_dim: int
+    recovery_rank: int
+    cancels: bool  # masked @ recovery == 0
+    spans: bool    # its nullspace is exactly the span of the recovery columns
+
+
+def masked_key_span(
+    key_matrix: Matrix, key_coeffs: Matrix, recovery: Matrix, B: int
+) -> MaskedKeySpan:
+    """Rank, nullspace and recovery-span verdicts of the masked key matrix.
+
+    The relay-message combinations that cancel every key are the nullspace
+    of the masked matrix; the server learns only the sum exactly when that
+    nullspace is B-dimensional and spanned by the recovery columns.
+    """
+    masked = key_matrix.transpose() @ key_coeffs
+    cancels = (masked @ recovery).is_zero()
+    null = masked.nullspace()
+    null_dim = 0 if null is None else null.ncols
+    recovery_rank = recovery.rank()
+    spans = (
+        null is not None
+        and null_dim == B
+        and recovery_rank == B
+        and cancels
+        and null.hstack(recovery).rank() == B
+    )
+    return MaskedKeySpan(masked.rank(), null_dim, recovery_rank, cancels, spans)
+
+
+def validate_scheme(keys: KeyDesign, code: CodeDesign) -> AuditReport:
     """Run the five structural checks every emitted scheme must pass.
 
     Failures land in the report instead of raising; the builder treats a
@@ -383,7 +417,7 @@ def validate_scheme(keys: KeyDesign, code: CodeDesign) -> ValidationReport:
     """
     topo = code.topo
     K, B = topo.K, topo.B
-    coeffs, key_matrix, recovery = keys.key_coeffs, keys.key_matrix, code.recovery
+    coeffs, key_matrix = keys.key_coeffs, keys.key_matrix
     checks = []
 
     supported = all(
@@ -399,34 +433,22 @@ def validate_scheme(keys: KeyDesign, code: CodeDesign) -> ValidationReport:
         )
     )
 
-    cancel = (key_matrix.transpose() @ coeffs @ recovery).is_zero()
+    span = masked_key_span(key_matrix, coeffs, code.recovery, B)
     checks.append(
-        CheckResult("key-cancellation", cancel, "key_matrix^T @ coeffs @ recovery == 0")
+        CheckResult("key-cancellation", span.cancels, "key_matrix^T @ coeffs @ recovery == 0")
     )
-
-    mixed_rank = (coeffs.transpose() @ key_matrix).rank()
     checks.append(
         CheckResult(
             "mixed-rank",
-            mixed_rank == K - B,
-            f"rank(coeffs^T @ key_matrix) = {mixed_rank}, expected {K - B}",
+            span.rank == K - B,
+            f"rank(coeffs^T @ key_matrix) = {span.rank}, expected {K - B}",
         )
-    )
-
-    masked = key_matrix.transpose() @ coeffs
-    null = masked.nullspace()
-    null_dim = 0 if null is None else null.ncols
-    span_ok = (
-        null_dim == B
-        and recovery.rank() == B
-        and (masked @ recovery).is_zero()
-        and (null is not None and null.hstack(recovery).rank() == B)
     )
     checks.append(
         CheckResult(
             "nullspace-equals-recovery-span",
-            span_ok,
-            f"null dim {null_dim}, recovery rank {recovery.rank()}, expected both {B}",
+            span.spans,
+            f"null dim {span.null_dim}, recovery rank {span.recovery_rank}, expected both {B}",
         )
     )
 
@@ -434,4 +456,4 @@ def validate_scheme(keys: KeyDesign, code: CodeDesign) -> ValidationReport:
     checks.append(
         CheckResult("key-matrix-mds", mds, f"every {B} rows independent")
     )
-    return ValidationReport(tuple(checks))
+    return AuditReport(tuple(checks))

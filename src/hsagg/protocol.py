@@ -22,9 +22,9 @@ from typing import Mapping, Sequence
 from .code_design import CodeDesign, build_code_design, check_points, default_points
 from .gf import Matrix, PrimeField
 from .key_design import (
+    AuditReport,
     ConstructionError,
     KeyDesign,
-    ValidationReport,
     build_keys,
     select_field,
     validate_scheme,
@@ -58,7 +58,7 @@ class SchemeParams:
     recovery: Matrix
     code: "CodeDesign | None" = dc_field(default=None, repr=False)
     keys: "KeyDesign | None" = dc_field(default=None, repr=False)
-    validation: "ValidationReport | None" = dc_field(default=None, repr=False)
+    validation: "AuditReport | None" = dc_field(default=None, repr=False)
 
     @property
     def K(self) -> int:

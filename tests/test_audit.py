@@ -1,4 +1,6 @@
+from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -13,7 +15,15 @@ from hsagg.audit import (
     server_security_algebraic,
 )
 from hsagg.gf import Matrix
-from hsagg.protocol import build_scheme
+from hsagg.protocol import (
+    build_scheme,
+    derive_keys,
+    direct_sum,
+    relay_encode,
+    server_decode,
+    user_encode,
+)
+from hsagg.topology import users_of_relay
 
 
 def test_golden_relay_checks_pass_with_worked_key_rows():
@@ -89,6 +99,27 @@ def test_zeroed_coefficient_exposes_inputs_to_relay():
     assert not relay_security_algebraic(broken, 1).passed
 
 
+
+@pytest.mark.parametrize("make", [lambda: build_scheme(3, 2, q=5), golden_example1])
+def test_corrupted_input_coefficient_is_hidden_from_relays_not_server(make):
+    # the keys still mask every message, so no relay learns anything, but
+    # the relay sums now carry input information beyond the total and no
+    # longer determine it
+    params = make()
+    coeffs = dict(params.input_coeffs)
+    first, *rest = coeffs[(1, 1)]
+    coeffs[(1, 1)] = ((first + 1) % params.field.q, *rest)
+    broken = replace(params, input_coeffs=coeffs)
+    full = full_audit(broken, level="exhaustive", L=2)
+    for report in (exhaustive_mi_audit(broken, L=2), full):
+        verdicts = {c.name: c.passed for c in report.checks}
+        assert all(verdicts[f"relay-mi[{i}]"] for i in (1, 2, 3))
+        assert verdicts["server-mi"] is False
+    for recovery in (exhaustive_recovery_audit(broken, L=2), full.checks[-1]):
+        assert not recovery.passed
+        assert "messages determine the sum: False" in recovery.detail
+
+
 def test_corrupted_recovery_matrix_fails_recovery_audit():
     params = build_scheme(3, 2, q=5)
     rows = [list(r) for r in params.recovery.rows]
@@ -105,6 +136,76 @@ def test_algebraic_and_exhaustive_verdicts_agree_on_tiny_instances():
         assert alg.passed and mi.passed
 
 
+
+def _factorizes(pairs):
+    """Reference count-table test: total * joint == marginal * marginal on
+    every cell of the observed values, zero cells included."""
+    joint = Counter(pairs)
+    count_a = Counter(a for a, _ in pairs)
+    count_b = Counter(b for _, b in pairs)
+    return all(
+        len(pairs) * joint[a, b] == count_a[a] * count_b[b] for a in count_a for b in count_b
+    )
+
+
+def _reference_verdicts(params, L):
+    """Exhaustive verdicts from a plain loop over every realization, run
+    through the protocol functions and tested on count tables."""
+    users, relays = params.topo.users(), params.topo.relays()
+    senders = {i: users_of_relay(params.topo, i) for i in relays}
+    n_w = params.K * L
+    n_z = L // params.block_size * params.source_key_len
+    received = {i: [] for i in relays}
+    server = {}
+    decode_ok, sum_of = True, {}
+    for values in product(range(params.field.q), repeat=n_w + n_z):
+        w = {k: values[(k - 1) * L : k * L] for k in users}
+        z = derive_keys(params, values[n_w:])
+        msgs = {k: user_encode(params, k, w[k], z[k]) for k in users}
+        y = {i: relay_encode(params, i, {k: msgs[k][i] for k in senders[i]}) for i in relays}
+        total = direct_sum(params, w)
+        for i in relays:
+            received[i].append((tuple(msgs[k][i] for k in senders[i]), values[:n_w]))
+        server.setdefault(total, []).append((tuple(y.values()), values[:n_w]))
+        decode_ok &= server_decode(params, y) == total
+        sum_of.setdefault(tuple(y.values()), set()).add(total)
+    verdicts = {f"relay-mi[{i}]": _factorizes(received[i]) for i in relays}
+    verdicts["server-mi"] = all(_factorizes(pairs) for pairs in server.values())
+    verdicts["recovery-exhaustive"] = decode_ok and all(len(s) == 1 for s in sum_of.values())
+    return verdicts
+
+
+def _corrupt(params, **entries):
+    """Copy of params with single matrix entries or input coefficients changed."""
+    changes = {}
+    for name, (r, c, value) in entries.items():
+        if name == "input_coeffs":
+            coeffs = dict(params.input_coeffs)
+            coeffs[r] = coeffs[r][:c] + (value,) + coeffs[r][c + 1 :]
+            changes[name] = coeffs
+        else:
+            rows = [list(row) for row in getattr(params, name).rows]
+            rows[r][c] = value
+            changes[name] = Matrix(params.field, rows)
+    return replace(params, **changes)
+
+
+@pytest.mark.parametrize(
+    "params, L",
+    [
+        (golden_example1(), 2),
+        (_corrupt(golden_example1(), input_coeffs=((1, 1), 0, 2)), 2),
+        (_corrupt(golden_example1(), key_coeffs=(0, 0, 0)), 2),
+        (_corrupt(golden_example1(), key_matrix=(2, 1, 0), recovery=(0, 1, 1)), 2),
+        (build_scheme(2, 1), 2),
+        (_corrupt(build_scheme(2, 1), key_matrix=(1, 0, 0)), 2),
+    ],
+)
+def test_exhaustive_verdicts_match_count_table_reference(params, L):
+    report = full_audit(params, level="exhaustive", L=L)
+    got = {c.name: c.passed for c in report.checks[len(algebraic_audit(params).checks) :]}
+    assert got == _reference_verdicts(params, L)
+
 def test_state_space_cap_enforced():
     params = build_scheme(3, 2, q=7)
     with pytest.raises(StateSpaceError) as err:
@@ -117,7 +218,18 @@ def test_state_space_cap_enforced():
 def test_full_audit_levels():
     params = golden_example1()
     assert len(full_audit(params, level="algebraic").checks) == 4
-    assert len(full_audit(params, level="exhaustive", L=2).checks) == 9
+    full = full_audit(params, level="exhaustive", L=2).checks
+    assert len(full) == 9
+    # the one-space exhaustive path reports exactly what the separate
+    # audits report, in order: name, verdict and detail
+    separate = (
+        algebraic_audit(params).checks
+        + exhaustive_mi_audit(params, L=2).checks
+        + (exhaustive_recovery_audit(params, L=2),)
+    )
+    assert [(c.name, c.passed, c.detail) for c in full] == [
+        (c.name, c.passed, c.detail) for c in separate
+    ]
     with pytest.raises(ValueError):
         full_audit(params, level="sampled")
 

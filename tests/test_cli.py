@@ -53,6 +53,12 @@ def test_simulate_rejects_composite_field(capsys):
     assert "prime" in err
 
 
+def test_simulate_field_over_cap_is_construction_error(capsys):
+    code, _, err = run_cli(["simulate", "--K", "24", "--B", "12"], capsys)
+    assert code == cli.EXIT_CONSTRUCTION == 2
+    assert "construction error" in err and "2**31" in err
+
+
 def test_simulate_transcript_schema(capsys):
     code, out, _ = run_cli(
         ["simulate", "--K", "3", "--B", "2", "--trials", "2", "--L", "4", "--transcript"],

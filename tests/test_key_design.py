@@ -61,6 +61,18 @@ def test_select_field_values():
         assert select_field(K, B).q == smallest_qualifying_prime_oracle(K, B)
 
 
+def test_select_field_refuses_fields_over_the_cap(monkeypatch):
+    from hsagg import key_design
+
+    assert select_field(23, 9).q < 2**31
+    with pytest.raises(ConstructionError, match=r"\(23, 10\).*2\*\*31"):
+        select_field(23, 10)
+    # the bound for (24, 12) is already past the cap, so no prime is tested
+    monkeypatch.setattr(key_design, "is_prime", lambda n: pytest.fail(f"tested {n}"))
+    with pytest.raises(ConstructionError, match=r"\(24, 12\).*2\*\*31"):
+        select_field(24, 12)
+
+
 def test_circulant_keygen_structure():
     K, B = 4, 2
     field = select_field(K, B)
