@@ -10,10 +10,11 @@ Subcommands:
                    validity fraction
 
 A JSON config file (--config, top-level "version": 1) may supply any
-option; explicit flags win.  Reports are JSON with sorted keys, so an
-identical config and seed produces byte-identical output.  Exit codes:
-0 all pass, 2 construction failure, 3 audit/recovery failure, 4 bad
-configuration.
+option: its keys are flag names, parsed with the same types and choices
+(true gives a bare flag), and explicit flags win.  Reports are JSON with
+sorted keys, so an identical config and seed produces byte-identical
+output.  Exit codes: 0 all pass, 2 construction failure, 3 audit/recovery
+failure, 4 bad configuration, usage errors and unknown config keys too.
 """
 
 from __future__ import annotations
@@ -47,8 +48,17 @@ class ConfigError(ValueError):
     pass
 
 
-def _emit(report: dict, out: "str | None") -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ConfigError, so they exit 4 like bad values."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+def _emit(text: "str | dict", out: "str | None") -> None:
+    """Write text, or a report as sorted JSON, to out or stdout."""
+    if isinstance(text, dict):
+        text = json.dumps(text, indent=2, sort_keys=True) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -149,24 +159,11 @@ def cmd_audit(args) -> int:
     return EXIT_OK if report_obj.passed else EXIT_AUDIT
 
 
-def _parse_range(text: str) -> list[int]:
-    lo, sep, hi = str(text).partition(":")
-    try:
-        if not sep:
-            return [int(lo)]
-        return list(range(int(lo), int(hi) + 1))
-    except ValueError as exc:
-        raise ConfigError(f"bad range {text!r}; expected N or LO:HI") from exc
-
-
 def cmd_rates(args) -> int:
-    if args.K_range is None:
-        raise ConfigError("missing required option --K")
-    ks = _parse_range(args.K_range)
+    _require(args, ["K"])
     rows = []
-    for K in ks:
-        bs = _parse_range(args.B_range) if args.B_range else list(range(1, K + 1))
-        for B in bs:
+    for K in args.K:
+        for B in args.B if args.B is not None else range(1, K + 1):
             if not 1 <= B <= K:
                 continue
             ach = achievable_rates(K, B)
@@ -192,12 +189,7 @@ def cmd_rates(args) -> int:
         writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
-        text = buf.getvalue()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit(buf.getvalue(), args.out)
     else:
         _emit({"version": 1, "command": "rates", "rows": rows}, args.out)
     return EXIT_OK
@@ -245,14 +237,35 @@ def cmd_search_params(args) -> int:
     return EXIT_OK
 
 
+def _parse_range(text: str) -> list[int]:
+    lo, sep, hi = text.partition(":")
+    try:
+        return list(range(int(lo), int(hi) + 1)) if sep else [int(lo)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}; expected N or LO:HI") from None
+
+
+def _at_least(minimum: int):
+    """Argparse type for an integer no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; explicit flags win")
-    sub.add_argument("--seed", type=int, default=None, help="seed for searches and rounds")
-    sub.add_argument("--out", default=None, help="write the report to this path")
+    sub.add_argument("--seed", type=int, default=0, help="seed for searches and rounds")
+    sub.add_argument("--out", help="write the report to this path")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hsagg",
         description="Hierarchical secure aggregation with cyclic association",
     )
@@ -261,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run seeded random rounds")
     sim.add_argument("--K", type=int)
     sim.add_argument("--B", type=int)
-    sim.add_argument("--q", type=int, default=None)
-    sim.add_argument("--L", type=int, default=None)
-    sim.add_argument("--trials", type=int, default=None)
+    sim.add_argument("--q", type=int)
+    sim.add_argument("--L", type=int)
+    sim.add_argument("--trials", type=_at_least(0), default=100)
     sim.add_argument(
         "--transcript",
         action="store_true",
@@ -275,10 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     aud = sub.add_parser("audit", help="security and recovery audits")
     aud.add_argument("--K", type=int)
     aud.add_argument("--B", type=int)
-    aud.add_argument("--q", type=int, default=None)
-    aud.add_argument("--L", type=int, default=None)
-    aud.add_argument("--level", choices=["algebraic", "exhaustive"], default=None)
-    aud.add_argument("--max-states", dest="max_states", type=int, default=None)
+    aud.add_argument("--q", type=int)
+    aud.add_argument("--L", type=int)
+    aud.add_argument("--level", choices=["algebraic", "exhaustive"], default="algebraic")
+    aud.add_argument("--max-states", type=int, default=10**8)
     aud.add_argument(
         "--golden-example1",
         action="store_true",
@@ -288,68 +301,54 @@ def build_parser() -> argparse.ArgumentParser:
     aud.set_defaults(func=cmd_audit)
 
     rts = sub.add_parser("rates", help="achievable vs converse rate table")
-    rts.add_argument("--K", dest="K_range", default=None, help="K or LO:HI")
-    rts.add_argument("--B", dest="B_range", default=None, help="B or LO:HI; default 1..K")
-    rts.add_argument("--format", choices=["json", "csv"], default=None)
+    rts.add_argument("--K", type=_parse_range, help="K or LO:HI")
+    rts.add_argument("--B", type=_parse_range, help="B or LO:HI; default 1..K")
+    rts.add_argument("--format", choices=["json", "csv"], default="json")
     _add_common(rts)
     rts.set_defaults(func=cmd_rates)
 
     srch = sub.add_parser("search-params", help="parameter search diagnostics")
     srch.add_argument("--K", type=int)
     srch.add_argument("--B", type=int)
-    srch.add_argument("--q", type=int, default=None)
-    srch.add_argument("--samples", type=int, default=None)
+    srch.add_argument("--q", type=int)
+    srch.add_argument("--samples", type=_at_least(1), default=200)
     _add_common(srch)
     srch.set_defaults(func=cmd_search_params)
     return parser
 
 
-_DEFAULTS = {
-    "seed": 0,
-    "trials": 100,
-    "level": "algebraic",
-    "max_states": 10**8,
-    "samples": 200,
-    "format": "json",
-    "K_range": None,
-    "B_range": None,
-}
-
-
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from the config file, then from defaults."""
-    config = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(config, dict):
-            raise ConfigError("config file must hold a JSON object")
-        version = config.pop("version", 1)
-        if version != 1:
-            raise ConfigError(f"unsupported config version {version}")
+def _config_tokens(path: str) -> list[str]:
+    """The options of a config file as flag tokens for the parser."""
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError("config file must hold a JSON object")
+    version = config.pop("version", 1)
+    if version != 1:
+        raise ConfigError(f"unsupported config version {version}")
+    tokens = []
     for key, value in config.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr) and hasattr(args, attr + "_range"):
-            attr += "_range"
-        if hasattr(args, attr) and getattr(args, attr) in (None, False):
-            setattr(args, attr, value)
-    for key, value in _DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif value is not False and value is not None:
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        _apply_config(args)
+        args = parser.parse_args(argv)
+        if args.config:
+            # Config options go right after the subcommand, so later flags win.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(args.config) + argv[at:])
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ValueError, StateSpaceError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -252,11 +252,11 @@ def server_decode(params: SchemeParams, relay_msgs: Mapping[int, Sequence[int]])
     if any(len(relay_msgs[i]) != blocks for i in params.topo.relays()):
         raise SizeMismatchError("relay messages of unequal length")
     q = params.field.q
+    cols = [params.recovery.column(b) for b in range(params.block_size)]
     out = []
     for t in range(blocks):
         y = [relay_msgs[i][t] for i in params.topo.relays()]
-        for b in range(params.block_size):
-            col = params.recovery.column(b)
+        for col in cols:
             out.append(sum(a * c for a, c in zip(y, col)) % q)
     return tuple(out)
 
@@ -282,9 +282,7 @@ def run_round(
             user_msgs[(k, i)] = msg
 
     relay_msgs = {
-        i: relay_encode(
-            params, i, {k: user_msgs[(k, i)] for k in _senders(params, i) if (k, i) in user_msgs}
-        )
+        i: relay_encode(params, i, {k: user_msgs[(k, i)] for k in _senders(params, i)})
         for i in params.topo.relays()
     }
     recovered = server_decode(params, relay_msgs)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hsagg import cli
 
 
@@ -172,6 +174,42 @@ def test_config_file_merging(capsys, tmp_path):
     report = json.loads(out)
     assert report["trials"]["requested"] == 8  # flag beats config
     assert report["scheme"]["K"] == 3
+    flags = ["simulate", "--K", "3", "--B", "2", "--trials", "8", "--seed", "2"]
+    assert run_cli(flags, capsys) == (0, out, "")
+
+
+def test_config_values_are_parsed_like_flags(capsys, tmp_path):
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"version": 1, "K": 3, "B": 2, "trials": "5", "transcript": True}))
+    code, out, _ = run_cli(["simulate", "--config", str(conf)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["trials"] == {"requested": 5, "exact_recoveries": 5}
+    assert "sample_transcript" in report
+
+
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        (["simulate", "--K", "x"], None, "--K"),
+        (["audit", "--level", "bogus"], None, "--level"),
+        ([], None, "command"),
+        (["simulate"], {"K": 3, "B": 2, "trails": 5}, "--trails"),
+        (["rates"], {"K": "2:4", "format": "xml"}, "--format"),
+        (["simulate", "--K", "3", "--B", "2", "--trials", "-1"], None, "--trials"),
+        (["search-params", "--K", "4", "--B", "2", "--samples", "0"], None, "--samples"),
+    ],
+    ids=["bad-int", "bad-choice", "no-subcommand", "unknown-key", "config-bad-choice",
+         "negative-trials", "zero-samples"],
+)
+def test_usage_errors_exit_config(capsys, tmp_path, argv, config, named):
+    if config is not None:
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps(config))
+        argv = argv + ["--config", str(conf)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("config error: ") and named in err
 
 
 def test_config_file_version_check(capsys, tmp_path):
