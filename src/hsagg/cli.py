@@ -104,13 +104,17 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"L={L} is not a multiple of block size {params.block_size}")
     trials = args.trials
     passed = 0
+    sample = None
     for t in range(trials):
         inputs = random_inputs(params, L, seed=_trial_seed(args.seed, t, 0))
         result = run_round(params, inputs, seed=_trial_seed(args.seed, t, 1))
         passed += result.recovered_sum == direct_sum(params, inputs)
-
-    sample = run_round(params, random_inputs(params, L, seed=_trial_seed(args.seed, 0, 0)),
-                       seed=_trial_seed(args.seed, 0, 1))
+        if t == 0:
+            sample = result
+    if sample is None:
+        # With no trials, one round with trial 0's seeds still gives the rates.
+        sample = run_round(params, random_inputs(params, L, seed=_trial_seed(args.seed, 0, 0)),
+                           seed=_trial_seed(args.seed, 0, 1))
     measured = measured_rates(sample.transcript, L)
     achievable = achievable_rates(args.K, args.B)
     bounds = converse_bounds(args.K, args.B)
@@ -168,11 +172,15 @@ def cmd_rates(args) -> int:
                 continue
             ach = achievable_rates(K, B)
             lb = converse_bounds(K, B)
+            try:
+                q = select_field(K, B).q
+            except ConstructionError:
+                q = None  # above the modulus cap; the rates are closed-form
             rows.append(
                 {
                     "K": K,
                     "B": B,
-                    "q": select_field(K, B).q,
+                    "q": q,
                     "RX_ach": str(ach.user_upload),
                     "RY_ach": str(ach.relay_upload),
                     "RZ_ach": str(ach.user_key),
@@ -265,13 +273,16 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Subparsers do not inherit allow_abbrev, so every parser sets it: a
+    # prefix such as --trial or a config key "trial" is an unknown option.
     parser = _Parser(
         prog="hsagg",
         description="Hierarchical secure aggregation with cyclic association",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run seeded random rounds")
+    sim = sub.add_parser("simulate", help="run seeded random rounds", allow_abbrev=False)
     sim.add_argument("--K", type=int)
     sim.add_argument("--B", type=int)
     sim.add_argument("--q", type=int)
@@ -285,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sim)
     sim.set_defaults(func=cmd_simulate)
 
-    aud = sub.add_parser("audit", help="security and recovery audits")
+    aud = sub.add_parser("audit", help="security and recovery audits", allow_abbrev=False)
     aud.add_argument("--K", type=int)
     aud.add_argument("--B", type=int)
     aud.add_argument("--q", type=int)
@@ -300,14 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(aud)
     aud.set_defaults(func=cmd_audit)
 
-    rts = sub.add_parser("rates", help="achievable vs converse rate table")
+    rts = sub.add_parser("rates", help="achievable vs converse rate table", allow_abbrev=False)
     rts.add_argument("--K", type=_parse_range, help="K or LO:HI")
     rts.add_argument("--B", type=_parse_range, help="B or LO:HI; default 1..K")
     rts.add_argument("--format", choices=["json", "csv"], default="json")
     _add_common(rts)
     rts.set_defaults(func=cmd_rates)
 
-    srch = sub.add_parser("search-params", help="parameter search diagnostics")
+    srch = sub.add_parser("search-params", help="parameter search diagnostics", allow_abbrev=False)
     srch.add_argument("--K", type=int)
     srch.add_argument("--B", type=int)
     srch.add_argument("--q", type=int)

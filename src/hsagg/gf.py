@@ -5,12 +5,16 @@ this layer is integer-exact; the security audits downstream compare
 matrices for literal equality, so floats are banned throughout.
 
 The modulus is capped below 2**31 so that a product of two reduced
-elements always fits in a 64-bit intermediate.
+elements always fits in a 64-bit intermediate.  ``matmul_mod`` is the
+one array kernel: an exact matrix product mod q over int64 arrays, which
+the protocol runs every round stage on.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+import numpy as np
 
 MAX_MODULUS = 1 << 31
 
@@ -266,6 +270,24 @@ def vandermonde(field: PrimeField, points: Sequence[int], ncols: int) -> Matrix:
     if ncols < 1:
         raise ValueError("ncols must be positive")
     return Matrix(field, [[pow(p, j, field.q) for j in range(ncols)] for p in reduced])
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Exact ``a @ b mod q`` for int64 arrays with entries in [0, q).
+
+    b is split into 16-bit halves, so no int64 partial sum wraps when
+    q < 2**31 and the inner dimension n is below 2**16: a @ (b >> 16)
+    stays below n * 2**31 * 2**15, and (a @ (b >> 16) mod q) * 2**16 +
+    a @ (b & 0xFFFF) below 2**47 + n * 2**47 <= 2**63.  Stacked operands
+    broadcast as in ``np.matmul``.
+    """
+    if not (q < MAX_MODULUS and a.shape[-1] < 1 << 16):
+        raise ValueError(
+            f"matmul_mod needs q < 2**31 and inner dimension < 2**16, "
+            f"got q={q}, n={a.shape[-1]}"
+        )
+    high = (a @ (b >> 16)) % q
+    return (high * 65536 + a @ (b & 0xFFFF)) % q
 
 
 class Polynomial:

@@ -6,7 +6,8 @@ the rate identities the audits assert).  Per block, every user sends one
 symbol to each associated relay, reusing a single key symbol across its
 outgoing messages; every relay forwards the sum of what it received; the
 server multiplies the relay symbols by the recovery matrix and reads off
-the blockwise input sum.
+the blockwise input sum.  Each stage is one exact int64 array operation
+over GF(q) for all users, blocks and relays at once (``gf.matmul_mod``).
 
 For B = K the scheme is the B = K-1 design with the last outgoing link
 of each user disabled; the disabled link carries an explicit empty
@@ -17,10 +18,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .code_design import CodeDesign, build_code_design, check_points, default_points
-from .gf import Matrix, PrimeField
+from .gf import Matrix, PrimeField, matmul_mod
 from .key_design import (
     AuditReport,
     ConstructionError,
@@ -39,6 +43,23 @@ class SizeMismatchError(ValueError):
 class MissingMessageError(LookupError):
     def __init__(self, sender: str, receiver: str):
         super().__init__(f"missing message from {sender} to {receiver}")
+
+
+@dataclass(frozen=True)
+class _RoundArrays:
+    """A scheme as the arrays the round kernels multiply by.
+
+    Link j of user k goes to relay relays[k-1][j].  Row j of encode[k-1]
+    holds the link's B input coefficients and then its key coefficient,
+    so one product with [input block, key symbol] gives its message.
+    Relay i sums the links received[i-1], numbered (k-1)*B + j.
+    """
+
+    key_matrix_t: np.ndarray  # (n, K)
+    encode: np.ndarray  # (K, B, B + 1)
+    recovery: np.ndarray  # (K, B)
+    relays: tuple[tuple[int, ...], ...]
+    received: np.ndarray  # (K, B)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +110,30 @@ class SchemeParams:
         if not self.reduced:
             return None
         return i % self.K + 1
+
+    @cached_property
+    def _arrays(self) -> _RoundArrays:
+        """Built on first use and kept for every later round of the scheme."""
+        topo, bs = self.topo, self.block_size
+        relays = tuple(relays_of_user(topo, k) for k in topo.users())
+        encode = np.array(
+            [
+                [self.input_coeffs[(k, i)] + (self.key_coeffs.rows[k - 1][i - 1],) for i in rs]
+                for k, rs in zip(topo.users(), relays)
+            ],
+            dtype=np.int64,
+        )
+        received = [
+            [(k - 1) * bs + relays[k - 1].index(i) for k in users_of_relay(topo, i)]
+            for i in topo.relays()
+        ]
+        return _RoundArrays(
+            key_matrix_t=np.array(self.key_matrix.transpose().rows, dtype=np.int64),
+            encode=encode,
+            recovery=np.array(self.recovery.take_cols(range(bs)).rows, dtype=np.int64),
+            relays=relays,
+            received=np.array(received),
+        )
 
 
 @dataclass(frozen=True)
@@ -169,6 +214,47 @@ def _block_count(params: SchemeParams, L: int) -> int:
     return L // params.block_size
 
 
+# Round kernels.  Each takes reduced int64 arrays, holds one stage for any
+# number of users, blocks or relays, and returns reduced int64 arrays; the
+# public functions below and run_round are the only callers.
+
+
+def _field_array(values, q: int) -> np.ndarray:
+    """Symbols as a reduced int64 array."""
+    return np.asarray(values, dtype=np.int64) % q
+
+
+def _derive(params: SchemeParams, source: np.ndarray) -> np.ndarray:
+    """(blocks, n) source segments -> (blocks, K) key symbols."""
+    return matmul_mod(source, params._arrays.key_matrix_t, params.field.q)
+
+
+def _encode(params: SchemeParams, users: slice, w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(U, B, blocks) input blocks, one per column, and (U, blocks) key
+    symbols of a slice of users -> (U, B, blocks) messages, row j for link j."""
+    wz = np.concatenate((w, z[:, None, :]), axis=1)
+    return matmul_mod(params._arrays.encode[users], wz, params.field.q)
+
+
+def _relay_sums(received: np.ndarray, q: int) -> np.ndarray:
+    """(..., senders, blocks) received symbols -> (..., blocks) relay symbols."""
+    return received.sum(axis=-2) % q
+
+
+def _decode(params: SchemeParams, y: np.ndarray) -> np.ndarray:
+    """(K, blocks) relay symbols -> the blockwise sum, block by block."""
+    return matmul_mod(y.T, params._arrays.recovery, params.field.q).ravel()
+
+
+def _user_messages(params: SchemeParams, k: int, links: list) -> dict[int, tuple[int, ...]]:
+    """User k's messages by relay, from its per-link symbol lists."""
+    out = dict(zip(params._arrays.relays[k - 1], map(tuple, links)))
+    disabled = params.disabled_relay(k)
+    if disabled is not None:
+        out[disabled] = ()
+    return out
+
+
 def sample_source_key(params: SchemeParams, block_count: int, seed: int) -> tuple[int, ...]:
     """Fresh i.i.d. uniform source symbols, one segment per block."""
     rng = random.Random(seed)
@@ -185,16 +271,8 @@ def derive_keys(params: SchemeParams, source_key: Sequence[int]) -> dict[int, tu
         raise SizeMismatchError(
             f"source key length {len(source_key)} is not a positive multiple of {n}"
         )
-    q = params.field.q
-    blocks = len(source_key) // n
-    out = {}
-    for k in params.topo.users():
-        row = params.key_matrix.row(k - 1)
-        out[k] = tuple(
-            sum(h * source_key[t * n + m] for m, h in enumerate(row)) % q
-            for t in range(blocks)
-        )
-    return out
+    z = _derive(params, _field_array(source_key, params.field.q).reshape(-1, n))
+    return {k: tuple(keys) for k, keys in zip(params.topo.users(), z.T.tolist())}
 
 
 def user_encode(
@@ -205,19 +283,15 @@ def user_encode(
     blocks = _block_count(params, len(w))
     if len(z) != blocks:
         raise SizeMismatchError(f"expected {blocks} key symbols, got {len(z)}")
+    relays_of_user(params.topo, k)  # rejects an out-of-range k
     q = params.field.q
-    out: dict[int, tuple[int, ...]] = {}
-    for i in relays_of_user(params.topo, k):
-        coeffs = params.input_coeffs[(k, i)]
-        lam = params.key_coeffs.rows[k - 1][i - 1]
-        out[i] = tuple(
-            (sum(c * w[t * bs + j] for j, c in enumerate(coeffs)) + lam * z[t]) % q
-            for t in range(blocks)
-        )
-    disabled = params.disabled_relay(k)
-    if disabled is not None:
-        out[disabled] = ()
-    return out
+    x = _encode(
+        params,
+        slice(k - 1, k),
+        _field_array(w, q).reshape(1, blocks, bs).transpose(0, 2, 1),
+        _field_array(z, q).reshape(1, blocks),
+    )
+    return _user_messages(params, k, x[0].tolist())
 
 
 def relay_encode(
@@ -240,7 +314,7 @@ def relay_encode(
     if any(len(m) != n for m in msgs):
         raise SizeMismatchError(f"relay {i} received messages of unequal length")
     q = params.field.q
-    return tuple(sum(m[t] for m in msgs) % q for t in range(n))
+    return tuple(_relay_sums(_field_array(msgs, q), q).tolist())
 
 
 def server_decode(params: SchemeParams, relay_msgs: Mapping[int, Sequence[int]]) -> tuple[int, ...]:
@@ -251,41 +325,39 @@ def server_decode(params: SchemeParams, relay_msgs: Mapping[int, Sequence[int]])
     blocks = len(relay_msgs[1])
     if any(len(relay_msgs[i]) != blocks for i in params.topo.relays()):
         raise SizeMismatchError("relay messages of unequal length")
-    q = params.field.q
-    cols = [params.recovery.column(b) for b in range(params.block_size)]
-    out = []
-    for t in range(blocks):
-        y = [relay_msgs[i][t] for i in params.topo.relays()]
-        for col in cols:
-            out.append(sum(a * c for a, c in zip(y, col)) % q)
-    return tuple(out)
+    y = _field_array([relay_msgs[i] for i in params.topo.relays()], params.field.q)
+    return tuple(_decode(params, y).tolist())
 
 
 def run_round(
     params: SchemeParams, inputs: Mapping[int, Sequence[int]], seed: int = 0
 ) -> RoundResult:
-    """Execute one full round; the recovered sum is exact by construction."""
+    """Execute one full round; the recovered sum is exact by construction.
+
+    Every stage runs once for all users, blocks and relays.
+    """
     K = params.K
-    if sorted(inputs) != list(params.topo.users()):
+    users = params.topo.users()
+    if sorted(inputs) != list(users):
         raise SizeMismatchError(f"inputs must cover users 1..{K}")
     L = len(inputs[1])
-    if any(len(inputs[k]) != L for k in params.topo.users()):
+    if any(len(inputs[k]) != L for k in users):
         raise SizeMismatchError("all users must share one input length")
     blocks = _block_count(params, L)
+    q = params.field.q
 
     source_key = sample_source_key(params, blocks, seed)
-    keys = derive_keys(params, source_key)
+    z = _derive(params, _field_array(source_key, q).reshape(blocks, -1))
+    w = _field_array([inputs[k] for k in users], q).reshape(K, blocks, params.block_size)
+    x = _encode(params, slice(None), w.transpose(0, 2, 1), z.T)
+    y = _relay_sums(x.reshape(-1, blocks)[params._arrays.received], q)
+    recovered = tuple(_decode(params, y).tolist())
 
     user_msgs: dict[tuple[int, int], tuple[int, ...]] = {}
-    for k in params.topo.users():
-        for i, msg in user_encode(params, k, inputs[k], keys[k]).items():
+    for k, links in zip(users, x.tolist()):
+        for i, msg in _user_messages(params, k, links).items():
             user_msgs[(k, i)] = msg
-
-    relay_msgs = {
-        i: relay_encode(params, i, {k: user_msgs[(k, i)] for k in _senders(params, i)})
-        for i in params.topo.relays()
-    }
-    recovered = server_decode(params, relay_msgs)
+    relay_msgs = {i: tuple(m) for i, m in zip(params.topo.relays(), y.tolist())}
 
     transcript = Transcript(
         user_messages=user_msgs,
@@ -297,12 +369,6 @@ def run_round(
         source_key_symbols=blocks * params.source_key_len,
     )
     return RoundResult(recovered_sum=recovered, transcript=transcript)
-
-
-def _senders(params: SchemeParams, i: int) -> tuple[int, ...]:
-    senders = users_of_relay(params.topo, i)
-    silent = params.disabled_user(i)
-    return senders if silent is None else senders + (silent,)
 
 
 def random_inputs(params: SchemeParams, L: int, seed: int) -> dict[int, tuple[int, ...]]:

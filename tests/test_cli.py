@@ -148,6 +148,41 @@ def test_rates_json_flags_full_association_gap(capsys):
     assert by_kb[(3, 1)]["RZS_ach"] == "2"
 
 
+def test_rates_above_modulus_cap_leave_q_empty(capsys):
+    # From (23, 10) on the field would exceed the 2**31 cap; the rates are
+    # closed-form and stay in the table.
+    code, out, _ = run_cli(["rates", "--K", "22:23", "--B", "10"], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["K"], r["q"]) for r in rows] == [(22, 1466593943), (23, None)]
+    assert rows[1]["RZS_ach"] == "13/10" and rows[1]["RY_lb"] == "1/10"
+    code, out, _ = run_cli(["rates", "--K", "23", "--B", "10", "--format", "csv"], capsys)
+    assert code == 0
+    assert out.strip().splitlines()[1] == "23,10,,1,1/10,1/10,13/10,1,1/10,1/10,13/10,"
+
+
+def test_simulate_runs_one_round_per_trial(capsys, monkeypatch):
+    rounds = []
+    run_round = cli.run_round
+
+    def counted(*args, **kwargs):
+        rounds.append(1)
+        return run_round(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_round", counted)
+    argv = ["simulate", "--K", "4", "--B", "2", "--seed", "5", "--transcript"]
+    reports = []
+    for trials in (0, 1, 3):
+        code, out, _ = run_cli(argv + ["--trials", str(trials)], capsys)
+        assert code == 0 and len(rounds) == max(trials, 1)
+        rounds.clear()
+        reports.append(json.loads(out))
+    # With no trials the rates still come from a round with trial 0's seeds.
+    for report in reports[1:]:
+        assert report["sample_transcript"] == reports[0]["sample_transcript"]
+        assert report["rates"] == reports[0]["rates"]
+
+
 def test_rates_requires_K(capsys):
     code, _, err = run_cli(["rates"], capsys)
     assert code == cli.EXIT_CONFIG
@@ -198,9 +233,11 @@ def test_config_values_are_parsed_like_flags(capsys, tmp_path):
         (["rates"], {"K": "2:4", "format": "xml"}, "--format"),
         (["simulate", "--K", "3", "--B", "2", "--trials", "-1"], None, "--trials"),
         (["search-params", "--K", "4", "--B", "2", "--samples", "0"], None, "--samples"),
+        (["simulate", "--K", "3", "--B", "2", "--trial", "7"], None, "--trial"),
+        (["simulate"], {"K": 3, "B": 2, "trial": 7}, "--trial"),
     ],
     ids=["bad-int", "bad-choice", "no-subcommand", "unknown-key", "config-bad-choice",
-         "negative-trials", "zero-samples"],
+         "negative-trials", "zero-samples", "flag-prefix", "config-key-prefix"],
 )
 def test_usage_errors_exit_config(capsys, tmp_path, argv, config, named):
     if config is not None:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from hsagg.gf import (
     PrimeField,
     SingularMatrixError,
     is_prime,
+    matmul_mod,
     vandermonde,
 )
 
@@ -191,3 +193,38 @@ def test_matrix_multiply_and_stack():
     assert a.take_rows([1]).rows == ((3, 4),)
     assert a.take_cols([0]).column(0) == (1, 3)
     assert a.transpose().rows == ((1, 3), (2, 4))
+
+
+def _matmul_reference(a, b, q):
+    return [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)] for row in a]
+
+
+def test_matmul_mod_matches_python_ints_at_largest_field():
+    q = 2147483629  # largest prime below 2**31 with q = 1 mod 12
+    rng = random.Random(5)
+    # q - 1 is the largest element; 0x7FFEFFFF has all-ones low 16 bits.
+    extremes = (q - 1, 0x7FFEFFFF)
+    for m, n, p in [(1, 1, 1), (3, 5, 4), (6, 7, 40)]:
+        a = [[rng.choice(extremes) if rng.random() < 0.3 else rng.randrange(q) for _ in range(n)]
+             for _ in range(m)]
+        b = [[rng.choice(extremes) if rng.random() < 0.3 else rng.randrange(q) for _ in range(p)]
+             for _ in range(n)]
+        got = matmul_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), q)
+        assert got.tolist() == _matmul_reference(a, b, q)
+    stack_a = np.array([[[q - 1] * 3] * 2, [[1, 2, 3], [4, 5, 6]]], dtype=np.int64)
+    stack_b = np.full((2, 3, 4), 0x7FFEFFFF, dtype=np.int64)
+    got = matmul_mod(stack_a, stack_b, q)
+    for s in range(2):
+        assert got[s].tolist() == _matmul_reference(stack_a[s].tolist(), stack_b[s].tolist(), q)
+
+
+def test_matmul_mod_largest_inner_dimension():
+    q = 2147483629
+    n = (1 << 16) - 1
+    a = np.full((1, n), q - 1, dtype=np.int64)
+    b = np.full((n, 1), 0x7FFEFFFF, dtype=np.int64)
+    assert matmul_mod(a, b, q).tolist() == [[(q - 1) * 0x7FFEFFFF * n % q]]
+    with pytest.raises(ValueError):
+        matmul_mod(np.zeros((1, n + 1), dtype=np.int64), np.zeros((n + 1, 1), dtype=np.int64), q)
+    with pytest.raises(ValueError):
+        matmul_mod(a[:, :1], b[:1], 1 << 31)

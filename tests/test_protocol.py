@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsagg import cli
 from hsagg.audit import golden_decode, golden_example1
 from hsagg.protocol import (
     MissingMessageError,
@@ -221,3 +223,96 @@ def test_round_property_random_seeds(offset, seed):
     inputs = random_inputs(params, 2, seed=seed)
     result = run_round(params, inputs, seed=seed + offset)
     assert result.recovered_sum == direct_sum(params, inputs)
+
+
+def _reference_round(params, inputs, seed):
+    """One round as plain loops over Python ints: (sum, user messages, relay messages)."""
+    q = params.field.q
+    bs, n = params.block_size, params.source_key_len
+    users, relays = params.topo.users(), params.topo.relays()
+    blocks = len(inputs[1]) // bs
+    s = sample_source_key(params, blocks, seed)
+    z = {
+        k: [sum(h * s[t * n + m] for m, h in enumerate(params.key_matrix.rows[k - 1])) % q
+            for t in range(blocks)]
+        for k in users
+    }
+    msgs = {}
+    for k in users:
+        for i in relays_of_user(params.topo, k):
+            c, lam = params.input_coeffs[(k, i)], params.key_coeffs.rows[k - 1][i - 1]
+            msgs[(k, i)] = tuple(
+                (sum(cj * inputs[k][t * bs + j] for j, cj in enumerate(c)) + lam * z[k][t]) % q
+                for t in range(blocks)
+            )
+        if params.disabled_relay(k) is not None:
+            msgs[(k, params.disabled_relay(k))] = ()
+    y = {
+        i: tuple(sum(msgs[(k, i)][t] for k in users_of_relay(params.topo, i)) % q
+                 for t in range(blocks))
+        for i in relays
+    }
+    total = tuple(
+        sum(y[i][t] * params.recovery.rows[i - 1][b] for i in relays) % q
+        for t in range(blocks)
+        for b in range(bs)
+    )
+    return total, msgs, y
+
+
+def _assert_matches_reference(params, inputs, seed):
+    result = run_round(params, inputs, seed=seed)
+    total, msgs, y = _reference_round(params, inputs, seed)
+    assert result.recovered_sum == total == direct_sum(params, inputs)
+    assert result.transcript.user_messages == msgs
+    assert result.transcript.relay_messages == y
+
+
+@pytest.mark.parametrize("K,B", [(K, B) for K in range(2, 7) for B in range(1, K + 1)])
+def test_round_matches_plain_loop_reference(K, B):
+    params = build_scheme(K, B, seed=K * 10 + B)
+    for trial in range(3):
+        inputs = random_inputs(params, params.block_size * (trial + 1), seed=trial)
+        _assert_matches_reference(params, inputs, seed=100 + trial)
+
+
+def test_round_matches_reference_at_largest_field():
+    # q is the largest prime below 2**31 with q = 1 mod 12: products of two
+    # field elements reach about 2**62, where an unsplit int64 sum would wrap.
+    q = 2147483629
+    params = build_scheme(4, 1, q=q)
+    for seed in range(5):
+        _assert_matches_reference(params, random_inputs(params, 6, seed=seed), seed)
+    _assert_matches_reference(params, {k: (q - 1,) * 6 for k in range(1, 5)}, seed=9)
+
+
+@pytest.mark.parametrize("K,B", [(4, 2), (4, 4)])
+def test_round_outputs_are_python_ints(K, B):
+    params = build_scheme(K, B)
+    inputs = random_inputs(params, params.block_size * 2, seed=1)
+    result = run_round(params, inputs, seed=2)
+    t = result.transcript
+    symbols = [*result.recovered_sum]
+    for msg in (*t.user_messages.values(), *t.relay_messages.values()):
+        assert type(msg) is tuple
+        symbols.extend(msg)
+    keys = derive_keys(params, sample_source_key(params, 2, seed=3))
+    symbols.extend(x for z in keys.values() for x in z)
+    symbols.extend(x for m in user_encode(params, 1, inputs[1], keys[1]).values() for x in m)
+    symbols.extend(relay_encode(params, 1, {k: m for (k, i), m in t.user_messages.items() if i == 1}))
+    symbols.extend(server_decode(params, t.relay_messages))
+    assert symbols and all(type(x) is int for x in symbols)
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("simulate --K 12 --B 6 --L 60 --trials 3 --seed 1 --transcript",
+         "cdb339a19d01791954b064504f3434f475d62ec9fbb7abcf42336eb82b2687ab"),
+        ("simulate --K 5 --B 5 --L 8 --trials 7 --seed 2 --transcript",
+         "720677d61b00e125449c650273e1cb16349a772190b71a320b60ac67dc636d6a"),
+    ],
+)
+def test_seeded_reports_are_pinned(capsys, argv, digest):
+    assert cli.main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
