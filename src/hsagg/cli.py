@@ -205,7 +205,6 @@ def cmd_rates(args) -> int:
 
 def cmd_search_params(args) -> int:
     _require(args, ["K", "B"])
-    from .code_design import default_points
     from .key_design import (
         REGIME_CIRCULANT,
         build_keys,
@@ -214,8 +213,7 @@ def cmd_search_params(args) -> int:
     )
     from .gf import PrimeField
 
-    field = PrimeField(args.q) if args.q else select_field(args.K, args.B)
-    points = default_points(field, args.K)
+    field = select_field(args.K, args.B) if args.q is None else PrimeField(args.q)
     regime = regime_for(args.K, args.B)
     report = {
         "version": 1,
@@ -227,15 +225,13 @@ def cmd_search_params(args) -> int:
     }
     if regime == REGIME_CIRCULANT:
         bound = sufficient_field_size(args.K, args.B)
-        valid = sample_circulant_validity(
-            args.K, args.B, field, points, args.samples, args.seed
-        )
+        valid = sample_circulant_validity(args.K, args.B, field, args.samples, args.seed)
         report["sufficient_field_size"] = bound
         report["samples"] = args.samples
         report["valid"] = valid
         report["valid_fraction"] = str(Fraction(valid, args.samples))
         report["success_floor"] = str(max(Fraction(0), 1 - Fraction(bound, field.q)))
-    keys = build_keys(args.K, args.B, field, points, args.seed)
+    keys = build_keys(args.K, args.B, field, args.seed)
     report["chosen"] = {"regime": keys.regime}
     if keys.ratio is not None:
         report["chosen"]["ratio"] = keys.ratio
@@ -268,7 +264,6 @@ def _at_least(minimum: int):
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; explicit flags win")
-    sub.add_argument("--seed", type=int, default=0, help="seed for searches and rounds")
     sub.add_argument("--out", help="write the report to this path")
 
 
@@ -325,6 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     srch.add_argument("--samples", type=_at_least(1), default=200)
     _add_common(srch)
     srch.set_defaults(func=cmd_search_params)
+
+    for seeded in (sim, aud, srch):  # rates is closed-form and draws nothing
+        seeded.add_argument("--seed", type=int, default=0, help="seed for searches and rounds")
     return parser
 
 

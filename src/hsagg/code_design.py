@@ -1,9 +1,10 @@
 """Gradient-coding style message design for the relay layer.
 
-Each user k gets an indicator polynomial that vanishes exactly at the
-evaluation points of the relays it does NOT upload to:
+Relay i's evaluation point is i, so the points 1..K are distinct and
+nonzero whenever q > K.  Each user k gets an indicator polynomial that
+vanishes exactly at the points of the relays it does NOT upload to:
 
-    p_k(x) = prod over non-associated relays i of (x - point_i)
+    p_k(x) = prod over non-associated relays i of (x - i)
 
 From p_k a family of B polynomials is generated recursively; member b has
 degree K - B + b - 1, leading coefficient 1, and zero coefficients in the
@@ -29,42 +30,28 @@ from .gf import Matrix, Polynomial, PrimeField, vandermonde
 from .topology import Topology, relays_of_user
 
 
-def default_points(field: PrimeField, K: int) -> tuple[int, ...]:
-    """Evaluation points 1..K; distinct and nonzero whenever q > K."""
+def evaluation_points(field: PrimeField, K: int) -> tuple[int, ...]:
+    """The point of user or relay j is j: distinct and nonzero whenever q > K."""
     if field.q <= K:
-        raise ValueError(f"need q > K for default points, got q={field.q}, K={K}")
+        raise ValueError(f"need q > K for evaluation points 1..K, got q={field.q}, K={K}")
     return tuple(range(1, K + 1))
 
 
-def check_points(field: PrimeField, K: int, points: tuple[int, ...]) -> tuple[int, ...]:
-    pts = tuple(p % field.q for p in points)
-    if len(pts) != K:
-        raise ValueError(f"expected {K} evaluation points, got {len(pts)}")
-    if len(set(pts)) != K:
-        raise ValueError("evaluation points must be distinct")
-    if any(p == 0 for p in pts):
-        raise ValueError("evaluation points must be nonzero")
-    return pts
-
-
-def association_polynomial(
-    topo: Topology, field: PrimeField, points: tuple[int, ...], k: int
-) -> Polynomial:
+def association_polynomial(topo: Topology, field: PrimeField, k: int) -> Polynomial:
     """Monic degree K-B indicator polynomial for user k.
 
-    Vanishes at point_j exactly when relay j is outside user k's
+    Vanishes at relay j's point exactly when relay j is outside user k's
     association set.  With B = K the product is empty and the constant 1
     is returned; that degenerate case is only reachable through the
     full-association reduction, which codes at B = K - 1.
     """
     assoc = set(relays_of_user(topo, k))
+    points = evaluation_points(field, topo.K)
     roots = [points[i - 1] for i in topo.relays() if i not in assoc]
     return Polynomial.monic_from_roots(field, roots)
 
 
-def recursive_family(
-    topo: Topology, field: PrimeField, points: tuple[int, ...], k: int
-) -> tuple[Polynomial, ...]:
+def recursive_family(topo: Topology, field: PrimeField, k: int) -> tuple[Polynomial, ...]:
     """The B polynomials derived from user k's indicator polynomial.
 
     Member b is x times member b-1 minus the coefficient of x^(K-B-1) in
@@ -75,7 +62,7 @@ def recursive_family(
     K, B = topo.K, topo.B
     if B == K:
         raise ValueError("full association has no recursive family; code at B = K-1")
-    base = association_polynomial(topo, field, points, k)
+    base = association_polynomial(topo, field, k)
     family = [base]
     drop = K - B - 1
     for _ in range(B - 1):
@@ -95,22 +82,20 @@ def build_code_matrix(
     return Matrix(field, rows)
 
 
-def evaluation_matrix(field: PrimeField, points: tuple[int, ...]) -> Matrix:
-    """K x K matrix whose column j is [1, p_j, p_j**2, ..., p_j**(K-1)]."""
-    return vandermonde(field, points, len(points)).transpose()
+def evaluation_matrix(field: PrimeField, K: int) -> Matrix:
+    """K x K matrix whose column j is [1, j, j**2, ..., j**(K-1)]."""
+    return vandermonde(field, evaluation_points(field, K), K).transpose()
 
 
 def input_coefficients(
-    topo: Topology,
-    field: PrimeField,
-    points: tuple[int, ...],
-    families: tuple[tuple[Polynomial, ...], ...],
+    topo: Topology, field: PrimeField, families: tuple[tuple[Polynomial, ...], ...]
 ) -> dict[tuple[int, int], tuple[int, ...]]:
     """Per-link coefficient table keyed by (user, relay); absent means zero.
 
     Entry (k, i) holds the B family polynomials of user k evaluated at
     relay i's point.  Only associated links appear.
     """
+    points = evaluation_points(field, topo.K)
     table: dict[tuple[int, int], tuple[int, ...]] = {}
     for k in topo.users():
         fam = families[k - 1]
@@ -121,11 +106,10 @@ def input_coefficients(
 
 @dataclass(frozen=True, eq=False)
 class CodeDesign:
-    """Compiled message design for one (topology, field, points) choice."""
+    """Compiled message design for one (topology, field) choice."""
 
     topo: Topology
     field: PrimeField
-    points: tuple[int, ...]
     families: tuple[tuple[Polynomial, ...], ...]
     code_matrix: Matrix
     eval_matrix: Matrix
@@ -134,24 +118,20 @@ class CodeDesign:
     input_coeffs: Mapping[tuple[int, int], tuple[int, ...]] = dc_field(repr=False)
 
 
-def build_code_design(
-    topo: Topology, field: PrimeField, points: "tuple[int, ...] | None" = None
-) -> CodeDesign:
+def build_code_design(topo: Topology, field: PrimeField) -> CodeDesign:
     if topo.B == topo.K:
         raise ValueError("code designs exist for B <= K-1; reduce full association first")
-    pts = default_points(field, topo.K) if points is None else check_points(field, topo.K, points)
-    families = tuple(recursive_family(topo, field, pts, k) for k in topo.users())
-    theta = evaluation_matrix(field, pts)
+    families = tuple(recursive_family(topo, field, k) for k in topo.users())
+    theta = evaluation_matrix(field, topo.K)
     theta_inv = theta.inverse()
     recovery = theta_inv.take_cols(range(topo.K - topo.B, topo.K))
     return CodeDesign(
         topo=topo,
         field=field,
-        points=pts,
         families=families,
         code_matrix=build_code_matrix(field, families, topo.K),
         eval_matrix=theta,
         eval_inverse=theta_inv,
         recovery=recovery,
-        input_coeffs=input_coefficients(topo, field, pts, families),
+        input_coeffs=input_coefficients(topo, field, families),
     )

@@ -14,7 +14,10 @@ joint conditions drive every construction here:
 plus the MDS condition that any B rows of the key matrix are linearly
 independent, which hands every relay B mutually independent masks.
 
-Four regimes, by association count B:
+Every Vandermonde block below is taken at the message design's
+evaluation points 1..K (code_design.evaluation_points), so a key design
+is fixed by (K, B, q) and the search seed.  Four regimes, by association
+count B:
 
   single       B = 1.  Key coefficients are the identity; the key matrix
                is an extended Vandermonde block with rows rescaled so the
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .code_design import CodeDesign
+from .code_design import CodeDesign, evaluation_matrix, evaluation_points
 from .gf import MAX_MODULUS, Matrix, PrimeField, SingularMatrixError, is_prime, vandermonde
 from .topology import Topology, relays_of_user, users_of_relay
 
@@ -161,15 +164,13 @@ def _circulant(field: PrimeField, K: int, B: int, ratio: int) -> Matrix:
     return Matrix(field, rows)
 
 
-def circulant_ratio_valid(
-    field: PrimeField, K: int, B: int, points: tuple[int, ...], ratio: int
-) -> bool:
+def circulant_ratio_valid(field: PrimeField, K: int, B: int, ratio: int) -> bool:
     """Full validity predicate used by the ratio search and its sampler."""
     q = field.q
     if ratio % q == 0 or pow(ratio, K, q) == 1:
         return False
     coeffs = _circulant(field, K, B, ratio)
-    target = vandermonde(field, points, K - B)
+    target = vandermonde(field, evaluation_points(field, K), K - B)
     try:
         key_matrix = coeffs.transpose().solve(target)
     except SingularMatrixError:
@@ -177,9 +178,7 @@ def circulant_ratio_valid(
     return _every_subset_full_rank(key_matrix, K - B)
 
 
-def circulant_keygen(
-    K: int, B: int, field: PrimeField, points: tuple[int, ...], seed: int = 0
-) -> KeyDesign:
+def circulant_keygen(K: int, B: int, field: PrimeField, seed: int = 0) -> KeyDesign:
     """Regime 2 <= B <= K/2; requires K | (q - 1)."""
     if not (2 <= B and 2 * B <= K):
         raise ValueError(f"circulant regime needs 2 <= B <= K/2, got K={K}, B={B}")
@@ -187,9 +186,9 @@ def circulant_keygen(
         raise ConstructionError(
             f"circulant regime needs K | (q-1); q={field.q}, K={K}"
         )
-    target = vandermonde(field, points, K - B)
+    target = vandermonde(field, evaluation_points(field, K), K - B)
     for ratio in _search_order(field.q, seed):
-        if not circulant_ratio_valid(field, K, B, points, ratio):
+        if not circulant_ratio_valid(field, K, B, ratio):
             continue
         coeffs = _circulant(field, K, B, ratio)
         key_matrix = coeffs.transpose().solve(target)
@@ -201,17 +200,12 @@ def circulant_keygen(
 
 
 def sample_circulant_validity(
-    K: int,
-    B: int,
-    field: PrimeField,
-    points: tuple[int, ...],
-    samples: int,
-    seed: int = 0,
+    K: int, B: int, field: PrimeField, samples: int, seed: int = 0
 ) -> int:
     """Count valid ratios among uniform draws from the whole field."""
     rng = random.Random(seed)
     return sum(
-        circulant_ratio_valid(field, K, B, points, rng.randrange(field.q))
+        circulant_ratio_valid(field, K, B, rng.randrange(field.q))
         for _ in range(samples)
     )
 
@@ -235,7 +229,7 @@ def _lagrange_constant_terms(
 
 
 def _relay_solve_data(
-    K: int, B: int, field: PrimeField, points: tuple[int, ...]
+    K: int, B: int, field: PrimeField
 ) -> dict[int, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
     """Per relay: (senders, first inverse row, anchor-free part).
 
@@ -246,6 +240,7 @@ def _relay_solve_data(
     """
     q = field.q
     topo = Topology(K, B)
+    points = evaluation_points(field, K)
     key_matrix = vandermonde(field, points, B)
     out: dict[int, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = {}
     for i in topo.relays():
@@ -270,25 +265,21 @@ def _relay_solve_data(
     return out
 
 
-def anchor_bad_sets(
-    K: int, B: int, field: PrimeField, points: tuple[int, ...]
-) -> dict[int, set[int]]:
+def anchor_bad_sets(K: int, B: int, field: PrimeField) -> dict[int, set[int]]:
     """Anchors that zero some coefficient of a relay; at most B per relay."""
     return {
         i: {-r * field.inv(f) % field.q for f, r in zip(first, rest)}
-        for i, (_, first, rest) in _relay_solve_data(K, B, field, points).items()
+        for i, (_, first, rest) in _relay_solve_data(K, B, field).items()
     }
 
 
-def vandermonde_keygen(
-    K: int, B: int, field: PrimeField, points: tuple[int, ...], seed: int = 0
-) -> KeyDesign:
-    """Regime K/2 < B <= K-1; requires nonzero distinct points."""
+def vandermonde_keygen(K: int, B: int, field: PrimeField, seed: int = 0) -> KeyDesign:
+    """Regime K/2 < B <= K-1; requires q > K."""
     if not (2 * B > K and B <= K - 1):
         raise ValueError(f"vandermonde regime needs K/2 < B <= K-1, got K={K}, B={B}")
     q = field.q
-    key_matrix = vandermonde(field, points, B)
-    per_relay = _relay_solve_data(K, B, field, points)
+    key_matrix = vandermonde(field, evaluation_points(field, K), B)
+    per_relay = _relay_solve_data(K, B, field)
     bad: set[int] = set()
     for _, first, rest in per_relay.values():
         bad.update(-r * field.inv(f) % q for f, r in zip(first, rest))
@@ -312,9 +303,7 @@ def vandermonde_keygen(
     )
 
 
-def single_assoc_keygen(
-    K: int, field: PrimeField, points: tuple[int, ...]
-) -> KeyDesign:
+def single_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
     """Regime B = 1: identity coefficients, extended Vandermonde key matrix.
 
     Rows 1..K-1 are Vandermonde rows and row K is the negated sum of the
@@ -325,10 +314,10 @@ def single_assoc_keygen(
     if field.q <= K + 1:
         raise ValueError(f"single-association regime needs q > K+1, got q={field.q}")
     q = field.q
+    points = evaluation_points(field, K)
     ext = [[pow(points[k], j, q) for j in range(K - 1)] for k in range(K - 1)]
     ext.append([-sum(col) % q for col in zip(*ext)])
-    theta = vandermonde(field, points, K).transpose()
-    recovery_col = theta.inverse().column(K - 1)
+    recovery_col = evaluation_matrix(field, K).inverse().column(K - 1)
     rows = [
         [v * field.inv(r) % q for v in row]
         for row, r in zip(ext, recovery_col)
@@ -336,21 +325,20 @@ def single_assoc_keygen(
     key_matrix = Matrix(field, rows)
     if not _every_subset_full_rank(key_matrix, K - 1):
         raise ConstructionError(
-            "single-association key matrix lost full rank on some K-1 rows; redraw points"
+            f"single-association key matrix lost full rank on some K-1 rows over GF({q}); "
+            "choose another field"
         )
     return KeyDesign(key_matrix, Matrix.identity(field, K), REGIME_SINGLE)
 
 
-def full_assoc_keygen(
-    K: int, field: PrimeField, points: tuple[int, ...], seed: int = 0
-) -> KeyDesign:
+def full_assoc_keygen(K: int, field: PrimeField, seed: int = 0) -> KeyDesign:
     """Regime B = K: reuse the B = K-1 design (one link per user is disabled)."""
     if K < 2:
         raise ValueError("full-association regime needs K >= 2")
     if K == 2:
-        inner = single_assoc_keygen(2, field, points)
+        inner = single_assoc_keygen(2, field)
     else:
-        inner = vandermonde_keygen(K, K - 1, field, points, seed)
+        inner = vandermonde_keygen(K, K - 1, field, seed)
     return KeyDesign(
         inner.key_matrix,
         inner.key_coeffs,
@@ -360,17 +348,16 @@ def full_assoc_keygen(
     )
 
 
-def build_keys(
-    K: int, B: int, field: PrimeField, points: tuple[int, ...], seed: int = 0
-) -> KeyDesign:
+def build_keys(K: int, B: int, field: PrimeField, seed: int = 0) -> KeyDesign:
     regime = regime_for(K, B)
+    evaluation_points(field, K)  # q > K, before any regime's own field checks
     if regime == REGIME_SINGLE:
-        return single_assoc_keygen(K, field, points)
+        return single_assoc_keygen(K, field)
     if regime == REGIME_CIRCULANT:
-        return circulant_keygen(K, B, field, points, seed)
+        return circulant_keygen(K, B, field, seed)
     if regime == REGIME_VANDERMONDE:
-        return vandermonde_keygen(K, B, field, points, seed)
-    return full_assoc_keygen(K, field, points, seed)
+        return vandermonde_keygen(K, B, field, seed)
+    return full_assoc_keygen(K, field, seed)
 
 
 @dataclass(frozen=True)
@@ -397,6 +384,7 @@ def masked_key_span(
     cancels = (masked @ recovery).is_zero()
     null = masked.nullspace()
     null_dim = 0 if null is None else null.ncols
+    rank = masked.ncols - null_dim  # rank-nullity, without a second elimination
     recovery_rank = recovery.rank()
     spans = (
         null is not None
@@ -405,7 +393,7 @@ def masked_key_span(
         and cancels
         and null.hstack(recovery).rank() == B
     )
-    return MaskedKeySpan(masked.rank(), null_dim, recovery_rank, cancels, spans)
+    return MaskedKeySpan(rank, null_dim, recovery_rank, cancels, spans)
 
 
 def validate_scheme(keys: KeyDesign, code: CodeDesign) -> AuditReport:

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .code_design import CodeDesign, build_code_design, check_points, default_points
+from .code_design import CodeDesign, build_code_design
 from .gf import Matrix, PrimeField, matmul_mod
 from .key_design import (
     AuditReport,
@@ -170,13 +170,7 @@ class RoundResult:
     transcript: Transcript
 
 
-def build_scheme(
-    K: int,
-    B: int,
-    q: "int | None" = None,
-    seed: int = 0,
-    points: "Sequence[int] | None" = None,
-) -> SchemeParams:
+def build_scheme(K: int, B: int, q: "int | None" = None, seed: int = 0) -> SchemeParams:
     """Construct and validate a scheme for K users with association count B."""
     if K < 2:
         raise ValueError(f"need at least 2 users, got K={K}")
@@ -185,9 +179,8 @@ def build_scheme(
     field = select_field(K, B) if q is None else PrimeField(q)
     coded_B = B if B < K else K - 1
     topo = Topology(K, coded_B)
-    pts = default_points(field, K) if points is None else check_points(field, K, tuple(points))
-    code = build_code_design(topo, field, pts)
-    keys = build_keys(K, B, field, pts, seed)
+    code = build_code_design(topo, field)
+    keys = build_keys(K, B, field, seed)
     report = validate_scheme(keys, code)
     if not report.passed:
         names = ", ".join(c.name for c in report.failures())

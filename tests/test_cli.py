@@ -235,9 +235,12 @@ def test_config_values_are_parsed_like_flags(capsys, tmp_path):
         (["search-params", "--K", "4", "--B", "2", "--samples", "0"], None, "--samples"),
         (["simulate", "--K", "3", "--B", "2", "--trial", "7"], None, "--trial"),
         (["simulate"], {"K": 3, "B": 2, "trial": 7}, "--trial"),
+        (["search-params", "--K", "4", "--B", "2", "--q", "0"], None, "modulus"),
+        (["rates", "--K", "3", "--seed", "1"], None, "--seed"),
     ],
     ids=["bad-int", "bad-choice", "no-subcommand", "unknown-key", "config-bad-choice",
-         "negative-trials", "zero-samples", "flag-prefix", "config-key-prefix"],
+         "negative-trials", "zero-samples", "flag-prefix", "config-key-prefix",
+         "search-zero-modulus", "rates-seed"],
 )
 def test_usage_errors_exit_config(capsys, tmp_path, argv, config, named):
     if config is not None:

@@ -5,7 +5,7 @@ import pytest
 from hsagg.code_design import (
     association_polynomial,
     build_code_design,
-    default_points,
+    evaluation_points,
     recursive_family,
 )
 from hsagg.gf import Matrix, PrimeField
@@ -20,31 +20,31 @@ BIG = PrimeField(2147483647)
 
 
 def test_association_polynomial_single_factor():
-    p = association_polynomial(Topology(3, 2), GF7, (1, 2, 3), 1)
+    p = association_polynomial(Topology(3, 2), GF7, 1)
     assert p.coeffs == (-3 % 7, 1)  # x - 3
 
 
 def test_association_polynomial_two_factors():
-    p = association_polynomial(Topology(4, 2), PrimeField(53), (1, 2, 3, 4), 1)
+    p = association_polynomial(Topology(4, 2), PrimeField(53), 1)
     assert p.coeffs == (12, -7 % 53, 1)  # (x-3)(x-4) = x^2 - 7x + 12
 
 
 def test_association_polynomial_full_association_is_one():
-    p = association_polynomial(Topology(4, 4), GF7, (1, 2, 3, 4), 2)
+    p = association_polynomial(Topology(4, 4), GF7, 2)
     assert p.coeffs == (1,)
 
 
 def test_recursion_hand_expanded_example():
     # base x - 3; subtract coefficient index K-B-1 = 0 holds -3, so the
     # second member is x(x-3) - (-3)(x-3) = x^2 - 9.
-    fam = recursive_family(Topology(3, 2), GF7, (1, 2, 3), 1)
+    fam = recursive_family(Topology(3, 2), GF7, 1)
     assert fam[0].coeffs == (-3 % 7, 1)
     assert fam[1].coeffs == (-9 % 7, 0, 1)
 
 
 def test_recursive_family_rejects_full_association():
     with pytest.raises(ValueError):
-        recursive_family(Topology(3, 3), GF7, (1, 2, 3), 1)
+        recursive_family(Topology(3, 3), GF7, 1)
 
 
 def test_degree_ladder_and_leading_band():
@@ -73,7 +73,7 @@ def test_zero_on_non_associated_relays_any_field():
                 for p in code.families[k - 1]:
                     for j in range(1, K + 1):
                         if j not in assoc:
-                            assert p(code.points[j - 1]) == 0
+                            assert p(evaluation_points(code.field, K)[j - 1]) == 0
 
 
 def test_zero_pattern_biconditional_in_characteristic_zero():
@@ -84,7 +84,7 @@ def test_zero_pattern_biconditional_in_characteristic_zero():
                 assoc = set(relays_of_user(code.topo, k))
                 for p in code.families[k - 1]:
                     for j in range(1, K + 1):
-                        assert (p(code.points[j - 1]) != 0) == (j in assoc)
+                        assert (p(evaluation_points(BIG, K)[j - 1]) != 0) == (j in assoc)
 
 
 def test_code_matrix_shape_and_identity_tail():
@@ -147,8 +147,8 @@ def test_input_coefficients_sparse_on_association():
 
 def test_default_points_need_room():
     with pytest.raises(ValueError):
-        default_points(PrimeField(5), 5)
-    assert default_points(PrimeField(7), 5) == (1, 2, 3, 4, 5)
+        evaluation_points(PrimeField(5), 5)
+    assert evaluation_points(PrimeField(7), 5) == (1, 2, 3, 4, 5)
 
 
 def test_build_rejects_full_association():

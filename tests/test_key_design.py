@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from hsagg.code_design import build_code_design, default_points
+from hsagg.code_design import build_code_design, evaluation_points
 from hsagg.gf import Matrix, PrimeField, is_prime, vandermonde
 from hsagg.key_design import (
     REGIME_CIRCULANT,
@@ -76,8 +76,7 @@ def test_select_field_refuses_fields_over_the_cap(monkeypatch):
 def test_circulant_keygen_structure():
     K, B = 4, 2
     field = select_field(K, B)
-    points = default_points(field, K)
-    keys = circulant_keygen(K, B, field, points, seed=0)
+    keys = circulant_keygen(K, B, field, seed=0)
     assert keys.regime == REGIME_CIRCULANT
     assert keys.ratio is not None and pow(keys.ratio, K, field.q) != 1
 
@@ -88,30 +87,29 @@ def test_circulant_keygen_structure():
             assert keys.key_coeffs.rows[k - 1][i - 1] == pow(keys.ratio, pos, field.q)
 
     # the defining identity: coeffs^T @ key_matrix reproduces the target block
-    target = vandermonde(field, points, K - B)
+    target = vandermonde(field, evaluation_points(field, K), K - B)
     assert keys.key_coeffs.transpose() @ keys.key_matrix == target
 
 
 def test_circulant_rejects_root_of_unity_ratio():
     K, B = 4, 2
     field = select_field(K, B)
-    points = default_points(field, K)
     roots = [g for g in range(1, field.q) if pow(g, K, field.q) == 1]
     assert roots, "K | q-1 so roots of unity exist"
     for g in roots:
-        assert not circulant_ratio_valid(field, K, B, points, g)
-    assert not circulant_ratio_valid(field, K, B, points, 0)
+        assert not circulant_ratio_valid(field, K, B, g)
+    assert not circulant_ratio_valid(field, K, B, 0)
 
 
 def test_circulant_requires_divisibility():
     with pytest.raises(ConstructionError):
-        circulant_keygen(4, 2, PrimeField(7), (1, 2, 3, 4))  # 4 does not divide 6
+        circulant_keygen(4, 2, PrimeField(7))  # 4 does not divide 6
 
 
 def test_circulant_below_bound_field_still_attempts():
     # q = 13 is far below the sufficient size 46 but satisfies 4 | 12; the
     # search is attempted anyway and happens to succeed here.
-    keys = circulant_keygen(4, 2, PrimeField(13), (1, 2, 3, 4), seed=1)
+    keys = circulant_keygen(4, 2, PrimeField(13), seed=1)
     code = build_code_design(Topology(4, 2), PrimeField(13))
     assert validate_scheme(keys, code).passed
 
@@ -119,16 +117,15 @@ def test_circulant_below_bound_field_still_attempts():
 def test_circulant_validity_fraction_reasonable():
     K, B = 4, 2
     field = select_field(K, B)
-    points = default_points(field, K)
-    valid = sample_circulant_validity(K, B, field, points, samples=60, seed=5)
+    valid = sample_circulant_validity(K, B, field, samples=60, seed=5)
     assert valid >= 30  # loose floor; the acceptance suite pins the bound
 
 
 def test_vandermonde_keygen_structure():
     for (K, B) in [(3, 2), (5, 3), (7, 4)]:
         field = select_field(K, B)
-        points = default_points(field, K)
-        keys = vandermonde_keygen(K, B, field, points, seed=0)
+        points = evaluation_points(field, K)
+        keys = vandermonde_keygen(K, B, field, seed=0)
         assert keys.regime == REGIME_VANDERMONDE
         q = field.q
         mixed = keys.key_coeffs.transpose() @ keys.key_matrix
@@ -149,7 +146,7 @@ def test_vandermonde_keygen_structure():
 def test_anchor_bad_sets_bounded_per_relay():
     for (K, B) in [(3, 2), (5, 3), (6, 4), (8, 5)]:
         field = select_field(K, B)
-        sets = anchor_bad_sets(K, B, field, default_points(field, K))
+        sets = anchor_bad_sets(K, B, field)
         assert set(sets) == set(range(1, K + 1))
         assert all(len(s) <= B for s in sets.values())
         total = set().union(*sets.values())
@@ -159,17 +156,16 @@ def test_anchor_bad_sets_bounded_per_relay():
 def test_single_assoc_keygen():
     for K in (2, 3, 5, 7):
         field = select_field(K, 1)
-        points = default_points(field, K)
-        keys = single_assoc_keygen(K, field, points)
+        keys = single_assoc_keygen(K, field)
         assert keys.key_coeffs == Matrix.identity(field, K)
         assert keys.key_matrix.ncols == K - 1
-        code = build_code_design(Topology(K, 1), field, points)
+        code = build_code_design(Topology(K, 1), field)
         assert validate_scheme(keys, code).passed
 
 
 def test_single_assoc_requires_margin():
     with pytest.raises(ValueError):
-        single_assoc_keygen(4, PrimeField(5), (1, 2, 3, 4))
+        single_assoc_keygen(4, PrimeField(5))
 
 
 def test_extended_vandermonde_pattern_examples():
@@ -189,25 +185,23 @@ def test_extended_vandermonde_pattern_examples():
 
 def test_full_assoc_reduction():
     field = select_field(3, 3)
-    points = default_points(field, 3)
-    keys = full_assoc_keygen(3, field, points, seed=0)
+    keys = full_assoc_keygen(3, field, seed=0)
     assert keys.regime == REGIME_FULL
     assert keys.anchor is not None  # built by the (3, 2) vandermonde regime
-    inner = vandermonde_keygen(3, 2, field, points, seed=0)
+    inner = vandermonde_keygen(3, 2, field, seed=0)
     assert keys.key_matrix == inner.key_matrix
     assert keys.key_coeffs == inner.key_coeffs
 
-    two = full_assoc_keygen(2, select_field(2, 2), (1, 2))
+    two = full_assoc_keygen(2, select_field(2, 2))
     assert two.key_coeffs == Matrix.identity(select_field(2, 2), 2)
 
 
 def test_validate_scheme_passes_for_all_regimes():
     for (K, B) in [(2, 1), (5, 1), (4, 2), (8, 3), (3, 2), (6, 5), (4, 4), (6, 6)]:
         field = select_field(K, B)
-        points = default_points(field, K)
         coded_B = B if B < K else K - 1
-        code = build_code_design(Topology(K, coded_B), field, points)
-        keys = build_keys(K, B, field, points, seed=0)
+        code = build_code_design(Topology(K, coded_B), field)
+        keys = build_keys(K, B, field, seed=0)
         report = validate_scheme(keys, code)
         assert report.passed, (K, B, [c.name for c in report.failures()])
         assert len(report.checks) == 5
@@ -216,7 +210,7 @@ def test_validate_scheme_passes_for_all_regimes():
 def test_validate_flags_support_violation():
     field = select_field(3, 2)
     code = build_code_design(Topology(3, 2), field)
-    keys = build_keys(3, 2, field, code.points, seed=0)
+    keys = build_keys(3, 2, field, seed=0)
     rows = [list(r) for r in keys.key_coeffs.rows]
     rows[0][0] = 0  # relay 1 is associated with user 1; zeroing breaks support
     broken = replace(keys, key_coeffs=Matrix(field, rows))
@@ -228,7 +222,7 @@ def test_validate_flags_support_violation():
 def test_validate_flags_rank_deficient_key_matrix():
     field = select_field(4, 2)
     code = build_code_design(Topology(4, 2), field)
-    keys = build_keys(4, 2, field, code.points, seed=0)
+    keys = build_keys(4, 2, field, seed=0)
     flat = Matrix(field, [[1] * keys.key_matrix.ncols for _ in range(4)])
     broken = replace(keys, key_matrix=flat)
     report = validate_scheme(broken, code)
@@ -239,14 +233,13 @@ def test_validate_flags_rank_deficient_key_matrix():
 
 def test_searches_are_seed_deterministic():
     field = select_field(4, 2)
-    points = default_points(field, 4)
-    a = circulant_keygen(4, 2, field, points, seed=11)
-    b = circulant_keygen(4, 2, field, points, seed=11)
-    c = circulant_keygen(4, 2, field, points, seed=12)
+    a = circulant_keygen(4, 2, field, seed=11)
+    b = circulant_keygen(4, 2, field, seed=11)
+    c = circulant_keygen(4, 2, field, seed=12)
     assert a.ratio == b.ratio
     assert a.key_matrix == b.key_matrix
     # a different seed may pick a different (still valid) ratio
     rng_differs = c.ratio != a.ratio
-    code = build_code_design(Topology(4, 2), field, points)
+    code = build_code_design(Topology(4, 2), field)
     assert validate_scheme(c, code).passed
     assert rng_differs or c.ratio == a.ratio

@@ -311,6 +311,16 @@ def test_round_outputs_are_python_ints(K, B):
          "cdb339a19d01791954b064504f3434f475d62ec9fbb7abcf42336eb82b2687ab"),
         ("simulate --K 5 --B 5 --L 8 --trials 7 --seed 2 --transcript",
          "720677d61b00e125449c650273e1cb16349a772190b71a320b60ac67dc636d6a"),
+        ("simulate --K 4 --B 1 --L 8 --trials 3 --seed 5 --transcript",
+         "cf7f80d3aba7638d85bd80002910a3f77d2efb8a6dfef7444cb7dfb260da050c"),
+        ("audit --K 6 --B 3 --seed 4",
+         "619f88063b067faff5bb07230e1e4e788580d58cf923c359da38269f410758ea"),
+        ("audit --K 7 --B 5 --seed 3",
+         "5b26f3f733f63ff1beb3f1f50fb564fd2b3e9f29f7ee1f071e6945335db694c5"),
+        ("search-params --K 4 --B 2 --samples 50 --seed 1",
+         "7061a64d5ae0078f54d98cb2e66b4e66332207867b427771aa5a085557c2612e"),
+        ("search-params --K 6 --B 4 --seed 2",
+         "d3a987f32a5933672e55db89025186870b70f9b362f4f1cc603bf0f1fc6b4419"),
     ],
 )
 def test_seeded_reports_are_pinned(capsys, argv, digest):
