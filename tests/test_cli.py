@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hsagg import cli
+from hsagg import cli, protocol
 
 
 def run_cli(argv, capsys):
@@ -162,17 +162,19 @@ def test_rates_above_modulus_cap_leave_q_empty(capsys):
 
 
 def test_simulate_runs_one_round_per_trial(capsys, monkeypatch):
+    # Every round, batched or not, draws its source key once.
     rounds = []
-    run_round = cli.run_round
+    sample_source_key = protocol.sample_source_key
 
     def counted(*args, **kwargs):
         rounds.append(1)
-        return run_round(*args, **kwargs)
+        return sample_source_key(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_round", counted)
+    monkeypatch.setattr(protocol, "sample_source_key", counted)
     argv = ["simulate", "--K", "4", "--B", "2", "--seed", "5", "--transcript"]
     reports = []
-    for trials in (0, 1, 3):
+    # 700 rounds of K * L = 8 symbols span more than one batch.
+    for trials in (0, 1, 3, 700):
         code, out, _ = run_cli(argv + ["--trials", str(trials)], capsys)
         assert code == 0 and len(rounds) == max(trials, 1)
         rounds.clear()

@@ -17,6 +17,7 @@ from hsagg.protocol import (
     random_inputs,
     relay_encode,
     run_round,
+    run_rounds,
     sample_source_key,
     server_decode,
     user_encode,
@@ -216,6 +217,18 @@ def test_input_validation_errors():
         server_decode(params, {1: (0,), 2: (0,)})
 
 
+def test_run_rounds_refusals_and_empty_batch():
+    params = build_scheme(3, 2)
+    two, four = random_inputs(params, 2, seed=1), random_inputs(params, 4, seed=2)
+    assert run_rounds(params, [], []) == []
+    with pytest.raises(SizeMismatchError):
+        run_rounds(params, [two, two], [1])
+    with pytest.raises(SizeMismatchError):
+        run_rounds(params, [two], [])
+    with pytest.raises(SizeMismatchError):
+        run_rounds(params, [two, four], [1, 2])
+
+
 @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=25, deadline=None)
 def test_round_property_random_seeds(offset, seed):
@@ -260,8 +273,9 @@ def _reference_round(params, inputs, seed):
     return total, msgs, y
 
 
-def _assert_matches_reference(params, inputs, seed):
-    result = run_round(params, inputs, seed=seed)
+def _assert_matches_reference(params, inputs, seed, result=None):
+    if result is None:
+        result = run_round(params, inputs, seed=seed)
     total, msgs, y = _reference_round(params, inputs, seed)
     assert result.recovered_sum == total == direct_sum(params, inputs)
     assert result.transcript.user_messages == msgs
@@ -274,6 +288,14 @@ def test_round_matches_plain_loop_reference(K, B):
     for trial in range(3):
         inputs = random_inputs(params, params.block_size * (trial + 1), seed=trial)
         _assert_matches_reference(params, inputs, seed=100 + trial)
+    # One batch of three rounds of one length, each with its own seed.
+    L = params.block_size * 2
+    batch = [random_inputs(params, L, seed=10 + r) for r in range(3)]
+    seeds = [200 + r for r in range(3)]
+    results = run_rounds(params, batch, seeds)
+    assert len(results) == 3
+    for inputs, seed, result in zip(batch, seeds, results):
+        _assert_matches_reference(params, inputs, seed, result)
 
 
 def test_round_matches_reference_at_largest_field():
@@ -321,6 +343,11 @@ def test_round_outputs_are_python_ints(K, B):
          "7061a64d5ae0078f54d98cb2e66b4e66332207867b427771aa5a085557c2612e"),
         ("search-params --K 6 --B 4 --seed 2",
          "d3a987f32a5933672e55db89025186870b70f9b362f4f1cc603bf0f1fc6b4419"),
+        # These two span more than one batch of simulate rounds.
+        ("simulate --K 3 --B 2 --trials 3000 --seed 7",
+         "bc07f770b55c47d1640fc46b9ad4881c208268af7d1503d6a2d8980d926ab440"),
+        ("simulate --K 4 --B 4 --L 6 --trials 1200 --seed 8 --transcript",
+         "706d78336df8a21a8b45dcfd9e933ef45ed89da279044a6b2474aab1de03edd5"),
     ],
 )
 def test_seeded_reports_are_pinned(capsys, argv, digest):
