@@ -2,9 +2,10 @@
 """Build every (K, B) scheme in a range and summarize what came out.
 
 For each configuration: the selected field, the key regime and its
-searched parameter, the five structural validation checks, the algebraic
-security audit, and one ``run_rounds`` batch of seeded random rounds,
-each checked against the plain componentwise sum.
+chosen ratio or anchor (the smallest valid one), the five structural
+validation checks, the algebraic security audit, and one ``run_rounds``
+batch of seeded random rounds, each checked against the plain
+componentwise sum.
 
     python scripts/construction_sweep.py --K-max 8 --trials 50
 """
@@ -22,7 +23,6 @@ def main() -> int:
     parser.add_argument("--K-min", type=int, default=2)
     parser.add_argument("--K-max", type=int, default=8)
     parser.add_argument("--trials", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     failures = 0
@@ -32,7 +32,7 @@ def main() -> int:
     for K in range(args.K_min, args.K_max + 1):
         for B in range(1, K + 1):
             started = time.monotonic()
-            params = build_scheme(K, B, seed=args.seed)
+            params = build_scheme(K, B)
             param = params.keys.ratio if params.keys.ratio is not None else params.keys.anchor
             valid = params.validation.passed
             audit = algebraic_audit(params).passed

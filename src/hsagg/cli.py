@@ -6,15 +6,19 @@ Subcommands:
     audit          algebraic checks, optionally exhaustive enumeration;
                    --golden-example1 audits the hard-coded GF(3) instance
     rates          achievable vs converse table over ranges of K and B
-    search-params  circulant ratio search diagnostics and Monte Carlo
-                   validity fraction
+    search-params  the chosen circulant ratio or vandermonde anchor, and
+                   the Monte Carlo fraction of valid circulant ratios
 
-A JSON config file (--config, top-level "version": 1) may supply any
-option: its keys are flag names, parsed with the same types and choices
-(true gives a bare flag), and explicit flags win.  Reports are JSON with
-sorted keys, so an identical config and seed produces byte-identical
-output.  Exit codes: 0 all pass, 2 construction failure, 3 audit/recovery
-failure, 4 bad configuration, usage errors and unknown config keys too.
+A scheme is a function of (K, B, q): construction takes the smallest
+valid ratio or anchor and draws nothing, so only simulate's rounds and
+search-params' sampler take a --seed.  A JSON config file (--config,
+top-level "version": 1) may supply any option: its keys are flag names,
+parsed with the same types and choices (true gives a bare flag), and
+explicit flags win.  Reports are JSON with sorted keys and carry
+"version": REPORT_VERSION, so an identical config produces
+byte-identical output.  Exit codes: 0 all pass, 2 construction failure,
+3 audit/recovery failure, 4 bad configuration, usage errors and unknown
+config keys too.
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ EXIT_OK = 0
 EXIT_CONSTRUCTION = 2
 EXIT_AUDIT = 3
 EXIT_CONFIG = 4
+
+# Every report's "version"; it changes when identical flags can give a
+# different report (2: construction takes the smallest valid ratio and anchor).
+REPORT_VERSION = 2
 
 CSV_COLUMNS = [
     "K", "B", "q",
@@ -104,7 +112,7 @@ def _trial_seed(seed: int, trial: int, half: int) -> int:
 
 def cmd_simulate(args) -> int:
     _require(args, ["K", "B"])
-    params = build_scheme(args.K, args.B, q=args.q, seed=args.seed)
+    params = build_scheme(args.K, args.B, q=args.q)
     L = args.L if args.L is not None else params.block_size
     if L % params.block_size:
         raise ConfigError(f"L={L} is not a multiple of block size {params.block_size}")
@@ -128,7 +136,7 @@ def cmd_simulate(args) -> int:
     achievable = achievable_rates(args.K, args.B)
     bounds = converse_bounds(args.K, args.B)
     report = {
-        "version": 1,
+        "version": REPORT_VERSION,
         "command": "simulate",
         "scheme": _scheme_summary(params),
         "L": L,
@@ -153,13 +161,13 @@ def cmd_audit(args) -> int:
         L = args.L if args.L is not None else 2
     else:
         _require(args, ["K", "B"])
-        params = build_scheme(args.K, args.B, q=args.q, seed=args.seed)
+        params = build_scheme(args.K, args.B, q=args.q)
         L = args.L if args.L is not None else params.block_size
     if L % params.block_size:
         raise ConfigError(f"L={L} is not a multiple of block size {params.block_size}")
     report_obj = full_audit(params, level=args.level, L=L, max_states=args.max_states)
     report = {
-        "version": 1,
+        "version": REPORT_VERSION,
         "command": "audit",
         "scheme": _scheme_summary(params),
         "L": L,
@@ -208,7 +216,7 @@ def cmd_rates(args) -> int:
         writer.writerows(rows)
         _emit(buf.getvalue(), args.out)
     else:
-        _emit({"version": 1, "command": "rates", "rows": rows}, args.out)
+        _emit({"version": REPORT_VERSION, "command": "rates", "rows": rows}, args.out)
     return EXIT_OK
 
 
@@ -225,7 +233,7 @@ def cmd_search_params(args) -> int:
     field = select_field(args.K, args.B) if args.q is None else PrimeField(args.q)
     regime = regime_for(args.K, args.B)
     report = {
-        "version": 1,
+        "version": REPORT_VERSION,
         "command": "search-params",
         "K": args.K,
         "B": args.B,
@@ -240,7 +248,7 @@ def cmd_search_params(args) -> int:
         report["valid"] = valid
         report["valid_fraction"] = str(Fraction(valid, args.samples))
         report["success_floor"] = str(max(Fraction(0), 1 - Fraction(bound, field.q)))
-    keys = build_keys(args.K, args.B, field, args.seed)
+    keys = build_keys(args.K, args.B, field)
     report["chosen"] = {"regime": keys.regime}
     if keys.ratio is not None:
         report["chosen"]["ratio"] = keys.ratio
@@ -293,6 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--L", type=int)
     sim.add_argument("--trials", type=_at_least(0), default=100)
     sim.add_argument(
+        "--seed", type=int, default=0, help="seed of each trial's inputs and source keys"
+    )
+    sim.add_argument(
         "--transcript",
         action="store_true",
         help="include one round's full transcript in the report",
@@ -327,11 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     srch.add_argument("--B", type=int)
     srch.add_argument("--q", type=int)
     srch.add_argument("--samples", type=_at_least(1), default=200)
+    srch.add_argument(
+        "--seed", type=int, default=0, help="seed of the sampler that draws the --samples ratios"
+    )
     _add_common(srch)
     srch.set_defaults(func=cmd_search_params)
-
-    for seeded in (sim, aud, srch):  # rates is closed-form and draws nothing
-        seeded.add_argument("--seed", type=int, default=0, help="seed for searches and rounds")
     return parser
 
 

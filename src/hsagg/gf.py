@@ -5,13 +5,16 @@ this layer is integer-exact; the security audits downstream compare
 matrices for literal equality, so floats are banned throughout.
 
 The modulus is capped below 2**31 so that a product of two reduced
-elements always fits in a 64-bit intermediate.  ``matmul_mod`` is the
-one array kernel: an exact matrix product mod q over int64 arrays, which
-the protocol runs every round stage on.
+elements always fits in a 64-bit intermediate.  Two array kernels work
+on int64 arrays: ``matmul_mod``, an exact matrix product mod q that the
+protocol runs every round stage on, and ``every_subset_full_rank``, the
+batched all-subsets rank certificate that the key designs and their
+validation share.
 """
 
 from __future__ import annotations
 
+from itertools import combinations, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -61,33 +64,12 @@ class PrimeField:
             raise ValueError(f"modulus {q} is not prime")
         self.q = q
 
-    def reduce(self, a: int) -> int:
-        return a % self.q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def neg(self, a: int) -> int:
-        return -a % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.q
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError on 0."""
         a %= self.q
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
         return pow(a, self.q - 2, self.q)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a % self.q, e, self.q)
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.q == self.q
@@ -288,6 +270,54 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
         )
     high = (a @ (b >> 16)) % q
     return (high * 65536 + a @ (b & 0xFFFF)) % q
+
+
+# Row subsets eliminated per batch by every_subset_full_rank: about 3 MB
+# of int64 at 10 x 10 subsets, and a singular subset ends the check after
+# at most one batch of wasted work.
+_SUBSET_CHUNK = 4096
+
+
+def _inverse_mod(a: np.ndarray, q: int) -> np.ndarray:
+    # Elementwise a**(q-2) mod q by square-and-multiply (Fermat); a != 0.
+    out = np.ones_like(a)
+    e = q - 2
+    while e:
+        if e & 1:
+            out = out * a % q
+        a = a * a % q
+        e >>= 1
+    return out
+
+
+def every_subset_full_rank(M: Matrix, size: int) -> bool:
+    """True iff every ``size``-row subset of M is linearly independent.
+
+    The subsets are eliminated in batches of int64 arrays: each subset is
+    transposed, so its rows become the columns of an ncols x size matrix
+    that has full column rank iff every column, in turn, finds a nonzero
+    pivot; the pivot row is then cleared from all rows, itself included,
+    and the column is dropped.  Pivots are inverted by Fermat
+    exponentiation.  Every product is of two entries in [0, q), so it
+    stays below q**2 < 2**62.  The check returns False after the first
+    batch that holds a singular subset.
+    """
+    q = M.field.q
+    rows = np.array(M.rows, dtype=np.int64)
+    subsets = combinations(range(M.nrows), size)
+    while chunk := list(islice(subsets, _SUBSET_CHUNK)):
+        t = rows[np.array(chunk, dtype=np.intp)].transpose(0, 2, 1)  # (n, ncols, size)
+        batch = np.arange(len(t))
+        for _ in range(size):
+            col = t[:, :, 0]
+            nonzero = col != 0
+            if not nonzero.any(axis=1).all():
+                return False
+            pivot = nonzero.argmax(axis=1)
+            factor = col * _inverse_mod(col[batch, pivot], q)[:, None] % q
+            # Clear the column and drop it; the pivot row becomes zero.
+            t = (t[:, :, 1:] - factor[:, :, None] * t[batch, pivot, 1:][:, None, :]) % q
+    return True
 
 
 class Polynomial:

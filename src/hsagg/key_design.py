@@ -15,21 +15,23 @@ plus the MDS condition that any B rows of the key matrix are linearly
 independent, which hands every relay B mutually independent masks.
 
 Every Vandermonde block below is taken at the message design's
-evaluation points 1..K (code_design.evaluation_points), so a key design
-is fixed by (K, B, q) and the search seed.  Four regimes, by association
-count B:
+evaluation points 1..K (code_design.evaluation_points), and each regime
+takes the smallest valid parameter, so a key design is a function of
+(K, B, q) alone.  Four regimes, by association count B:
 
   single       B = 1.  Key coefficients are the identity; the key matrix
                is an extended Vandermonde block with rows rescaled so the
                keys cancel under the actual recovery column.
   circulant    2 <= B <= K/2.  The coefficient matrix is a circulant
                whose first row is the geometric progression 1, r, ...,
-               r**(B-1); the ratio r is searched until the coefficient
-               matrix is invertible and the solved key matrix is MDS.
+               r**(B-1); r is the smallest ratio >= 2 for which the
+               coefficient matrix is invertible and the solved key
+               matrix is MDS.
   vandermonde  K/2 < B <= K-1.  The key matrix is a K x B Vandermonde
                block; each relay's coefficient vector is solved from a
-               target row whose leading entry (the anchor) is searched
-               outside a finite bad set so no coefficient collapses to 0.
+               target row whose leading entry (the anchor) is the
+               smallest nonzero element outside a bad set of at most K*B
+               elements, so no coefficient collapses to 0.
   full         B = K.  Reduction: run the B = K-1 regime and disable the
                last outgoing link of each user.
 """
@@ -38,11 +40,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .code_design import CodeDesign, evaluation_matrix, evaluation_points
-from .gf import MAX_MODULUS, Matrix, PrimeField, SingularMatrixError, is_prime, vandermonde
+from .gf import (
+    MAX_MODULUS,
+    Matrix,
+    PrimeField,
+    SingularMatrixError,
+    every_subset_full_rank,
+    is_prime,
+    vandermonde,
+)
 from .topology import Topology, relays_of_user, users_of_relay
 
 REGIME_SINGLE = "single"
@@ -52,7 +61,7 @@ REGIME_FULL = "full"
 
 
 class ConstructionError(RuntimeError):
-    """A key-design search or construction failed for the given field."""
+    """A key design or its field could not be constructed."""
 
 
 @dataclass(frozen=True)
@@ -111,7 +120,7 @@ def regime_for(K: int, B: int) -> str:
 
 
 def sufficient_field_size(K: int, B: int) -> int:
-    """Field size above which the circulant ratio search always succeeds."""
+    """Field size above which some circulant ratio is always valid."""
     return comb(K, B) * (K - B) * (K - 1) * (B - 1) + B * K + 2
 
 
@@ -119,39 +128,27 @@ def select_field(K: int, B: int) -> PrimeField:
     """Smallest prime field with the guarantees of the (K, B) regime.
 
     Callers may override with any prime; below-bound overrides are still
-    attempted and fail with ConstructionError only if the search comes up
-    empty.  A (K, B) whose smallest such prime reaches the 2**31 modulus
-    cap fails with ConstructionError.
+    attempted and fail with ConstructionError only if no valid ratio or
+    anchor exists.  A (K, B) whose smallest such prime reaches the 2**31
+    modulus cap fails with ConstructionError; every (K, B) with K <= 22
+    has a field below the cap.
     """
     regime = regime_for(K, B)
     if regime == REGIME_CIRCULANT:
-        lo = sufficient_field_size(K, B)
-        q, step = ((lo - 2) // K + 1) * K + 1, K  # smallest q >= lo with q % K == 1
-    elif regime == REGIME_VANDERMONDE:
-        q, step = K * B + 1, 1
+        lo, step = sufficient_field_size(K, B), K
+        q = ((lo - 2) // K + 1) * K + 1  # smallest q >= lo with q % K == 1
     else:
-        q, step = K + 2, 1
+        lo = q = K * B + 1 if regime == REGIME_VANDERMONDE else K + 2
+        step = 1
     while q < MAX_MODULUS and not is_prime(q):
         q += step
     if q >= MAX_MODULUS:
         raise ConstructionError(
-            f"(K, B) = ({K}, {B}) needs a prime field above the 2**31 modulus cap"
+            f"(K, B) = ({K}, {B}) needs a prime field of size at least {lo}, and the "
+            f"{regime} regime has none below the 2**31 modulus cap; every (K, B) "
+            "with K <= 22 has one, and (23, 10) is the first that does not"
         )
     return PrimeField(q)
-
-
-def _search_order(q: int, seed: int) -> list[int]:
-    # Pseudorandom but reproducible order over the nonzero field elements.
-    order = list(range(1, q))
-    random.Random(seed).shuffle(order)
-    return order
-
-
-def _every_subset_full_rank(M: Matrix, size: int) -> bool:
-    return all(
-        M.take_rows(rows).rank() == size
-        for rows in combinations(range(M.nrows), size)
-    )
 
 
 def _circulant(field: PrimeField, K: int, B: int, ratio: int) -> Matrix:
@@ -165,7 +162,7 @@ def _circulant(field: PrimeField, K: int, B: int, ratio: int) -> Matrix:
 
 
 def circulant_ratio_valid(field: PrimeField, K: int, B: int, ratio: int) -> bool:
-    """Full validity predicate used by the ratio search and its sampler."""
+    """Full validity predicate of the ratio walk and its sampler."""
     q = field.q
     if ratio % q == 0 or pow(ratio, K, q) == 1:
         return False
@@ -175,28 +172,27 @@ def circulant_ratio_valid(field: PrimeField, K: int, B: int, ratio: int) -> bool
         key_matrix = coeffs.transpose().solve(target)
     except SingularMatrixError:
         return False
-    return _every_subset_full_rank(key_matrix, K - B)
+    return every_subset_full_rank(key_matrix, K - B)
 
 
-def circulant_keygen(K: int, B: int, field: PrimeField, seed: int = 0) -> KeyDesign:
-    """Regime 2 <= B <= K/2; requires K | (q - 1)."""
+def circulant_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
+    """Regime 2 <= B <= K/2 with the smallest valid ratio; requires K | (q - 1)."""
     if not (2 <= B and 2 * B <= K):
         raise ValueError(f"circulant regime needs 2 <= B <= K/2, got K={K}, B={B}")
     if (field.q - 1) % K != 0:
         raise ConstructionError(
             f"circulant regime needs K | (q-1); q={field.q}, K={K}"
         )
+    ratio = next((r for r in range(2, field.q) if circulant_ratio_valid(field, K, B, r)), None)
+    if ratio is None:
+        raise ConstructionError(
+            f"no valid circulant ratio in GF({field.q}); "
+            f"size {sufficient_field_size(K, B)} suffices"
+        )
     target = vandermonde(field, evaluation_points(field, K), K - B)
-    for ratio in _search_order(field.q, seed):
-        if not circulant_ratio_valid(field, K, B, ratio):
-            continue
-        coeffs = _circulant(field, K, B, ratio)
-        key_matrix = coeffs.transpose().solve(target)
-        return KeyDesign(key_matrix, coeffs, REGIME_CIRCULANT, ratio=ratio)
-    raise ConstructionError(
-        f"no valid circulant ratio in GF({field.q}); "
-        f"size {sufficient_field_size(K, B)} suffices"
-    )
+    coeffs = _circulant(field, K, B, ratio)
+    key_matrix = coeffs.transpose().solve(target)
+    return KeyDesign(key_matrix, coeffs, REGIME_CIRCULANT, ratio=ratio)
 
 
 def sample_circulant_validity(
@@ -273,8 +269,8 @@ def anchor_bad_sets(K: int, B: int, field: PrimeField) -> dict[int, set[int]]:
     }
 
 
-def vandermonde_keygen(K: int, B: int, field: PrimeField, seed: int = 0) -> KeyDesign:
-    """Regime K/2 < B <= K-1; requires q > K."""
+def vandermonde_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
+    """Regime K/2 < B <= K-1 with the smallest valid anchor; requires q > K."""
     if not (2 * B > K and B <= K - 1):
         raise ValueError(f"vandermonde regime needs K/2 < B <= K-1, got K={K}, B={B}")
     q = field.q
@@ -284,7 +280,8 @@ def vandermonde_keygen(K: int, B: int, field: PrimeField, seed: int = 0) -> KeyD
     for _, first, rest in per_relay.values():
         bad.update(-r * field.inv(f) % q for f, r in zip(first, rest))
 
-    anchor = next((c for c in _search_order(q, seed) if c not in bad), None)
+    # |bad| <= K*B, so this takes at most K*B + 1 tries.
+    anchor = next((c for c in range(1, q) if c not in bad), None)
     if anchor is None:
         raise ConstructionError(
             f"every nonzero anchor lies in the bad set over GF({q}); "
@@ -323,7 +320,7 @@ def single_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
         for row, r in zip(ext, recovery_col)
     ]
     key_matrix = Matrix(field, rows)
-    if not _every_subset_full_rank(key_matrix, K - 1):
+    if not every_subset_full_rank(key_matrix, K - 1):
         raise ConstructionError(
             f"single-association key matrix lost full rank on some K-1 rows over GF({q}); "
             "choose another field"
@@ -331,14 +328,14 @@ def single_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
     return KeyDesign(key_matrix, Matrix.identity(field, K), REGIME_SINGLE)
 
 
-def full_assoc_keygen(K: int, field: PrimeField, seed: int = 0) -> KeyDesign:
+def full_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
     """Regime B = K: reuse the B = K-1 design (one link per user is disabled)."""
     if K < 2:
         raise ValueError("full-association regime needs K >= 2")
     if K == 2:
         inner = single_assoc_keygen(2, field)
     else:
-        inner = vandermonde_keygen(K, K - 1, field, seed)
+        inner = vandermonde_keygen(K, K - 1, field)
     return KeyDesign(
         inner.key_matrix,
         inner.key_coeffs,
@@ -348,16 +345,16 @@ def full_assoc_keygen(K: int, field: PrimeField, seed: int = 0) -> KeyDesign:
     )
 
 
-def build_keys(K: int, B: int, field: PrimeField, seed: int = 0) -> KeyDesign:
+def build_keys(K: int, B: int, field: PrimeField) -> KeyDesign:
     regime = regime_for(K, B)
     evaluation_points(field, K)  # q > K, before any regime's own field checks
     if regime == REGIME_SINGLE:
         return single_assoc_keygen(K, field)
     if regime == REGIME_CIRCULANT:
-        return circulant_keygen(K, B, field, seed)
+        return circulant_keygen(K, B, field)
     if regime == REGIME_VANDERMONDE:
-        return vandermonde_keygen(K, B, field, seed)
-    return full_assoc_keygen(K, field, seed)
+        return vandermonde_keygen(K, B, field)
+    return full_assoc_keygen(K, field)
 
 
 @dataclass(frozen=True)
@@ -440,7 +437,7 @@ def validate_scheme(keys: KeyDesign, code: CodeDesign) -> AuditReport:
         )
     )
 
-    mds = _every_subset_full_rank(key_matrix, B)
+    mds = every_subset_full_rank(key_matrix, B)
     checks.append(
         CheckResult("key-matrix-mds", mds, f"every {B} rows independent")
     )

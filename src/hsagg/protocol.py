@@ -210,8 +210,13 @@ class RoundResult:
         return self.recovered_sum == other.recovered_sum and self.transcript == other.transcript
 
 
-def build_scheme(K: int, B: int, q: "int | None" = None, seed: int = 0) -> SchemeParams:
-    """Construct and validate a scheme for K users with association count B."""
+def build_scheme(
+    K: int,
+    B: int,
+    q: "int | None" = None,
+    seed: int = 0,  # unused: construction draws nothing; perfbench/workloads.py still passes it
+) -> SchemeParams:
+    """Construct and validate the scheme of (K, B, q); q defaults to select_field's."""
     if K < 2:
         raise ValueError(f"need at least 2 users, got K={K}")
     if not 1 <= B <= K:
@@ -220,7 +225,7 @@ def build_scheme(K: int, B: int, q: "int | None" = None, seed: int = 0) -> Schem
     coded_B = B if B < K else K - 1
     topo = Topology(K, coded_B)
     code = build_code_design(topo, field)
-    keys = build_keys(K, B, field, seed)
+    keys = build_keys(K, B, field)
     report = validate_scheme(keys, code)
     if not report.passed:
         names = ", ".join(c.name for c in report.failures())

@@ -43,7 +43,7 @@ def sweep_runs():
     runs = {}
     started = time.monotonic()
     for K, B in SWEEP:
-        params = build_scheme(K, B, seed=0)
+        params = build_scheme(K, B)
         report = validate_scheme(params.keys, params.code)
         exact = 0
         transcript = None
@@ -61,7 +61,7 @@ def sweep_runs():
 def full_assoc_runs():
     runs = {}
     for K, _ in FULL_ASSOC:
-        params = build_scheme(K, K, seed=0)
+        params = build_scheme(K, K)
         result = run_round(
             params, random_inputs(params, params.block_size, seed=3), seed=4
         )
@@ -227,7 +227,7 @@ def test_criterion_8_property_suites():
     nullspace = True
     relay_rank = True
     for K, B in [(2, 1), (4, 2), (3, 2), (6, 3), (7, 5), (8, 4), (4, 4), (6, 6)]:
-        params = build_scheme(K, B, seed=0)
+        params = build_scheme(K, B)
         masked = params.key_matrix.transpose() @ params.key_coeffs
         cancellation &= (masked @ params.recovery).is_zero()
         null = masked.nullspace()

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hsagg import cli, protocol
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(argv, capsys):
@@ -17,7 +23,7 @@ def test_simulate_report(capsys):
     )
     assert code == 0
     report = json.loads(out)
-    assert report["version"] == 1
+    assert report["version"] == cli.REPORT_VERSION == 2
     assert report["trials"] == {"requested": 25, "exact_recoveries": 25}
     assert report["rates"]["matches_achievable"] is True
     assert report["rates"]["measured"] == {"RX": "1", "RY": "1/2", "RZ": "1/2", "RZS": "1"}
@@ -34,13 +40,18 @@ def test_simulate_full_association(capsys):
     assert report["scheme"]["coded_B"] == 4
 
 
-def test_simulate_deterministic_output(capsys, tmp_path, monkeypatch):
-    argv = ["simulate", "--K", "4", "--B", "2", "--trials", "12", "--seed", "3"]
-    one, two = tmp_path / "a.json", tmp_path / "b.json"
-    assert cli.main(argv + ["--out", str(one)]) == 0
-    monkeypatch.setenv("HSA_THREADS", "4")
-    assert cli.main(argv + ["--out", str(two)]) == 0
-    assert one.read_bytes() == two.read_bytes()
+def test_simulate_deterministic_output(tmp_path):
+    # Reports repeat across processes, whatever the interpreter's string-hash seed.
+    argv = [sys.executable, "-m", "hsagg.cli", "simulate", "--K", "4", "--B", "2",
+            "--trials", "12", "--seed", "3"]
+    reports = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"simulate-{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
+        subprocess.run(argv + ["--out", str(out)], env=env, check=True, timeout=60)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["trials"] == {"requested": 12, "exact_recoveries": 12}
 
 
 def test_simulate_rejects_bad_length(capsys):
@@ -239,10 +250,12 @@ def test_config_values_are_parsed_like_flags(capsys, tmp_path):
         (["simulate"], {"K": 3, "B": 2, "trial": 7}, "--trial"),
         (["search-params", "--K", "4", "--B", "2", "--q", "0"], None, "modulus"),
         (["rates", "--K", "3", "--seed", "1"], None, "--seed"),
+        (["audit", "--K", "3", "--B", "2", "--seed", "1"], None, "--seed"),
+        (["audit"], {"K": 3, "B": 2, "seed": 1}, "--seed"),
     ],
     ids=["bad-int", "bad-choice", "no-subcommand", "unknown-key", "config-bad-choice",
          "negative-trials", "zero-samples", "flag-prefix", "config-key-prefix",
-         "search-zero-modulus", "rates-seed"],
+         "search-zero-modulus", "rates-seed", "audit-seed", "audit-config-seed"],
 )
 def test_usage_errors_exit_config(capsys, tmp_path, argv, config, named):
     if config is not None:

@@ -1,17 +1,20 @@
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsagg import gf
 from hsagg.gf import (
     DuplicatePointsError,
     Matrix,
     Polynomial,
     PrimeField,
     SingularMatrixError,
+    every_subset_full_rank,
     is_prime,
     matmul_mod,
     vandermonde,
@@ -69,7 +72,7 @@ def test_inverse_involution(q, raw):
     if a == 0:
         a = 1
     inv = field.inv(a)
-    assert field.mul(a, inv) == 1
+    assert a * inv % q == 1
     assert field.inv(inv) == a
 
 
@@ -228,3 +231,49 @@ def test_matmul_mod_largest_inner_dimension():
         matmul_mod(np.zeros((1, n + 1), dtype=np.int64), np.zeros((n + 1, 1), dtype=np.int64), q)
     with pytest.raises(ValueError):
         matmul_mod(a[:, :1], b[:1], 1 << 31)
+
+
+def subsets_full_rank_reference(m: Matrix, size: int) -> bool:
+    return all(m.take_rows(rows).rank() == size for rows in combinations(range(m.nrows), size))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 305017, 2147483629])
+def test_every_subset_full_rank_matches_per_subset_rank(q, monkeypatch):
+    rng = random.Random(q)
+    field = PrimeField(q)
+    verdicts, shapes = set(), set()
+    for _ in range(300):
+        monkeypatch.setattr(gf, "_SUBSET_CHUNK", rng.choice([1, 2, 3, 4096]))
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 6)
+        size = rng.randint(1, nrows)
+        rows = [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows >= 3 and rng.random() < 0.5:
+            # Large fields almost never draw a dependent subset; plant one.
+            i, *others = rng.sample(range(nrows), rng.randint(2, min(nrows, 4)))
+            rows[i] = [sum(rng.randrange(q) * rows[j][c] for j in others) % q for c in range(ncols)]
+        m = Matrix(field, rows)
+        expected = subsets_full_rank_reference(m, size)
+        assert every_subset_full_rank(m, size) == expected, (rows, size)
+        verdicts.add(expected)
+        shapes.add((size > ncols) - (size < ncols))
+    assert verdicts == {True, False} and shapes == {-1, 0, 1}
+
+
+def test_every_subset_full_rank_finds_singular_subset_past_first_chunk():
+    field = PrimeField(2147483629)
+    mds = vandermonde(field, range(1, 17), 8)  # any 8 of the 16 rows are independent
+    assert every_subset_full_rank(mds, 8)
+    rng = random.Random(0)
+    coeffs = [rng.randrange(1, field.q) for _ in range(7)]
+    rows = list(mds.rows)
+    rows[15] = [sum(c * x for c, x in zip(coeffs, col)) % field.q for col in zip(*rows[8:15])]
+    broken = Matrix(field, rows)
+    subsets = list(combinations(range(16), 8))
+    assert len(subsets) > 3 * gf._SUBSET_CHUNK
+    # Row 15 is the only changed row, and no subset with it in the first
+    # chunk is singular: the only singular subset found is rows 8..15.
+    assert all(
+        broken.take_rows(s).rank() == 8 for s in subsets[: gf._SUBSET_CHUNK] if 15 in s
+    )
+    assert broken.take_rows(subsets[-1]).rank() == 7
+    assert not every_subset_full_rank(broken, 8)

@@ -73,10 +73,19 @@ def test_select_field_refuses_fields_over_the_cap(monkeypatch):
         select_field(24, 12)
 
 
+def test_select_field_covers_every_K_up_to_22():
+    # The over-cap message promises this range.
+    for K in range(2, 23):
+        for B in range(1, K + 1):
+            assert select_field(K, B).q < 2**31
+    with pytest.raises(ConstructionError, match=r"at least \d+.*K <= 22.*\(23, 10\) is the first"):
+        select_field(23, 10)
+
+
 def test_circulant_keygen_structure():
     K, B = 4, 2
     field = select_field(K, B)
-    keys = circulant_keygen(K, B, field, seed=0)
+    keys = circulant_keygen(K, B, field)
     assert keys.regime == REGIME_CIRCULANT
     assert keys.ratio is not None and pow(keys.ratio, K, field.q) != 1
 
@@ -108,8 +117,8 @@ def test_circulant_requires_divisibility():
 
 def test_circulant_below_bound_field_still_attempts():
     # q = 13 is far below the sufficient size 46 but satisfies 4 | 12; the
-    # search is attempted anyway and happens to succeed here.
-    keys = circulant_keygen(4, 2, PrimeField(13), seed=1)
+    # walk is attempted anyway and happens to succeed here.
+    keys = circulant_keygen(4, 2, PrimeField(13))
     code = build_code_design(Topology(4, 2), PrimeField(13))
     assert validate_scheme(keys, code).passed
 
@@ -125,7 +134,7 @@ def test_vandermonde_keygen_structure():
     for (K, B) in [(3, 2), (5, 3), (7, 4)]:
         field = select_field(K, B)
         points = evaluation_points(field, K)
-        keys = vandermonde_keygen(K, B, field, seed=0)
+        keys = vandermonde_keygen(K, B, field)
         assert keys.regime == REGIME_VANDERMONDE
         q = field.q
         mixed = keys.key_coeffs.transpose() @ keys.key_matrix
@@ -185,10 +194,10 @@ def test_extended_vandermonde_pattern_examples():
 
 def test_full_assoc_reduction():
     field = select_field(3, 3)
-    keys = full_assoc_keygen(3, field, seed=0)
+    keys = full_assoc_keygen(3, field)
     assert keys.regime == REGIME_FULL
     assert keys.anchor is not None  # built by the (3, 2) vandermonde regime
-    inner = vandermonde_keygen(3, 2, field, seed=0)
+    inner = vandermonde_keygen(3, 2, field)
     assert keys.key_matrix == inner.key_matrix
     assert keys.key_coeffs == inner.key_coeffs
 
@@ -201,7 +210,7 @@ def test_validate_scheme_passes_for_all_regimes():
         field = select_field(K, B)
         coded_B = B if B < K else K - 1
         code = build_code_design(Topology(K, coded_B), field)
-        keys = build_keys(K, B, field, seed=0)
+        keys = build_keys(K, B, field)
         report = validate_scheme(keys, code)
         assert report.passed, (K, B, [c.name for c in report.failures()])
         assert len(report.checks) == 5
@@ -210,7 +219,7 @@ def test_validate_scheme_passes_for_all_regimes():
 def test_validate_flags_support_violation():
     field = select_field(3, 2)
     code = build_code_design(Topology(3, 2), field)
-    keys = build_keys(3, 2, field, seed=0)
+    keys = build_keys(3, 2, field)
     rows = [list(r) for r in keys.key_coeffs.rows]
     rows[0][0] = 0  # relay 1 is associated with user 1; zeroing breaks support
     broken = replace(keys, key_coeffs=Matrix(field, rows))
@@ -222,7 +231,7 @@ def test_validate_flags_support_violation():
 def test_validate_flags_rank_deficient_key_matrix():
     field = select_field(4, 2)
     code = build_code_design(Topology(4, 2), field)
-    keys = build_keys(4, 2, field, seed=0)
+    keys = build_keys(4, 2, field)
     flat = Matrix(field, [[1] * keys.key_matrix.ncols for _ in range(4)])
     broken = replace(keys, key_matrix=flat)
     report = validate_scheme(broken, code)
@@ -231,15 +240,22 @@ def test_validate_flags_rank_deficient_key_matrix():
     assert "key-matrix-mds" in failed
 
 
-def test_searches_are_seed_deterministic():
-    field = select_field(4, 2)
-    a = circulant_keygen(4, 2, field, seed=11)
-    b = circulant_keygen(4, 2, field, seed=11)
-    c = circulant_keygen(4, 2, field, seed=12)
-    assert a.ratio == b.ratio
-    assert a.key_matrix == b.key_matrix
-    # a different seed may pick a different (still valid) ratio
-    rng_differs = c.ratio != a.ratio
-    code = build_code_design(Topology(4, 2), field)
-    assert validate_scheme(c, code).passed
-    assert rng_differs or c.ratio == a.ratio
+@pytest.mark.parametrize("K, B, q", [(4, 2, 13), (4, 2, None), (6, 3, None)])
+def test_circulant_takes_smallest_valid_ratio(K, B, q):
+    field = select_field(K, B) if q is None else PrimeField(q)
+    smallest = min(r for r in range(2, field.q) if circulant_ratio_valid(field, K, B, r))
+    keys = circulant_keygen(K, B, field)
+    assert keys.ratio == smallest
+    assert keys == circulant_keygen(K, B, field)
+
+
+@pytest.mark.parametrize(
+    "K, B, q", [(3, 2, None), (5, 3, None), (5, 3, 101), (7, 4, None), (8, 5, None), (6, 5, None)]
+)
+def test_vandermonde_takes_smallest_anchor_outside_bad_set(K, B, q):
+    field = select_field(K, B) if q is None else PrimeField(q)
+    bad = set().union(*anchor_bad_sets(K, B, field).values())
+    smallest = min(c for c in range(1, field.q) if c not in bad)
+    keys = vandermonde_keygen(K, B, field)
+    assert keys.anchor == smallest <= K * B + 1
+    assert keys == vandermonde_keygen(K, B, field)

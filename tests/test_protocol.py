@@ -1,6 +1,11 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +29,8 @@ from hsagg.protocol import (
 )
 from hsagg.rates import achievable_rates, measured_rates
 from hsagg.topology import relays_of_user, users_of_relay
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_derive_keys_worked_example():
@@ -118,7 +125,7 @@ def test_zero_inputs_decode_to_zero_for_every_source_key():
 
 @pytest.mark.parametrize("K,B", [(3, 2), (4, 2), (5, 4), (2, 1), (6, 6)])
 def test_round_recovers_exact_sum(K, B):
-    params = build_scheme(K, B, seed=1)
+    params = build_scheme(K, B)
     for trial in range(20):
         inputs = random_inputs(params, params.block_size * 2, seed=trial)
         result = run_round(params, inputs, seed=1000 + trial)
@@ -126,7 +133,7 @@ def test_round_recovers_exact_sum(K, B):
 
 
 def test_scheme2_hundred_random_trials():
-    params = build_scheme(5, 4, seed=0)
+    params = build_scheme(5, 4)
     for trial in range(100):
         inputs = random_inputs(params, params.block_size, seed=trial)
         result = run_round(params, inputs, seed=trial)
@@ -134,7 +141,7 @@ def test_scheme2_hundred_random_trials():
 
 
 def test_full_association_round_and_empty_links():
-    params = build_scheme(4, 4, seed=0)
+    params = build_scheme(4, 4)
     assert params.block_size == 3
     L = 3
     inputs = random_inputs(params, L, seed=5)
@@ -284,7 +291,7 @@ def _assert_matches_reference(params, inputs, seed, result=None):
 
 @pytest.mark.parametrize("K,B", [(K, B) for K in range(2, 7) for B in range(1, K + 1)])
 def test_round_matches_plain_loop_reference(K, B):
-    params = build_scheme(K, B, seed=K * 10 + B)
+    params = build_scheme(K, B)
     for trial in range(3):
         inputs = random_inputs(params, params.block_size * (trial + 1), seed=trial)
         _assert_matches_reference(params, inputs, seed=100 + trial)
@@ -306,6 +313,34 @@ def test_round_matches_reference_at_largest_field():
     for seed in range(5):
         _assert_matches_reference(params, random_inputs(params, 6, seed=seed), seed)
     _assert_matches_reference(params, {k: (q - 1,) * 6 for k in range(1, 5)}, seed=9)
+
+
+@pytest.mark.parametrize("K, B, q", [(4, 2, 2147483629), (5, 3, 2147483647)])
+def test_build_at_largest_fields_is_fast(K, B, q):
+    # The ratio and anchor walks start at the smallest candidate; nothing
+    # lists the field's elements.
+    started = time.perf_counter()
+    params = build_scheme(K, B, q=q)
+    assert time.perf_counter() - started < 1.0
+    assert params.validation.passed
+
+
+def test_default_field_build_fits_a_memory_limit():
+    # (18, 9) builds at q = 59511061 in a process that caps its own
+    # address space at 1 GB; the timeout is the time budget.
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from hsagg.protocol import build_scheme\n"
+        "params = build_scheme(18, 9)\n"
+        "print(params.field.q, params.validation.passed)\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["59511061", "True"]
 
 
 @pytest.mark.parametrize("K,B", [(4, 2), (4, 4)])
@@ -330,24 +365,24 @@ def test_round_outputs_are_python_ints(K, B):
     "argv, digest",
     [
         ("simulate --K 12 --B 6 --L 60 --trials 3 --seed 1 --transcript",
-         "cdb339a19d01791954b064504f3434f475d62ec9fbb7abcf42336eb82b2687ab"),
+         "50eaf72ceee45f766bee6a660ba4c1a8c6ba5e121a1cf5669aa1cc0629e4b8ec"),
         ("simulate --K 5 --B 5 --L 8 --trials 7 --seed 2 --transcript",
-         "720677d61b00e125449c650273e1cb16349a772190b71a320b60ac67dc636d6a"),
+         "aad2edab4b70c36d28fee2d10d14fda0fb89ffeba24b63158ea9f12e80012faa"),
         ("simulate --K 4 --B 1 --L 8 --trials 3 --seed 5 --transcript",
-         "cf7f80d3aba7638d85bd80002910a3f77d2efb8a6dfef7444cb7dfb260da050c"),
-        ("audit --K 6 --B 3 --seed 4",
-         "619f88063b067faff5bb07230e1e4e788580d58cf923c359da38269f410758ea"),
-        ("audit --K 7 --B 5 --seed 3",
-         "5b26f3f733f63ff1beb3f1f50fb564fd2b3e9f29f7ee1f071e6945335db694c5"),
+         "3d0902ee50f9758717fe3d5fb8872ef11bdabab7fd394ce0d652fd3e8317efa8"),
+        ("audit --K 6 --B 3",
+         "5bdc3a5226d6c34b34c7679f7269a6a81c6c5a167e25eae7308052c68978596e"),
+        ("audit --K 7 --B 5",
+         "f7236e19d3d6f9133cd6fbbb49a3c9535d424a1a836b2f9f748976d30b9f5de3"),
         ("search-params --K 4 --B 2 --samples 50 --seed 1",
-         "7061a64d5ae0078f54d98cb2e66b4e66332207867b427771aa5a085557c2612e"),
+         "3fbf4718aa7f1eb7cf99aa1c4ccb9ec01480937bd316e3f7e23f05c61b2745ac"),
         ("search-params --K 6 --B 4 --seed 2",
-         "d3a987f32a5933672e55db89025186870b70f9b362f4f1cc603bf0f1fc6b4419"),
+         "06940a49e11cd69fdaab466d9c27d7288f9223337af0dc73c5a233dfdec36166"),
         # These two span more than one batch of simulate rounds.
         ("simulate --K 3 --B 2 --trials 3000 --seed 7",
-         "bc07f770b55c47d1640fc46b9ad4881c208268af7d1503d6a2d8980d926ab440"),
+         "b1a912113f7c4968daf570f27f29c192699f3893fa02e73315fe9393e322bb5b"),
         ("simulate --K 4 --B 4 --L 6 --trials 1200 --seed 8 --transcript",
-         "706d78336df8a21a8b45dcfd9e933ef45ed89da279044a6b2474aab1de03edd5"),
+         "efea195c53ff1d8669842b72cf1363d65b9d3b24b1c115b0071732053f1f008f"),
     ],
 )
 def test_seeded_reports_are_pinned(capsys, argv, digest):
