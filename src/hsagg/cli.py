@@ -6,8 +6,8 @@ Subcommands:
     audit          algebraic checks, optionally exhaustive enumeration;
                    --golden-example1 audits the hard-coded GF(3) instance
     rates          achievable vs converse table over ranges of K and B
-    search-params  the chosen circulant ratio or vandermonde anchor, and
-                   the Monte Carlo fraction of valid circulant ratios
+    search-params  the ratio or anchor of the validated scheme, and the
+                   Monte Carlo fraction of valid circulant ratios
 
 A scheme is a function of (K, B, q): construction takes the smallest
 valid ratio or anchor and draws nothing, so only simulate's rounds and
@@ -31,7 +31,13 @@ import sys
 from fractions import Fraction
 
 from .audit import StateSpaceError, full_audit, golden_example1
-from .key_design import ConstructionError, select_field, sufficient_field_size
+from .key_design import (
+    REGIME_CIRCULANT,
+    ConstructionError,
+    sample_circulant_validity,
+    select_field,
+    sufficient_field_size,
+)
 from .protocol import build_scheme, direct_sum, random_inputs, run_rounds
 from .rates import achievable_rates, converse_bounds, measured_rates
 
@@ -222,33 +228,24 @@ def cmd_rates(args) -> int:
 
 def cmd_search_params(args) -> int:
     _require(args, ["K", "B"])
-    from .key_design import (
-        REGIME_CIRCULANT,
-        build_keys,
-        regime_for,
-        sample_circulant_validity,
-    )
-    from .gf import PrimeField
-
-    field = select_field(args.K, args.B) if args.q is None else PrimeField(args.q)
-    regime = regime_for(args.K, args.B)
+    params = build_scheme(args.K, args.B, q=args.q)
+    keys, q = params.keys, params.field.q
     report = {
         "version": REPORT_VERSION,
         "command": "search-params",
         "K": args.K,
         "B": args.B,
-        "q": field.q,
-        "regime": regime,
+        "q": q,
+        "regime": keys.regime,
     }
-    if regime == REGIME_CIRCULANT:
+    if keys.regime == REGIME_CIRCULANT:
         bound = sufficient_field_size(args.K, args.B)
-        valid = sample_circulant_validity(args.K, args.B, field, args.samples, args.seed)
+        valid = sample_circulant_validity(args.K, args.B, params.field, args.samples, args.seed)
         report["sufficient_field_size"] = bound
         report["samples"] = args.samples
         report["valid"] = valid
         report["valid_fraction"] = str(Fraction(valid, args.samples))
-        report["success_floor"] = str(max(Fraction(0), 1 - Fraction(bound, field.q)))
-    keys = build_keys(args.K, args.B, field)
+        report["success_floor"] = str(max(Fraction(0), 1 - Fraction(bound, q)))
     report["chosen"] = {"regime": keys.regime}
     if keys.ratio is not None:
         report["chosen"]["ratio"] = keys.ratio
@@ -298,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--K", type=int)
     sim.add_argument("--B", type=int)
     sim.add_argument("--q", type=int)
-    sim.add_argument("--L", type=int)
+    sim.add_argument("--L", type=_at_least(1))
     sim.add_argument("--trials", type=_at_least(0), default=100)
     sim.add_argument(
         "--seed", type=int, default=0, help="seed of each trial's inputs and source keys"
@@ -315,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--K", type=int)
     aud.add_argument("--B", type=int)
     aud.add_argument("--q", type=int)
-    aud.add_argument("--L", type=int)
+    aud.add_argument("--L", type=_at_least(1))
     aud.add_argument("--level", choices=["algebraic", "exhaustive"], default="algebraic")
     aud.add_argument("--max-states", type=int, default=10**8)
     aud.add_argument(

@@ -113,7 +113,6 @@ class CodeDesign:
     families: tuple[tuple[Polynomial, ...], ...]
     code_matrix: Matrix
     eval_matrix: Matrix
-    eval_inverse: Matrix
     recovery: Matrix
     input_coeffs: Mapping[tuple[int, int], tuple[int, ...]] = dc_field(repr=False)
 
@@ -123,15 +122,13 @@ def build_code_design(topo: Topology, field: PrimeField) -> CodeDesign:
         raise ValueError("code designs exist for B <= K-1; reduce full association first")
     families = tuple(recursive_family(topo, field, k) for k in topo.users())
     theta = evaluation_matrix(field, topo.K)
-    theta_inv = theta.inverse()
-    recovery = theta_inv.take_cols(range(topo.K - topo.B, topo.K))
+    recovery = theta.inverse().take_cols(range(topo.K - topo.B, topo.K))
     return CodeDesign(
         topo=topo,
         field=field,
         families=families,
         code_matrix=build_code_matrix(field, families, topo.K),
         eval_matrix=theta,
-        eval_inverse=theta_inv,
         recovery=recovery,
         input_coeffs=input_coefficients(topo, field, families),
     )

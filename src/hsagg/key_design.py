@@ -39,7 +39,7 @@ takes the smallest valid parameter, so a key design is a function of
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 from .code_design import CodeDesign, evaluation_matrix, evaluation_points
@@ -73,10 +73,6 @@ class KeyDesign:
     regime: str
     ratio: "int | None" = None   # circulant progression ratio
     anchor: "int | None" = None  # leading target entry of the vandermonde solve
-
-    @property
-    def source_key_len(self) -> int:
-        return self.key_matrix.ncols
 
 
 @dataclass(frozen=True)
@@ -161,18 +157,24 @@ def _circulant(field: PrimeField, K: int, B: int, ratio: int) -> Matrix:
     return Matrix(field, rows)
 
 
-def circulant_ratio_valid(field: PrimeField, K: int, B: int, ratio: int) -> bool:
-    """Full validity predicate of the ratio walk and its sampler."""
-    q = field.q
-    if ratio % q == 0 or pow(ratio, K, q) == 1:
-        return False
+def _circulant_design(field: PrimeField, K: int, B: int, ratio: int) -> "KeyDesign | None":
+    """The circulant design of one ratio, or None when its system is singular."""
     coeffs = _circulant(field, K, B, ratio)
     target = vandermonde(field, evaluation_points(field, K), K - B)
     try:
         key_matrix = coeffs.transpose().solve(target)
     except SingularMatrixError:
+        return None
+    return KeyDesign(key_matrix, coeffs, REGIME_CIRCULANT, ratio=ratio)
+
+
+def circulant_ratio_valid(field: PrimeField, K: int, B: int, ratio: int) -> bool:
+    """Full validity predicate of the ratio walk and its sampler."""
+    q = field.q
+    if ratio % q == 0 or pow(ratio, K, q) == 1:
         return False
-    return every_subset_full_rank(key_matrix, K - B)
+    design = _circulant_design(field, K, B, ratio)
+    return design is not None and every_subset_full_rank(design.key_matrix, K - B)
 
 
 def circulant_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
@@ -189,10 +191,7 @@ def circulant_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
             f"no valid circulant ratio in GF({field.q}); "
             f"size {sufficient_field_size(K, B)} suffices"
         )
-    target = vandermonde(field, evaluation_points(field, K), K - B)
-    coeffs = _circulant(field, K, B, ratio)
-    key_matrix = coeffs.transpose().solve(target)
-    return KeyDesign(key_matrix, coeffs, REGIME_CIRCULANT, ratio=ratio)
+    return _circulant_design(field, K, B, ratio)
 
 
 def sample_circulant_validity(
@@ -206,24 +205,6 @@ def sample_circulant_validity(
     )
 
 
-def _lagrange_constant_terms(
-    field: PrimeField, pts: tuple[int, ...]
-) -> tuple[int, ...]:
-    # Constant term of the j-th Lagrange basis polynomial over pts;
-    # nonzero whenever the points are nonzero and distinct.
-    q = field.q
-    out = []
-    for j, pj in enumerate(pts):
-        num, den = 1, 1
-        for m, pm in enumerate(pts):
-            if m == j:
-                continue
-            num = num * (-pm) % q
-            den = den * (pj - pm) % q
-        out.append(num * field.inv(den) % q)
-    return tuple(out)
-
-
 def _relay_solve_data(
     K: int, B: int, field: PrimeField
 ) -> dict[int, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
@@ -231,8 +212,8 @@ def _relay_solve_data(
 
     The relay's coefficient vector is anchor * first + rest, rows taken
     from the inverse of the relay's point submatrix of the key matrix.
-    The first inverse row is cross-checked against the Lagrange constant
-    term product, which is nonzero for nonzero distinct points.
+    The first row holds the Lagrange constant terms of the senders'
+    points, so it has no zero entry.
     """
     q = field.q
     topo = Topology(K, B)
@@ -241,32 +222,27 @@ def _relay_solve_data(
     out: dict[int, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = {}
     for i in topo.relays():
         senders = users_of_relay(topo, i)
-        pts_i = tuple(points[u - 1] for u in senders)
         sub_inv = key_matrix.take_rows([u - 1 for u in senders]).inverse()
-        first = sub_inv.row(0)
-        if first != _lagrange_constant_terms(field, pts_i):
-            raise ConstructionError(
-                f"inverse first row disagrees with Lagrange constant terms at relay {i}"
-            )
-        if any(x == 0 for x in first):
-            raise ConstructionError(
-                f"zero Lagrange constant term at relay {i}; points must be nonzero and distinct"
-            )
         rest = [0] * B
         for t in range(1, K - B):
             scale = pow(points[i - 1], t, q)
             row = sub_inv.row(t)
             rest = [(a + scale * b) % q for a, b in zip(rest, row)]
-        out[i] = (senders, first, tuple(rest))
+        out[i] = (senders, sub_inv.row(0), tuple(rest))
     return out
+
+
+def _bad_sets(field: PrimeField, per_relay: dict) -> dict[int, set[int]]:
+    # The anchor c zeroes coefficient c * f + r exactly when c = -r / f.
+    return {
+        i: {-r * field.inv(f) % field.q for f, r in zip(first, rest)}
+        for i, (_, first, rest) in per_relay.items()
+    }
 
 
 def anchor_bad_sets(K: int, B: int, field: PrimeField) -> dict[int, set[int]]:
     """Anchors that zero some coefficient of a relay; at most B per relay."""
-    return {
-        i: {-r * field.inv(f) % field.q for f, r in zip(first, rest)}
-        for i, (_, first, rest) in _relay_solve_data(K, B, field).items()
-    }
+    return _bad_sets(field, _relay_solve_data(K, B, field))
 
 
 def vandermonde_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
@@ -276,9 +252,7 @@ def vandermonde_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
     q = field.q
     key_matrix = vandermonde(field, evaluation_points(field, K), B)
     per_relay = _relay_solve_data(K, B, field)
-    bad: set[int] = set()
-    for _, first, rest in per_relay.values():
-        bad.update(-r * field.inv(f) % q for f, r in zip(first, rest))
+    bad = set().union(*_bad_sets(field, per_relay).values())
 
     # |bad| <= K*B, so this takes at most K*B + 1 tries.
     anchor = next((c for c in range(1, q) if c not in bad), None)
@@ -291,10 +265,7 @@ def vandermonde_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
     coeff_rows = [[0] * K for _ in range(K)]
     for i, (senders, first, rest) in per_relay.items():
         for j, u in enumerate(senders):
-            value = (anchor * first[j] + rest[j]) % q
-            if value == 0:
-                raise ConstructionError("anchor escaped the bad set but zeroed a coefficient")
-            coeff_rows[u - 1][i - 1] = value
+            coeff_rows[u - 1][i - 1] = (anchor * first[j] + rest[j]) % q
     return KeyDesign(
         key_matrix, Matrix(field, coeff_rows), REGIME_VANDERMONDE, anchor=anchor
     )
@@ -332,17 +303,7 @@ def full_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
     """Regime B = K: reuse the B = K-1 design (one link per user is disabled)."""
     if K < 2:
         raise ValueError("full-association regime needs K >= 2")
-    if K == 2:
-        inner = single_assoc_keygen(2, field)
-    else:
-        inner = vandermonde_keygen(K, K - 1, field)
-    return KeyDesign(
-        inner.key_matrix,
-        inner.key_coeffs,
-        REGIME_FULL,
-        ratio=inner.ratio,
-        anchor=inner.anchor,
-    )
+    return replace(build_keys(K, K - 1, field), regime=REGIME_FULL)
 
 
 def build_keys(K: int, B: int, field: PrimeField) -> KeyDesign:

@@ -213,6 +213,22 @@ def test_search_params_reports_fraction(capsys):
     assert 0 <= report["valid"] <= 50
     assert "ratio" in report["chosen"]
 
+    # chosen is the ratio or anchor of the scheme that build_scheme validates
+    for K, B, q in [(5, 1, None), (4, 2, None), (4, 2, 13), (5, 3, None), (4, 4, None)]:
+        argv = ["search-params", "--K", str(K), "--B", str(B)]
+        code, out, _ = run_cli(argv + (["--q", str(q)] if q else []), capsys)
+        assert code == 0
+        report = json.loads(out)
+        keys = protocol.build_scheme(K, B, q).keys
+        chosen = {n: getattr(keys, n) for n in ("ratio", "anchor") if getattr(keys, n) is not None}
+        assert report["chosen"] == {"regime": keys.regime, **chosen}
+        assert report["regime"] == keys.regime
+
+    # q = 5 fits 4 | q - 1 but has no valid ratio
+    code, out, err = run_cli(["search-params", "--K", "4", "--B", "2", "--q", "5"], capsys)
+    assert code == cli.EXIT_CONSTRUCTION
+    assert out == "" and err.startswith("construction error: ")
+
 
 def test_config_file_merging(capsys, tmp_path):
     conf = tmp_path / "run.json"
@@ -252,10 +268,14 @@ def test_config_values_are_parsed_like_flags(capsys, tmp_path):
         (["rates", "--K", "3", "--seed", "1"], None, "--seed"),
         (["audit", "--K", "3", "--B", "2", "--seed", "1"], None, "--seed"),
         (["audit"], {"K": 3, "B": 2, "seed": 1}, "--seed"),
+        (["simulate", "--K", "3", "--B", "2", "--L", "0"], None, "--L"),
+        (["audit", "--K", "3", "--B", "2", "--L", "0"], None, "--L"),
+        (["audit", "--K", "3", "--B", "2", "--L", "-2"], None, "--L"),
     ],
     ids=["bad-int", "bad-choice", "no-subcommand", "unknown-key", "config-bad-choice",
          "negative-trials", "zero-samples", "flag-prefix", "config-key-prefix",
-         "search-zero-modulus", "rates-seed", "audit-seed", "audit-config-seed"],
+         "search-zero-modulus", "rates-seed", "audit-seed", "audit-config-seed",
+         "simulate-zero-L", "audit-zero-L", "audit-negative-L"],
 )
 def test_usage_errors_exit_config(capsys, tmp_path, argv, config, named):
     if config is not None:

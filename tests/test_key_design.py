@@ -131,8 +131,9 @@ def test_circulant_validity_fraction_reasonable():
 
 
 def test_vandermonde_keygen_structure():
-    for (K, B) in [(3, 2), (5, 3), (7, 4)]:
-        field = select_field(K, B)
+    for (K, B, q) in [(3, 2, None), (5, 3, None), (5, 3, 101), (7, 4, None), (6, 5, None),
+                      (8, 5, None)]:
+        field = select_field(K, B) if q is None else PrimeField(q)
         points = evaluation_points(field, K)
         keys = vandermonde_keygen(K, B, field)
         assert keys.regime == REGIME_VANDERMONDE
