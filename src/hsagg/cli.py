@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--q", type=int)
     aud.add_argument("--L", type=_at_least(1))
     aud.add_argument("--level", choices=["algebraic", "exhaustive"], default="algebraic")
-    aud.add_argument("--max-states", type=int, default=10**8)
+    aud.add_argument("--max-states", type=_at_least(1), default=10**8)
     aud.add_argument(
         "--golden-example1",
         action="store_true",

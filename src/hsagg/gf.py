@@ -7,7 +7,9 @@ matrices for literal equality, so floats are banned throughout.
 The modulus is capped below 2**31 so that a product of two reduced
 elements always fits in a 64-bit intermediate.  Two array kernels work
 on int64 arrays: ``matmul_mod``, an exact matrix product mod q that the
-protocol runs every round stage on, and ``every_subset_full_rank``, the
+protocol runs every round stage on (one int64 product when its sums
+cannot wrap, as at every default field the protocol uses, and a 16-bit
+split of one operand otherwise), and ``every_subset_full_rank``, the
 batched all-subsets rank certificate that the key designs and their
 validation share.
 """
@@ -257,17 +259,24 @@ def vandermonde(field: PrimeField, points: Sequence[int], ncols: int) -> Matrix:
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Exact ``a @ b mod q`` for int64 arrays with entries in [0, q).
 
-    b is split into 16-bit halves, so no int64 partial sum wraps when
-    q < 2**31 and the inner dimension n is below 2**16: a @ (b >> 16)
-    stays below n * 2**31 * 2**15, and (a @ (b >> 16) mod q) * 2**16 +
-    a @ (b & 0xFFFF) below 2**47 + n * 2**47 <= 2**63.  Stacked operands
-    broadcast as in ``np.matmul``.
+    When n * (q-1)**2 < 2**63, for inner dimension n, no int64 sum of n
+    products wraps, and the result is one product reduced once: at
+    q = 305017 that holds up to n of about 9.9e7.  Otherwise b is split
+    into 16-bit halves, so no int64 partial sum wraps when q < 2**31 and
+    n is below 2**16: a @ (b >> 16) stays below n * 2**31 * 2**15, and
+    (a @ (b >> 16) mod q) * 2**16 + a @ (b & 0xFFFF) below
+    2**47 + n * 2**47 <= 2**63.  Stacked operands broadcast as in
+    ``np.matmul``.  q must be below 2**31 on either path.
     """
-    if not (q < MAX_MODULUS and a.shape[-1] < 1 << 16):
+    n = a.shape[-1]
+    one_product = n * (q - 1) ** 2 < 1 << 63
+    if not (q < MAX_MODULUS and (one_product or n < 1 << 16)):
         raise ValueError(
-            f"matmul_mod needs q < 2**31 and inner dimension < 2**16, "
-            f"got q={q}, n={a.shape[-1]}"
+            f"matmul_mod needs q < 2**31 and, unless n * (q-1)**2 < 2**63, "
+            f"inner dimension n < 2**16; got q={q}, n={n}"
         )
+    if one_product:
+        return (a @ b) % q
     high = (a @ (b >> 16)) % q
     return (high * 65536 + a @ (b & 0xFFFF)) % q
 

@@ -280,7 +280,7 @@ def single_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
     property to exactly the combination the server applies.
     """
     if field.q <= K + 1:
-        raise ValueError(f"single-association regime needs q > K+1, got q={field.q}")
+        raise ConstructionError(f"single-association regime needs q > K+1, got q={field.q}")
     q = field.q
     points = evaluation_points(field, K)
     ext = [[pow(points[k], j, q) for j in range(K - 1)] for k in range(K - 1)]

@@ -7,12 +7,21 @@ symbol to each associated relay, reusing a single key symbol across its
 outgoing messages; every relay forwards the sum of what it received; the
 server multiplies the relay symbols by the recovery matrix and reads off
 the blockwise input sum.  Each stage is one exact int64 array operation
-over GF(q) for all users, blocks and relays at once (``gf.matmul_mod``).
+over GF(q) for all users, blocks and relays at once (``gf.matmul_mod``);
+input symbols outside [0, q) are reduced on entry, and reduced input is
+taken as it is.
 ``run_rounds`` runs a batch of rounds of one input length: blocks are
 independent, so the rounds' blocks stack along the block axis and each
 stage is still one operation for the whole batch, while every round
 draws its own source key from its own seed.  A round's transcript is
 built from its message arrays only when it is first read.
+
+Source keys and simulated inputs are the values of
+``random.Random(seed).randrange(q)``.  A long draw runs CPython's MT19937
+generator as numpy uint32 operations from ``Random(seed).getstate()``
+(``_uniform``), so it gives the same symbols without a Python call per
+symbol; it does not use ``numpy.random``, whose import alone costs about
+6 MB of resident memory.
 
 For B = K the scheme is the B = K-1 design with the last outgoing link
 of each user disabled; the disabled link carries an explicit empty
@@ -24,6 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -259,8 +269,11 @@ def _block_count(params: SchemeParams, L: int) -> int:
 
 
 def _field_array(values, q: int) -> np.ndarray:
-    """Symbols as a reduced int64 array."""
-    return np.asarray(values, dtype=np.int64) % q
+    """Symbols as a reduced int64 array; input already in [0, q) is not reduced again."""
+    a = np.asarray(values, dtype=np.int64)
+    if a.size and (a.min() < 0 or a.max() >= q):
+        a = a % q
+    return a
 
 
 def _derive(params: SchemeParams, source: np.ndarray) -> np.ndarray:
@@ -294,13 +307,81 @@ def _user_messages(params: SchemeParams, k: int, links: list) -> dict[int, tuple
     return out
 
 
+# Draws shorter than this call randrange once per symbol: loading the
+# generator state into numpy costs about as much as 200-300 calls.
+_STREAM_CUTOFF = 512
+
+# CPython's MT19937: state size, N - M, and the twist's masks and matrix.
+_MT_N = 624
+_MT_LAG = 227
+_MT_UPPER, _MT_LOWER, _MT_MATRIX_A = 0x80000000, 0x7FFFFFFF, 0x9908B0DF
+
+
+def _mt_words(state: np.ndarray, count: int) -> np.ndarray:
+    """The 624 uint32 state words, then the next count raw words of the stream.
+
+    Numbered in one flat sequence, CPython's twist makes word j >= 624 as
+    word j-227 xor t_j, where t_j mixes words j-624 and j-623.  Applied
+    twice, word j is word j-454 xor t_(j-227) xor t_j, and t_j needs no
+    word after j-623, so each pass makes 454 words at once.  For the
+    state words 227..623, t_j is defined as word j xor word j-227, so the
+    first pass can look back into them.
+    """
+    total = _MT_N + count
+    x = np.empty(total, dtype=np.uint32)
+    t = np.empty(total, dtype=np.uint32)
+    x[:_MT_N] = state
+    t[_MT_LAG:_MT_N] = x[_MT_LAG:_MT_N] ^ x[: _MT_N - _MT_LAG]
+    step = 2 * _MT_LAG
+    for j in range(_MT_N, total, step):
+        end = min(j + step, total)
+        a, b = j - _MT_N, end - _MT_N
+        y = (x[a:b] & _MT_UPPER) | (x[a + 1 : b + 1] & _MT_LOWER)
+        t[j:end] = (y >> 1) ^ ((y & 1) * _MT_MATRIX_A)
+        x[j:end] = x[j - step : end - step] ^ t[j - _MT_LAG : end - _MT_LAG] ^ t[j:end]
+    return x
+
+
+def _temper(y: np.ndarray) -> np.ndarray:
+    """MT19937 outputs of raw uint32 words."""
+    y = y ^ (y >> 11)
+    y ^= (y << 7) & 0x9D2C5680
+    y ^= (y << 15) & 0xEFC60000
+    return y ^ (y >> 18)
+
+
+def _uniform(seed: int, n: int, q: int) -> np.ndarray:
+    """The first n values of ``random.Random(seed).randrange(q)``, as int64.
+
+    For q < 2**32, randrange(q) takes one 32-bit MT19937 output, keeps its
+    top q.bit_length() bits, and draws again while that is >= q, so the
+    values are the shifted outputs below q, in stream order.  A draw of at
+    least _STREAM_CUTOFF values computes them that way from the
+    generator's state; a shorter one calls randrange.
+    """
+    rng = random.Random(seed)
+    if n < _STREAM_CUTOFF:
+        return np.fromiter(map(rng.randrange, repeat(q, n)), np.int64, n)
+    _, (*words, pos), _ = rng.getstate()
+    state = np.array(words, dtype=np.uint32)
+    bits = q.bit_length()
+    parts, short = [], n
+    while short:
+        # The expected word count plus a margin of at least two standard
+        # deviations; a pass that still falls short draws again.
+        x = _mt_words(state, short * (1 << bits) // q + 64 + short // 32)
+        v = _temper(x[pos:]) >> (32 - bits)
+        v = v[v < q][:short]
+        parts.append(v)
+        short -= len(v)
+        state, pos = x[-_MT_N:], _MT_N
+    return np.concatenate(parts).astype(np.int64)
+
+
 def sample_source_key(params: SchemeParams, block_count: int, seed: int) -> tuple[int, ...]:
     """Fresh i.i.d. uniform source symbols, one segment per block."""
-    rng = random.Random(seed)
-    return tuple(
-        rng.randrange(params.field.q)
-        for _ in range(block_count * params.source_key_len)
-    )
+    n = block_count * params.source_key_len
+    return tuple(_uniform(seed, n, params.field.q).tolist())
 
 
 def derive_keys(params: SchemeParams, source_key: Sequence[int]) -> dict[int, tuple[int, ...]]:
@@ -419,11 +500,8 @@ def run_round(
 def random_inputs(params: SchemeParams, L: int, seed: int) -> dict[int, tuple[int, ...]]:
     """Uniform inputs for simulation; one length-L vector per user."""
     _block_count(params, L)
-    rng = random.Random(seed)
-    return {
-        k: tuple(rng.randrange(params.field.q) for _ in range(L))
-        for k in params.topo.users()
-    }
+    draws = _uniform(seed, params.K * L, params.field.q).reshape(params.K, L).tolist()
+    return {k: tuple(row) for k, row in zip(params.topo.users(), draws)}
 
 
 def direct_sum(params: SchemeParams, inputs: Mapping[int, Sequence[int]]) -> tuple[int, ...]:

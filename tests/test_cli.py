@@ -72,6 +72,22 @@ def test_simulate_field_over_cap_is_construction_error(capsys):
     assert "construction error" in err and "2**31" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--K", "2", "--B", "2", "--q", "3"],
+        ["simulate", "--K", "4", "--B", "1", "--q", "5"],
+        ["audit", "--K", "4", "--B", "1", "--q", "5"],
+    ],
+    ids=["full-on-single", "single", "audit-single"],
+)
+def test_single_regime_field_too_small_is_construction_error(capsys, argv):
+    # The same domain limit as a circulant field too small for any ratio.
+    code, _, err = run_cli(argv, capsys)
+    assert code == cli.EXIT_CONSTRUCTION == 2
+    assert err.startswith("construction error: ") and "q > K+1" in err
+
+
 def test_simulate_transcript_schema(capsys):
     code, out, _ = run_cli(
         ["simulate", "--K", "3", "--B", "2", "--trials", "2", "--L", "4", "--transcript"],
@@ -271,11 +287,15 @@ def test_config_values_are_parsed_like_flags(capsys, tmp_path):
         (["simulate", "--K", "3", "--B", "2", "--L", "0"], None, "--L"),
         (["audit", "--K", "3", "--B", "2", "--L", "0"], None, "--L"),
         (["audit", "--K", "3", "--B", "2", "--L", "-2"], None, "--L"),
+        (["audit", "--K", "3", "--B", "2", "--max-states", "0"], None, "--max-states"),
+        (["audit", "--K", "3", "--B", "2", "--q", "7", "--L", "2", "--level", "exhaustive",
+          "--max-states", "-1"], None, "--max-states"),
     ],
     ids=["bad-int", "bad-choice", "no-subcommand", "unknown-key", "config-bad-choice",
          "negative-trials", "zero-samples", "flag-prefix", "config-key-prefix",
          "search-zero-modulus", "rates-seed", "audit-seed", "audit-config-seed",
-         "simulate-zero-L", "audit-zero-L", "audit-negative-L"],
+         "simulate-zero-L", "audit-zero-L", "audit-negative-L", "zero-max-states",
+         "negative-max-states"],
 )
 def test_usage_errors_exit_config(capsys, tmp_path, argv, config, named):
     if config is not None:

@@ -221,6 +221,38 @@ def test_matmul_mod_matches_python_ints_at_largest_field():
         assert got[s].tolist() == _matmul_reference(stack_a[s].tolist(), stack_b[s].tolist(), q)
 
 
+def _one_product_edge(n):
+    """The largest prime q with n * (q-1)**2 < 2**63, and the next prime."""
+    below = math.isqrt(((1 << 63) - 1) // n) + 1
+    while not is_prime(below):
+        below -= 1
+    above = below + 1
+    while not is_prime(above):
+        above += 1
+    return below, above
+
+
+@pytest.mark.parametrize("n", [3, 7, 40])
+def test_matmul_mod_on_both_sides_of_the_one_product_bound(n):
+    # Below the bound one int64 product cannot wrap; at the next prime a
+    # row of q - 1 against a column of q - 1 would, so it takes the split.
+    below, above = _one_product_edge(n)
+    assert n * (below - 1) ** 2 < 1 << 63 <= n * (above - 1) ** 2 and above < 1 << 31
+    rng = random.Random(n)
+    for q in (below, above):
+        a = [[q - 1] * n, [rng.randrange(q) for _ in range(n)]]
+        b = [[q - 1, rng.randrange(q), 0x7FFEFFFF % q] for _ in range(n)]
+        got = matmul_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), q)
+        assert got.tolist() == _matmul_reference(a, b, q)
+        stack_a = np.array([a, a[::-1]], dtype=np.int64)
+        stack_b = np.array([b, [row[::-1] for row in b]], dtype=np.int64)
+        got = matmul_mod(stack_a, stack_b, q)
+        for s in range(2):
+            assert got[s].tolist() == _matmul_reference(
+                stack_a[s].tolist(), stack_b[s].tolist(), q
+            )
+
+
 def test_matmul_mod_largest_inner_dimension():
     q = 2147483629
     n = (1 << 16) - 1

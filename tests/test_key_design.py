@@ -174,7 +174,7 @@ def test_single_assoc_keygen():
 
 
 def test_single_assoc_requires_margin():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConstructionError):
         single_assoc_keygen(4, PrimeField(5))
 
 

@@ -7,11 +7,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsagg import cli
+from hsagg import cli, protocol
 from hsagg.audit import golden_decode, golden_example1
 from hsagg.protocol import (
     MissingMessageError,
@@ -210,6 +211,97 @@ def test_source_key_determinism_and_freshness():
     assert len(set(blocks)) > 1 or len(blocks) == 1
 
 
+@pytest.mark.parametrize("q", [2, 3, 7, 4096, 65536, 65537, 305017, 2147483629, 2147483647])
+@pytest.mark.parametrize("cutoff", [None, 0], ids=["default-cutoff", "stream-only"])
+def test_uniform_matches_randrange(monkeypatch, q, cutoff):
+    # randrange(q) keeps the top q.bit_length() bits of one MT19937 output
+    # and retries above q; powers of two and q = 2 reject about half.
+    edge = protocol._STREAM_CUTOFF
+    if cutoff is not None:
+        monkeypatch.setattr(protocol, "_STREAM_CUTOFF", cutoff)
+    for seed in (0, 1, -3, 2**40 + 5):
+        for n in (1, 2, 227, 455, edge - 1, edge, edge + 1, 1500):
+            rng = random.Random(seed)
+            got = protocol._uniform(seed, n, q)
+            assert got.dtype == np.int64
+            assert got.tolist() == [rng.randrange(q) for _ in range(n)], (seed, n)
+
+
+def test_uniform_draws_again_when_a_pass_falls_short(monkeypatch):
+    # At q = 2 and seed 161, the first pass's 1104 words hold fewer than
+    # 512 values below q.
+    passes = []
+    mt_words = protocol._mt_words
+
+    def counted(state, count):
+        passes.append(count)
+        return mt_words(state, count)
+
+    monkeypatch.setattr(protocol, "_mt_words", counted)
+    rng = random.Random(161)
+    assert protocol._uniform(161, 512, 2).tolist() == [rng.randrange(2) for _ in range(512)]
+    assert len(passes) == 2
+
+
+def test_samplers_keep_the_randrange_stream():
+    params = build_scheme(12, 6)
+    q, n = params.field.q, params.source_key_len
+    for blocks, L in ((1, 6), (1000, 600)):
+        rng = random.Random(5)
+        assert sample_source_key(params, blocks, seed=5) == tuple(
+            rng.randrange(q) for _ in range(blocks * n)
+        )
+        rng = random.Random(6)
+        expected = {k: tuple(rng.randrange(q) for _ in range(L)) for k in range(1, 13)}
+        assert random_inputs(params, L, seed=6) == expected
+
+
+def test_long_round_does_not_import_numpy_random():
+    code = (
+        "import sys\n"
+        "from hsagg.protocol import build_scheme, direct_sum, random_inputs, run_round\n"
+        "params = build_scheme(12, 6)\n"
+        "inputs = random_inputs(params, 6000, seed=1)\n"
+        "result = run_round(params, inputs, seed=2)\n"
+        "exact = result.recovered_sum == direct_sum(params, inputs)\n"
+        "print(exact, 'numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
+
+
+def test_unreduced_inputs_give_the_reduced_results():
+    # Symbols off by +-q, and by q * 2**56, near the int64 limit, whose
+    # products with the coefficients would wrap if they reached the
+    # kernels unreduced.
+    params = build_scheme(4, 2)
+    q = params.field.q
+    shifts = itertools.cycle((q, 0, -q, q << 56))
+
+    def shifted(symbols):
+        return tuple(v + s for v, s in zip(symbols, shifts))
+
+    inputs = random_inputs(params, 8, seed=3)
+    far = {k: shifted(w) for k, w in inputs.items()}
+    assert min(min(w) for w in far.values()) < 0 and max(max(w) for w in far.values()) >= q
+    reduced = run_round(params, inputs, seed=4)
+    assert run_round(params, far, seed=4) == reduced
+    source = sample_source_key(params, 4, seed=5)
+    keys = derive_keys(params, source)
+    assert derive_keys(params, shifted(source)) == keys
+    messages = user_encode(params, 2, inputs[2], keys[2])
+    assert user_encode(params, 2, far[2], shifted(keys[2])) == messages
+    t = reduced.transcript
+    incoming = {k: shifted(m) for (k, i), m in t.user_messages.items() if i == 1}
+    assert relay_encode(params, 1, incoming) == t.relay_messages[1]
+    relayed = {i: shifted(m) for i, m in t.relay_messages.items()}
+    assert server_decode(params, relayed) == reduced.recovered_sum
+
+
 def test_input_validation_errors():
     params = build_scheme(3, 2)
     with pytest.raises(SizeMismatchError):
@@ -383,6 +475,9 @@ def test_round_outputs_are_python_ints(K, B):
          "b1a912113f7c4968daf570f27f29c192699f3893fa02e73315fe9393e322bb5b"),
         ("simulate --K 4 --B 4 --L 6 --trials 1200 --seed 8 --transcript",
          "efea195c53ff1d8669842b72cf1363d65b9d3b24b1c115b0071732053f1f008f"),
+        # Its source-key and input draws both run the numpy stream.
+        ("simulate --K 12 --B 6 --L 600 --trials 2 --seed 3 --transcript",
+         "1fe98c66184712b0eb3bce4bd5e4ad649c4a404a45de79cb2392a6331ab77c22"),
     ],
 )
 def test_seeded_reports_are_pinned(capsys, argv, digest):
