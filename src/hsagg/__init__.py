@@ -24,7 +24,6 @@ from .code_design import CodeDesign, build_code_design
 from .gf import (
     DuplicatePointsError,
     Matrix,
-    Polynomial,
     PrimeField,
     SingularMatrixError,
     is_prime,
@@ -71,7 +70,6 @@ __all__ = [
     "KeyDesign",
     "Matrix",
     "MissingMessageError",
-    "Polynomial",
     "PrimeField",
     "RateTuple",
     "RoundResult",

@@ -5,6 +5,7 @@ Subcommands:
     simulate       construct a scheme and run seeded random rounds
     audit          algebraic checks, optionally exhaustive enumeration;
                    --golden-example1 audits the hard-coded GF(3) instance
+                   and takes no --K, --B or --q
     rates          achievable vs converse table over ranges of K and B
     search-params  the ratio or anchor of the validated scheme, and the
                    Monte Carlo fraction of valid circulant ratios
@@ -163,6 +164,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_audit(args) -> int:
     if args.golden_example1:
+        given = [f"--{n}" for n in ("K", "B", "q") if getattr(args, n) is not None]
+        if given:
+            raise ConfigError(
+                f"--golden-example1 audits the fixed GF(3) scheme; drop {', '.join(given)}"
+            )
         params = golden_example1()
         L = args.L if args.L is not None else 2
     else:
@@ -258,9 +264,13 @@ def cmd_search_params(args) -> int:
 def _parse_range(text: str) -> list[int]:
     lo, sep, hi = text.partition(":")
     try:
-        return list(range(int(lo), int(hi) + 1)) if sep else [int(lo)]
+        lo = int(lo)
+        hi = int(hi) if sep else lo
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad range {text!r}; expected N or LO:HI") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}; LO must not exceed HI")
+    return list(range(lo, hi + 1))
 
 
 def _at_least(minimum: int):
@@ -318,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     aud.add_argument(
         "--golden-example1",
         action="store_true",
-        help="audit the hard-coded 3-user GF(3) scheme",
+        help="audit the hard-coded 3-user GF(3) scheme; no --K, --B or --q",
     )
     _add_common(aud)
     aud.set_defaults(func=cmd_audit)

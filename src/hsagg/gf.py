@@ -2,7 +2,10 @@
 
 Field elements are plain Python ints reduced into [0, q).  Everything in
 this layer is integer-exact; the security audits downstream compare
-matrices for literal equality, so floats are banned throughout.
+matrices for literal equality, so floats are banned throughout.  The
+module holds the field, a dense ``Matrix`` with exact elimination and
+the Vandermonde constructor; the message design keeps its polynomials
+as plain coefficient rows (``code_design.family_rows``).
 
 The modulus is capped below 2**31 so that a product of two reduced
 elements always fits in a 64-bit intermediate.  Two array kernels work
@@ -327,95 +330,3 @@ def every_subset_full_rank(M: Matrix, size: int) -> bool:
             # Clear the column and drop it; the pivot row becomes zero.
             t = (t[:, :, 1:] - factor[:, :, None] * t[batch, pivot, 1:][:, None, :]) % q
     return True
-
-
-class Polynomial:
-    """Dense univariate polynomial; coeffs[j] multiplies x**j.
-
-    Trailing zero coefficients are stripped, so the zero polynomial has an
-    empty coefficient tuple and degree -1.
-    """
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: PrimeField, coeffs: Iterable[int]):
-        q = field.q
-        cs = [c % q for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, field: PrimeField) -> "Polynomial":
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field: PrimeField) -> "Polynomial":
-        return cls(field, (1,))
-
-    @classmethod
-    def monic_from_roots(cls, field: PrimeField, roots: Iterable[int]) -> "Polynomial":
-        q = field.q
-        coeffs = [1]
-        for r in roots:
-            coeffs = [0] + coeffs
-            for j in range(len(coeffs) - 1):
-                coeffs[j] = (coeffs[j] - r * coeffs[j + 1]) % q
-        return cls(field, coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, j: int) -> int:
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else 0
-
-    def __call__(self, x: int) -> int:
-        q = self.field.q
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % q
-        return acc
-
-    def times_x(self) -> "Polynomial":
-        return Polynomial(self.field, (0,) + self.coeffs)
-
-    def scale(self, c: int) -> "Polynomial":
-        return Polynomial(self.field, (c * a for a in self.coeffs))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            self.field, (self.coeff(j) + other.coeff(j) for j in range(n))
-        )
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            self.field, (self.coeff(j) - other.coeff(j) for j in range(n))
-        )
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.coeffs or not other.coeffs:
-            return Polynomial.zero(self.field)
-        q = self.field.q
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + a * b) % q
-        return Polynomial(self.field, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and other.field == self.field
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"Polynomial(GF({self.field.q}), {list(self.coeffs)})"

@@ -16,7 +16,7 @@ from hsagg.audit import (
     exhaustive_recovery_audit,
     golden_example1,
 )
-from hsagg.code_design import build_code_design, evaluation_points
+from hsagg.code_design import build_code_design, evaluation_matrix
 from hsagg.gf import PrimeField
 from hsagg.key_design import (
     sample_circulant_validity,
@@ -207,20 +207,24 @@ def test_criterion_8_property_suites():
         for i in range(1, K + 1)
     )
 
-    # polynomial zero pattern (characteristic-zero proxy field) and the
-    # leading-coefficient ladder, to K = 8
+    # zero pattern of the code rows at the relay points (characteristic-zero
+    # proxy field) and the leading-coefficient ladder, to K = 8
     big = PrimeField(2147483647)
     pattern = True
     ladder = True
     for K in range(2, 9):
         for B in range(1, K):
             code = build_code_design(Topology(K, B), big)
+            values = (code.code_matrix @ evaluation_matrix(big, K)).rows
             for k in range(1, K + 1):
                 assoc = set(relays_of_user(code.topo, k))
-                for b, poly in enumerate(code.families[k - 1], start=1):
-                    ladder &= poly.degree == K - B + b - 1 and poly.coeff(poly.degree) == 1
+                for b in range(1, B + 1):
+                    r = (k - 1) * B + b - 1
+                    row = code.code_matrix.row(r)
+                    degree = max(j for j, c in enumerate(row) if c)
+                    ladder &= degree == K - B + b - 1 and row[degree] == 1
                     for j in range(1, K + 1):
-                        pattern &= (poly(evaluation_points(big, K)[j - 1]) != 0) == (j in assoc)
+                        pattern &= (values[r][j - 1] != 0) == (j in assoc)
 
     # key cancellation, nullspace = recovery span, per-relay rank B
     cancellation = True

@@ -290,12 +290,18 @@ def test_config_values_are_parsed_like_flags(capsys, tmp_path):
         (["audit", "--K", "3", "--B", "2", "--max-states", "0"], None, "--max-states"),
         (["audit", "--K", "3", "--B", "2", "--q", "7", "--L", "2", "--level", "exhaustive",
           "--max-states", "-1"], None, "--max-states"),
+        (["rates", "--K", "5:3"], None, "--K"),
+        (["rates", "--K", "5", "--B", "3:1"], None, "--B"),
+        (["audit", "--golden-example1", "--K", "4", "--B", "2"], None, "--K, --B"),
+        (["audit", "--golden-example1"], {"q": 5}, "--q"),
+        (["audit"], {"golden_example1": True, "K": 4}, "--K"),
     ],
     ids=["bad-int", "bad-choice", "no-subcommand", "unknown-key", "config-bad-choice",
          "negative-trials", "zero-samples", "flag-prefix", "config-key-prefix",
          "search-zero-modulus", "rates-seed", "audit-seed", "audit-config-seed",
          "simulate-zero-L", "audit-zero-L", "audit-negative-L", "zero-max-states",
-         "negative-max-states"],
+         "negative-max-states", "rates-inverted-K", "rates-inverted-B",
+         "golden-with-K-B", "golden-config-q", "golden-config-K"],
 )
 def test_usage_errors_exit_config(capsys, tmp_path, argv, config, named):
     if config is not None:
@@ -305,6 +311,12 @@ def test_usage_errors_exit_config(capsys, tmp_path, argv, config, named):
     code, _, err = run_cli(argv, capsys)
     assert code == cli.EXIT_CONFIG
     assert err.startswith("config error: ") and named in err
+
+
+def test_ranges_keep_single_values_and_equal_ends(capsys):
+    code, out, _ = run_cli(["rates", "--K", "4:4", "--B", "2"], capsys)
+    assert code == 0
+    assert [(r["K"], r["B"]) for r in json.loads(out)["rows"]] == [(4, 2)]
 
 
 def test_config_file_version_check(capsys, tmp_path):

@@ -1,12 +1,13 @@
+import hashlib
 import random
 
 import pytest
 
 from hsagg.code_design import (
-    association_polynomial,
     build_code_design,
+    evaluation_matrix,
     evaluation_points,
-    recursive_family,
+    family_rows,
 )
 from hsagg.gf import Matrix, PrimeField
 from hsagg.key_design import select_field
@@ -18,33 +19,32 @@ GF7 = PrimeField(7)
 # pattern of the construction itself, not a small-field accident.
 BIG = PrimeField(2147483647)
 
+# sha256 over the input coefficients, code matrix and recovery matrix of
+# every (K, B < K) with K <= 10, at select_field(K, B) and at BIG, as the
+# polynomial-class implementation of the message design built them.
+DESIGN_DIGEST = "1f75c7169694d96c8f7f6e83504e80d37d375f6cd138a1209b77fab483f0bf14"
+
 
 def test_association_polynomial_single_factor():
-    p = association_polynomial(Topology(3, 2), GF7, 1)
-    assert p.coeffs == (-3 % 7, 1)  # x - 3
+    rows = family_rows(Topology(3, 2), GF7, 1)
+    assert rows[0] == (-3 % 7, 1, 0)  # x - 3
 
 
 def test_association_polynomial_two_factors():
-    p = association_polynomial(Topology(4, 2), PrimeField(53), 1)
-    assert p.coeffs == (12, -7 % 53, 1)  # (x-3)(x-4) = x^2 - 7x + 12
-
-
-def test_association_polynomial_full_association_is_one():
-    p = association_polynomial(Topology(4, 4), GF7, 2)
-    assert p.coeffs == (1,)
+    rows = family_rows(Topology(4, 2), PrimeField(53), 1)
+    assert rows[0] == (12, -7 % 53, 1, 0)  # (x-3)(x-4) = x^2 - 7x + 12
 
 
 def test_recursion_hand_expanded_example():
     # base x - 3; subtract coefficient index K-B-1 = 0 holds -3, so the
     # second member is x(x-3) - (-3)(x-3) = x^2 - 9.
-    fam = recursive_family(Topology(3, 2), GF7, 1)
-    assert fam[0].coeffs == (-3 % 7, 1)
-    assert fam[1].coeffs == (-9 % 7, 0, 1)
+    rows = family_rows(Topology(3, 2), GF7, 1)
+    assert rows == ((-3 % 7, 1, 0), (-9 % 7, 0, 1))
 
 
 def test_recursive_family_rejects_full_association():
     with pytest.raises(ValueError):
-        recursive_family(Topology(3, 3), GF7, 1)
+        family_rows(Topology(3, 3), GF7, 1)
 
 
 def test_degree_ladder_and_leading_band():
@@ -53,38 +53,47 @@ def test_degree_ladder_and_leading_band():
             field = select_field(K, B)
             topo = Topology(K, B)
             code = build_code_design(topo, field)
-            for fam in code.families:
-                for b, p in enumerate(fam, start=1):
-                    assert p.degree == K - B + b - 1
-                    assert p.coeff(K - B + b - 1) == 1
+            for k in topo.users():
+                rows = family_rows(topo, field, k)
+                assert rows == code.code_matrix.rows[(k - 1) * B : k * B]
+                for b, row in enumerate(rows, start=1):
+                    assert len(row) == K
+                    assert row[K - B + b - 1] == 1
                     for above in range(K - B + b, K):
-                        assert p.coeff(above) == 0
+                        assert row[above] == 0
                     # zero band directly below the leading coefficient
                     for l in range(1, b):
-                        assert p.coeff(K - B + b - 1 - l) == 0
+                        assert row[K - B + b - 1 - l] == 0
+
+
+def _row_values(code):
+    """Entry (r, j-1) is code row r evaluated at relay j's point."""
+    return (code.code_matrix @ evaluation_matrix(code.field, code.topo.K)).rows
 
 
 def test_zero_on_non_associated_relays_any_field():
     for K in range(2, 9):
         for B in range(1, K):
             code = build_code_design(Topology(K, B), select_field(K, B))
+            values = _row_values(code)
             for k in range(1, K + 1):
                 assoc = set(relays_of_user(code.topo, k))
-                for p in code.families[k - 1]:
+                for r in range((k - 1) * B, k * B):
                     for j in range(1, K + 1):
                         if j not in assoc:
-                            assert p(evaluation_points(code.field, K)[j - 1]) == 0
+                            assert values[r][j - 1] == 0
 
 
 def test_zero_pattern_biconditional_in_characteristic_zero():
     for K in range(2, 9):
         for B in range(1, K):
             code = build_code_design(Topology(K, B), BIG)
+            values = _row_values(code)
             for k in range(1, K + 1):
                 assoc = set(relays_of_user(code.topo, k))
-                for p in code.families[k - 1]:
+                for r in range((k - 1) * B, k * B):
                     for j in range(1, K + 1):
-                        assert (p(evaluation_points(BIG, K)[j - 1]) != 0) == (j in assoc)
+                        assert (values[r][j - 1] != 0) == (j in assoc)
 
 
 def test_code_matrix_shape_and_identity_tail():
@@ -109,7 +118,7 @@ def test_recovery_matrix_is_inverse_tail():
     for (K, B) in [(3, 2), (6, 3), (7, 5)]:
         field = select_field(K, B)
         code = build_code_design(Topology(K, B), field)
-        prod = code.eval_matrix @ code.recovery
+        prod = evaluation_matrix(field, K) @ code.recovery
         for b in range(B):
             expect = tuple(int(r == K - B + b) for r in range(K))
             assert prod.column(b) == expect
@@ -124,7 +133,7 @@ def test_recovery_reproduces_sums_for_random_inputs():
     rng = random.Random(99)
     for _ in range(20):
         w = [rng.randrange(7) for _ in range(B * K)]
-        relay_values = (Matrix(GF7, [w]) @ code.code_matrix) @ code.eval_matrix
+        relay_values = (Matrix(GF7, [w]) @ code.code_matrix) @ evaluation_matrix(GF7, K)
         decoded = relay_values @ code.recovery
         sums = tuple(sum(w[u * B + b] for u in range(K)) % 7 for b in range(B))
         assert decoded.row(0) == sums
@@ -154,3 +163,56 @@ def test_default_points_need_room():
 def test_build_rejects_full_association():
     with pytest.raises(ValueError):
         build_code_design(Topology(4, 4), GF7)
+
+
+def test_input_coefficients_are_rows_at_relay_points():
+    for (K, B) in [(3, 2), (5, 3), (7, 1)]:
+        field = select_field(K, B)
+        code = build_code_design(Topology(K, B), field)
+        values = _row_values(code)
+        for (k, i), coeffs in code.input_coeffs.items():
+            assert coeffs == tuple(values[(k - 1) * B + b][i - 1] for b in range(B))
+
+
+@pytest.mark.parametrize(
+    "field_of",
+    [select_field, lambda K, B: GF7, lambda K, B: BIG],
+    ids=["select_field", "GF7", "GF2147483647"],
+)
+def test_link_coefficients_times_relay_recovery_rows_is_identity(field_of):
+    # User k's B inputs reach relays_of_user(k); the server's recovery rows
+    # of exactly those relays must undo the link coefficients, so each
+    # user's contribution to the decoded sum is its own input.
+    for K in range(2, 9):
+        for B in range(1, K):
+            field = field_of(K, B)
+            if field.q <= K:
+                continue
+            topo = Topology(K, B)
+            code = build_code_design(topo, field)
+            ident = Matrix.identity(field, B)
+            for k in topo.users():
+                relays = relays_of_user(topo, k)
+                links = Matrix(field, [code.input_coeffs[(k, i)] for i in relays]).transpose()
+                assert links @ code.recovery.take_rows([i - 1 for i in relays]) == ident
+
+
+def test_design_bytes_are_pinned():
+    h = hashlib.sha256()
+    for K in range(2, 11):
+        for B in range(1, K):
+            for field in (select_field(K, B), BIG):
+                code = build_code_design(Topology(K, B), field)
+                h.update(
+                    repr(
+                        (
+                            K,
+                            B,
+                            field.q,
+                            list(code.input_coeffs.items()),
+                            code.code_matrix.rows,
+                            code.recovery.rows,
+                        )
+                    ).encode()
+                )
+    assert h.hexdigest() == DESIGN_DIGEST

@@ -11,7 +11,6 @@ from hsagg import gf
 from hsagg.gf import (
     DuplicatePointsError,
     Matrix,
-    Polynomial,
     PrimeField,
     SingularMatrixError,
     every_subset_full_rank,
@@ -153,38 +152,6 @@ def test_vandermonde_full_column_rank():
     gf31 = PrimeField(31)
     for ncols in range(1, 6):
         assert vandermonde(gf31, (1, 4, 9, 16, 25), ncols).rank() == ncols
-
-
-def test_polynomial_basics():
-    gf7 = PrimeField(7)
-    p = Polynomial.monic_from_roots(gf7, [3])
-    assert p.coeffs == (4, 1)  # x - 3
-    assert p.degree == 1
-    assert p(3) == 0 and p(1) == 5  # 1 - 3 = -2
-
-    zero = Polynomial.zero(gf7)
-    assert zero.degree == -1 and zero(5) == 0
-
-    two_roots = Polynomial.monic_from_roots(gf7, [3, 4])
-    x = Polynomial(gf7, (0, 1))
-    assert two_roots == (x - Polynomial(gf7, (3,))) * (x - Polynomial(gf7, (4,)))
-    assert two_roots.coeffs == (12 % 7, -7 % 7, 1)
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=6), max_size=5),
-    st.lists(st.integers(min_value=0, max_value=6), max_size=5),
-    st.integers(min_value=0, max_value=6),
-)
-@settings(max_examples=60)
-def test_polynomial_ring_laws(a_coeffs, b_coeffs, x):
-    gf7 = PrimeField(7)
-    a = Polynomial(gf7, a_coeffs)
-    b = Polynomial(gf7, b_coeffs)
-    assert (a + b)(x) == (a(x) + b(x)) % 7
-    assert (a - b)(x) == (a(x) - b(x)) % 7
-    assert (a * b)(x) == (a(x) * b(x)) % 7
-    assert a.times_x()(x) == x * a(x) % 7
 
 
 def test_matrix_multiply_and_stack():
