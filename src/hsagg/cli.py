@@ -75,8 +75,11 @@ def _emit(text: "str | dict", out: "str | None") -> None:
     if isinstance(text, dict):
         text = json.dumps(text, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -221,6 +224,8 @@ def cmd_rates(args) -> int:
                     "gap_flags": "|".join(ach.gap_flags(lb)),
                 }
             )
+    if not rows:
+        raise ConfigError("--K and --B select no (K, B) with 1 <= B <= K")
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)

@@ -17,11 +17,11 @@ draws its own source key from its own seed.  A round's transcript is
 built from its message arrays only when it is first read.
 
 Source keys and simulated inputs are the values of
-``random.Random(seed).randrange(q)``.  A long draw runs CPython's MT19937
-generator as numpy uint32 operations from ``Random(seed).getstate()``
-(``_uniform``), so it gives the same symbols without a Python call per
-symbol; it does not use ``numpy.random``, whose import alone costs about
-6 MB of resident memory.
+``random.Random(seed).randrange(q)``.  A long draw (``_uniform``) takes
+the generator's 32-bit outputs in bulk from ``Random.getrandbits`` and
+keeps, in numpy, the shifted outputs that randrange would accept, so it
+gives the same symbols without a Python call per symbol; it does not use
+``numpy.random``, whose import alone costs about 6 MB of resident memory.
 
 For B = K the scheme is the B = K-1 design with the last outgoing link
 of each user disabled; the disabled link carries an explicit empty
@@ -307,47 +307,13 @@ def _user_messages(params: SchemeParams, k: int, links: list) -> dict[int, tuple
     return out
 
 
-# Draws shorter than this call randrange once per symbol: loading the
-# generator state into numpy costs about as much as 200-300 calls.
-_STREAM_CUTOFF = 512
+# Draws shorter than this call randrange once per symbol: the two arms
+# cost the same near 16 draws at q = 7, 17, 305017 and 2147483629.
+_STREAM_CUTOFF = 16
 
-# CPython's MT19937: state size, N - M, and the twist's masks and matrix.
-_MT_N = 624
-_MT_LAG = 227
-_MT_UPPER, _MT_LOWER, _MT_MATRIX_A = 0x80000000, 0x7FFFFFFF, 0x9908B0DF
-
-
-def _mt_words(state: np.ndarray, count: int) -> np.ndarray:
-    """The 624 uint32 state words, then the next count raw words of the stream.
-
-    Numbered in one flat sequence, CPython's twist makes word j >= 624 as
-    word j-227 xor t_j, where t_j mixes words j-624 and j-623.  Applied
-    twice, word j is word j-454 xor t_(j-227) xor t_j, and t_j needs no
-    word after j-623, so each pass makes 454 words at once.  For the
-    state words 227..623, t_j is defined as word j xor word j-227, so the
-    first pass can look back into them.
-    """
-    total = _MT_N + count
-    x = np.empty(total, dtype=np.uint32)
-    t = np.empty(total, dtype=np.uint32)
-    x[:_MT_N] = state
-    t[_MT_LAG:_MT_N] = x[_MT_LAG:_MT_N] ^ x[: _MT_N - _MT_LAG]
-    step = 2 * _MT_LAG
-    for j in range(_MT_N, total, step):
-        end = min(j + step, total)
-        a, b = j - _MT_N, end - _MT_N
-        y = (x[a:b] & _MT_UPPER) | (x[a + 1 : b + 1] & _MT_LOWER)
-        t[j:end] = (y >> 1) ^ ((y & 1) * _MT_MATRIX_A)
-        x[j:end] = x[j - step : end - step] ^ t[j - _MT_LAG : end - _MT_LAG] ^ t[j:end]
-    return x
-
-
-def _temper(y: np.ndarray) -> np.ndarray:
-    """MT19937 outputs of raw uint32 words."""
-    y = y ^ (y >> 11)
-    y ^= (y << 7) & 0x9D2C5680
-    y ^= (y << 15) & 0xEFC60000
-    return y ^ (y >> 18)
+# Words per getrandbits call: its bit count is a C int, so one call
+# cannot take much more than 2**26 words.
+_MAX_WORDS = 1 << 20
 
 
 def _uniform(seed: int, n: int, q: int) -> np.ndarray:
@@ -355,26 +321,26 @@ def _uniform(seed: int, n: int, q: int) -> np.ndarray:
 
     For q < 2**32, randrange(q) takes one 32-bit MT19937 output, keeps its
     top q.bit_length() bits, and draws again while that is >= q, so the
-    values are the shifted outputs below q, in stream order.  A draw of at
-    least _STREAM_CUTOFF values computes them that way from the
-    generator's state; a shorter one calls randrange.
+    values are the shifted outputs below q, in stream order.
+    ``getrandbits(32 * m)`` returns the next m outputs of the same stream,
+    the first in the least significant word, so a draw of at least
+    _STREAM_CUTOFF values reads its outputs that way, m at a time; a
+    shorter one calls randrange.
     """
     rng = random.Random(seed)
     if n < _STREAM_CUTOFF:
         return np.fromiter(map(rng.randrange, repeat(q, n)), np.int64, n)
-    _, (*words, pos), _ = rng.getstate()
-    state = np.array(words, dtype=np.uint32)
     bits = q.bit_length()
     parts, short = [], n
     while short:
         # The expected word count plus a margin of at least two standard
         # deviations; a pass that still falls short draws again.
-        x = _mt_words(state, short * (1 << bits) // q + 64 + short // 32)
-        v = _temper(x[pos:]) >> (32 - bits)
+        m = min(short * (1 << bits) // q + 64 + short // 32, _MAX_WORDS)
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
+        v = words >> (32 - bits)
         v = v[v < q][:short]
         parts.append(v)
         short -= len(v)
-        state, pos = x[-_MT_N:], _MT_N
     return np.concatenate(parts).astype(np.int64)
 
 

@@ -295,15 +295,20 @@ def test_config_values_are_parsed_like_flags(capsys, tmp_path):
         (["audit", "--golden-example1", "--K", "4", "--B", "2"], None, "--K, --B"),
         (["audit", "--golden-example1"], {"q": 5}, "--q"),
         (["audit"], {"golden_example1": True, "K": 4}, "--K"),
+        (["rates", "--K", "2:3", "--B", "5"], None, "1 <= B <= K"),
+        (["simulate", "--K", "3", "--B", "2", "--trials", "2", "--out", "{tmp}/missing/x.json"],
+         None, "cannot write report"),
     ],
     ids=["bad-int", "bad-choice", "no-subcommand", "unknown-key", "config-bad-choice",
          "negative-trials", "zero-samples", "flag-prefix", "config-key-prefix",
          "search-zero-modulus", "rates-seed", "audit-seed", "audit-config-seed",
          "simulate-zero-L", "audit-zero-L", "audit-negative-L", "zero-max-states",
          "negative-max-states", "rates-inverted-K", "rates-inverted-B",
-         "golden-with-K-B", "golden-config-q", "golden-config-K"],
+         "golden-with-K-B", "golden-config-q", "golden-config-K", "rates-no-pairs",
+         "out-missing-dir"],
 )
 def test_usage_errors_exit_config(capsys, tmp_path, argv, config, named):
+    argv = [a.format(tmp=tmp_path) for a in argv]
     if config is not None:
         conf = tmp_path / "run.json"
         conf.write_text(json.dumps(config))

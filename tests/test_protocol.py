@@ -230,17 +230,35 @@ def test_uniform_matches_randrange(monkeypatch, q, cutoff):
 def test_uniform_draws_again_when_a_pass_falls_short(monkeypatch):
     # At q = 2 and seed 161, the first pass's 1104 words hold fewer than
     # 512 values below q.
-    passes = []
-    mt_words = protocol._mt_words
-
-    def counted(state, count):
-        passes.append(count)
-        return mt_words(state, count)
-
-    monkeypatch.setattr(protocol, "_mt_words", counted)
     rng = random.Random(161)
-    assert protocol._uniform(161, 512, 2).tolist() == [rng.randrange(2) for _ in range(512)]
+    expected = [rng.randrange(2) for _ in range(512)]
+    passes = []
+
+    class Recording(random.Random):
+        def getrandbits(self, k):
+            passes.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(protocol.random, "Random", Recording)
+    assert protocol._uniform(161, 512, 2).tolist() == expected
     assert len(passes) == 2
+    assert passes[0] == 32 * 1104
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 5])
+def test_getrandbits_returns_successive_words_least_significant_first(seed):
+    # The one CPython fact the long-draw arm of _uniform relies on.
+    for m in (1, 2, 3, 624, 625, 1500):
+        bulk = random.Random(seed).getrandbits(32 * m)
+        rng = random.Random(seed)
+        assert bulk == sum(rng.getrandbits(32) << (32 * i) for i in range(m)), (seed, m)
+
+
+@pytest.mark.parametrize("q", [2, 17, 305017, 2147483629])
+def test_uniform_matches_randrange_across_capped_passes(monkeypatch, q):
+    monkeypatch.setattr(protocol, "_MAX_WORDS", 100)
+    rng = random.Random(3)
+    assert protocol._uniform(3, 1000, q).tolist() == [rng.randrange(q) for _ in range(1000)]
 
 
 def test_samplers_keep_the_randrange_stream():
