@@ -213,14 +213,8 @@ def cmd_rates(args) -> int:
                     "K": K,
                     "B": B,
                     "q": q,
-                    "RX_ach": str(ach.user_upload),
-                    "RY_ach": str(ach.relay_upload),
-                    "RZ_ach": str(ach.user_key),
-                    "RZS_ach": str(ach.source_key),
-                    "RX_lb": str(lb.user_upload),
-                    "RY_lb": str(lb.relay_upload),
-                    "RZ_lb": str(lb.user_key),
-                    "RZS_lb": str(lb.source_key),
+                    **{f"{name}_ach": v for name, v in ach.to_dict().items()},
+                    **{f"{name}_lb": v for name, v in lb.to_dict().items()},
                     "gap_flags": "|".join(ach.gap_flags(lb)),
                 }
             )

@@ -13,9 +13,9 @@ degree K - B + b - 1, leading coefficient 1, and zero coefficients in the
 band just below the leading term.  Stacking all rows gives a BK x K code
 matrix whose last B columns are stacked identity blocks.  That identity
 tail is what makes the column combinations e_{K-B+1..K} reproduce the B
-coordinates of the input sum, and the recovery matrix is simply the last
-B columns of the inverse of the evaluation matrix (the K x K Vandermonde
-matrix of the points).
+coordinates of the input sum, and the recovery matrix solves the
+evaluation matrix (the K x K Vandermonde matrix of the points) for the
+last B columns of the identity (``recovery_matrix``).
 
 The per-link input coefficients are user k's rows dotted with the powers
 of the receiving relay's point; links outside the association pattern
@@ -43,6 +43,11 @@ def evaluation_points(field: PrimeField, K: int) -> tuple[int, ...]:
 def evaluation_matrix(field: PrimeField, K: int) -> Matrix:
     """K x K matrix whose column j is [1, j, j**2, ..., j**(K-1)]."""
     return vandermonde(field, evaluation_points(field, K), K).transpose()
+
+
+def recovery_matrix(field: PrimeField, K: int, B: int) -> Matrix:
+    """The last B columns of the evaluation matrix's inverse, solved for alone."""
+    return evaluation_matrix(field, K).solve(Matrix.identity(field, K).take_cols(range(K - B, K)))
 
 
 def family_rows(topo: Topology, field: PrimeField, k: int) -> tuple[tuple[int, ...], ...]:
@@ -95,8 +100,7 @@ def build_code_design(topo: Topology, field: PrimeField) -> CodeDesign:
     """
     K, B, q = topo.K, topo.B, field.q
     families = [family_rows(topo, field, k) for k in topo.users()]
-    theta = evaluation_matrix(field, K)
-    powers = theta.transpose().rows
+    powers = vandermonde(field, evaluation_points(field, K), K).rows
     input_coeffs = {
         (k, i): tuple(sum(map(mul, row, powers[i - 1])) % q for row in rows)
         for k, rows in zip(topo.users(), families)
@@ -106,6 +110,6 @@ def build_code_design(topo: Topology, field: PrimeField) -> CodeDesign:
         topo=topo,
         field=field,
         code_matrix=Matrix(field, [row for rows in families for row in rows]),
-        recovery=theta.inverse().take_cols(range(K - B, K)),
+        recovery=recovery_matrix(field, K, B),
         input_coeffs=input_coeffs,
     )

@@ -3,9 +3,11 @@
 Field elements are plain Python ints reduced into [0, q).  Everything in
 this layer is integer-exact; the security audits downstream compare
 matrices for literal equality, so floats are banned throughout.  The
-module holds the field, a dense ``Matrix`` with exact elimination and
-the Vandermonde constructor; the message design keeps its polynomials
-as plain coefficient rows (``code_design.family_rows``).
+module holds the field, a dense ``Matrix`` with one exact elimination
+and the Vandermonde constructor; the message design keeps its
+polynomials as plain coefficient rows (``code_design.family_rows``).
+Construction solves each system for just the columns it keeps;
+``inverse`` and ``nullspace`` remain to check such results.
 
 The modulus is capped below 2**31 so that a product of two reduced
 elements always fits in a 64-bit intermediate.  Two array kernels work
@@ -102,9 +104,9 @@ class DuplicatePointsError(ValueError):
 class Matrix:
     """Immutable dense matrix over a prime field.
 
-    Rows are tuples of reduced ints.  Rank, inverse and null space use
-    Gaussian elimination with first-nonzero pivoting, so every derived
-    matrix is reproducible bit for bit.
+    Rows are tuples of reduced ints.  Rank, solve and null space share
+    one Gauss-Jordan elimination with first-nonzero pivoting, so every
+    derived matrix is reproducible bit for bit.
     """
 
     __slots__ = ("field", "rows")
@@ -170,8 +172,8 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.rows for x in row)
 
-    def _echelon(self, aug: "list[list[int]] | None" = None):
-        """Row-reduce a working copy; returns (rows, aug, pivot_cols)."""
+    def _echelon(self):
+        """Reduce a working copy to reduced row echelon form; returns (rows, pivot_cols)."""
         q = self.field.q
         work = [list(row) for row in self.rows]
         pivots: list[int] = []
@@ -181,39 +183,38 @@ class Matrix:
             if piv is None:
                 continue
             work[r], work[piv] = work[piv], work[r]
-            if aug is not None:
-                aug[r], aug[piv] = aug[piv], aug[r]
             scale = pow(work[r][c], q - 2, q)
             work[r] = [x * scale % q for x in work[r]]
-            if aug is not None:
-                aug[r] = [x * scale % q for x in aug[r]]
             for i in range(self.nrows):
                 if i != r and work[i][c]:
                     f = work[i][c]
                     work[i] = [(x - f * y) % q for x, y in zip(work[i], work[r])]
-                    if aug is not None:
-                        aug[i] = [(x - f * y) % q for x, y in zip(aug[i], aug[r])]
             pivots.append(c)
             r += 1
             if r == self.nrows:
                 break
-        return work, aug, pivots
+        return work, pivots
 
     def rank(self) -> int:
-        _, _, pivots = self._echelon()
-        return len(pivots)
+        return len(self._echelon()[1])
 
     def solve(self, rhs: "Matrix") -> "Matrix":
-        """Solve self @ X = rhs for square self; exact."""
-        if self.nrows != self.ncols:
+        """Solve self @ X = rhs for square self; exact.
+
+        [self | rhs] is reduced once.  Self's n columns pivot first, so when
+        self is invertible they fill every row and the right block is X; a
+        singular self raises with the rank counted on those n columns.
+        """
+        n = self.ncols
+        if self.nrows != n:
             raise ValueError("solve requires a square matrix")
-        if rhs.nrows != self.nrows:
+        if rhs.nrows != n:
             raise ValueError("right-hand side row count mismatch")
-        aug = [list(row) for row in rhs.rows]
-        _, aug, pivots = self._echelon(aug)
-        if len(pivots) < self.ncols:
-            raise SingularMatrixError(len(pivots), self.ncols)
-        return Matrix(self.field, aug)
+        work, pivots = self.hstack(rhs)._echelon()
+        rank = sum(c < n for c in pivots)
+        if rank < n:
+            raise SingularMatrixError(rank, n)
+        return Matrix(self.field, [row[n:] for row in work])
 
     def inverse(self) -> "Matrix":
         return self.solve(Matrix.identity(self.field, self.nrows))
@@ -221,7 +222,7 @@ class Matrix:
     def nullspace(self) -> "Matrix | None":
         """Basis of {x : self @ x = 0} as columns; None if only the zero vector."""
         q = self.field.q
-        work, _, pivots = self._echelon()
+        work, pivots = self._echelon()
         free = [c for c in range(self.ncols) if c not in pivots]
         if not free:
             return None

@@ -42,7 +42,7 @@ import random
 from dataclasses import dataclass, replace
 from math import comb
 
-from .code_design import CodeDesign, evaluation_matrix, evaluation_points
+from .code_design import CodeDesign, evaluation_points, recovery_matrix
 from .gf import (
     MAX_MODULUS,
     Matrix,
@@ -206,29 +206,27 @@ def sample_circulant_validity(
 
 
 def _relay_solve_data(
-    K: int, B: int, field: PrimeField
+    key_matrix: Matrix,
 ) -> dict[int, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """Per relay: (senders, first inverse row, anchor-free part).
+    """Per relay of the K x B Vandermonde key block: (senders, first, rest).
 
-    The relay's coefficient vector is anchor * first + rest, rows taken
-    from the inverse of the relay's point submatrix of the key matrix.
-    The first row holds the Lagrange constant terms of the senders'
+    The relay's coefficient vector is anchor * first + rest.  It solves the
+    transposed B x B block of the senders' key rows against the target
+    (anchor, p, p**2, ..., p**(K-B-1), 0, ..., 0) at the relay's point p,
+    so first and rest are the solution columns for e_0 and for the rest of
+    the target.  first holds the Lagrange constant terms of the senders'
     points, so it has no zero entry.
     """
-    q = field.q
+    field = key_matrix.field
+    K, B, q = key_matrix.nrows, key_matrix.ncols, field.q
     topo = Topology(K, B)
-    points = evaluation_points(field, K)
-    key_matrix = vandermonde(field, points, B)
     out: dict[int, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = {}
-    for i in topo.relays():
+    for i, p in zip(topo.relays(), evaluation_points(field, K)):
         senders = users_of_relay(topo, i)
-        sub_inv = key_matrix.take_rows([u - 1 for u in senders]).inverse()
-        rest = [0] * B
-        for t in range(1, K - B):
-            scale = pow(points[i - 1], t, q)
-            row = sub_inv.row(t)
-            rest = [(a + scale * b) % q for a, b in zip(rest, row)]
-        out[i] = (senders, sub_inv.row(0), tuple(rest))
+        target = [[int(t == 0), pow(p, t, q) if 0 < t < K - B else 0] for t in range(B)]
+        sub = key_matrix.take_rows([u - 1 for u in senders]).transpose()
+        solution = sub.solve(Matrix(field, target))
+        out[i] = (senders, solution.column(0), solution.column(1))
     return out
 
 
@@ -242,7 +240,7 @@ def _bad_sets(field: PrimeField, per_relay: dict) -> dict[int, set[int]]:
 
 def anchor_bad_sets(K: int, B: int, field: PrimeField) -> dict[int, set[int]]:
     """Anchors that zero some coefficient of a relay; at most B per relay."""
-    return _bad_sets(field, _relay_solve_data(K, B, field))
+    return _bad_sets(field, _relay_solve_data(vandermonde(field, evaluation_points(field, K), B)))
 
 
 def vandermonde_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
@@ -251,7 +249,7 @@ def vandermonde_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
         raise ValueError(f"vandermonde regime needs K/2 < B <= K-1, got K={K}, B={B}")
     q = field.q
     key_matrix = vandermonde(field, evaluation_points(field, K), B)
-    per_relay = _relay_solve_data(K, B, field)
+    per_relay = _relay_solve_data(key_matrix)
     bad = set().union(*_bad_sets(field, per_relay).values())
 
     # |bad| <= K*B, so this takes at most K*B + 1 tries.
@@ -285,7 +283,7 @@ def single_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
     points = evaluation_points(field, K)
     ext = [[pow(points[k], j, q) for j in range(K - 1)] for k in range(K - 1)]
     ext.append([-sum(col) % q for col in zip(*ext)])
-    recovery_col = evaluation_matrix(field, K).inverse().column(K - 1)
+    recovery_col = recovery_matrix(field, K, 1).column(0)
     rows = [
         [v * field.inv(r) % q for v in row]
         for row, r in zip(ext, recovery_col)
@@ -326,13 +324,13 @@ class MaskedKeySpan:
     null_dim: int
     recovery_rank: int
     cancels: bool  # masked @ recovery == 0
-    spans: bool    # its nullspace is exactly the span of the recovery columns
+    spans: bool    # cancels, and its nullspace and the recovery span both have dimension B
 
 
 def masked_key_span(
     key_matrix: Matrix, key_coeffs: Matrix, recovery: Matrix, B: int
 ) -> MaskedKeySpan:
-    """Rank, nullspace and recovery-span verdicts of the masked key matrix.
+    """Rank, nullspace dimension and recovery-span verdicts of the masked key matrix.
 
     The relay-message combinations that cancel every key are the nullspace
     of the masked matrix; the server learns only the sum exactly when that
@@ -340,17 +338,12 @@ def masked_key_span(
     """
     masked = key_matrix.transpose() @ key_coeffs
     cancels = (masked @ recovery).is_zero()
-    null = masked.nullspace()
-    null_dim = 0 if null is None else null.ncols
-    rank = masked.ncols - null_dim  # rank-nullity, without a second elimination
+    rank = masked.rank()
+    null_dim = masked.ncols - rank
     recovery_rank = recovery.rank()
-    spans = (
-        null is not None
-        and null_dim == B
-        and recovery_rank == B
-        and cancels
-        and null.hstack(recovery).rank() == B
-    )
+    # Cancelling recovery columns lie in the nullspace, so B independent
+    # ones span it exactly when it is B-dimensional (rank-nullity).
+    spans = cancels and null_dim == B and recovery_rank == B
     return MaskedKeySpan(rank, null_dim, recovery_rank, cancels, spans)
 
 

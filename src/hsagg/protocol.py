@@ -270,7 +270,10 @@ def _block_count(params: SchemeParams, L: int) -> int:
 
 def _field_array(values, q: int) -> np.ndarray:
     """Symbols as a reduced int64 array; input already in [0, q) is not reduced again."""
-    a = np.asarray(values, dtype=np.int64)
+    try:
+        a = np.asarray(values, dtype=np.int64)
+    except OverflowError:  # ints beyond int64, reduced exactly as Python ints
+        return (np.asarray(values, dtype=object) % q).astype(np.int64)
     if a.size and (a.min() < 0 or a.max() >= q):
         a = a % q
     return a
@@ -444,8 +447,9 @@ def run_rounds(
     rounds = len(inputs)
     width = rounds * blocks  # block t of round r is column r * blocks + t
 
-    source = [sample_source_key(params, blocks, seed) for seed in seeds]
-    z = _derive(params, _field_array(source, q).reshape(width, -1))
+    n = blocks * params.source_key_len
+    source = np.concatenate([_uniform(seed, n, q) for seed in seeds])
+    z = _derive(params, source.reshape(width, -1))
     w = _field_array([[r[k] for k in users] for r in inputs], q)
     w = w.reshape(rounds, K, blocks, params.block_size).transpose(1, 3, 0, 2)
     x = _encode(params, slice(None), w.reshape(K, params.block_size, width), z.T)

@@ -189,22 +189,23 @@ def test_rates_above_modulus_cap_leave_q_empty(capsys):
 
 
 def test_simulate_runs_one_round_per_trial(capsys, monkeypatch):
-    # Every round, batched or not, draws its source key once.
-    rounds = []
-    sample_source_key = protocol.sample_source_key
+    # Every round, batched or not, draws its inputs once and its source
+    # key once.
+    draws = []
+    uniform = protocol._uniform
 
     def counted(*args, **kwargs):
-        rounds.append(1)
-        return sample_source_key(*args, **kwargs)
+        draws.append(1)
+        return uniform(*args, **kwargs)
 
-    monkeypatch.setattr(protocol, "sample_source_key", counted)
+    monkeypatch.setattr(protocol, "_uniform", counted)
     argv = ["simulate", "--K", "4", "--B", "2", "--seed", "5", "--transcript"]
     reports = []
     # 700 rounds of K * L = 8 symbols span more than one batch.
     for trials in (0, 1, 3, 700):
         code, out, _ = run_cli(argv + ["--trials", str(trials)], capsys)
-        assert code == 0 and len(rounds) == max(trials, 1)
-        rounds.clear()
+        assert code == 0 and len(draws) == 2 * max(trials, 1)
+        draws.clear()
         reports.append(json.loads(out))
     # With no trials the rates still come from a round with trial 0's seeds.
     for report in reports[1:]:

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -24,6 +25,12 @@ from hsagg.key_design import (
     vandermonde_keygen,
 )
 from hsagg.topology import Topology, relays_of_user
+
+# sha256 over every key design build_keys gives for 2 <= K <= 12 and
+# 1 <= B <= K, at select_field(K, B) and at GF(2**31 - 1), as the
+# inverse-based solves built them; a regime that cannot build at a field
+# contributes its ConstructionError message instead.
+KEY_DESIGN_DIGEST = "718156e2373608d50ea1982317a6da5132842d601c58ddb26df338c63c051d34"
 
 
 def smallest_qualifying_prime_oracle(K, B):
@@ -260,3 +267,27 @@ def test_vandermonde_takes_smallest_anchor_outside_bad_set(K, B, q):
     keys = vandermonde_keygen(K, B, field)
     assert keys.anchor == smallest <= K * B + 1
     assert keys == vandermonde_keygen(K, B, field)
+
+
+def test_key_design_bytes_are_pinned():
+    big = PrimeField(2147483647)
+    h = hashlib.sha256()
+    for K in range(2, 13):
+        for B in range(1, K + 1):
+            for field in (select_field(K, B), big):
+                try:
+                    d = build_keys(K, B, field)
+                    item = (
+                        K,
+                        B,
+                        field.q,
+                        d.regime,
+                        d.ratio,
+                        d.anchor,
+                        d.key_matrix.rows,
+                        d.key_coeffs.rows,
+                    )
+                except ConstructionError as e:
+                    item = (K, B, field.q, str(e))  # e.g. circulant needs K | q - 1
+                h.update(repr(item).encode())
+    assert h.hexdigest() == KEY_DESIGN_DIGEST

@@ -293,12 +293,12 @@ def test_long_round_does_not_import_numpy_random():
 
 
 def test_unreduced_inputs_give_the_reduced_results():
-    # Symbols off by +-q, and by q * 2**56, near the int64 limit, whose
+    # Symbols off by +-q, by q * 2**56, near the int64 limit, whose
     # products with the coefficients would wrap if they reached the
-    # kernels unreduced.
+    # kernels unreduced, and by q * 2**70, beyond int64 altogether.
     params = build_scheme(4, 2)
     q = params.field.q
-    shifts = itertools.cycle((q, 0, -q, q << 56))
+    shifts = itertools.cycle((q, 0, -q, q << 56, q << 70))
 
     def shifted(symbols):
         return tuple(v + s for v, s in zip(symbols, shifts))
