@@ -13,9 +13,12 @@ degree K - B + b - 1, leading coefficient 1, and zero coefficients in the
 band just below the leading term.  Stacking all rows gives a BK x K code
 matrix whose last B columns are stacked identity blocks.  That identity
 tail is what makes the column combinations e_{K-B+1..K} reproduce the B
-coordinates of the input sum, and the recovery matrix solves the
-evaluation matrix (the K x K Vandermonde matrix of the points) for the
-last B columns of the identity (``recovery_matrix``).
+coordinates of the input sum, and the recovery matrix is the last B
+columns of the inverse evaluation matrix (the K x K Vandermonde matrix
+of the points).  Row r of that inverse holds the coefficients of the
+Lagrange basis polynomial l_r of the points, so ``lagrange_rows`` writes
+it in closed form: prod (x - p) divided synthetically by (x - p_r), then
+scaled by 1 / prod_{j != r} (p_r - p_j), with no elimination.
 
 The per-link input coefficients are user k's rows dotted with the powers
 of the receiving relay's point; links outside the association pattern
@@ -26,10 +29,11 @@ inputs" a structural fact rather than a numerical one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import prod
 from operator import mul
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .gf import Matrix, PrimeField, vandermonde
+from .gf import DuplicatePointsError, Matrix, PrimeField, vandermonde
 from .topology import Topology, relays_of_user
 
 
@@ -45,9 +49,42 @@ def evaluation_matrix(field: PrimeField, K: int) -> Matrix:
     return vandermonde(field, evaluation_points(field, K), K).transpose()
 
 
+def _root_product(q: int, roots: Iterable[int]) -> list[int]:
+    """Coefficient row of prod (x - p) over the roots, built one factor at a time."""
+    poly = [1]
+    for p in roots:
+        poly = [(a - p * b) % q for a, b in zip([0] + poly, poly + [0])]
+    return poly
+
+
+def lagrange_rows(q: int, points: Sequence[int]) -> list[list[int]]:
+    """Coefficient rows of the Lagrange basis polynomials of distinct points mod q.
+
+    Row r is l_r, which is 1 at points[r] and 0 at every other point, so
+    row r is column r of the inverse of ``vandermonde(field, points, n)``.
+    The full product is divided synthetically by (x - p_r) and the
+    quotient scaled by 1 / prod_{j != r} (p_r - p_j): one inverse per row.
+    """
+    points = [p % q for p in points]
+    if len(set(points)) != len(points):
+        raise DuplicatePointsError(f"interpolation points collide mod {q}: {points}")
+    n = len(points)
+    full = _root_product(q, points)
+    rows = []
+    for p in points:
+        quotient = [0] * n
+        carry = 0
+        for t in range(n - 1, -1, -1):
+            carry = quotient[t] = (full[t + 1] + p * carry) % q
+        scale = pow(prod(p - other for other in points if other != p), -1, q)
+        rows.append([c * scale % q for c in quotient])
+    return rows
+
+
 def recovery_matrix(field: PrimeField, K: int, B: int) -> Matrix:
-    """The last B columns of the evaluation matrix's inverse, solved for alone."""
-    return evaluation_matrix(field, K).solve(Matrix.identity(field, K).take_cols(range(K - B, K)))
+    """The last B columns of the evaluation matrix's inverse: the top B coefficients of each l_r."""
+    rows = lagrange_rows(field.q, evaluation_points(field, K))
+    return Matrix(field, [row[K - B:] for row in rows])
 
 
 def family_rows(topo: Topology, field: PrimeField, k: int) -> tuple[tuple[int, ...], ...]:
@@ -64,10 +101,8 @@ def family_rows(topo: Topology, field: PrimeField, k: int) -> tuple[tuple[int, .
     if B == K:
         raise ValueError("full association has no recursive family; code at B = K-1")
     assoc = set(relays_of_user(topo, k))
-    base = [1]
-    for i, x in zip(topo.relays(), evaluation_points(field, K)):
-        if i not in assoc:
-            base = [(a - x * b) % q for a, b in zip([0] + base, base + [0])]
+    points = evaluation_points(field, K)
+    base = _root_product(q, (x for i, x in zip(topo.relays(), points) if i not in assoc))
     base += [0] * (K - len(base))
     rows = [base]
     drop = K - B - 1

@@ -6,8 +6,10 @@ matrices for literal equality, so floats are banned throughout.  The
 module holds the field, a dense ``Matrix`` with one exact elimination
 and the Vandermonde constructor; the message design keeps its
 polynomials as plain coefficient rows (``code_design.family_rows``).
-Construction solves each system for just the columns it keeps;
-``inverse`` and ``nullspace`` remain to check such results.
+Construction's Vandermonde systems have closed-form Lagrange solutions
+(``code_design.lagrange_rows``), so ``Matrix.solve`` runs only on the
+circulant key system; ``inverse`` and ``nullspace`` remain to check
+such results.
 
 The modulus is capped below 2**31 so that a product of two reduced
 elements always fits in a 64-bit intermediate.  Two array kernels work
@@ -15,8 +17,8 @@ on int64 arrays: ``matmul_mod``, an exact matrix product mod q that the
 protocol runs every round stage on (one int64 product when its sums
 cannot wrap, as at every default field the protocol uses, and a 16-bit
 split of one operand otherwise), and ``every_subset_full_rank``, the
-batched all-subsets rank certificate that the key designs and their
-validation share.
+batched, fraction-free all-subsets rank certificate that the key
+designs and their validation share.
 """
 
 from __future__ import annotations
@@ -291,29 +293,19 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 _SUBSET_CHUNK = 4096
 
 
-def _inverse_mod(a: np.ndarray, q: int) -> np.ndarray:
-    # Elementwise a**(q-2) mod q by square-and-multiply (Fermat); a != 0.
-    out = np.ones_like(a)
-    e = q - 2
-    while e:
-        if e & 1:
-            out = out * a % q
-        a = a * a % q
-        e >>= 1
-    return out
-
-
 def every_subset_full_rank(M: Matrix, size: int) -> bool:
     """True iff every ``size``-row subset of M is linearly independent.
 
     The subsets are eliminated in batches of int64 arrays: each subset is
     transposed, so its rows become the columns of an ncols x size matrix
     that has full column rank iff every column, in turn, finds a nonzero
-    pivot; the pivot row is then cleared from all rows, itself included,
-    and the column is dropped.  Pivots are inverted by Fermat
-    exponentiation.  Every product is of two entries in [0, q), so it
-    stays below q**2 < 2**62.  The check returns False after the first
-    batch that holds a singular subset.
+    pivot pv.  The elimination is fraction-free: every row t becomes
+    pv * t - c * pivot_row, where c is t's entry in the pivot column, so
+    the pivot row is cleared with the rest and the column is dropped.
+    Scaling a row by the nonzero pv keeps the rank, and no pivot is ever
+    inverted.  Each product is of two entries in [0, q), so it stays below
+    q**2 < 2**62, and so does their difference.  The check returns False
+    after the first batch that holds a singular subset.
     """
     q = M.field.q
     rows = np.array(M.rows, dtype=np.int64)
@@ -327,7 +319,7 @@ def every_subset_full_rank(M: Matrix, size: int) -> bool:
             if not nonzero.any(axis=1).all():
                 return False
             pivot = nonzero.argmax(axis=1)
-            factor = col * _inverse_mod(col[batch, pivot], q)[:, None] % q
+            pv = col[batch, pivot][:, None, None]
             # Clear the column and drop it; the pivot row becomes zero.
-            t = (t[:, :, 1:] - factor[:, :, None] * t[batch, pivot, 1:][:, None, :]) % q
+            t = (pv * t[:, :, 1:] - col[:, :, None] * t[batch, pivot, 1:][:, None, :]) % q
     return True

@@ -28,8 +28,9 @@ takes the smallest valid parameter, so a key design is a function of
                coefficient matrix is invertible and the solved key
                matrix is MDS.
   vandermonde  K/2 < B <= K-1.  The key matrix is a K x B Vandermonde
-               block; each relay's coefficient vector is solved from a
-               target row whose leading entry (the anchor) is the
+               block; each relay's coefficient vector is solved, in
+               closed form from its senders' Lagrange basis polynomials,
+               from a target row whose leading entry (the anchor) is the
                smallest nonzero element outside a bad set of at most K*B
                elements, so no coefficient collapses to 0.
   full         B = K.  Reduction: run the B = K-1 regime and disable the
@@ -40,9 +41,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import comb
+from operator import mul
 
-from .code_design import CodeDesign, evaluation_points, recovery_matrix
+from .code_design import CodeDesign, evaluation_points, lagrange_rows, recovery_matrix
 from .gf import (
     MAX_MODULUS,
     Matrix,
@@ -157,6 +160,9 @@ def _circulant(field: PrimeField, K: int, B: int, ratio: int) -> Matrix:
     return Matrix(field, rows)
 
 
+# One entry: the walk's accepted ratio is the last one solved, so
+# circulant_keygen takes that design from here instead of solving again.
+@lru_cache(maxsize=1)
 def _circulant_design(field: PrimeField, K: int, B: int, ratio: int) -> "KeyDesign | None":
     """The circulant design of one ratio, or None when its system is singular."""
     coeffs = _circulant(field, K, B, ratio)
@@ -206,27 +212,31 @@ def sample_circulant_validity(
 
 
 def _relay_solve_data(
-    key_matrix: Matrix,
+    field: PrimeField, K: int, B: int
 ) -> dict[int, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
     """Per relay of the K x B Vandermonde key block: (senders, first, rest).
 
     The relay's coefficient vector is anchor * first + rest.  It solves the
-    transposed B x B block of the senders' key rows against the target
-    (anchor, p, p**2, ..., p**(K-B-1), 0, ..., 0) at the relay's point p,
-    so first and rest are the solution columns for e_0 and for the rest of
-    the target.  first holds the Lagrange constant terms of the senders'
-    points, so it has no zero entry.
+    transposed B x B block of the senders' key rows, a Vandermonde matrix
+    at the senders' points, against the target (anchor, p, p**2, ...,
+    p**(K-B-1), 0, ..., 0) at the relay's point p.  That block's inverse
+    has the coefficient rows of the senders' Lagrange basis polynomials
+    l_j as its rows, so entry j of first is the constant term of l_j and
+    entry j of rest is the sum over 1 <= t <= K-B-1 of coef_t(l_j) * p**t.
+    A constant term l_j(0) is a product of nonzero differences, so first
+    has no zero entry.
     """
-    field = key_matrix.field
-    K, B, q = key_matrix.nrows, key_matrix.ncols, field.q
+    q = field.q
     topo = Topology(K, B)
+    points = evaluation_points(field, K)
     out: dict[int, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = {}
-    for i, p in zip(topo.relays(), evaluation_points(field, K)):
+    for i, p in zip(topo.relays(), points):
         senders = users_of_relay(topo, i)
-        target = [[int(t == 0), pow(p, t, q) if 0 < t < K - B else 0] for t in range(B)]
-        sub = key_matrix.take_rows([u - 1 for u in senders]).transpose()
-        solution = sub.solve(Matrix(field, target))
-        out[i] = (senders, solution.column(0), solution.column(1))
+        rows = lagrange_rows(q, [points[u - 1] for u in senders])
+        powers = [pow(p, t, q) for t in range(1, K - B)]
+        first = tuple(row[0] for row in rows)
+        rest = tuple(sum(map(mul, row[1:K - B], powers)) % q for row in rows)
+        out[i] = (senders, first, rest)
     return out
 
 
@@ -240,7 +250,7 @@ def _bad_sets(field: PrimeField, per_relay: dict) -> dict[int, set[int]]:
 
 def anchor_bad_sets(K: int, B: int, field: PrimeField) -> dict[int, set[int]]:
     """Anchors that zero some coefficient of a relay; at most B per relay."""
-    return _bad_sets(field, _relay_solve_data(vandermonde(field, evaluation_points(field, K), B)))
+    return _bad_sets(field, _relay_solve_data(field, K, B))
 
 
 def vandermonde_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
@@ -249,7 +259,7 @@ def vandermonde_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
         raise ValueError(f"vandermonde regime needs K/2 < B <= K-1, got K={K}, B={B}")
     q = field.q
     key_matrix = vandermonde(field, evaluation_points(field, K), B)
-    per_relay = _relay_solve_data(key_matrix)
+    per_relay = _relay_solve_data(field, K, B)
     bad = set().union(*_bad_sets(field, per_relay).values())
 
     # |bad| <= K*B, so this takes at most K*B + 1 tries.
@@ -359,8 +369,9 @@ def validate_scheme(keys: KeyDesign, code: CodeDesign) -> AuditReport:
     coeffs, key_matrix = keys.key_coeffs, keys.key_matrix
     checks = []
 
+    assoc = {k: relays_of_user(topo, k) for k in topo.users()}
     supported = all(
-        (coeffs.rows[k - 1][i - 1] != 0) == (i in relays_of_user(topo, k))
+        (coeffs.rows[k - 1][i - 1] != 0) == (i in assoc[k])
         for k in topo.users()
         for i in topo.relays()
     )

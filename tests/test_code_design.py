@@ -8,8 +8,9 @@ from hsagg.code_design import (
     evaluation_matrix,
     evaluation_points,
     family_rows,
+    lagrange_rows,
 )
-from hsagg.gf import Matrix, PrimeField
+from hsagg.gf import DuplicatePointsError, Matrix, PrimeField, is_prime, vandermonde
 from hsagg.key_design import select_field
 from hsagg.topology import Topology, relays_of_user
 
@@ -123,6 +124,23 @@ def test_recovery_matrix_is_inverse_tail():
             expect = tuple(int(r == K - B + b) for r in range(K))
             assert prod.column(b) == expect
         assert code.recovery.rank() == B
+
+
+@pytest.mark.parametrize("q", [None, 31, 2147483629])  # None: the smallest prime above K
+def test_lagrange_rows_are_columns_of_the_vandermonde_inverse(q):
+    rng = random.Random(7)
+    for K in range(1, 15):
+        field = PrimeField(q or next(p for p in range(K + 1, 100) if is_prime(p)))
+        scattered = rng.sample(range(field.q), K)
+        for points in (range(1, K + 1), scattered):
+            inverse = vandermonde(field, points, K).inverse()
+            rows = lagrange_rows(field.q, points)
+            assert [tuple(row) for row in rows] == [inverse.column(r) for r in range(K)]
+
+
+def test_lagrange_rows_refuse_colliding_points():
+    with pytest.raises(DuplicatePointsError):
+        lagrange_rows(7, [1, 8])
 
 
 def test_recovery_reproduces_sums_for_random_inputs():

@@ -236,7 +236,7 @@ def subsets_full_rank_reference(m: Matrix, size: int) -> bool:
     return all(m.take_rows(rows).rank() == size for rows in combinations(range(m.nrows), size))
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 305017, 2147483629])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 305017, 2147483629, 2147483647])
 def test_every_subset_full_rank_matches_per_subset_rank(q, monkeypatch):
     rng = random.Random(q)
     field = PrimeField(q)
@@ -256,6 +256,24 @@ def test_every_subset_full_rank_matches_per_subset_rank(q, monkeypatch):
         verdicts.add(expected)
         shapes.add((size > ncols) - (size < ncols))
     assert verdicts == {True, False} and shapes == {-1, 0, 1}
+
+
+def test_every_subset_full_rank_at_int64_headroom():
+    # Entries at or just below q - 1 make each fraction-free product
+    # pv * t and c * pivot_row about (q - 1)**2, just under 2**62.
+    q = 2147483647
+    field = PrimeField(q)
+    flat = Matrix(field, [[q - 1] * 4 for _ in range(5)])
+    assert every_subset_full_rank(flat, 1)
+    assert not every_subset_full_rank(flat, 2)
+    near = Matrix(field, [[-v % q for v in row] for row in vandermonde(field, range(1, 8), 3).rows])
+    assert every_subset_full_rank(near, 3)
+    planted_row = tuple((a + b) % q for a, b in zip(near.rows[1], near.rows[4]))
+    planted = Matrix(field, near.rows + (planted_row,))
+    assert min(x for row in planted.rows for x in row) >= q - 100
+    for m, size in [(flat, 1), (flat, 2), (near, 3), (planted, 2), (planted, 3)]:
+        assert every_subset_full_rank(m, size) == subsets_full_rank_reference(m, size)
+    assert not every_subset_full_rank(planted, 3)
 
 
 def test_every_subset_full_rank_finds_singular_subset_past_first_chunk():

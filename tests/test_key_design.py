@@ -23,8 +23,9 @@ from hsagg.key_design import (
     sufficient_field_size,
     validate_scheme,
     vandermonde_keygen,
+    _relay_solve_data,
 )
-from hsagg.topology import Topology, relays_of_user
+from hsagg.topology import Topology, relays_of_user, users_of_relay
 
 # sha256 over every key design build_keys gives for 2 <= K <= 12 and
 # 1 <= B <= K, at select_field(K, B) and at GF(2**31 - 1), as the
@@ -267,6 +268,36 @@ def test_vandermonde_takes_smallest_anchor_outside_bad_set(K, B, q):
     keys = vandermonde_keygen(K, B, field)
     assert keys.anchor == smallest <= K * B + 1
     assert keys == vandermonde_keygen(K, B, field)
+
+
+def relay_solve_reference(field, K, B):
+    """Each relay's generic B x B solve against e_0 and (0, p, ..., p**(K-B-1), 0, ...)."""
+    q = field.q
+    key_matrix = vandermonde(field, evaluation_points(field, K), B)
+    topo = Topology(K, B)
+    out = {}
+    for i, p in zip(topo.relays(), evaluation_points(field, K)):
+        senders = users_of_relay(topo, i)
+        target = [[int(t == 0), pow(p, t, q) if 0 < t < K - B else 0] for t in range(B)]
+        sub = key_matrix.take_rows([u - 1 for u in senders]).transpose()
+        solution = sub.solve(Matrix(field, target))
+        out[i] = (senders, solution.column(0), solution.column(1))
+    return out
+
+
+def test_relay_solve_data_matches_the_generic_solve():
+    checked = 0
+    for K in range(2, 15):
+        for B in range(1, K + 1):
+            regime = regime_for(K, B)
+            if regime not in (REGIME_VANDERMONDE, REGIME_FULL) or K < 3:
+                continue
+            solved_B = K - 1 if regime == REGIME_FULL else B
+            for field in (select_field(K, B), PrimeField(2147483647)):
+                expected = relay_solve_reference(field, K, solved_B)
+                assert _relay_solve_data(field, K, solved_B) == expected, (K, B, field.q)
+                checked += 1
+    assert checked == 2 * sum(K - K // 2 for K in range(3, 15))  # vandermonde B, and B = K
 
 
 def test_key_design_bytes_are_pinned():
