@@ -40,6 +40,7 @@ from .key_design import (
 )
 from .protocol import (
     MissingMessageError,
+    RoundBatch,
     RoundResult,
     SchemeParams,
     SizeMismatchError,
@@ -72,6 +73,7 @@ __all__ = [
     "MissingMessageError",
     "PrimeField",
     "RateTuple",
+    "RoundBatch",
     "RoundResult",
     "SchemeParams",
     "SingularMatrixError",

@@ -7,20 +7,25 @@ symbol to each associated relay, reusing a single key symbol across its
 outgoing messages; every relay forwards the sum of what it received; the
 server multiplies the relay symbols by the recovery matrix and reads off
 the blockwise input sum.  Each stage is one exact int64 array operation
-over GF(q) for all users, blocks and relays at once (``gf.matmul_mod``);
-input symbols outside [0, q) are reduced on entry, and reduced input is
-taken as it is.
-``run_rounds`` runs a batch of rounds of one input length: blocks are
+over GF(q) for all users, blocks and relays at once (``gf.matmul_mod``).
+Every entry point takes its symbols through one strict converter: Python
+ints, or an integer numpy array; a float or a string raises TypeError
+instead of being truncated.  Symbols outside [0, q) are reduced on
+entry, and reduced input is taken as it is.
+``run_rounds`` runs a batch of rounds of one input length, given as one
+mapping per round or as an (R, K, L) integer array: blocks are
 independent, so the rounds' blocks stack along the block axis and each
 stage is still one operation for the whole batch, while every round
-draws its own source key from its own seed.  A round's transcript is
-built from its message arrays only when it is first read.
+draws its own source key from its own seed.  The batch's sums come back
+as one (R, L) array; a round's ``RoundResult`` is built when it is read,
+and its transcript from its message arrays when that is first read.
 
 Source keys and simulated inputs are the values of
-``random.Random(seed).randrange(q)``.  A long draw (``_uniform``) takes
-the generator's 32-bit outputs in bulk from ``Random.getrandbits`` and
-keeps, in numpy, the shifted outputs that randrange would accept, so it
-gives the same symbols without a Python call per symbol; it does not use
+``random.Random(seed).randrange(q)``.  ``_uniform_rows`` draws them for
+a whole batch of seeds at once: one ``Random.getrandbits`` call per seed
+takes the generator's 32-bit outputs in bulk, and numpy keeps, row by
+row, the shifted outputs that randrange would accept, so it gives the
+same symbols without a Python call per symbol; it does not use
 ``numpy.random``, whose import alone costs about 6 MB of resident memory.
 
 For B = K the scheme is the B = K-1 design with the last outgoing link
@@ -31,9 +36,9 @@ message so transcripts and rate accounting can see it.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -220,6 +225,37 @@ class RoundResult:
         return self.recovered_sum == other.recovered_sum and self.transcript == other.transcript
 
 
+class RoundBatch(Sequence):
+    """The results of one ``run_rounds`` batch, in round order.
+
+    sums is the read-only (R, L) int64 array of recovered sums.  Item r is
+    round r's ``RoundResult``, built each time it is read, with its sum as
+    a tuple of ints; a batch equals any sequence of equal results.
+    """
+
+    def __init__(self, params: SchemeParams, sums: np.ndarray, x: np.ndarray, y: np.ndarray):
+        sums.flags.writeable = False
+        self.sums = sums
+        self._params = params
+        self._x = x  # (K, B, R, blocks)
+        self._y = y  # (K, R, blocks)
+
+    def __len__(self) -> int:
+        return len(self.sums)
+
+    def __getitem__(self, r):
+        if isinstance(r, slice):
+            return [self[i] for i in range(len(self))[r]]
+        return RoundResult(
+            self._params, tuple(self.sums[r].tolist()), self._x[:, :, r], self._y[:, r]
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 def build_scheme(
     K: int,
     B: int,
@@ -268,12 +304,29 @@ def _block_count(params: SchemeParams, L: int) -> int:
 # rounds, are the only callers.
 
 
-def _field_array(values, q: int) -> np.ndarray:
-    """Symbols as a reduced int64 array; input already in [0, q) is not reduced again."""
-    try:
-        a = np.asarray(values, dtype=np.int64)
-    except OverflowError:  # ints beyond int64, reduced exactly as Python ints
-        return (np.asarray(values, dtype=object) % q).astype(np.int64)
+def _field_array(rows, q: int) -> np.ndarray:
+    """Symbols as a reduced int64 array; input already in [0, q) is not reduced again.
+
+    rows is an integer numpy array, kept in its shape, or a sequence of
+    equal-length rows of ints, which gives a (len(rows), L) array.  This
+    is the one converter of every entry point, and it is strict: a float,
+    a string or a float array raises TypeError instead of being truncated.
+    """
+    if isinstance(rows, np.ndarray):
+        if rows.dtype.kind not in "iu":
+            raise TypeError(f"symbols must be integers, got an array of dtype {rows.dtype}")
+        if rows.dtype == np.uint64:
+            rows = rows % q  # exact in uint64; a cast first would wrap above 2**63
+        a = rows.astype(np.int64, copy=False)
+    else:
+        a = np.empty((len(rows), len(rows[0])), np.int64)
+        for r, row in enumerate(rows):
+            # array("q") takes only objects with __index__, and raises
+            # TypeError for anything else.
+            try:
+                a[r] = array("q", row)
+            except OverflowError:  # ints beyond int64, reduced exactly as Python ints
+                a[r] = array("q", [v % q for v in row])
     if a.size and (a.min() < 0 or a.max() >= q):
         a = a % q
     return a
@@ -310,47 +363,61 @@ def _user_messages(params: SchemeParams, k: int, links: list) -> dict[int, tuple
     return out
 
 
-# Draws shorter than this call randrange once per symbol: the two arms
-# cost the same near 16 draws at q = 7, 17, 305017 and 2147483629.
-_STREAM_CUTOFF = 16
-
 # Words per getrandbits call: its bit count is a C int, so one call
 # cannot take much more than 2**26 words.
 _MAX_WORDS = 1 << 20
 
 
-def _uniform(seed: int, n: int, q: int) -> np.ndarray:
-    """The first n values of ``random.Random(seed).randrange(q)``, as int64.
+def _words(n: int, q: int) -> int:
+    """Words for a pass that should yield n values below q: the expected
+    count plus a margin of at least two standard deviations."""
+    return min(n * (1 << q.bit_length()) // q + 64 + n // 32, _MAX_WORDS)
+
+
+def _shifted(rngs, m: int, shift: int) -> np.ndarray:
+    """The next m 32-bit outputs of each generator, shifted right, one row each."""
+    buf = b"".join(rng.getrandbits(32 * m).to_bytes(4 * m, "little") for rng in rngs)
+    return np.frombuffer(buf, "<u4").reshape(-1, m) >> shift
+
+
+def _uniform_rows(seeds: Sequence[int], n: int, q: int) -> np.ndarray:
+    """Row r holds the first n values of ``random.Random(seeds[r]).randrange(q)``.
 
     For q < 2**32, randrange(q) takes one 32-bit MT19937 output, keeps its
     top q.bit_length() bits, and draws again while that is >= q, so the
     values are the shifted outputs below q, in stream order.
     ``getrandbits(32 * m)`` returns the next m outputs of the same stream,
-    the first in the least significant word, so a draw of at least
-    _STREAM_CUTOFF values reads its outputs that way, m at a time; a
-    shorter one calls randrange.
+    the first in the least significant word.  One such call per seed fills
+    one row of a single buffer, and a running count of the outputs below q
+    takes the first n of every row at once.  No generator outlives its
+    call: a row that falls short, which the margin of ``_words`` makes
+    rare, seeds its generator again and draws its row pass by pass, the
+    only loop over rows.
     """
-    rng = random.Random(seed)
-    if n < _STREAM_CUTOFF:
-        return np.fromiter(map(rng.randrange, repeat(q, n)), np.int64, n)
-    bits = q.bit_length()
-    parts, short = [], n
-    while short:
-        # The expected word count plus a margin of at least two standard
-        # deviations; a pass that still falls short draws again.
-        m = min(short * (1 << bits) // q + 64 + short // 32, _MAX_WORDS)
-        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
-        v = words >> (32 - bits)
-        v = v[v < q][:short]
-        parts.append(v)
-        short -= len(v)
-    return np.concatenate(parts).astype(np.int64)
+    shift = 32 - q.bit_length()
+    v = _shifted(map(random.Random, seeds), _words(n, q), shift)
+    keep = v < q
+    kept = np.cumsum(keep, axis=1)
+    keep &= kept <= n
+    short = kept[:, -1] < n
+    if not short.any():
+        return v[keep].reshape(len(v), n).astype(np.int64)
+    out = np.empty((len(v), n), np.int64)
+    out[~short] = v[~short][keep[~short]].reshape(-1, n)
+    for r in np.flatnonzero(short):
+        rng, parts, missing = random.Random(seeds[r]), [], n
+        while missing:
+            more = _shifted([rng], _words(missing, q), shift)[0]
+            parts.append(more[more < q][:missing])
+            missing -= len(parts[-1])
+        out[r] = np.concatenate(parts)
+    return out
 
 
 def sample_source_key(params: SchemeParams, block_count: int, seed: int) -> tuple[int, ...]:
     """Fresh i.i.d. uniform source symbols, one segment per block."""
     n = block_count * params.source_key_len
-    return tuple(_uniform(seed, n, params.field.q).tolist())
+    return tuple(_uniform_rows([seed], n, params.field.q)[0].tolist())
 
 
 def derive_keys(params: SchemeParams, source_key: Sequence[int]) -> dict[int, tuple[int, ...]]:
@@ -360,7 +427,7 @@ def derive_keys(params: SchemeParams, source_key: Sequence[int]) -> dict[int, tu
         raise SizeMismatchError(
             f"source key length {len(source_key)} is not a positive multiple of {n}"
         )
-    z = _derive(params, _field_array(source_key, params.field.q).reshape(-1, n))
+    z = _derive(params, _field_array([source_key], params.field.q).reshape(-1, n))
     return {k: tuple(keys) for k, keys in zip(params.topo.users(), z.T.tolist())}
 
 
@@ -377,8 +444,8 @@ def user_encode(
     x = _encode(
         params,
         slice(k - 1, k),
-        _field_array(w, q).reshape(1, blocks, bs).transpose(0, 2, 1),
-        _field_array(z, q).reshape(1, blocks),
+        _field_array([w], q).reshape(1, blocks, bs).transpose(0, 2, 1),
+        _field_array([z], q),
     )
     return _user_messages(params, k, x[0].tolist())
 
@@ -420,44 +487,50 @@ def server_decode(params: SchemeParams, relay_msgs: Mapping[int, Sequence[int]])
 
 def run_rounds(
     params: SchemeParams,
-    inputs: Sequence[Mapping[int, Sequence[int]]],
+    inputs: "Sequence[Mapping[int, Sequence[int]]] | np.ndarray",
     seeds: Sequence[int],
-) -> list[RoundResult]:
+) -> RoundBatch:
     """Execute one round per (inputs, seed) pair as one batch.
 
+    inputs holds one mapping of user -> symbols per round, or is an
+    (R, K, L) integer array whose row k-1 of round r is user k's input.
     Every round of a batch has the same input length.  Blocks are
     independent in every stage, so the rounds stack along the block axis
     and each stage runs once for the whole batch; each round still draws
     its own source key from its own seed, and its result is the one
     ``run_round(params, inputs[r], seeds[r])`` gives.
     """
+    K, bs, q = params.K, params.block_size, params.field.q
     if len(seeds) != len(inputs):
         raise SizeMismatchError(f"{len(inputs)} input sets but {len(seeds)} seeds")
-    if not inputs:
-        return []
-    K = params.K
-    users = params.topo.users()
-    if any(sorted(r) != list(users) for r in inputs):
-        raise SizeMismatchError(f"inputs must cover users 1..{K}")
-    L = len(inputs[0][1])
-    if any(len(r[k]) != L for r in inputs for k in users):
-        raise SizeMismatchError("all users of every round in a batch must share one input length")
+    if isinstance(inputs, np.ndarray):
+        if inputs.ndim != 3 or inputs.shape[1] != K:
+            raise SizeMismatchError(
+                f"input array must have shape (rounds, {K}, L), got {inputs.shape}"
+            )
+        L = inputs.shape[2]
+    elif not inputs:
+        L = bs  # an empty batch runs no round; any valid length does
+        inputs = np.empty((0, K, L), np.int64)
+    else:
+        users = params.topo.users()
+        if any(sorted(r) != list(users) for r in inputs):
+            raise SizeMismatchError(f"inputs must cover users 1..{K}")
+        L = len(inputs[0][1])
+        if any(len(r[k]) != L for r in inputs for k in users):
+            raise SizeMismatchError("all users of every round in a batch must share one input length")
+        inputs = [r[k] for r in inputs for k in users]  # row r * K + k - 1 is round r's user k
     blocks = _block_count(params, L)
-    q = params.field.q
-    rounds = len(inputs)
+    rounds = len(seeds)
     width = rounds * blocks  # block t of round r is column r * blocks + t
 
-    n = blocks * params.source_key_len
-    source = np.concatenate([_uniform(seed, n, q) for seed in seeds])
-    z = _derive(params, source.reshape(width, -1))
-    w = _field_array([[r[k] for k in users] for r in inputs], q)
-    w = w.reshape(rounds, K, blocks, params.block_size).transpose(1, 3, 0, 2)
-    x = _encode(params, slice(None), w.reshape(K, params.block_size, width), z.T)
-    y = _relay_sums(x.reshape(-1, width)[params._arrays.received], q)
-    recovered = _decode(params, y).reshape(rounds, L).tolist()
-    x = x.reshape(K, params.block_size, rounds, blocks)
-    y = y.reshape(K, rounds, blocks)
-    return [RoundResult(params, tuple(recovered[r]), x[:, :, r], y[:, r]) for r in range(rounds)]
+    n = params.source_key_len
+    z = _derive(params, _uniform_rows(seeds, blocks * n, q).reshape(width, n))
+    w = _field_array(inputs, q).reshape(rounds, K, blocks, bs).transpose(1, 3, 0, 2)
+    x = _encode(params, slice(None), w.reshape(K, bs, width), z.T)
+    y = _relay_sums(x.reshape(K * bs, width)[params._arrays.received], q)
+    sums = _decode(params, y).reshape(rounds, L)
+    return RoundBatch(params, sums, x.reshape(K, bs, rounds, blocks), y.reshape(K, rounds, blocks))
 
 
 def run_round(
@@ -470,7 +543,7 @@ def run_round(
 def random_inputs(params: SchemeParams, L: int, seed: int) -> dict[int, tuple[int, ...]]:
     """Uniform inputs for simulation; one length-L vector per user."""
     _block_count(params, L)
-    draws = _uniform(seed, params.K * L, params.field.q).reshape(params.K, L).tolist()
+    draws = _uniform_rows([seed], params.K * L, params.field.q).reshape(params.K, L).tolist()
     return {k: tuple(row) for k, row in zip(params.topo.users(), draws)}
 
 

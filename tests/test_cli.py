@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -148,6 +149,23 @@ def test_audit_failure_exit_code(capsys, monkeypatch):
     assert json.loads(out)["report"]["passed"] is False
 
 
+def test_simulate_counts_a_wrong_sum_as_a_failed_recovery(capsys, monkeypatch):
+    # One wrong symbol in round 0 of each batch: 700 rounds of K * L = 8
+    # symbols run as two batches of up to 512.
+    run_rounds = cli.run_rounds
+
+    def off_by_one(params, inputs, seeds):
+        results = run_rounds(params, inputs, seeds)
+        sums = results.sums.copy()
+        sums[0, -1] = (sums[0, -1] + 1) % params.field.q
+        return protocol.RoundBatch(params, sums, results._x, results._y)
+
+    monkeypatch.setattr(cli, "run_rounds", off_by_one)
+    code, out, _ = run_cli(["simulate", "--K", "4", "--B", "2", "--trials", "700"], capsys)
+    assert code == cli.EXIT_AUDIT
+    assert json.loads(out)["trials"] == {"requested": 700, "exact_recoveries": 698}
+
+
 def test_audit_state_cap_maps_to_config_error(capsys):
     code, _, err = run_cli(
         ["audit", "--K", "3", "--B", "2", "--level", "exhaustive", "--max-states", "100"],
@@ -189,23 +207,29 @@ def test_rates_above_modulus_cap_leave_q_empty(capsys):
 
 
 def test_simulate_runs_one_round_per_trial(capsys, monkeypatch):
-    # Every round, batched or not, draws its inputs once and its source
-    # key once.
-    draws = []
-    uniform = protocol._uniform
+    # Every round, batched or not, draws from two seeds, its inputs' and
+    # its source key's, and from each of them once.
+    drawn = []
 
-    def counted(*args, **kwargs):
-        draws.append(1)
-        return uniform(*args, **kwargs)
+    class Recording(random.Random):
+        def seed(self, a=None, version=2):
+            self.drawn_seed = a
+            super().seed(a, version)
 
-    monkeypatch.setattr(protocol, "_uniform", counted)
+        def getrandbits(self, k):
+            drawn.append(self.drawn_seed)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(protocol.random, "Random", Recording)
     argv = ["simulate", "--K", "4", "--B", "2", "--seed", "5", "--transcript"]
     reports = []
     # 700 rounds of K * L = 8 symbols span more than one batch.
     for trials in (0, 1, 3, 700):
         code, out, _ = run_cli(argv + ["--trials", str(trials)], capsys)
-        assert code == 0 and len(draws) == 2 * max(trials, 1)
-        draws.clear()
+        seeds = [cli._trial_seed(5, t, half) for t in range(max(trials, 1)) for half in (0, 1)]
+        assert code == 0 and len(drawn) == 2 * max(trials, 1)
+        assert sorted(drawn) == sorted(seeds)
+        drawn.clear()
         reports.append(json.loads(out))
     # With no trials the rates still come from a round with trial 0's seeds.
     for report in reports[1:]:

@@ -211,43 +211,64 @@ def test_source_key_determinism_and_freshness():
     assert len(set(blocks)) > 1 or len(blocks) == 1
 
 
+# The named seeds, then simulate's trial seeds at --seed 3 and 2**20 + 7.
+DRAW_SEEDS = [0, 1, -3, 2**40 + 5] + [
+    cli._trial_seed(seed, t, half) for seed in (3, 2**20 + 7) for t in range(74) for half in (0, 1)
+]
+
+
+def _randrange_rows(seeds, n, q):
+    """The reference: the first n values of random.Random(seed).randrange(q) per seed."""
+    rows = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        rows.append(list(map(rng.randrange, itertools.repeat(q, n))))
+    return rows
+
+
 @pytest.mark.parametrize("q", [2, 3, 7, 4096, 65536, 65537, 305017, 2147483629, 2147483647])
-@pytest.mark.parametrize("cutoff", [None, 0], ids=["default-cutoff", "stream-only"])
-def test_uniform_matches_randrange(monkeypatch, q, cutoff):
+@pytest.mark.parametrize("rows", [1, 300], ids=["1-row", "300-rows"])
+def test_uniform_matches_randrange(q, rows):
     # randrange(q) keeps the top q.bit_length() bits of one MT19937 output
     # and retries above q; powers of two and q = 2 reject about half.
-    edge = protocol._STREAM_CUTOFF
-    if cutoff is not None:
-        monkeypatch.setattr(protocol, "_STREAM_CUTOFF", cutoff)
-    for seed in (0, 1, -3, 2**40 + 5):
-        for n in (1, 2, 227, 455, edge - 1, edge, edge + 1, 1500):
-            rng = random.Random(seed)
-            got = protocol._uniform(seed, n, q)
-            assert got.dtype == np.int64
-            assert got.tolist() == [rng.randrange(q) for _ in range(n)], (seed, n)
+    # Batches of one row take the four named seeds and four trial seeds.
+    seeds = DRAW_SEEDS if rows == 300 else DRAW_SEEDS[:8]
+    lengths = (1, 2, 15, 16, 17, 227, 455, 1500)
+    expected = _randrange_rows(seeds, max(lengths), q)
+    for n in lengths:
+        got = [protocol._uniform_rows(seeds[i : i + rows], n, q) for i in range(0, len(seeds), rows)]
+        assert all(g.dtype == np.int64 and g.shape == (rows, n) for g in got)
+        assert np.concatenate(got).tolist() == [row[:n] for row in expected], n
 
 
 def test_uniform_draws_again_when_a_pass_falls_short(monkeypatch):
     # At q = 2 and seed 161, the first pass's 1104 words hold fewer than
-    # 512 values below q.
-    rng = random.Random(161)
-    expected = [rng.randrange(2) for _ in range(512)]
+    # 512 values below q; the rows of seeds 0 and 2 hold enough.  Only
+    # seed 161's generator is seeded again, and draws the same first pass
+    # and then a second.
+    seeds = [0, 161, 2]
+    expected = _randrange_rows(seeds, 512, 2)
     passes = []
 
     class Recording(random.Random):
+        def seed(self, a=None, version=2):
+            self.drawn_seed = a
+            super().seed(a, version)
+
         def getrandbits(self, k):
-            passes.append(k)
+            passes.append((self.drawn_seed, k))
             return super().getrandbits(k)
 
     monkeypatch.setattr(protocol.random, "Random", Recording)
-    assert protocol._uniform(161, 512, 2).tolist() == expected
-    assert len(passes) == 2
-    assert passes[0] == 32 * 1104
+    assert protocol._uniform_rows(seeds, 512, 2).tolist() == expected
+    assert passes[:3] == [(seed, 32 * 1104) for seed in seeds]
+    assert passes[3] == (161, 32 * 1104)
+    assert [seed for seed, _ in passes[4:]] == [161]
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**40 + 5])
 def test_getrandbits_returns_successive_words_least_significant_first(seed):
-    # The one CPython fact the long-draw arm of _uniform relies on.
+    # The one CPython fact the batched draw, _uniform_rows, relies on.
     for m in (1, 2, 3, 624, 625, 1500):
         bulk = random.Random(seed).getrandbits(32 * m)
         rng = random.Random(seed)
@@ -256,9 +277,10 @@ def test_getrandbits_returns_successive_words_least_significant_first(seed):
 
 @pytest.mark.parametrize("q", [2, 17, 305017, 2147483629])
 def test_uniform_matches_randrange_across_capped_passes(monkeypatch, q):
+    # Every row needs more than one pass of at most 100 words.
     monkeypatch.setattr(protocol, "_MAX_WORDS", 100)
-    rng = random.Random(3)
-    assert protocol._uniform(3, 1000, q).tolist() == [rng.randrange(q) for _ in range(1000)]
+    seeds = [3, 2**40 + 5]
+    assert protocol._uniform_rows(seeds, 1000, q).tolist() == _randrange_rows(seeds, 1000, q)
 
 
 def test_samplers_keep_the_randrange_stream():
@@ -344,6 +366,72 @@ def test_run_rounds_refusals_and_empty_batch():
         run_rounds(params, [two], [])
     with pytest.raises(SizeMismatchError):
         run_rounds(params, [two, four], [1, 2])
+
+
+@pytest.mark.parametrize("K,B", [(4, 1), (5, 3), (6, 3), (4, 4)])
+def test_run_rounds_on_an_array_matches_tuples(K, B):
+    # The single, vandermonde, circulant and full regimes.  The array's
+    # entries are shifted by +-q and by q << 56, or by the largest shift
+    # of q that int64 holds; a uint64 copy is shifted past 2**63.
+    params = build_scheme(K, B)
+    q, L = params.field.q, params.block_size * 2
+    batch = [random_inputs(params, L, seed=30 + r) for r in range(3)]
+    seeds = [40, 41, 42]
+    w = np.array([[inputs[k] for k in range(1, K + 1)] for inputs in batch], dtype=np.int64)
+    big = q << min(56, 62 - q.bit_length())
+    far = w + np.resize(np.array([q, 0, -q, big, -big]), w.shape)
+    assert far.min() < 0 and far.max() >= q
+    expected = run_rounds(params, batch, seeds)
+    assert [r.recovered_sum for r in expected] == [direct_sum(params, x) for x in batch]
+    above = w.astype(np.uint64) + np.uint64(q * (2**63 // q + 1))
+    for arr in (w, far, w.astype(np.int32), above):
+        results = run_rounds(params, arr, seeds)
+        assert results.sums.dtype == np.int64 and results.sums.shape == (3, L)
+        assert np.array_equal(results.sums, expected.sums)
+        assert np.array_equal(results.sums, w.sum(axis=1) % q)
+        assert results == expected and list(results) == list(expected)
+        assert results[-1] == expected[2] and results[1:] == list(expected)[1:]
+
+
+def test_run_rounds_array_refusals():
+    params = build_scheme(3, 2)
+    w = np.zeros((2, 3, 4), dtype=np.int64)
+    assert run_rounds(params, w[:0], []).sums.shape == (0, 4)
+    with pytest.raises(SizeMismatchError):
+        run_rounds(params, np.zeros((2, 4, 4), dtype=np.int64), [1, 2])  # K axis of 4 users
+    with pytest.raises(SizeMismatchError):
+        run_rounds(params, w[0], [1, 2])  # no round axis
+    with pytest.raises(SizeMismatchError):
+        run_rounds(params, w[:, :, :3], [1, 2])  # L = 3 is not a multiple of B = 2
+    with pytest.raises(SizeMismatchError):
+        run_rounds(params, w, [1])  # two rounds, one seed
+    with pytest.raises(TypeError):
+        run_rounds(params, w.astype(np.float64), [1, 2])
+
+
+@pytest.mark.parametrize("bad", [1.7, 2.0, "1", np.float64(3.0)])
+def test_non_integer_symbols_raise_type_error(bad):
+    # np.asarray(..., dtype=np.int64) would truncate 1.7 to 1 and parse "1".
+    params = build_scheme(3, 2)
+    with pytest.raises(TypeError):
+        run_round(params, {1: (1.7, 2.2), 2: (0.9, 1.0), 3: (2.5, 3.9)})
+    inputs = random_inputs(params, 2, seed=1)
+    with pytest.raises(TypeError):
+        run_round(params, {**inputs, 2: (inputs[2][0], bad)}, seed=2)
+    with pytest.raises(TypeError):
+        run_round(params, {**inputs, 2: (1 << 70, bad)}, seed=2)  # past int64 first
+    with pytest.raises(TypeError):
+        derive_keys(params, (bad, 1))
+    with pytest.raises(TypeError):
+        user_encode(params, 1, (1, bad), (3,))
+    with pytest.raises(TypeError):
+        user_encode(params, 1, (1, 2), (bad,))
+    with pytest.raises(TypeError):
+        user_encode(params, 1, np.array([1.0, 2.0]), (3,))
+    with pytest.raises(TypeError):
+        relay_encode(params, 1, {1: (bad,), 3: (1,)})
+    with pytest.raises(TypeError):
+        server_decode(params, {1: (1,), 2: (bad,), 3: (1,)})
 
 
 @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=10**6))
