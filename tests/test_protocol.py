@@ -226,9 +226,28 @@ def _randrange_rows(seeds, n, q):
     return rows
 
 
-@pytest.mark.parametrize("q", [2, 3, 7, 4096, 65536, 65537, 305017, 2147483629, 2147483647])
+Q_VALUES = [2, 3, 7, 4096, 65536, 65537, 305017, 2147483629, 2147483647]
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+@pytest.mark.parametrize("cap", [None, 1], ids=["default-cutoff", "stream-only"])
+def test_uniform_matches_randrange(monkeypatch, q, cap):
+    # One seed per call.  At the default cap on words per pass a row is
+    # one getrandbits call; a cap of one word makes every row fall short
+    # and be drawn again pass by pass, one output of the stream at a time.
+    if cap is not None:
+        monkeypatch.setattr(protocol, "_MAX_WORDS", cap)
+    lengths = (1, 2, 15, 16, 17, 227, 455, 1500)
+    for seed, expected in zip(DRAW_SEEDS[:4], _randrange_rows(DRAW_SEEDS[:4], max(lengths), q)):
+        for n in lengths:
+            got = protocol._uniform_rows([seed], n, q)
+            assert got.dtype == np.int64 and got.shape == (1, n)
+            assert got[0].tolist() == expected[:n], (seed, n)
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
 @pytest.mark.parametrize("rows", [1, 300], ids=["1-row", "300-rows"])
-def test_uniform_matches_randrange(q, rows):
+def test_uniform_rows_match_randrange(q, rows):
     # randrange(q) keeps the top q.bit_length() bits of one MT19937 output
     # and retries above q; powers of two and q = 2 reject about half.
     # Batches of one row take the four named seeds and four trial seeds.
