@@ -17,13 +17,15 @@ on int64 arrays: ``matmul_mod``, an exact matrix product mod q that the
 protocol runs every round stage on (one int64 product when its sums
 cannot wrap, as at every default field the protocol uses, and a 16-bit
 split of one operand otherwise), and ``every_subset_full_rank``, the
-batched, fraction-free all-subsets rank certificate that the key
-designs and their validation share.
+fraction-free all-subsets rank certificate.  It walks the row subsets as
+a tree of sorted prefixes, so subsets that share a prefix share its
+elimination, and it holds at most ``_SUBSET_CHUNK`` prefixes per batch.
+``key_design.mds_proof`` calls it only where no closed-form proof
+applies: the circulant key designs.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -287,39 +289,71 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return (high * 65536 + a @ (b & 0xFFFF)) % q
 
 
-# Row subsets eliminated per batch by every_subset_full_rank: about 3 MB
-# of int64 at 10 x 10 subsets, and a singular subset ends the check after
-# at most one batch of wasted work.
+# Prefixes extended per batch by every_subset_full_rank: a batch holds at
+# most this many annihilator bases, about 3 MB of int64 at 10 x 10, and a
+# dependent subset ends the check after at most one batch of wasted work.
 _SUBSET_CHUNK = 4096
+
+
+def _extend_prefixes(
+    rows: np.ndarray, size: int, q: int, last: np.ndarray, C: np.ndarray
+) -> bool:
+    """Whether every completion of these sorted row prefixes to ``size`` rows is independent.
+
+    Prefix n ends at row ``last[n]``, and ``C[n]`` (ncols x w) is a
+    fraction-free basis of the vectors its j = ncols - w rows annihilate.
+    Row r extends the prefix when r > last and r <= nrows - size + j,
+    which leaves enough later rows to finish the subset.  The row lies in
+    the prefix's span exactly when v = r @ C is zero.  Otherwise, with v's
+    first nonzero entry v_p as pivot, every column becomes
+    v_p * C_c - v_c * C_p, which r annihilates too, and the zeroed pivot
+    column is dropped.  Each product is of two entries in [0, q), so it
+    stays below q**2 < 2**62, and so does their difference.
+    """
+    nrows = rows.shape[0]
+    j = rows.shape[1] - C.shape[2]
+    if j + 1 == size:
+        # The last row only has to stay outside the span.
+        later = np.arange(nrows) > last[:, None]
+        return bool(((matmul_mod(rows, C, q) != 0).any(axis=2) | ~later).all())
+    counts = nrows - size + j - last
+    node = np.repeat(np.arange(len(last)), counts)
+    extension = np.arange(len(node)) + (last + 1 - (np.cumsum(counts) - counts))[node]
+    # Each slice's subtree is finished before the next slice is extended.
+    for start in range(0, len(node), _SUBSET_CHUNK):
+        r = extension[start:start + _SUBSET_CHUNK]
+        basis = C[node[start:start + _SUBSET_CHUNK]]
+        v = matmul_mod(rows[r][:, None, :], basis, q)[:, 0, :]
+        nonzero = v != 0
+        if not nonzero.any(axis=1).all():
+            return False
+        batch = np.arange(len(r))
+        pivot = nonzero.argmax(axis=1)
+        pv = v[batch, pivot][:, None, None]
+        child = (pv * basis - basis[batch, :, pivot][:, :, None] * v[:, None, :]) % q
+        del basis, v, nonzero
+        # Drop the zeroed pivot column: the last column takes its place.
+        child[batch, :, pivot] = child[:, :, -1]
+        if not _extend_prefixes(rows, size, q, r, child[:, :, :-1]):
+            return False
+    return True
 
 
 def every_subset_full_rank(M: Matrix, size: int) -> bool:
     """True iff every ``size``-row subset of M is linearly independent.
 
-    The subsets are eliminated in batches of int64 arrays: each subset is
-    transposed, so its rows become the columns of an ncols x size matrix
-    that has full column rank iff every column, in turn, finds a nonzero
-    pivot pv.  The elimination is fraction-free: every row t becomes
-    pv * t - c * pivot_row, where c is t's entry in the pivot column, so
-    the pivot row is cleared with the rest and the column is dropped.
-    Scaling a row by the nonzero pv keeps the rank, and no pivot is ever
-    inverted.  Each product is of two entries in [0, q), so it stays below
-    q**2 < 2**62, and so does their difference.  The check returns False
-    after the first batch that holds a singular subset.
+    The subsets are walked as a tree of sorted row prefixes, so subsets
+    that share a prefix share its elimination.  Each prefix holds an
+    int64 basis of the vectors its rows annihilate, which starts as the
+    identity and loses one column per added row; a row that leaves the
+    basis no column it does not annihilate lies in the prefix's span.
+    The elimination is fraction-free and never inverts a pivot (see
+    ``_extend_prefixes``).  At most ``_SUBSET_CHUNK`` prefixes are
+    extended per batch, and the check returns False at the first
+    dependent subset.
     """
-    q = M.field.q
+    if size == 0 or size > M.nrows:
+        return True
     rows = np.array(M.rows, dtype=np.int64)
-    subsets = combinations(range(M.nrows), size)
-    while chunk := list(islice(subsets, _SUBSET_CHUNK)):
-        t = rows[np.array(chunk, dtype=np.intp)].transpose(0, 2, 1)  # (n, ncols, size)
-        batch = np.arange(len(t))
-        for _ in range(size):
-            col = t[:, :, 0]
-            nonzero = col != 0
-            if not nonzero.any(axis=1).all():
-                return False
-            pivot = nonzero.argmax(axis=1)
-            pv = col[batch, pivot][:, None, None]
-            # Clear the column and drop it; the pivot row becomes zero.
-            t = (pv * t[:, :, 1:] - col[:, :, None] * t[batch, pivot, 1:][:, None, :]) % q
-    return True
+    identity = np.eye(M.ncols, dtype=np.int64)[None]
+    return _extend_prefixes(rows, size, M.field.q, np.array([-1]), identity)

@@ -13,6 +13,13 @@ joint conditions drive every construction here:
 
 plus the MDS condition that any B rows of the key matrix are linearly
 independent, which hands every relay B mutually independent masks.
+``mds_proof`` checks it in polynomial time wherever a proof exists: the
+single, vandermonde and full key matrices are a Vandermonde block times
+an invertible matrix.  The circulant key matrices fall back to the
+all-subsets certificate ``gf.every_subset_full_rank``, which the ratio
+walk runs once on the accepted design and the gate then reuses.  No
+certificate starts on more than MAX_SUBSETS row subsets; past that cap
+the build raises ConstructionError.
 
 Every Vandermonde block below is taken at the message design's
 evaluation points 1..K (code_design.evaluation_points), and each regime
@@ -174,13 +181,36 @@ def _circulant_design(field: PrimeField, K: int, B: int, ratio: int) -> "KeyDesi
     return KeyDesign(key_matrix, coeffs, REGIME_CIRCULANT, ratio=ratio)
 
 
+# Most row subsets one all-subsets certificate may eliminate.  It admits
+# C(22, 11) = 705432, the largest count of any circulant scheme with a
+# default field, which certifies in about a second.
+MAX_SUBSETS = 1 << 20
+
+
+def _check_subset_budget(K: int, size: int) -> None:
+    count = comb(K, size)
+    if count > MAX_SUBSETS:
+        raise ConstructionError(
+            f"certifying every {size} of {K} key-matrix rows independent needs "
+            f"{count} subsets, above the cap of {MAX_SUBSETS}"
+        )
+
+
+# One entry: the walk certifies the accepted ratio's key matrix last, so
+# the key-matrix-mds gate of the same build reads that verdict from here.
+@lru_cache(maxsize=1)
+def _certificate(M: Matrix, size: int) -> bool:
+    return every_subset_full_rank(M, size)
+
+
 def circulant_ratio_valid(field: PrimeField, K: int, B: int, ratio: int) -> bool:
     """Full validity predicate of the ratio walk and its sampler."""
+    _check_subset_budget(K, K - B)
     q = field.q
     if ratio % q == 0 or pow(ratio, K, q) == 1:
         return False
     design = _circulant_design(field, K, B, ratio)
-    return design is not None and every_subset_full_rank(design.key_matrix, K - B)
+    return design is not None and _certificate(design.key_matrix, K - B)
 
 
 def circulant_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
@@ -299,7 +329,7 @@ def single_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
         for row, r in zip(ext, recovery_col)
     ]
     key_matrix = Matrix(field, rows)
-    if not every_subset_full_rank(key_matrix, K - 1):
+    if mds_proof(key_matrix, K - 1, points) is None:
         raise ConstructionError(
             f"single-association key matrix lost full rank on some K-1 rows over GF({q}); "
             "choose another field"
@@ -324,6 +354,61 @@ def build_keys(K: int, B: int, field: PrimeField) -> KeyDesign:
     if regime == REGIME_VANDERMONDE:
         return vandermonde_keygen(K, B, field)
     return full_assoc_keygen(K, field)
+
+
+def _vandermonde_witness(M: Matrix, points: tuple[int, ...]) -> bool:
+    """True iff M = V @ T for V with rows [1, p, ..., p**(m-1)] at distinct points and T invertible.
+
+    The top m rows give T = V_top**-1 @ M_top in closed form: row r of
+    ``lagrange_rows`` is column r of V_top's inverse.  Then V @ T is
+    compared with M on every row, and rank T is counted.  T is kept as
+    its columns, so rank T is counted on its transpose.
+    """
+    q, K, m = M.field.q, M.nrows, M.ncols
+    points = [p % q for p in points]
+    if len(points) != K or len(set(points)) != K or m > K:
+        return False
+    inverse = lagrange_rows(q, points[:m])
+    T_cols = [
+        [sum(map(mul, inverse_col, col)) % q for inverse_col in zip(*inverse)]
+        for col in zip(*M.rows[:m])
+    ]
+    for k in [*range(m, K), *range(m)]:  # the rows below the top first
+        powers = [1] * m
+        for j in range(1, m):
+            powers[j] = powers[j - 1] * points[k] % q
+        if any(sum(map(mul, powers, col)) % q != x for col, x in zip(T_cols, M.rows[k])):
+            return False
+    return Matrix(M.field, T_cols).rank() == m
+
+
+def mds_proof(M: Matrix, size: int, points: tuple[int, ...]) -> "str | None":
+    """How every ``size`` rows of M were proven independent, or None when some are not.
+
+    The verdict always equals ``every_subset_full_rank(M, size)``; the
+    name says which proof gave it:
+
+      "vandermonde"  M = V @ T with T invertible, for the Vandermonde rows
+                     V at the distinct points (``_vandermonde_witness``).
+                     Any size <= m rows of V are independent, and T keeps
+                     them so.  This covers the single, vandermonde and
+                     full regimes.
+      "implication"  size < m = M.ncols and every m rows are independent,
+                     so every smaller subset is too.  The circulant walk
+                     has already certified its key matrix's m rows.
+      "subsets"      every size-row subset eliminated.
+
+    The implication is skipped when certifying every m rows would take
+    more than MAX_SUBSETS subsets, and the last step raises
+    ConstructionError, before any elimination, when it would.
+    """
+    K, m = M.nrows, M.ncols
+    if size <= m and _vandermonde_witness(M, points):
+        return "vandermonde"
+    if size < m and comb(K, m) <= MAX_SUBSETS and _certificate(M, m):
+        return "implication"
+    _check_subset_budget(K, size)
+    return "subsets" if _certificate(M, size) else None
 
 
 @dataclass(frozen=True)
@@ -402,7 +487,7 @@ def validate_scheme(keys: KeyDesign, code: CodeDesign) -> AuditReport:
         )
     )
 
-    mds = every_subset_full_rank(key_matrix, B)
+    mds = mds_proof(key_matrix, B, evaluation_points(code.field, K)) is not None
     checks.append(
         CheckResult("key-matrix-mds", mds, f"every {B} rows independent")
     )

@@ -89,6 +89,19 @@ def test_single_regime_field_too_small_is_construction_error(capsys, argv):
     assert err.startswith("construction error: ") and "q > K+1" in err
 
 
+def test_audit_proves_a_large_vandermonde_key_matrix(capsys):
+    # Its key-matrix-mds gate would take C(40, 21) = 1.3e11 subsets.
+    code, out, _ = run_cli(["audit", "--K", "40", "--B", "21"], capsys)
+    assert code == 0
+    assert json.loads(out)["construction_validation"]["passed"] is True
+
+
+def test_audit_past_the_subset_budget_is_construction_error(capsys):
+    code, _, err = run_cli(["audit", "--K", "40", "--B", "20", "--q", "241"], capsys)
+    assert code == cli.EXIT_CONSTRUCTION == 2
+    assert err.startswith("construction error: ") and "137846528820 subsets" in err
+
+
 def test_simulate_transcript_schema(capsys):
     code, out, _ = run_cli(
         ["simulate", "--K", "3", "--B", "2", "--trials", "2", "--L", "4", "--transcript"],

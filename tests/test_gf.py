@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -294,3 +295,37 @@ def test_every_subset_full_rank_finds_singular_subset_past_first_chunk():
     )
     assert broken.take_rows(subsets[-1]).rank() == 7
     assert not every_subset_full_rank(broken, 8)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+def test_every_subset_full_rank_below_ncols_and_single_rows(chunk, monkeypatch):
+    monkeypatch.setattr(gf, "_SUBSET_CHUNK", chunk)
+    field = PrimeField(13)
+    mds = vandermonde(field, range(1, 10), 6)  # any 6 of the 9 rows are independent
+    for size in range(1, 7):
+        assert every_subset_full_rank(mds, size)
+    rows = list(mds.rows)
+    rows[7] = [(2 * a + 5 * b) % 13 for a, b in zip(rows[1], rows[4])]
+    planted = Matrix(field, rows)  # rows 1, 4 and 7 are dependent, no two are
+    rows[2] = [0] * 6
+    zero_row = Matrix(field, rows)
+    cases = [(planted, 1, True), (planted, 2, True), (planted, 3, False), (planted, 5, False),
+             (zero_row, 1, False), (zero_row, 2, False), (mds, 7, False)]
+    for m, size, expected in cases:
+        assert every_subset_full_rank(m, size) == expected
+        assert subsets_full_rank_reference(m, size) == expected
+
+
+def test_every_subset_full_rank_peak_memory_at_20_by_10():
+    # All C(20, 10) = 184756 subsets pass, so the whole prefix tree is
+    # walked.  Batches of _SUBSET_CHUNK prefixes peak near 10.3 MiB here;
+    # extending a whole level at once would hold every prefix's basis.
+    field = PrimeField(2147483629)
+    mds = vandermonde(field, range(1, 21), 10)
+    tracemalloc.start()
+    try:
+        assert every_subset_full_rank(mds, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20

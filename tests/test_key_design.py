@@ -1,10 +1,13 @@
 import hashlib
+import random
 from dataclasses import replace
+from math import comb
 
 import pytest
 
+from hsagg import key_design
 from hsagg.code_design import build_code_design, evaluation_points
-from hsagg.gf import Matrix, PrimeField, is_prime, vandermonde
+from hsagg.gf import Matrix, PrimeField, every_subset_full_rank, is_prime, vandermonde
 from hsagg.key_design import (
     REGIME_CIRCULANT,
     REGIME_FULL,
@@ -16,6 +19,7 @@ from hsagg.key_design import (
     circulant_keygen,
     circulant_ratio_valid,
     full_assoc_keygen,
+    mds_proof,
     regime_for,
     sample_circulant_validity,
     select_field,
@@ -322,3 +326,85 @@ def test_key_design_bytes_are_pinned():
                     item = (K, B, field.q, str(e))  # e.g. circulant needs K | q - 1
                 h.update(repr(item).encode())
     assert h.hexdigest() == KEY_DESIGN_DIGEST
+
+
+def mds_mutations(M: Matrix, points: tuple[int, ...]):
+    """(name, matrix, points) variants of M that the gate must judge as the oracle does."""
+    K, m = M.nrows, M.ncols
+    rows = [list(r) for r in M.rows]
+    perturbed = [r[:] for r in rows]
+    perturbed[K // 2][m // 2] += 1
+    repeated = Matrix(M.field, rows[:-1] + [rows[0]])
+    yield "perturbed entry", Matrix(M.field, perturbed), points
+    yield "zero row scale", Matrix(M.field, rows[:-1] + [[0] * m]), points
+    if m >= 2:
+        yield "proportional columns", Matrix(M.field, [r[:-1] + [3 * r[0]] for r in rows]), points
+    yield "repeated row", repeated, points
+    # With the repeated point too, the repeated row is V @ T at the points.
+    yield "repeated row and point", repeated, points[:-1] + points[:1]
+
+
+def test_mds_proof_agrees_with_every_subset_full_rank():
+    regimes = (REGIME_SINGLE, REGIME_CIRCULANT, REGIME_VANDERMONDE, REGIME_FULL)
+    proofs = {regime: [] for regime in regimes}
+    for K in range(2, 15):
+        for B in range(1, K + 1):
+            field = select_field(K, B)
+            coded_B = B if B < K else K - 1
+            M = build_keys(K, B, field).key_matrix
+            points = evaluation_points(field, K)
+            proof = mds_proof(M, coded_B, points)
+            assert every_subset_full_rank(M, coded_B) and proof is not None, (K, B)
+            proofs[regime_for(K, B)].append(proof)
+            for name, mutant, mutant_points in mds_mutations(M, points):
+                verdict = mds_proof(mutant, coded_B, mutant_points)
+                # One column is V @ T whenever its rows are equal (K = 2).
+                assert verdict != "vandermonde" or M.ncols == 1, (K, B, name)
+                expected = every_subset_full_rank(mutant, coded_B)
+                assert (verdict is not None) == expected, (K, B, name)
+    structural = proofs[REGIME_SINGLE] + proofs[REGIME_VANDERMONDE] + proofs[REGIME_FULL]
+    assert len(structural) == 68 and set(structural) == {"vandermonde"}
+    # B < K/2 reuses the walk's (K - B)-row certificate; at B = K/2 it is the B-row one.
+    assert len(proofs[REGIME_CIRCULANT]) == 36
+    assert set(proofs[REGIME_CIRCULANT]) == {"implication", "subsets"}
+
+
+@pytest.mark.parametrize("K, B", [(6, 2), (8, 4), (9, 3), (10, 5)])
+def test_circulant_build_certifies_its_key_matrix_once(K, B, monkeypatch):
+    calls = []
+
+    def counting(M, size):
+        calls.append((M, size))
+        return every_subset_full_rank(M, size)
+
+    monkeypatch.setattr(key_design, "every_subset_full_rank", counting)
+    key_design._certificate.cache_clear()
+    field = select_field(K, B)
+    keys = build_keys(K, B, field)
+    code = build_code_design(Topology(K, B), field)
+    assert validate_scheme(keys, code).passed
+    assert calls.count((keys.key_matrix, K - B)) == 1
+    # One certificate per ratio the walk solved, and none from the gate.
+    assert len(set(calls)) == len(calls) and {size for _, size in calls} == {K - B}
+    assert calls[-1] == (keys.key_matrix, K - B)
+
+
+def test_subset_budget_refuses_before_any_elimination(monkeypatch):
+    assert comb(22, 11) <= key_design.MAX_SUBSETS < comb(40, 20) == 137846528820
+
+    def no_elimination(*args):
+        raise AssertionError("eliminated past the subset budget")
+
+    monkeypatch.setattr(key_design, "_circulant_design", no_elimination)
+    monkeypatch.setattr(key_design, "every_subset_full_rank", no_elimination)
+    key_design._certificate.cache_clear()
+    field = PrimeField(241)  # 40 divides 240
+    with pytest.raises(ConstructionError, match="137846528820 subsets"):
+        circulant_keygen(40, 20, field)
+    with pytest.raises(ConstructionError, match="137846528820 subsets"):
+        sample_circulant_validity(40, 20, field, samples=5)
+    # The gate's fallback, on a matrix that no proof covers.
+    rng = random.Random(0)
+    M = Matrix(field, [[rng.randrange(241) for _ in range(20)] for _ in range(40)])
+    with pytest.raises(ConstructionError, match="137846528820 subsets"):
+        mds_proof(M, 20, evaluation_points(field, 40))
