@@ -319,7 +319,8 @@ def _extend_prefixes(
     counts = nrows - size + j - last
     node = np.repeat(np.arange(len(last)), counts)
     extension = np.arange(len(node)) + (last + 1 - (np.cumsum(counts) - counts))[node]
-    # Each slice's subtree is finished before the next slice is extended.
+    # Each slice's subtree is finished before the next slice is extended,
+    # so every level holds at most one slice of bases during the descent.
     for start in range(0, len(node), _SUBSET_CHUNK):
         r = extension[start:start + _SUBSET_CHUNK]
         basis = C[node[start:start + _SUBSET_CHUNK]]
@@ -331,7 +332,7 @@ def _extend_prefixes(
         pivot = nonzero.argmax(axis=1)
         pv = v[batch, pivot][:, None, None]
         child = (pv * basis - basis[batch, :, pivot][:, :, None] * v[:, None, :]) % q
-        del basis, v, nonzero
+        del basis, v, nonzero  # not needed while the subtree is walked
         # Drop the zeroed pivot column: the last column takes its place.
         child[batch, :, pivot] = child[:, :, -1]
         if not _extend_prefixes(rows, size, q, r, child[:, :, :-1]):

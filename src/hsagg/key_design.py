@@ -361,8 +361,7 @@ def _vandermonde_witness(M: Matrix, points: tuple[int, ...]) -> bool:
 
     The top m rows give T = V_top**-1 @ M_top in closed form: row r of
     ``lagrange_rows`` is column r of V_top's inverse.  Then V @ T is
-    compared with M on every row, and rank T is counted.  T is kept as
-    its columns, so rank T is counted on its transpose.
+    compared with M on every row, and rank T is counted on its columns.
     """
     q, K, m = M.field.q, M.nrows, M.ncols
     points = [p % q for p in points]
