@@ -14,6 +14,12 @@ same sum).  The audits compare those multisets as sorted rows, so the
 verdicts are never thresholded.  State spaces above the cap are refused
 rather than sampled.
 
+Each check evaluates its messages into one array over the whole state
+space, in the narrowest integer type of at least 16 bits that holds
+them, and sorts and compares that array in place; recovery adds a bool
+table of the (relay messages, sum) pairs.  An exhaustive audit therefore
+holds about one state-space array at a time.
+
 This module also carries the worked 3-user instance over GF(3) as a
 hard-coded golden scheme; its coefficients come from a manual design and
 are intentionally not regenerated by the general constructions.
@@ -30,10 +36,10 @@ from .topology import Topology, users_of_relay
 
 
 class StateSpaceError(RuntimeError):
-    def __init__(self, required: int, cap: int):
+    def __init__(self, required: int, cap: int, what: str = "realizations"):
         self.required = required
         self.cap = cap
-        super().__init__(f"state space of {required} realizations exceeds cap {cap}")
+        super().__init__(f"state space of {required} {what} exceeds cap {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +117,10 @@ class _StateSpace:
         if self.size > max_states:
             raise StateSpaceError(self.size, max_states)
         # The widest code packed below is every relay symbol plus every sum
-        # symbol; the narrowest integer type holding it moves the least
-        # memory through each pass over the space.
+        # symbol, and it must fit the widest integer type.
         bound = self.q ** (self.K * self.blocks + L)
-        self.dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+        if bound > np.iinfo(np.int64).max:
+            raise StateSpaceError(bound, np.iinfo(np.int64).max, "(relay messages, sum) values")
 
     def w_var(self, k: int, pos: int) -> int:
         return (k - 1) * self.L + pos
@@ -124,12 +130,20 @@ class _StateSpace:
 
     def evaluate(self, *forms: dict[int, int]) -> np.ndarray:
         """Values of the linear forms on every realization, packed base q
-        with the first form most significant."""
+        with the first form most significant, as a flat array the caller
+        owns."""
         # Broadcasting grows each array only along the variables it uses,
-        # so a form's sum and its single mod run on that small grid and
-        # the full state space is written once.  q is tiny whenever
+        # so a form's sum and its single mod run on that small grid; once
+        # the code spans the whole space it is packed in place, so one
+        # full-size array is allocated.  The narrowest type of at least 16
+        # bits that holds the code moves the least memory through each
+        # pass; 8-bit codes are excluded because numpy sorts their rows
+        # about 20 times slower than 16-bit ones.  q is tiny whenever
         # enumeration is feasible, so unreduced sums stay far below 2**63.
-        code = np.zeros((1,) * self.n_vars, dtype=self.dtype)
+        bound = self.q ** len(forms)
+        dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+        grid = (self.q,) * self.n_vars
+        code = np.zeros((1,) * self.n_vars, dtype=dtype)
         axis = [1] * self.n_vars
         for form in forms:
             acc = np.zeros((1,) * self.n_vars, dtype=np.int64)
@@ -138,10 +152,15 @@ class _StateSpace:
                     axis[v] = self.q
                     acc = acc + (np.arange(self.q, dtype=np.int64) * c).reshape(axis)
                     axis[v] = 1
-            code = code * self.q + (acc % self.q).astype(self.dtype)
-        out = np.empty((self.q,) * self.n_vars, dtype=self.dtype)
-        out[...] = code
-        return out.reshape(-1)
+            part = (acc % self.q).astype(dtype)
+            if code.shape == grid:
+                code *= self.q
+                code += part
+            else:
+                code = code * self.q + part
+        if code.shape != grid:
+            code = np.broadcast_to(code, grid).copy()
+        return code.reshape(-1)
 
     def message_form(self, k: int, i: int, block: int) -> dict[int, int]:
         """Linear form of the block-th symbol of the (k, i) message."""
@@ -175,18 +194,33 @@ class _StateSpace:
         )
 
 
-def _rows_match(code: np.ndarray, group: np.ndarray) -> bool:
+# Elements compared per step when rows are checked against a reference
+# row, which bounds the comparison's temporaries.
+_COMPARE_CHUNK = 1 << 16
+
+
+def _rows_match(code: np.ndarray, n_rows: int, group: "np.ndarray | None" = None) -> bool:
     """Exact test that code tells nothing about the inputs beyond group.
 
     Each input vector is one row of the space holding every source key
     value once, and group gives one value per row, a function of the
-    inputs.  The mutual information of code and the inputs given group is
-    zero exactly when every row holds the same multiset of code values as
-    the first row of its group; sorted rows compare those multisets.
+    inputs; without a group every row is compared with the first.  The
+    mutual information of code and the inputs given group is zero exactly
+    when every row holds the same multiset of code values as the first
+    row of its group; sorted rows compare those multisets.  code is
+    sorted in place, so it must be an array the audit owns.
     """
-    rows = np.sort(code.reshape(len(group), -1), axis=1)
-    _, first, inverse = np.unique(group, return_index=True, return_inverse=True)
-    return bool((rows == rows[first[inverse]]).all())
+    rows = code.reshape(n_rows, -1)
+    rows.sort(axis=1)
+    if group is not None:
+        _, first, inverse = np.unique(group, return_index=True, return_inverse=True)
+        lead = first[inverse]
+    step = max(1, _COMPARE_CHUNK // rows.shape[1])
+    for start in range(0, n_rows, step):
+        ref = rows[0] if group is None else rows[lead[start : start + step]]
+        if not (rows[start : start + step] == ref).all():
+            return False
+    return True
 
 
 def _mi_checks(space: _StateSpace) -> tuple[list[CheckResult], np.ndarray]:
@@ -195,14 +229,14 @@ def _mi_checks(space: _StateSpace) -> tuple[list[CheckResult], np.ndarray]:
     n_rows = space.q**space.n_w
     checks = []
     for i in params.topo.relays():
-        msgs = space.evaluate(
-            *(
-                space.message_form(k, i, t)
-                for k in users_of_relay(params.topo, i)
-                for t in range(space.blocks)
-            )
-        )
-        ok = _rows_match(msgs, np.zeros(n_rows, dtype=np.int64))
+        forms = [
+            space.message_form(k, i, t)
+            for k in users_of_relay(params.topo, i)
+            for t in range(space.blocks)
+        ]
+        # Passed without a name, so each relay's array is freed before the
+        # next one is evaluated.
+        ok = _rows_match(space.evaluate(*forms), n_rows)
         checks.append(
             CheckResult(
                 f"relay-mi[{i}]",
@@ -215,8 +249,11 @@ def _mi_checks(space: _StateSpace) -> tuple[list[CheckResult], np.ndarray]:
     joint = space.joint()
     # The sum depends on the inputs only, so it is constant along a row,
     # and within a group of equal sums rows of joint codes match exactly
-    # when rows of relay messages do.
-    server_ok = _rows_match(joint, joint.reshape(n_rows, -1)[:, 0] % space.q**space.L)
+    # when rows of relay messages do.  For the same reason sorting a row
+    # keeps every symbol's sum digits, and the recovery table that reads
+    # joint afterwards does not depend on order.
+    sums = joint.reshape(n_rows, -1)[:, 0] % space.q**space.L
+    server_ok = _rows_match(joint, n_rows, sums)
     checks.append(
         CheckResult(
             "server-mi",
@@ -231,12 +268,14 @@ def _recovery_check(space: _StateSpace, joint: np.ndarray) -> CheckResult:
     """Decode equals the true sum on every realization, and the relay
     messages determine the sum as a function.
 
-    Both are read off one count of (relay messages, sum) pairs: decoding
-    every pair that occurs covers every realization.
+    Both are read off one table of the (relay messages, sum) pairs that
+    occur: decoding every pair that occurs covers every realization.
     """
     q, K, blocks, bs = space.q, space.K, space.blocks, space.params.block_size
     n_s = q**space.L
-    pairs = np.bincount(joint, minlength=q ** (K * blocks) * n_s).reshape(-1, n_s) > 0
+    pairs = np.zeros(q ** (K * blocks) * n_s, dtype=bool)
+    pairs[joint] = True
+    pairs = pairs.reshape(-1, n_s)
     functional = bool((pairs.sum(axis=1) <= 1).all())
 
     y, s = np.nonzero(pairs)

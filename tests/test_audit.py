@@ -1,9 +1,12 @@
 from collections import Counter
 from dataclasses import replace
 from itertools import product
+from random import Random
 
+import numpy as np
 import pytest
 
+from hsagg import audit
 from hsagg.audit import (
     StateSpaceError,
     algebraic_audit,
@@ -205,6 +208,61 @@ def test_exhaustive_verdicts_match_count_table_reference(params, L):
     report = full_audit(params, level="exhaustive", L=L)
     got = {c.name: c.passed for c in report.checks[len(algebraic_audit(params).checks) :]}
     assert got == _reference_verdicts(params, L)
+
+def _input_coeff_shifted(params):
+    """params with the first input coefficient on link (1, 1) raised by one."""
+    first = params.input_coeffs[(1, 1)][0]
+    return _corrupt(params, input_coeffs=((1, 1), 0, (first + 1) % params.field.q))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        golden_example1(),
+        _corrupt(golden_example1(), input_coeffs=((1, 1), 0, 2)),
+        _corrupt(golden_example1(), key_coeffs=(0, 0, 0)),
+        _corrupt(golden_example1(), key_matrix=(2, 1, 0), recovery=(0, 1, 1)),
+        _input_coeff_shifted(build_scheme(3, 2, q=5)),
+    ],
+    ids=["golden", "golden-input", "golden-key-coeff", "golden-key-recovery", "q5-input"],
+)
+def test_chunked_row_comparison_matches_one_chunk(monkeypatch, params):
+    # one row and three rows per chunk must give the same checks,
+    # verdicts and details as the default size
+    whole = full_audit(params, level="exhaustive", L=2)
+    space = audit._StateSpace(params, 2, 10**8)
+    row = space.q**space.n_z
+    for chunk in (1, 3 * row):
+        monkeypatch.setattr(audit, "_COMPARE_CHUNK", chunk)
+        assert full_audit(params, level="exhaustive", L=2) == whole
+
+
+@pytest.mark.parametrize("spans", [True, False], ids=["packed-in-place", "broadcast-last"])
+@pytest.mark.parametrize("n_forms, dtype", [(1, np.int16), (5, np.int16), (6, np.int32)])
+def test_evaluate_packs_in_narrowest_16_bit_or_wider_type(n_forms, dtype, spans):
+    # q = 7: 7**5 = 16807 fits int16 and 7**6 = 117649 needs int32; one
+    # form would fit 8 bits, which evaluate never uses
+    space = audit._StateSpace(build_scheme(2, 1, q=7), 2, 10**8)
+    q, n = space.q, space.n_vars
+    rng = Random(n_forms)
+    # Either the first form reads every variable, so the code spans the
+    # grid at once and later forms pack in place, or every form leaves
+    # the last variable out, so the code reaches the grid only at the end.
+    forms = [
+        {v: rng.randrange(q) for v in rng.sample(range(n - 1), rng.randint(1, n - 1))}
+        for _ in range(n_forms)
+    ]
+    if spans:
+        forms[0] = {v: rng.randrange(1, q) for v in range(n)}
+    code = space.evaluate(*forms)
+    assert code.dtype == dtype and code.shape == (space.size,)
+    for index in rng.sample(range(space.size), 50):
+        values = [index // q ** (n - 1 - v) % q for v in range(n)]
+        want = 0
+        for form in forms:
+            want = want * q + sum(c * values[v] for v, c in form.items()) % q
+        assert code[index] == want
+
 
 def test_state_space_cap_enforced():
     params = build_scheme(3, 2, q=7)

@@ -328,6 +328,8 @@ def test_config_values_are_parsed_like_flags(capsys, tmp_path):
         (["audit", "--K", "3", "--B", "2", "--max-states", "0"], None, "--max-states"),
         (["audit", "--K", "3", "--B", "2", "--q", "7", "--L", "2", "--level", "exhaustive",
           "--max-states", "-1"], None, "--max-states"),
+        (["audit", "--K", "3", "--B", "2", "--q", "7", "--L", "10", "--level", "exhaustive",
+          "--max-states", "1" + "0" * 40], None, "(relay messages, sum) values"),
         (["rates", "--K", "5:3"], None, "--K"),
         (["rates", "--K", "5", "--B", "3:1"], None, "--B"),
         (["audit", "--golden-example1", "--K", "4", "--B", "2"], None, "--K, --B"),
@@ -341,7 +343,8 @@ def test_config_values_are_parsed_like_flags(capsys, tmp_path):
          "negative-trials", "zero-samples", "flag-prefix", "config-key-prefix",
          "search-zero-modulus", "rates-seed", "audit-seed", "audit-config-seed",
          "simulate-zero-L", "audit-zero-L", "audit-negative-L", "zero-max-states",
-         "negative-max-states", "rates-inverted-K", "rates-inverted-B",
+         "negative-max-states", "joint-code-wider-than-int64", "rates-inverted-K",
+         "rates-inverted-B",
          "golden-with-K-B", "golden-config-q", "golden-config-K", "rates-no-pairs",
          "out-missing-dir"],
 )
@@ -354,6 +357,7 @@ def test_usage_errors_exit_config(capsys, tmp_path, argv, config, named):
     code, _, err = run_cli(argv, capsys)
     assert code == cli.EXIT_CONFIG
     assert err.startswith("config error: ") and named in err
+    assert err.count("\n") == 1
 
 
 def test_ranges_keep_single_values_and_equal_ends(capsys):
