@@ -14,11 +14,10 @@ same sum).  The audits compare those multisets as sorted rows, so the
 verdicts are never thresholded.  State spaces above the cap are refused
 rather than sampled.
 
-Each check evaluates its messages into one array over the whole state
-space, in the narrowest integer type of at least 16 bits that holds
-them, and sorts and compares that array in place; recovery adds a bool
-table of the (relay messages, sum) pairs.  An exhaustive audit therefore
-holds about one state-space array at a time.
+Each check evaluates its messages over only the variables they read (an
+unread one only repeats rows or values, so no verdict changes), in the
+narrowest integer type of at least 16 bits that holds them, and sorts
+it in place; recovery adds a bool table of (messages, sum) pairs.
 
 This module also carries the worked 3-user instance over GF(3) as a
 hard-coded golden scheme; its coefficients come from a manual design and
@@ -26,6 +25,8 @@ are intentionally not regenerated by the general constructions.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,10 +37,18 @@ from .topology import Topology, users_of_relay
 
 
 class StateSpaceError(RuntimeError):
-    def __init__(self, required: int, cap: int, what: str = "realizations"):
+    """An exhaustive audit too large to run: required exceeds cap, or, when
+    cap is None, the check named what needs required bytes that numpy
+    cannot allocate."""
+
+    def __init__(self, required: int, cap: "int | None", what: str = "realizations"):
         self.required = required
         self.cap = cap
-        super().__init__(f"state space of {required} {what} exceeds cap {cap}")
+        super().__init__(
+            f"state space of {required} {what} exceeds cap {cap}"
+            if cap is not None
+            else f"{what} needs {required} bytes, more than numpy can allocate"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -128,39 +137,45 @@ class _StateSpace:
     def z_var(self, block: int, m: int) -> int:
         return self.n_w + block * self.params.source_key_len + m
 
-    def evaluate(self, *forms: dict[int, int]) -> np.ndarray:
-        """Values of the linear forms on every realization, packed base q
-        with the first form most significant, as a flat array the caller
-        owns."""
+    def evaluate(self, check: str, *forms: dict[int, int]) -> np.ndarray:
+        """Values of the linear forms, packed base q with the first form
+        most significant, as an array the caller owns: axis v has length q
+        if some form reads variable v and length 1 if none does.  An array
+        numpy cannot allocate raises StateSpaceError naming check."""
         # Broadcasting grows each array only along the variables it uses,
-        # so a form's sum and its single mod run on that small grid; once
-        # the code spans the whole space it is packed in place, so one
-        # full-size array is allocated.  The narrowest type of at least 16
-        # bits that holds the code moves the least memory through each
-        # pass; 8-bit codes are excluded because numpy sorts their rows
-        # about 20 times slower than 16-bit ones.  q is tiny whenever
-        # enumeration is feasible, so unreduced sums stay far below 2**63.
+        # so a form's sum and its single mod run on that small grid, and a
+        # form that adds no axis is packed in place.  The narrowest type of
+        # at least 16 bits moves the least memory through each pass; numpy
+        # sorts 8-bit rows about 20 times slower than 16-bit ones.  q is
+        # tiny whenever enumeration is feasible, so unreduced sums stay far
+        # below 2**63.
         bound = self.q ** len(forms)
         dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
-        grid = (self.q,) * self.n_vars
-        code = np.zeros((1,) * self.n_vars, dtype=dtype)
         axis = [1] * self.n_vars
-        for form in forms:
-            acc = np.zeros((1,) * self.n_vars, dtype=np.int64)
-            for v, c in form.items():
-                if c:
-                    axis[v] = self.q
-                    acc = acc + (np.arange(self.q, dtype=np.int64) * c).reshape(axis)
-                    axis[v] = 1
-            part = (acc % self.q).astype(dtype)
-            if code.shape == grid:
-                code *= self.q
-                code += part
-            else:
-                code = code * self.q + part
-        if code.shape != grid:
-            code = np.broadcast_to(code, grid).copy()
-        return code.reshape(-1)
+        try:
+            code = np.zeros((1,) * self.n_vars, dtype=dtype)
+            for form in forms:
+                acc = np.zeros((1,) * self.n_vars, dtype=np.int64)
+                for v, c in form.items():
+                    if c:
+                        axis[v] = self.q
+                        acc = acc + (np.arange(self.q, dtype=np.int64) * c).reshape(axis)
+                        axis[v] = 1
+                part = (acc % self.q).astype(dtype)
+                if np.broadcast_shapes(code.shape, part.shape) == code.shape:
+                    code *= self.q
+                    code += part
+                else:
+                    code = code * self.q + part
+        except MemoryError as exc:
+            reads = {v for form in forms for v, c in form.items() if c}
+            nbytes = self.q ** len(reads) * np.dtype(dtype).itemsize
+            raise StateSpaceError(nbytes, None, check) from exc
+        return code
+
+    def rows(self, code: np.ndarray) -> np.ndarray:
+        """View of code with one row per value of the inputs it reads."""
+        return code.reshape(math.prod(code.shape[: self.n_w]), -1)
 
     def message_form(self, k: int, i: int, block: int) -> dict[int, int]:
         """Linear form of the block-th symbol of the (k, i) message."""
@@ -185,10 +200,11 @@ class _StateSpace:
                 form[v] = (form.get(v, 0) + c) % self.q
         return form
 
-    def joint(self) -> np.ndarray:
+    def joint(self, check: str) -> np.ndarray:
         """Every relay symbol, relay-major, then every sum symbol, packed."""
         relays = self.params.topo.relays()
         return self.evaluate(
+            check,
             *(self.relay_form(i, t) for i in relays for t in range(self.blocks)),
             *({self.w_var(k, pos): 1 for k in range(1, self.K + 1)} for pos in range(self.L)),
         )
@@ -199,24 +215,23 @@ class _StateSpace:
 _COMPARE_CHUNK = 1 << 16
 
 
-def _rows_match(code: np.ndarray, n_rows: int, group: "np.ndarray | None" = None) -> bool:
-    """Exact test that code tells nothing about the inputs beyond group.
+def _rows_match(rows: np.ndarray, group: "np.ndarray | None" = None) -> bool:
+    """Exact test that rows tell nothing about the inputs beyond group.
 
-    Each input vector is one row of the space holding every source key
-    value once, and group gives one value per row, a function of the
-    inputs; without a group every row is compared with the first.  The
-    mutual information of code and the inputs given group is zero exactly
-    when every row holds the same multiset of code values as the first
-    row of its group; sorted rows compare those multisets.  code is
-    sorted in place, so it must be an array the audit owns.
+    Each row holds the code on one value of the inputs it reads, over
+    every value of the source symbols it reads; group gives one value per
+    row, a function of the inputs, and without it every row is compared
+    with the first.  The mutual information of the code and the inputs
+    given group is zero exactly when every row holds the same multiset of
+    values as the first row of its group; sorted rows compare those
+    multisets.  rows are sorted in place, so the audit must own them.
     """
-    rows = code.reshape(n_rows, -1)
     rows.sort(axis=1)
     if group is not None:
         _, first, inverse = np.unique(group, return_index=True, return_inverse=True)
         lead = first[inverse]
     step = max(1, _COMPARE_CHUNK // rows.shape[1])
-    for start in range(0, n_rows, step):
+    for start in range(0, len(rows), step):
         ref = rows[0] if group is None else rows[lead[start : start + step]]
         if not (rows[start : start + step] == ref).all():
             return False
@@ -226,7 +241,6 @@ def _rows_match(code: np.ndarray, n_rows: int, group: "np.ndarray | None" = None
 def _mi_checks(space: _StateSpace) -> tuple[list[CheckResult], np.ndarray]:
     """Relay and server MI checks, plus the joint code they evaluated."""
     params = space.params
-    n_rows = space.q**space.n_w
     checks = []
     for i in params.topo.relays():
         forms = [
@@ -236,7 +250,7 @@ def _mi_checks(space: _StateSpace) -> tuple[list[CheckResult], np.ndarray]:
         ]
         # Passed without a name, so each relay's array is freed before the
         # next one is evaluated.
-        ok = _rows_match(space.evaluate(*forms), n_rows)
+        ok = _rows_match(space.rows(space.evaluate(f"relay-mi[{i}]", *forms)))
         checks.append(
             CheckResult(
                 f"relay-mi[{i}]",
@@ -246,14 +260,14 @@ def _mi_checks(space: _StateSpace) -> tuple[list[CheckResult], np.ndarray]:
             )
         )
 
-    joint = space.joint()
+    joint = space.joint("server-mi")
     # The sum depends on the inputs only, so it is constant along a row,
     # and within a group of equal sums rows of joint codes match exactly
     # when rows of relay messages do.  For the same reason sorting a row
     # keeps every symbol's sum digits, and the recovery table that reads
     # joint afterwards does not depend on order.
-    sums = joint.reshape(n_rows, -1)[:, 0] % space.q**space.L
-    server_ok = _rows_match(joint, n_rows, sums)
+    rows = space.rows(joint)
+    server_ok = _rows_match(rows, rows[:, 0] % space.q**space.L)
     checks.append(
         CheckResult(
             "server-mi",
@@ -273,7 +287,10 @@ def _recovery_check(space: _StateSpace, joint: np.ndarray) -> CheckResult:
     """
     q, K, blocks, bs = space.q, space.K, space.blocks, space.params.block_size
     n_s = q**space.L
-    pairs = np.zeros(q ** (K * blocks) * n_s, dtype=bool)
+    try:
+        pairs = np.zeros(q ** (K * blocks) * n_s, dtype=bool)
+    except MemoryError as exc:
+        raise StateSpaceError(q ** (K * blocks) * n_s, None, "recovery-exhaustive") from exc
     pairs[joint] = True
     pairs = pairs.reshape(-1, n_s)
     functional = bool((pairs.sum(axis=1) <= 1).all())
@@ -310,7 +327,7 @@ def exhaustive_recovery_audit(
     """Decode equals the true sum on every realization, and the relay
     messages determine the sum as a function."""
     space = _StateSpace(params, L, max_states)
-    return _recovery_check(space, space.joint())
+    return _recovery_check(space, space.joint("recovery-exhaustive"))
 
 
 def full_audit(

@@ -1,7 +1,9 @@
+import math
 from collections import Counter
 from dataclasses import replace
 from itertools import product
 from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -247,21 +249,103 @@ def test_evaluate_packs_in_narrowest_16_bit_or_wider_type(n_forms, dtype, spans)
     rng = Random(n_forms)
     # Either the first form reads every variable, so the code spans the
     # grid at once and later forms pack in place, or every form leaves
-    # the last variable out, so the code reaches the grid only at the end.
+    # the last variable out, so its axis stays length 1 and the code
+    # grows by broadcasting.  Zero coefficients read nothing.
     forms = [
         {v: rng.randrange(q) for v in rng.sample(range(n - 1), rng.randint(1, n - 1))}
         for _ in range(n_forms)
     ]
     if spans:
         forms[0] = {v: rng.randrange(1, q) for v in range(n)}
-    code = space.evaluate(*forms)
-    assert code.dtype == dtype and code.shape == (space.size,)
+    code = space.evaluate("test", *forms)
+    read = {v for form in forms for v, c in form.items() if c}
+    assert code.dtype == dtype
+    assert code.shape == tuple(q if v in read else 1 for v in range(n))
+    grid = np.broadcast_to(code, (q,) * n).reshape(-1)
     for index in rng.sample(range(space.size), 50):
         values = [index // q ** (n - 1 - v) % q for v in range(n)]
         want = 0
         for form in forms:
             want = want * q + sum(c * values[v] for v, c in form.items()) % q
-        assert code[index] == want
+        assert grid[index] == want
+
+
+def test_checks_hold_only_the_variables_their_forms_read(monkeypatch):
+    # At (3, 2) over GF(7) with L = 2 a relay reads its 2 senders' 4 input
+    # symbols and 2 source symbols, and the joint code reads every input
+    # but drops a source symbol that no relay message reads.
+    shapes = []
+    rows_match = audit._rows_match
+
+    def spy(rows, group=None):
+        shapes.append(rows.shape)
+        return rows_match(rows, group)
+
+    monkeypatch.setattr(audit, "_rows_match", spy)
+    report = exhaustive_mi_audit(build_scheme(3, 2, q=7), L=2)
+    assert report.passed
+    *relays, joint = shapes
+    assert [math.prod(shape) for shape in relays] == [7**6] * 3
+    assert joint[0] == 7 ** (3 * 2) and math.prod(joint) < 7**8
+    # every detail still names the full realization count
+    assert all(f"over {7**8} realizations" in c.detail for c in report.checks[:3])
+
+
+def _key_row_times_three(params):
+    """params with user 2's key row set to 3 times user 1's."""
+    rows = [list(r) for r in params.key_matrix.rows]
+    rows[1] = [3 * h % params.field.q for h in rows[0]]
+    return replace(params, key_matrix=Matrix(params.field, rows))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        _key_row_times_three(build_scheme(3, 2, q=7)),
+        _key_row_times_three(golden_example1()),
+        _corrupt(build_scheme(3, 2, q=7), key_coeffs=(0, 0, 0)),
+        _corrupt(golden_example1(), key_coeffs=(0, 0, 0)),
+    ],
+    ids=["q7-key-row", "golden-key-row", "q7-key-coeff", "golden-key-coeff"],
+)
+def test_relay_mi_agrees_with_algebraic_on_planted_dependence(params):
+    report = full_audit(params, level="exhaustive", L=2)
+    verdicts = {c.name: c.passed for c in report.checks}
+    relays = params.topo.relays()
+    assert not all(verdicts[f"relay-mi[{i}]"] for i in relays)
+    for i in relays:
+        assert verdicts[f"relay-mi[{i}]"] == verdicts[f"relay-security-algebraic[{i}]"], i
+
+
+def _unallocatable(monkeypatch, only=None):
+    """np.zeros in hsagg.audit raises MemoryError, as numpy does for an
+    array it cannot allocate, for every dtype or only the given one."""
+    zeros = np.zeros
+
+    def refuse(shape, dtype):
+        if only is None or dtype is only:
+            raise MemoryError
+        return zeros(shape, dtype=dtype)
+
+    monkeypatch.setattr(audit, "np", SimpleNamespace(**{**vars(np), "zeros": refuse}))
+
+
+@pytest.mark.parametrize(
+    "run, only, check, nbytes",
+    [
+        (exhaustive_mi_audit, None, "relay-mi[1]", 7**6 * 2),
+        (exhaustive_recovery_audit, None, "recovery-exhaustive", 7**7 * 2),
+        (exhaustive_recovery_audit, bool, "recovery-exhaustive", 7 ** (3 + 2)),
+    ],
+    ids=["relay-code", "joint-code", "recovery-table"],
+)
+def test_unallocatable_check_array_raises_state_space_error(monkeypatch, run, only, check, nbytes):
+    params = build_scheme(3, 2, q=7)
+    _unallocatable(monkeypatch, only)
+    with pytest.raises(StateSpaceError) as err:
+        run(params, L=2)
+    assert (err.value.required, err.value.cap) == (nbytes, None)
+    assert str(err.value) == f"{check} needs {nbytes} bytes, more than numpy can allocate"
 
 
 def test_state_space_cap_enforced():

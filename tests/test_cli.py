@@ -4,10 +4,12 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from hsagg import cli, protocol
+from hsagg import audit, cli, protocol
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -185,6 +187,21 @@ def test_audit_state_cap_maps_to_config_error(capsys):
         capsys,
     )
     assert code == cli.EXIT_CONFIG
+
+
+def test_audit_unallocatable_array_maps_to_config_error(capsys, monkeypatch):
+    # numpy raises MemoryError for an array it cannot allocate; the first
+    # exhaustive check's array raises it here without allocating anything
+    def refuse(shape, dtype):
+        raise MemoryError
+
+    monkeypatch.setattr(audit, "np", SimpleNamespace(**{**vars(np), "zeros": refuse}))
+    code, out, err = run_cli(
+        ["audit", "--K", "3", "--B", "2", "--q", "7", "--level", "exhaustive", "--L", "2"],
+        capsys,
+    )
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == f"config error: relay-mi[1] needs {7**6 * 2} bytes, more than numpy can allocate\n"
 
 
 def test_rates_csv_table(capsys):
