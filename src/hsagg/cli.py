@@ -48,8 +48,10 @@ EXIT_AUDIT = 3
 EXIT_CONFIG = 4
 
 # Every report's "version"; it changes when identical flags can give a
-# different report (2: construction takes the smallest valid ratio and anchor).
-REPORT_VERSION = 2
+# different report (2: construction takes the smallest valid ratio and
+# anchor; 3: the circulant regime's points are the K-th roots of unity,
+# which changes its fields, ratios and keys; the other regimes are unchanged).
+REPORT_VERSION = 3
 
 CSV_COLUMNS = [
     "K", "B", "q",

@@ -1,12 +1,13 @@
 """Gradient-coding style message design for the relay layer.
 
-Relay i's evaluation point is i, so the points 1..K are distinct and
-nonzero whenever q > K.  Polynomials here are plain coefficient rows of
-length K, entry j multiplying x**j.  Each user k starts from the
-indicator polynomial that vanishes exactly at the points of the relays
-it does NOT upload to:
+Relay i's evaluation point p_i is i, or w**(i-1) for a primitive K-th
+root of unity w in the circulant regime (``evaluation_points``); either
+way the K points are distinct and nonzero.  Polynomials here are plain
+coefficient rows of length K, entry j multiplying x**j.  Each user k
+starts from the indicator polynomial that vanishes exactly at the points
+of the relays it does NOT upload to:
 
-    p_k(x) = prod over non-associated relays i of (x - i)
+    p_k(x) = prod over non-associated relays i of (x - p_i)
 
 From p_k a family of B rows is generated recursively; member b has
 degree K - B + b - 1, leading coefficient 1, and zero coefficients in the
@@ -37,16 +38,33 @@ from .gf import DuplicatePointsError, Matrix, PrimeField, vandermonde
 from .topology import Topology, relays_of_user
 
 
-def evaluation_points(field: PrimeField, K: int) -> tuple[int, ...]:
-    """The point of user or relay j is j: distinct and nonzero whenever q > K."""
-    if field.q <= K:
-        raise ValueError(f"need q > K for evaluation points 1..K, got q={field.q}, K={K}")
-    return tuple(range(1, K + 1))
+class ConstructionError(RuntimeError):
+    """A key design or its field could not be constructed."""
 
 
-def evaluation_matrix(field: PrimeField, K: int) -> Matrix:
-    """K x K matrix whose column j is [1, j, j**2, ..., j**(K-1)]."""
-    return vandermonde(field, evaluation_points(field, K), K).transpose()
+def evaluation_points(field: PrimeField, K: int, B: int) -> tuple[int, ...]:
+    """Relay i's point: w**(i-1) in the circulant regime 2 <= B <= K/2, and i otherwise.
+
+    w = g**((q-1)/K) for the smallest g >= 2 that gives w order exactly K,
+    so K | q - 1 is needed; the circulant key design needs these roots of
+    unity.  Both kinds of point are distinct and nonzero once q > K.
+    """
+    q = field.q
+    if q <= K:
+        raise ValueError(f"need q > K for K distinct evaluation points, got q={q}, K={K}")
+    if not 2 <= B <= K // 2:
+        return tuple(range(1, K + 1))
+    if (q - 1) % K:
+        raise ConstructionError(f"circulant regime needs K | (q-1); q={q}, K={K}")
+    for g in range(2, q):
+        points = tuple(pow(g, (q - 1) // K * i, q) for i in range(K))
+        if len(set(points)) == K:
+            return points
+
+
+def evaluation_matrix(field: PrimeField, K: int, B: int) -> Matrix:
+    """K x K matrix whose column j is [1, p_j, p_j**2, ..., p_j**(K-1)]."""
+    return vandermonde(field, evaluation_points(field, K, B), K).transpose()
 
 
 def _root_product(q: int, roots: Iterable[int]) -> list[int]:
@@ -83,7 +101,7 @@ def lagrange_rows(q: int, points: Sequence[int]) -> list[list[int]]:
 
 def recovery_matrix(field: PrimeField, K: int, B: int) -> Matrix:
     """The last B columns of the evaluation matrix's inverse: the top B coefficients of each l_r."""
-    rows = lagrange_rows(field.q, evaluation_points(field, K))
+    rows = lagrange_rows(field.q, evaluation_points(field, K, B))
     return Matrix(field, [row[K - B:] for row in rows])
 
 
@@ -101,7 +119,7 @@ def family_rows(topo: Topology, field: PrimeField, k: int) -> tuple[tuple[int, .
     if B == K:
         raise ValueError("full association has no recursive family; code at B = K-1")
     assoc = set(relays_of_user(topo, k))
-    points = evaluation_points(field, K)
+    points = evaluation_points(field, K, B)
     base = _root_product(q, (x for i, x in zip(topo.relays(), points) if i not in assoc))
     base += [0] * (K - len(base))
     rows = [base]
@@ -135,7 +153,7 @@ def build_code_design(topo: Topology, field: PrimeField) -> CodeDesign:
     """
     K, B, q = topo.K, topo.B, field.q
     families = [family_rows(topo, field, k) for k in topo.users()]
-    powers = vandermonde(field, evaluation_points(field, K), K).rows
+    powers = vandermonde(field, evaluation_points(field, K, B), K).rows
     input_coeffs = {
         (k, i): tuple(sum(map(mul, row, powers[i - 1])) % q for row in rows)
         for k, rows in zip(topo.users(), families)

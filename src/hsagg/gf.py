@@ -6,10 +6,10 @@ matrices for literal equality, so floats are banned throughout.  The
 module holds the field, a dense ``Matrix`` with one exact elimination
 and the Vandermonde constructor; the message design keeps its
 polynomials as plain coefficient rows (``code_design.family_rows``).
-Construction's Vandermonde systems have closed-form Lagrange solutions
-(``code_design.lagrange_rows``), so ``Matrix.solve`` runs only on the
-circulant key system; ``inverse`` and ``nullspace`` remain to check
-such results.
+Every system construction meets has a closed-form solution (Lagrange
+rows, and the circulant key design's Fourier eigenvalues), so no
+library code calls ``Matrix.solve``; it, ``inverse`` and ``nullspace``
+remain as the exact oracles that check those closed forms.
 
 The modulus is capped below 2**31 so that a product of two reduced
 elements always fits in a 64-bit intermediate.  Two array kernels work
@@ -21,7 +21,7 @@ fraction-free all-subsets rank certificate.  It walks the row subsets as
 a tree of sorted prefixes, so subsets that share a prefix share its
 elimination, and it holds at most ``_SUBSET_CHUNK`` prefixes per batch.
 ``key_design.mds_proof`` calls it only where no closed-form proof
-applies: the circulant key designs.
+applies, which no constructed key design reaches.
 """
 
 from __future__ import annotations

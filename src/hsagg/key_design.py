@@ -13,27 +13,29 @@ joint conditions drive every construction here:
 
 plus the MDS condition that any B rows of the key matrix are linearly
 independent, which hands every relay B mutually independent masks.
-``mds_proof`` checks it in polynomial time wherever a proof exists: the
-single, vandermonde and full key matrices are a Vandermonde block times
-an invertible matrix.  The circulant key matrices fall back to the
-all-subsets certificate ``gf.every_subset_full_rank``, which the ratio
-walk runs once on the accepted design and the gate then reuses.  No
-certificate starts on more than MAX_SUBSETS row subsets; past that cap
-the build raises ConstructionError.
+``mds_proof`` proves it in polynomial time: every key matrix built here
+is a Vandermonde block at the evaluation points times an invertible
+matrix.  The all-subsets certificate ``gf.every_subset_full_rank``
+remains its fallback for other matrices, and no certificate starts on
+more than MAX_SUBSETS row subsets; past that cap it raises
+ConstructionError.
 
 Every Vandermonde block below is taken at the message design's
-evaluation points 1..K (code_design.evaluation_points), and each regime
-takes the smallest valid parameter, so a key design is a function of
-(K, B, q) alone.  Four regimes, by association count B:
+evaluation points (code_design.evaluation_points): 1..K, or the K-th
+roots of unity in the circulant regime.  Each regime takes the smallest
+valid parameter, so a key design is a function of (K, B, q) alone.
+Four regimes, by association count B:
 
   single       B = 1.  Key coefficients are the identity; the key matrix
                is an extended Vandermonde block with rows rescaled so the
                keys cancel under the actual recovery column.
-  circulant    2 <= B <= K/2.  The coefficient matrix is a circulant
+  circulant    2 <= B <= K/2.  The coefficient matrix C is a circulant
                whose first row is the geometric progression 1, r, ...,
-               r**(B-1); r is the smallest ratio >= 2 for which the
-               coefficient matrix is invertible and the solved key
-               matrix is MDS.
+               r**(B-1); r is the smallest ratio >= 2 for which C is
+               invertible.  At the points w**t the Fourier vectors are
+               C^T's eigenvectors, with eigenvalues mu_t, so the key
+               matrix C^(-T) V is the Vandermonde block V with column t
+               divided by mu_t: closed form, and MDS.
   vandermonde  K/2 < B <= K-1.  The key matrix is a K x B Vandermonde
                block; each relay's coefficient vector is solved, in
                closed form from its senders' Lagrange basis polynomials,
@@ -48,30 +50,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from math import comb
 from operator import mul
 
-from .code_design import CodeDesign, evaluation_points, lagrange_rows, recovery_matrix
-from .gf import (
-    MAX_MODULUS,
-    Matrix,
-    PrimeField,
-    SingularMatrixError,
-    every_subset_full_rank,
-    is_prime,
-    vandermonde,
-)
+from .code_design import CodeDesign, ConstructionError, evaluation_points, lagrange_rows
+from .code_design import recovery_matrix
+from .gf import MAX_MODULUS, Matrix, PrimeField, every_subset_full_rank, is_prime, vandermonde
 from .topology import Topology, relays_of_user, users_of_relay
 
 REGIME_SINGLE = "single"
 REGIME_CIRCULANT = "circulant"
 REGIME_VANDERMONDE = "vandermonde"
 REGIME_FULL = "full"
-
-
-class ConstructionError(RuntimeError):
-    """A key design or its field could not be constructed."""
 
 
 @dataclass(frozen=True)
@@ -126,8 +116,12 @@ def regime_for(K: int, B: int) -> str:
 
 
 def sufficient_field_size(K: int, B: int) -> int:
-    """Field size above which some circulant ratio is always valid."""
-    return comb(K, B) * (K - B) * (K - 1) * (B - 1) + B * K + 2
+    """Field size above which some circulant ratio is always valid.
+
+    Eigenvalue t is 0 only when x = r * w**-t has x**B = 1 and x != 1, so
+    at most K(B-1) nonzero ratios fail, and r = 0.
+    """
+    return K * (B - 1) + 2
 
 
 def select_field(K: int, B: int) -> PrimeField:
@@ -136,8 +130,7 @@ def select_field(K: int, B: int) -> PrimeField:
     Callers may override with any prime; below-bound overrides are still
     attempted and fail with ConstructionError only if no valid ratio or
     anchor exists.  A (K, B) whose smallest such prime reaches the 2**31
-    modulus cap fails with ConstructionError; every (K, B) with K <= 22
-    has a field below the cap.
+    modulus cap fails with ConstructionError.
     """
     regime = regime_for(K, B)
     if regime == REGIME_CIRCULANT:
@@ -151,8 +144,7 @@ def select_field(K: int, B: int) -> PrimeField:
     if q >= MAX_MODULUS:
         raise ConstructionError(
             f"(K, B) = ({K}, {B}) needs a prime field of size at least {lo}, and the "
-            f"{regime} regime has none below the 2**31 modulus cap; every (K, B) "
-            "with K <= 22 has one, and (23, 10) is the first that does not"
+            f"{regime} regime has none below the 2**31 modulus cap"
         )
     return PrimeField(q)
 
@@ -167,67 +159,45 @@ def _circulant(field: PrimeField, K: int, B: int, ratio: int) -> Matrix:
     return Matrix(field, rows)
 
 
-# One entry: the walk's accepted ratio is the last one solved, so
-# circulant_keygen takes that design from here instead of solving again.
-@lru_cache(maxsize=1)
-def _circulant_design(field: PrimeField, K: int, B: int, ratio: int) -> "KeyDesign | None":
-    """The circulant design of one ratio, or None when its system is singular."""
-    coeffs = _circulant(field, K, B, ratio)
-    target = vandermonde(field, evaluation_points(field, K), K - B)
-    try:
-        key_matrix = coeffs.transpose().solve(target)
-    except SingularMatrixError:
-        return None
-    return KeyDesign(key_matrix, coeffs, REGIME_CIRCULANT, ratio=ratio)
+def _eigenvalues(q: int, points: tuple[int, ...], B: int, ratio: int) -> list[int]:
+    """mu_t = sum over j < B of (ratio * w**-t)**j for t = 0..K-1, at the points w**t.
+
+    Column t of the Vandermonde block at the points is an eigenvector of
+    the circulant's transpose with eigenvalue mu_t.  These K columns are
+    independent, so the circulant is invertible iff no mu_t is 0.
+    """
+    inverses = points[:1] + points[:0:-1]  # w**-t = w**(K-t)
+    return [sum(pow(ratio * x, j, q) for j in range(B)) % q for x in inverses]
 
 
 # Most row subsets one all-subsets certificate may eliminate.  It admits
-# C(22, 11) = 705432, the largest count of any circulant scheme with a
-# default field, which certifies in about a second.
+# C(22, 11) = 705432, which certifies in about a second.
 MAX_SUBSETS = 1 << 20
 
 
-def _check_subset_budget(K: int, size: int) -> None:
-    count = comb(K, size)
-    if count > MAX_SUBSETS:
-        raise ConstructionError(
-            f"certifying every {size} of {K} key-matrix rows independent needs "
-            f"{count} subsets, above the cap of {MAX_SUBSETS}"
-        )
-
-
-# One entry: the walk certifies the accepted ratio's key matrix last, so
-# the key-matrix-mds gate of the same build reads that verdict from here.
-@lru_cache(maxsize=1)
-def _certificate(M: Matrix, size: int) -> bool:
-    return every_subset_full_rank(M, size)
-
-
 def circulant_ratio_valid(field: PrimeField, K: int, B: int, ratio: int) -> bool:
-    """Full validity predicate of the ratio walk and its sampler."""
-    _check_subset_budget(K, K - B)
-    q = field.q
-    if ratio % q == 0 or pow(ratio, K, q) == 1:
-        return False
-    design = _circulant_design(field, K, B, ratio)
-    return design is not None and _certificate(design.key_matrix, K - B)
+    """Validity predicate of the ratio walk and its sampler: the circulant is invertible.
+
+    A zero ratio would leave associated links without a coefficient.
+    """
+    points = evaluation_points(field, K, B)
+    return ratio % field.q != 0 and all(_eigenvalues(field.q, points, B, ratio))
 
 
 def circulant_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
     """Regime 2 <= B <= K/2 with the smallest valid ratio; requires K | (q - 1)."""
     if not (2 <= B and 2 * B <= K):
         raise ValueError(f"circulant regime needs 2 <= B <= K/2, got K={K}, B={B}")
-    if (field.q - 1) % K != 0:
-        raise ConstructionError(
-            f"circulant regime needs K | (q-1); q={field.q}, K={K}"
-        )
-    ratio = next((r for r in range(2, field.q) if circulant_ratio_valid(field, K, B, r)), None)
+    q = field.q
+    points = evaluation_points(field, K, B)
+    ratio = next((r for r in range(2, q) if circulant_ratio_valid(field, K, B, r)), None)
     if ratio is None:
         raise ConstructionError(
-            f"no valid circulant ratio in GF({field.q}); "
-            f"size {sufficient_field_size(K, B)} suffices"
+            f"no valid circulant ratio in GF({q}); size {sufficient_field_size(K, B)} suffices"
         )
-    return _circulant_design(field, K, B, ratio)
+    inv = [field.inv(mu) for mu in _eigenvalues(q, points, B, ratio)[: K - B]]
+    key_matrix = Matrix(field, [[pow(p, t, q) * c % q for t, c in enumerate(inv)] for p in points])
+    return KeyDesign(key_matrix, _circulant(field, K, B, ratio), REGIME_CIRCULANT, ratio=ratio)
 
 
 def sample_circulant_validity(
@@ -258,7 +228,7 @@ def _relay_solve_data(
     """
     q = field.q
     topo = Topology(K, B)
-    points = evaluation_points(field, K)
+    points = evaluation_points(field, K, B)
     out: dict[int, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = {}
     for i, p in zip(topo.relays(), points):
         senders = users_of_relay(topo, i)
@@ -288,7 +258,7 @@ def vandermonde_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
     if not (2 * B > K and B <= K - 1):
         raise ValueError(f"vandermonde regime needs K/2 < B <= K-1, got K={K}, B={B}")
     q = field.q
-    key_matrix = vandermonde(field, evaluation_points(field, K), B)
+    key_matrix = vandermonde(field, evaluation_points(field, K, B), B)
     per_relay = _relay_solve_data(field, K, B)
     bad = set().union(*_bad_sets(field, per_relay).values())
 
@@ -320,7 +290,7 @@ def single_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
     if field.q <= K + 1:
         raise ConstructionError(f"single-association regime needs q > K+1, got q={field.q}")
     q = field.q
-    points = evaluation_points(field, K)
+    points = evaluation_points(field, K, 1)
     ext = [[pow(points[k], j, q) for j in range(K - 1)] for k in range(K - 1)]
     ext.append([-sum(col) % q for col in zip(*ext)])
     recovery_col = recovery_matrix(field, K, 1).column(0)
@@ -346,7 +316,7 @@ def full_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
 
 def build_keys(K: int, B: int, field: PrimeField) -> KeyDesign:
     regime = regime_for(K, B)
-    evaluation_points(field, K)  # q > K, before any regime's own field checks
+    evaluation_points(field, K, B)  # q > K, before any regime's own field checks
     if regime == REGIME_SINGLE:
         return single_assoc_keygen(K, field)
     if regime == REGIME_CIRCULANT:
@@ -390,24 +360,21 @@ def mds_proof(M: Matrix, size: int, points: tuple[int, ...]) -> "str | None":
       "vandermonde"  M = V @ T with T invertible, for the Vandermonde rows
                      V at the distinct points (``_vandermonde_witness``).
                      Any size <= m rows of V are independent, and T keeps
-                     them so.  This covers the single, vandermonde and
-                     full regimes.
-      "implication"  size < m = M.ncols and every m rows are independent,
-                     so every smaller subset is too.  The circulant walk
-                     has already certified its key matrix's m rows.
+                     them so.  This covers every key design built here.
       "subsets"      every size-row subset eliminated.
 
-    The implication is skipped when certifying every m rows would take
-    more than MAX_SUBSETS subsets, and the last step raises
-    ConstructionError, before any elimination, when it would.
+    The last step raises ConstructionError, before any elimination, when
+    it would take more than MAX_SUBSETS subsets.
     """
-    K, m = M.nrows, M.ncols
-    if size <= m and _vandermonde_witness(M, points):
+    if size <= M.ncols and _vandermonde_witness(M, points):
         return "vandermonde"
-    if size < m and comb(K, m) <= MAX_SUBSETS and _certificate(M, m):
-        return "implication"
-    _check_subset_budget(K, size)
-    return "subsets" if _certificate(M, size) else None
+    count = comb(M.nrows, size)
+    if count > MAX_SUBSETS:
+        raise ConstructionError(
+            f"certifying every {size} of {M.nrows} key-matrix rows independent needs "
+            f"{count} subsets, above the cap of {MAX_SUBSETS}"
+        )
+    return "subsets" if every_subset_full_rank(M, size) else None
 
 
 @dataclass(frozen=True)
@@ -486,7 +453,7 @@ def validate_scheme(keys: KeyDesign, code: CodeDesign) -> AuditReport:
         )
     )
 
-    mds = mds_proof(key_matrix, B, evaluation_points(code.field, K)) is not None
+    mds = mds_proof(key_matrix, B, evaluation_points(code.field, K, B)) is not None
     checks.append(
         CheckResult("key-matrix-mds", mds, f"every {B} rows independent")
     )

@@ -208,14 +208,15 @@ def test_criterion_8_property_suites():
     )
 
     # zero pattern of the code rows at the relay points (characteristic-zero
-    # proxy field) and the leading-coefficient ladder, to K = 8
-    big = PrimeField(2147483647)
+    # proxy field, with the K-th roots of unity of every K <= 8 that the
+    # circulant regime's points need) and the leading-coefficient ladder, to K = 8
+    big = PrimeField(2147478481)
     pattern = True
     ladder = True
     for K in range(2, 9):
         for B in range(1, K):
             code = build_code_design(Topology(K, B), big)
-            values = (code.code_matrix @ evaluation_matrix(big, K)).rows
+            values = (code.code_matrix @ evaluation_matrix(big, K, B)).rows
             for k in range(1, K + 1):
                 assoc = set(relays_of_user(code.topo, k))
                 for b in range(1, B + 1):

@@ -230,13 +230,22 @@ def _input_coeff_shifted(params):
 )
 def test_chunked_row_comparison_matches_one_chunk(monkeypatch, params):
     # one row and three rows per chunk must give the same checks,
-    # verdicts and details as the default size
+    # verdicts and details as the default size; a check's rows span only
+    # the source symbols it reads, so three rows are sized from each array
     whole = full_audit(params, level="exhaustive", L=2)
-    space = audit._StateSpace(params, 2, 10**8)
-    row = space.q**space.n_z
-    for chunk in (1, 3 * row):
-        monkeypatch.setattr(audit, "_COMPARE_CHUNK", chunk)
-        assert full_audit(params, level="exhaustive", L=2) == whole
+    monkeypatch.setattr(audit, "_COMPARE_CHUNK", 1)
+    assert full_audit(params, level="exhaustive", L=2) == whole
+    rows_match = audit._rows_match
+    widths = []
+
+    def three_rows(rows, group=None):
+        widths.append(rows.shape[1])
+        monkeypatch.setattr(audit, "_COMPARE_CHUNK", 3 * rows.shape[1])
+        return rows_match(rows, group)
+
+    monkeypatch.setattr(audit, "_rows_match", three_rows)
+    assert full_audit(params, level="exhaustive", L=2) == whole
+    assert widths
 
 
 @pytest.mark.parametrize("spans", [True, False], ids=["packed-in-place", "broadcast-last"])

@@ -26,7 +26,7 @@ def test_simulate_report(capsys):
     )
     assert code == 0
     report = json.loads(out)
-    assert report["version"] == cli.REPORT_VERSION == 2
+    assert report["version"] == cli.REPORT_VERSION == 3
     assert report["trials"] == {"requested": 25, "exact_recoveries": 25}
     assert report["rates"]["matches_achievable"] is True
     assert report["rates"]["measured"] == {"RX": "1", "RY": "1/2", "RZ": "1/2", "RZS": "1"}
@@ -70,7 +70,7 @@ def test_simulate_rejects_composite_field(capsys):
 
 
 def test_simulate_field_over_cap_is_construction_error(capsys):
-    code, _, err = run_cli(["simulate", "--K", "24", "--B", "12"], capsys)
+    code, _, err = run_cli(["simulate", "--K", "65536", "--B", "32769"], capsys)
     assert code == cli.EXIT_CONSTRUCTION == 2
     assert "construction error" in err and "2**31" in err
 
@@ -98,10 +98,15 @@ def test_audit_proves_a_large_vandermonde_key_matrix(capsys):
     assert json.loads(out)["construction_validation"]["passed"] is True
 
 
-def test_audit_past_the_subset_budget_is_construction_error(capsys):
-    code, _, err = run_cli(["audit", "--K", "40", "--B", "20", "--q", "241"], capsys)
-    assert code == cli.EXIT_CONSTRUCTION == 2
-    assert err.startswith("construction error: ") and "137846528820 subsets" in err
+@pytest.mark.parametrize("q", [None, 241])
+def test_audit_proves_a_large_circulant_key_matrix(capsys, q):
+    # An all-subsets certificate would take C(40, 20) = 1.4e11 subsets.
+    argv = ["audit", "--K", "40", "--B", "20"] + (["--q", str(q)] if q else [])
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["scheme"]["q"] == (q or 881)
+    assert report["construction_validation"]["passed"] is True
 
 
 def test_simulate_transcript_schema(capsys):
@@ -209,7 +214,7 @@ def test_rates_csv_table(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == ",".join(cli.CSV_COLUMNS)
-    assert lines[1] == "8,3,4001,1,1/3,1/3,5/3,1,1/3,1/3,5/3,"
+    assert lines[1] == "8,3,41,1,1/3,1/3,5/3,1,1/3,1/3,5/3,"
 
 
 def test_rates_json_flags_full_association_gap(capsys):
@@ -224,16 +229,19 @@ def test_rates_json_flags_full_association_gap(capsys):
 
 
 def test_rates_above_modulus_cap_leave_q_empty(capsys):
-    # From (23, 10) on the field would exceed the 2**31 cap; the rates are
+    # (65536, 32768) has no prime q = 1 mod 65536 below the 2**31 cap, and
+    # the bound K * B + 1 of (65536, 32769) is past it; the rates are
     # closed-form and stay in the table.
-    code, out, _ = run_cli(["rates", "--K", "22:23", "--B", "10"], capsys)
+    code, out, _ = run_cli(["rates", "--K", "65535:65536", "--B", "32768"], capsys)
     assert code == 0
     rows = json.loads(out)["rows"]
-    assert [(r["K"], r["q"]) for r in rows] == [(22, 1466593943), (23, None)]
-    assert rows[1]["RZS_ach"] == "13/10" and rows[1]["RY_lb"] == "1/10"
-    code, out, _ = run_cli(["rates", "--K", "23", "--B", "10", "--format", "csv"], capsys)
+    assert [(r["K"], r["q"]) for r in rows] == [(65535, 2147450923), (65536, None)]
+    assert rows[1]["RZS_ach"] == "1" and rows[1]["RY_lb"] == "1/32768"
+    code, out, _ = run_cli(["rates", "--K", "65536", "--B", "32769", "--format", "csv"], capsys)
     assert code == 0
-    assert out.strip().splitlines()[1] == "23,10,,1,1/10,1/10,13/10,1,1/10,1/10,13/10,"
+    assert out.strip().splitlines()[1] == (
+        "65536,32769,,1,1/32769,1/32769,1,1,1/32769,1/32769,1,"
+    )
 
 
 def test_simulate_runs_one_round_per_trial(capsys, monkeypatch):
@@ -279,8 +287,8 @@ def test_search_params_reports_fraction(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["regime"] == "circulant"
-    assert report["sufficient_field_size"] == 46
-    assert report["q"] == 53
+    assert report["sufficient_field_size"] == 6
+    assert report["q"] == 13
     assert 0 <= report["valid"] <= 50
     assert "ratio" in report["chosen"]
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from hsagg.code_design import (
+    ConstructionError,
     build_code_design,
     evaluation_matrix,
     evaluation_points,
@@ -11,7 +12,7 @@ from hsagg.code_design import (
     lagrange_rows,
 )
 from hsagg.gf import DuplicatePointsError, Matrix, PrimeField, is_prime, vandermonde
-from hsagg.key_design import select_field
+from hsagg.key_design import REGIME_CIRCULANT, regime_for, select_field
 from hsagg.topology import Topology, relays_of_user
 
 GF7 = PrimeField(7)
@@ -19,11 +20,20 @@ GF7 = PrimeField(7)
 # desk-scale families never reach it, so the zero pattern seen here is the
 # pattern of the construction itself, not a small-field accident.
 BIG = PrimeField(2147483647)
+# The same stand-in for every regime: the largest prime below 2**31 with
+# q = 1 mod 2520, so each K <= 10 divides q - 1 and the circulant
+# regime's K-th roots of unity exist.
+ROOTS = PrimeField(2147478481)
 
 # sha256 over the input coefficients, code matrix and recovery matrix of
-# every (K, B < K) with K <= 10, at select_field(K, B) and at BIG, as the
-# polynomial-class implementation of the message design built them.
-DESIGN_DIGEST = "1f75c7169694d96c8f7f6e83504e80d37d375f6cd138a1209b77fab483f0bf14"
+# every (K, B < K) with K <= 10, at select_field(K, B) and at BIG, with
+# the circulant regime at its roots of unity; a field without them
+# contributes its ConstructionError message instead.
+DESIGN_DIGEST = "e2daee6132b041286d62d0d7a2d60140999122a963900b74d5e540b5ffe130d5"
+# The same digest over the non-circulant (K, B) alone, as the integer
+# points of every regime built them before the circulant regime moved to
+# roots of unity: those designs are unchanged.
+NON_CIRCULANT_DESIGN_DIGEST = "87246aad0012329289e86492a5b72b9aaf7be3dbda58b783fd918c4bd3a93a67"
 
 
 def test_association_polynomial_single_factor():
@@ -32,8 +42,11 @@ def test_association_polynomial_single_factor():
 
 
 def test_association_polynomial_two_factors():
-    rows = family_rows(Topology(4, 2), PrimeField(53), 1)
-    assert rows[0] == (12, -7 % 53, 1, 0)  # (x-3)(x-4) = x^2 - 7x + 12
+    rows = family_rows(Topology(5, 3), PrimeField(53), 1)
+    assert rows[0] == (20, -9 % 53, 1, 0, 0)  # (x-4)(x-5) = x^2 - 9x + 20
+    # circulant points 1, 8, 12, 5 mod 13: (x-12)(x-5) = x^2 - 17x + 60
+    rows = family_rows(Topology(4, 2), PrimeField(13), 1)
+    assert rows[0] == (60 % 13, -17 % 13, 1, 0)
 
 
 def test_recursion_hand_expanded_example():
@@ -69,7 +82,7 @@ def test_degree_ladder_and_leading_band():
 
 def _row_values(code):
     """Entry (r, j-1) is code row r evaluated at relay j's point."""
-    return (code.code_matrix @ evaluation_matrix(code.field, code.topo.K)).rows
+    return (code.code_matrix @ evaluation_matrix(code.field, code.topo.K, code.topo.B)).rows
 
 
 def test_zero_on_non_associated_relays_any_field():
@@ -88,7 +101,7 @@ def test_zero_on_non_associated_relays_any_field():
 def test_zero_pattern_biconditional_in_characteristic_zero():
     for K in range(2, 9):
         for B in range(1, K):
-            code = build_code_design(Topology(K, B), BIG)
+            code = build_code_design(Topology(K, B), ROOTS)
             values = _row_values(code)
             for k in range(1, K + 1):
                 assoc = set(relays_of_user(code.topo, k))
@@ -119,7 +132,7 @@ def test_recovery_matrix_is_inverse_tail():
     for (K, B) in [(3, 2), (6, 3), (7, 5)]:
         field = select_field(K, B)
         code = build_code_design(Topology(K, B), field)
-        prod = evaluation_matrix(field, K) @ code.recovery
+        prod = evaluation_matrix(field, K, B) @ code.recovery
         for b in range(B):
             expect = tuple(int(r == K - B + b) for r in range(K))
             assert prod.column(b) == expect
@@ -151,7 +164,7 @@ def test_recovery_reproduces_sums_for_random_inputs():
     rng = random.Random(99)
     for _ in range(20):
         w = [rng.randrange(7) for _ in range(B * K)]
-        relay_values = (Matrix(GF7, [w]) @ code.code_matrix) @ evaluation_matrix(GF7, K)
+        relay_values = (Matrix(GF7, [w]) @ code.code_matrix) @ evaluation_matrix(GF7, K, B)
         decoded = relay_values @ code.recovery
         sums = tuple(sum(w[u * B + b] for u in range(K)) % 7 for b in range(B))
         assert decoded.row(0) == sums
@@ -174,8 +187,33 @@ def test_input_coefficients_sparse_on_association():
 
 def test_default_points_need_room():
     with pytest.raises(ValueError):
-        evaluation_points(PrimeField(5), 5)
-    assert evaluation_points(PrimeField(7), 5) == (1, 2, 3, 4, 5)
+        evaluation_points(PrimeField(5), 5, 1)
+    for B in (1, 3, 4, 5):
+        assert evaluation_points(PrimeField(7), 5, B) == (1, 2, 3, 4, 5)
+
+
+def _order(x, q):
+    return next(n for n in range(1, q) if pow(x, n, q) == 1)
+
+
+@pytest.mark.parametrize("K, q", [(4, 13), (4, 5), (6, 7), (8, 17), (12, 73), (10, 2147478481)])
+def test_circulant_points_are_powers_of_the_first_root_of_order_K(K, q):
+    points = evaluation_points(PrimeField(q), K, 2)
+    g = next(g for g in range(2, q) if _order(pow(g, (q - 1) // K, q), q) == K)
+    w = pow(g, (q - 1) // K, q)
+    assert points == tuple(pow(w, i, q) for i in range(K))
+    assert len(set(points)) == K and all(pow(p, K, q) == 1 for p in points)
+    for B in range(2, K // 2 + 1):
+        assert evaluation_points(PrimeField(q), K, B) == points
+    assert evaluation_points(PrimeField(q), K, K // 2 + 1) == tuple(range(1, K + 1))
+
+
+def test_circulant_points_need_K_to_divide_q_minus_1():
+    assert evaluation_points(PrimeField(13), 4, 2) == (1, 8, 12, 5)
+    with pytest.raises(ConstructionError, match=r"K \| \(q-1\)"):
+        evaluation_points(PrimeField(7), 4, 2)
+    with pytest.raises(ValueError):  # q > K comes first
+        evaluation_points(PrimeField(5), 6, 2)
 
 
 def test_build_rejects_full_association():
@@ -194,8 +232,8 @@ def test_input_coefficients_are_rows_at_relay_points():
 
 @pytest.mark.parametrize(
     "field_of",
-    [select_field, lambda K, B: GF7, lambda K, B: BIG],
-    ids=["select_field", "GF7", "GF2147483647"],
+    [select_field, lambda K, B: GF7, lambda K, B: BIG, lambda K, B: ROOTS],
+    ids=["select_field", "GF7", "GF2147483647", "GF2147478481"],
 )
 def test_link_coefficients_times_relay_recovery_rows_is_identity(field_of):
     # User k's B inputs reach relays_of_user(k); the server's recovery rows
@@ -204,8 +242,8 @@ def test_link_coefficients_times_relay_recovery_rows_is_identity(field_of):
     for K in range(2, 9):
         for B in range(1, K):
             field = field_of(K, B)
-            if field.q <= K:
-                continue
+            if field.q <= K or regime_for(K, B) == REGIME_CIRCULANT and (field.q - 1) % K:
+                continue  # no K distinct points, or no K-th roots of unity
             topo = Topology(K, B)
             code = build_code_design(topo, field)
             ident = Matrix.identity(field, B)
@@ -215,22 +253,34 @@ def test_link_coefficients_times_relay_recovery_rows_is_identity(field_of):
                 assert links @ code.recovery.take_rows([i - 1 for i in relays]) == ident
 
 
-def test_design_bytes_are_pinned():
+def _design_digest(keep):
     h = hashlib.sha256()
     for K in range(2, 11):
         for B in range(1, K):
+            if not keep(K, B):
+                continue
             for field in (select_field(K, B), BIG):
-                code = build_code_design(Topology(K, B), field)
-                h.update(
-                    repr(
-                        (
-                            K,
-                            B,
-                            field.q,
-                            list(code.input_coeffs.items()),
-                            code.code_matrix.rows,
-                            code.recovery.rows,
-                        )
-                    ).encode()
-                )
-    assert h.hexdigest() == DESIGN_DIGEST
+                try:
+                    code = build_code_design(Topology(K, B), field)
+                    item = (
+                        K,
+                        B,
+                        field.q,
+                        list(code.input_coeffs.items()),
+                        code.code_matrix.rows,
+                        code.recovery.rows,
+                    )
+                except ConstructionError as e:
+                    item = (K, B, field.q, str(e))  # circulant needs K | q - 1
+                h.update(repr(item).encode())
+    return h.hexdigest()
+
+
+def test_design_bytes_are_pinned():
+    assert _design_digest(lambda K, B: True) == DESIGN_DIGEST
+
+
+def test_non_circulant_design_bytes_are_unchanged():
+    assert _design_digest(lambda K, B: regime_for(K, B) != REGIME_CIRCULANT) == (
+        NON_CIRCULANT_DESIGN_DIGEST
+    )

@@ -1,7 +1,7 @@
 import hashlib
 import random
 from dataclasses import replace
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -27,15 +27,21 @@ from hsagg.key_design import (
     sufficient_field_size,
     validate_scheme,
     vandermonde_keygen,
+    _circulant,
     _relay_solve_data,
 )
+from hsagg.protocol import build_scheme
 from hsagg.topology import Topology, relays_of_user, users_of_relay
 
 # sha256 over every key design build_keys gives for 2 <= K <= 12 and
-# 1 <= B <= K, at select_field(K, B) and at GF(2**31 - 1), as the
-# inverse-based solves built them; a regime that cannot build at a field
-# contributes its ConstructionError message instead.
-KEY_DESIGN_DIGEST = "718156e2373608d50ea1982317a6da5132842d601c58ddb26df338c63c051d34"
+# 1 <= B <= K, at select_field(K, B) and at GF(2**31 - 1), with the
+# circulant regime at its roots of unity; a regime that cannot build at
+# a field contributes its ConstructionError message instead.
+KEY_DESIGN_DIGEST = "f164095888157886a6e06e9b219033a8fb83523e19a7b4fddfa28d32ff785f32"
+# The same digest over the non-circulant (K, B) alone, as the integer
+# points of every regime built them before the circulant regime moved to
+# roots of unity: those designs are unchanged.
+NON_CIRCULANT_KEY_DESIGN_DIGEST = "41340e4931e24a7afa620160019dfc7d37021187b98c5b7fe9faf3ec7d3e6d66"
 
 
 def smallest_qualifying_prime_oracle(K, B):
@@ -60,8 +66,9 @@ def test_regime_boundaries():
 
 
 def test_sufficient_field_size_worked_values():
-    assert sufficient_field_size(4, 2) == 46
-    assert sufficient_field_size(8, 3) == 3946
+    assert sufficient_field_size(4, 2) == 6
+    assert sufficient_field_size(8, 3) == 18
+    assert sufficient_field_size(40, 20) == 762
 
 
 def test_select_field_values():
@@ -69,57 +76,68 @@ def test_select_field_values():
     assert select_field(5, 4).q == 23
     assert select_field(2, 1).q == 5  # smallest prime above K+1
     assert select_field(6, 6).q == 11
-    for (K, B) in [(4, 2), (6, 3), (8, 4)]:
+    for (K, B) in [(4, 2), (6, 3), (8, 4), (12, 6), (16, 8), (40, 20)]:
         assert select_field(K, B).q == smallest_qualifying_prime_oracle(K, B)
+    assert [select_field(K, B).q for K, B in [(4, 2), (12, 6), (16, 8), (40, 20)]] == [
+        13, 73, 193, 881,
+    ]
 
 
 def test_select_field_refuses_fields_over_the_cap(monkeypatch):
-    from hsagg import key_design
-
-    assert select_field(23, 9).q < 2**31
-    with pytest.raises(ConstructionError, match=r"\(23, 10\).*2\*\*31"):
-        select_field(23, 10)
-    # the bound for (24, 12) is already past the cap, so no prime is tested
+    assert select_field(65536, 32766).q == 2147352577
+    # 2147418113 is the only candidate q = 1 mod 65536 at or above the
+    # bound and below the cap, and it is not prime
+    with pytest.raises(ConstructionError, match=r"\(65536, 32767\).*2\*\*31"):
+        select_field(65536, 32767)
+    # the vandermonde bound K * B + 1 is already past the cap, so no prime is tested
     monkeypatch.setattr(key_design, "is_prime", lambda n: pytest.fail(f"tested {n}"))
-    with pytest.raises(ConstructionError, match=r"\(24, 12\).*2\*\*31"):
-        select_field(24, 12)
+    with pytest.raises(
+        ConstructionError, match=r"\(65536, 32769\).*at least 2147549185.*2\*\*31"
+    ):
+        select_field(65536, 32769)
 
 
 def test_select_field_covers_every_K_up_to_22():
-    # The over-cap message promises this range.
     for K in range(2, 23):
         for B in range(1, K + 1):
             assert select_field(K, B).q < 2**31
-    with pytest.raises(ConstructionError, match=r"at least \d+.*K <= 22.*\(23, 10\) is the first"):
-        select_field(23, 10)
+    # the circulant bound K(B-1) + 2 is far below the cap past K = 22 too
+    assert (select_field(23, 10).q, select_field(24, 12).q) == (277, 313)
 
 
 def test_circulant_keygen_structure():
-    K, B = 4, 2
-    field = select_field(K, B)
-    keys = circulant_keygen(K, B, field)
-    assert keys.regime == REGIME_CIRCULANT
-    assert keys.ratio is not None and pow(keys.ratio, K, field.q) != 1
+    for K, B, q in [(4, 2, None), (8, 3, None), (12, 6, None), (9, 4, 2147483647)]:
+        field = select_field(K, B) if q is None else PrimeField(q)
+        keys = circulant_keygen(K, B, field)
+        assert keys.regime == REGIME_CIRCULANT
+        assert circulant_ratio_valid(field, K, B, keys.ratio)
 
-    # coefficient rows follow the circulant progression on the association
-    topo = Topology(K, B)
-    for k in topo.users():
-        for pos, i in enumerate(relays_of_user(topo, k)):
-            assert keys.key_coeffs.rows[k - 1][i - 1] == pow(keys.ratio, pos, field.q)
+        # coefficient rows follow the circulant progression on the association
+        topo = Topology(K, B)
+        for k in topo.users():
+            for pos, i in enumerate(relays_of_user(topo, k)):
+                assert keys.key_coeffs.rows[k - 1][i - 1] == pow(keys.ratio, pos, field.q)
 
-    # the defining identity: coeffs^T @ key_matrix reproduces the target block
-    target = vandermonde(field, evaluation_points(field, K), K - B)
-    assert keys.key_coeffs.transpose() @ keys.key_matrix == target
+        # the defining identity: coeffs^T @ key_matrix reproduces the target block
+        target = vandermonde(field, evaluation_points(field, K, B), K - B)
+        assert keys.key_coeffs.transpose() @ keys.key_matrix == target
 
 
-def test_circulant_rejects_root_of_unity_ratio():
-    K, B = 4, 2
-    field = select_field(K, B)
-    roots = [g for g in range(1, field.q) if pow(g, K, field.q) == 1]
-    assert roots, "K | q-1 so roots of unity exist"
-    for g in roots:
-        assert not circulant_ratio_valid(field, K, B, g)
-    assert not circulant_ratio_valid(field, K, B, 0)
+@pytest.mark.parametrize(
+    "K, B, q", [(4, 2, 5), (4, 2, 13), (6, 2, 7), (6, 3, 13), (8, 4, 17), (9, 3, 19), (9, 4, 37)]
+)
+def test_circulant_ratio_valid_is_circulant_invertibility(K, B, q):
+    # The eigenvalue predicate against an elimination on the circulant
+    # itself, for every element of the field.
+    field = PrimeField(q)
+    valid = [circulant_ratio_valid(field, K, B, r) for r in range(q)]
+    assert valid == [r != 0 and _circulant(field, K, B, r).rank() == K for r in range(q)]
+    # at most K(B-1) nonzero ratios and r = 0 fail, which sizes the field
+    assert valid.count(False) <= sufficient_field_size(K, B) - 1
+    # a K-th root of unity r fails iff gcd(K, B) > 1: then r * w**-t is a
+    # B-th root of unity other than 1 for some t
+    roots = [r for r in range(1, q) if pow(r, K, q) == 1]
+    assert any(valid[r] for r in roots) == (gcd(K, B) == 1)
 
 
 def test_circulant_requires_divisibility():
@@ -128,10 +146,10 @@ def test_circulant_requires_divisibility():
 
 
 def test_circulant_below_bound_field_still_attempts():
-    # q = 13 is far below the sufficient size 46 but satisfies 4 | 12; the
+    # q = 17 is below the sufficient size 26 but satisfies 8 | 16; the
     # walk is attempted anyway and happens to succeed here.
-    keys = circulant_keygen(4, 2, PrimeField(13))
-    code = build_code_design(Topology(4, 2), PrimeField(13))
+    keys = circulant_keygen(8, 4, PrimeField(17))
+    code = build_code_design(Topology(8, 4), PrimeField(17))
     assert validate_scheme(keys, code).passed
 
 
@@ -146,7 +164,7 @@ def test_vandermonde_keygen_structure():
     for (K, B, q) in [(3, 2, None), (5, 3, None), (5, 3, 101), (7, 4, None), (6, 5, None),
                       (8, 5, None)]:
         field = select_field(K, B) if q is None else PrimeField(q)
-        points = evaluation_points(field, K)
+        points = evaluation_points(field, K, B)
         keys = vandermonde_keygen(K, B, field)
         assert keys.regime == REGIME_VANDERMONDE
         q = field.q
@@ -277,10 +295,11 @@ def test_vandermonde_takes_smallest_anchor_outside_bad_set(K, B, q):
 def relay_solve_reference(field, K, B):
     """Each relay's generic B x B solve against e_0 and (0, p, ..., p**(K-B-1), 0, ...)."""
     q = field.q
-    key_matrix = vandermonde(field, evaluation_points(field, K), B)
+    points = evaluation_points(field, K, B)
+    key_matrix = vandermonde(field, points, B)
     topo = Topology(K, B)
     out = {}
-    for i, p in zip(topo.relays(), evaluation_points(field, K)):
+    for i, p in zip(topo.relays(), points):
         senders = users_of_relay(topo, i)
         target = [[int(t == 0), pow(p, t, q) if 0 < t < K - B else 0] for t in range(B)]
         sub = key_matrix.take_rows([u - 1 for u in senders]).transpose()
@@ -304,11 +323,13 @@ def test_relay_solve_data_matches_the_generic_solve():
     assert checked == 2 * sum(K - K // 2 for K in range(3, 15))  # vandermonde B, and B = K
 
 
-def test_key_design_bytes_are_pinned():
+def _key_design_digest(keep):
     big = PrimeField(2147483647)
     h = hashlib.sha256()
     for K in range(2, 13):
         for B in range(1, K + 1):
+            if not keep(K, B):
+                continue
             for field in (select_field(K, B), big):
                 try:
                     d = build_keys(K, B, field)
@@ -325,7 +346,17 @@ def test_key_design_bytes_are_pinned():
                 except ConstructionError as e:
                     item = (K, B, field.q, str(e))  # e.g. circulant needs K | q - 1
                 h.update(repr(item).encode())
-    assert h.hexdigest() == KEY_DESIGN_DIGEST
+    return h.hexdigest()
+
+
+def test_key_design_bytes_are_pinned():
+    assert _key_design_digest(lambda K, B: True) == KEY_DESIGN_DIGEST
+
+
+def test_non_circulant_key_design_bytes_are_unchanged():
+    assert _key_design_digest(lambda K, B: regime_for(K, B) != REGIME_CIRCULANT) == (
+        NON_CIRCULANT_KEY_DESIGN_DIGEST
+    )
 
 
 def mds_mutations(M: Matrix, points: tuple[int, ...]):
@@ -352,7 +383,7 @@ def test_mds_proof_agrees_with_every_subset_full_rank():
             field = select_field(K, B)
             coded_B = B if B < K else K - 1
             M = build_keys(K, B, field).key_matrix
-            points = evaluation_points(field, K)
+            points = evaluation_points(field, K, coded_B)
             proof = mds_proof(M, coded_B, points)
             assert every_subset_full_rank(M, coded_B) and proof is not None, (K, B)
             proofs[regime_for(K, B)].append(proof)
@@ -362,49 +393,52 @@ def test_mds_proof_agrees_with_every_subset_full_rank():
                 assert verdict != "vandermonde" or M.ncols == 1, (K, B, name)
                 expected = every_subset_full_rank(mutant, coded_B)
                 assert (verdict is not None) == expected, (K, B, name)
-    structural = proofs[REGIME_SINGLE] + proofs[REGIME_VANDERMONDE] + proofs[REGIME_FULL]
-    assert len(structural) == 68 and set(structural) == {"vandermonde"}
-    # B < K/2 reuses the walk's (K - B)-row certificate; at B = K/2 it is the B-row one.
-    assert len(proofs[REGIME_CIRCULANT]) == 36
-    assert set(proofs[REGIME_CIRCULANT]) == {"implication", "subsets"}
+    assert sum(map(len, proofs.values())) == 104
+    assert {proof for found in proofs.values() for proof in found} == {"vandermonde"}
+
+
+def _no_elimination(*args):
+    raise AssertionError("construction ran an elimination that has a closed form")
+
+
+def test_no_build_solves_or_enumerates_row_subsets(monkeypatch):
+    # mds_proof's subset budget either refuses, which fails the build, or
+    # hands over to every_subset_full_rank, so no build reaches it either.
+    monkeypatch.setattr(Matrix, "solve", _no_elimination)
+    monkeypatch.setattr(key_design, "every_subset_full_rank", _no_elimination)
+    for K in range(2, 17):
+        for B in range(1, K + 1):
+            assert build_scheme(K, B).validation.passed, (K, B)
 
 
 @pytest.mark.parametrize("K, B", [(6, 2), (8, 4), (9, 3), (10, 5)])
 def test_circulant_build_certifies_its_key_matrix_once(K, B, monkeypatch):
-    calls = []
+    # The one certificate is the key-matrix-mds gate's V @ T witness.
+    proofs = []
 
-    def counting(M, size):
-        calls.append((M, size))
-        return every_subset_full_rank(M, size)
+    def recording(M, size, points):
+        proofs.append((M, size, mds_proof(M, size, points)))
+        return proofs[-1][2]
 
-    monkeypatch.setattr(key_design, "every_subset_full_rank", counting)
-    key_design._certificate.cache_clear()
+    monkeypatch.setattr(key_design, "mds_proof", recording)
+    monkeypatch.setattr(key_design, "every_subset_full_rank", _no_elimination)
     field = select_field(K, B)
     keys = build_keys(K, B, field)
     code = build_code_design(Topology(K, B), field)
     assert validate_scheme(keys, code).passed
-    assert calls.count((keys.key_matrix, K - B)) == 1
-    # One certificate per ratio the walk solved, and none from the gate.
-    assert len(set(calls)) == len(calls) and {size for _, size in calls} == {K - B}
-    assert calls[-1] == (keys.key_matrix, K - B)
+    assert proofs == [(keys.key_matrix, B, "vandermonde")]
 
 
 def test_subset_budget_refuses_before_any_elimination(monkeypatch):
     assert comb(22, 11) <= key_design.MAX_SUBSETS < comb(40, 20) == 137846528820
-
-    def no_elimination(*args):
-        raise AssertionError("eliminated past the subset budget")
-
-    monkeypatch.setattr(key_design, "_circulant_design", no_elimination)
-    monkeypatch.setattr(key_design, "every_subset_full_rank", no_elimination)
-    key_design._certificate.cache_clear()
+    monkeypatch.setattr(key_design, "every_subset_full_rank", _no_elimination)
     field = PrimeField(241)  # 40 divides 240
-    with pytest.raises(ConstructionError, match="137846528820 subsets"):
-        circulant_keygen(40, 20, field)
-    with pytest.raises(ConstructionError, match="137846528820 subsets"):
-        sample_circulant_validity(40, 20, field, samples=5)
+    points = evaluation_points(field, 40, 20)
+    # The circulant key matrix needs no certificate at any size.
+    keys = circulant_keygen(40, 20, field)
+    assert mds_proof(keys.key_matrix, 20, points) == "vandermonde"
     # The gate's fallback, on a matrix that no proof covers.
     rng = random.Random(0)
     M = Matrix(field, [[rng.randrange(241) for _ in range(20)] for _ in range(40)])
     with pytest.raises(ConstructionError, match="137846528820 subsets"):
-        mds_proof(M, 20, evaluation_points(field, 40))
+        mds_proof(M, 20, points)

@@ -543,7 +543,7 @@ def test_build_at_largest_fields_is_fast(K, B, q):
 
 
 def test_default_field_build_fits_a_memory_limit():
-    # (18, 9) builds at q = 59511061 in a process that caps its own
+    # (18, 9) builds at q = 163 in a process that caps its own
     # address space at 1 GB; the timeout is the time budget.
     code = (
         "import resource\n"
@@ -557,7 +557,7 @@ def test_default_field_build_fits_a_memory_limit():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["59511061", "True"]
+    assert proc.stdout.split() == ["163", "True"]
 
 
 @pytest.mark.parametrize("K,B", [(4, 2), (4, 4)])
@@ -582,17 +582,17 @@ def test_round_outputs_are_python_ints(K, B):
     "argv, digest",
     [
         ("simulate --K 12 --B 6 --L 60 --trials 3 --seed 1 --transcript",
-         "50eaf72ceee45f766bee6a660ba4c1a8c6ba5e121a1cf5669aa1cc0629e4b8ec"),
+         "3ef9180326582429beff5a3de3747c1bb53edbbc68b649918df40af5a106a5de"),
         ("simulate --K 5 --B 5 --L 8 --trials 7 --seed 2 --transcript",
          "aad2edab4b70c36d28fee2d10d14fda0fb89ffeba24b63158ea9f12e80012faa"),
         ("simulate --K 4 --B 1 --L 8 --trials 3 --seed 5 --transcript",
          "3d0902ee50f9758717fe3d5fb8872ef11bdabab7fd394ce0d652fd3e8317efa8"),
         ("audit --K 6 --B 3",
-         "5bdc3a5226d6c34b34c7679f7269a6a81c6c5a167e25eae7308052c68978596e"),
+         "4c94bfde9184c706cac4128543610fd8366efa251420f4ba127c4bd3e90e6f5e"),
         ("audit --K 7 --B 5",
          "f7236e19d3d6f9133cd6fbbb49a3c9535d424a1a836b2f9f748976d30b9f5de3"),
         ("search-params --K 4 --B 2 --samples 50 --seed 1",
-         "3fbf4718aa7f1eb7cf99aa1c4ccb9ec01480937bd316e3f7e23f05c61b2745ac"),
+         "9d29269c59299f67c3e7dd786db338f0714fe3c4e6e88a19e435d58afac0dd26"),
         ("search-params --K 6 --B 4 --seed 2",
          "06940a49e11cd69fdaab466d9c27d7288f9223337af0dc73c5a233dfdec36166"),
         # These two span more than one batch of simulate rounds.
@@ -602,9 +602,14 @@ def test_round_outputs_are_python_ints(K, B):
          "efea195c53ff1d8669842b72cf1363d65b9d3b24b1c115b0071732053f1f008f"),
         # Its source-key and input draws both run the numpy stream.
         ("simulate --K 12 --B 6 --L 600 --trials 2 --seed 3 --transcript",
-         "1fe98c66184712b0eb3bce4bd5e4ad649c4a404a45de79cb2392a6331ab77c22"),
+         "3ad18b2906c45a59fc94cd5c5e35845c80716d7f9ab46e0dbdae7df9f39eb63b"),
     ],
 )
 def test_seeded_reports_are_pinned(capsys, argv, digest):
     assert cli.main(argv.split()) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    # Each digest is over the report with its closing "version" line read
+    # as 2, so a version bump pins a report again only where its other
+    # bytes change; the line itself must carry REPORT_VERSION.
+    head, version = capsys.readouterr().out.rsplit('  "version": ', 1)
+    assert version == f"{cli.REPORT_VERSION}\n}}\n"
+    assert hashlib.sha256(f'{head}  "version": 2\n}}\n'.encode()).hexdigest() == digest
