@@ -12,11 +12,15 @@ library code calls ``Matrix.solve``; it, ``inverse`` and ``nullspace``
 remain as the exact oracles that check those closed forms.
 
 The modulus is capped below 2**31 so that a product of two reduced
-elements always fits in a 64-bit intermediate.  Two array kernels work
-on int64 arrays: ``matmul_mod``, an exact matrix product mod q that the
-protocol runs every round stage on (one int64 product when its sums
-cannot wrap, as at every default field the protocol uses, and a 16-bit
-split of one operand otherwise), and ``every_subset_full_rank``, the
+elements always fits in a 64-bit intermediate.  ``mod`` reduces an
+int64 array as a - (a // q) * q, which numpy computes by a multiply and
+a shift where ``%`` takes a hardware remainder per entry, and
+``one_product_fits`` is the bound below which a sum of n products
+cannot wrap int64.  Two array kernels work on int64 arrays:
+``matmul_mod``, an exact matrix product mod q that the protocol runs
+every round stage on (one int64 product when its sums cannot wrap, as
+at every default field the protocol uses, and a 16-bit split of one
+operand otherwise), and ``every_subset_full_rank``, the
 fraction-free all-subsets rank certificate.  It walks the row subsets as
 a tree of sorted prefixes, so subsets that share a prefix share its
 elimination, and it holds at most ``_SUBSET_CHUNK`` prefixes per batch.
@@ -264,6 +268,29 @@ def vandermonde(field: PrimeField, points: Sequence[int], ncols: int) -> Matrix:
     return Matrix(field, [[pow(p, j, field.q) for j in range(ncols)] for p in reduced])
 
 
+def mod(a: np.ndarray, q: int, out: "np.ndarray | None" = None) -> np.ndarray:
+    """``a % q`` for an int64 array and a modulus 2 <= q, exact for every int64 entry.
+
+    numpy divides an integer array by a scalar through libdivide, a
+    multiply and a shift, but takes a hardware remainder per entry for
+    ``%``, so a - (a // q) * q is about twice as fast.  ``//`` is floor
+    division, so the result lies in [0, q) for negative entries too; the
+    one product that can leave int64, (a // q) * q for a near -2**63,
+    wraps modulo 2**64 and the difference wraps back.  The quotient's
+    buffer holds the result: a new array, or ``out``, an int64 array of
+    a's shape that shares no memory with a, so that the call allocates
+    nothing.
+    """
+    t = np.floor_divide(a, q, out=out)
+    t *= q
+    return np.subtract(a, t, out=t)
+
+
+def one_product_fits(n: int, q: int) -> bool:
+    """Whether an int64 sum of n products of entries in [0, q) cannot wrap."""
+    return n * (q - 1) ** 2 < 1 << 63
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Exact ``a @ b mod q`` for int64 arrays with entries in [0, q).
 
@@ -277,16 +304,18 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     ``np.matmul``.  q must be below 2**31 on either path.
     """
     n = a.shape[-1]
-    one_product = n * (q - 1) ** 2 < 1 << 63
+    one_product = one_product_fits(n, q)
     if not (q < MAX_MODULUS and (one_product or n < 1 << 16)):
         raise ValueError(
             f"matmul_mod needs q < 2**31 and, unless n * (q-1)**2 < 2**63, "
             f"inner dimension n < 2**16; got q={q}, n={n}"
         )
     if one_product:
-        return (a @ b) % q
-    high = (a @ (b >> 16)) % q
-    return (high * 65536 + a @ (b & 0xFFFF)) % q
+        return mod(a @ b, q)
+    high = mod(a @ (b >> 16), q)
+    high *= 65536
+    high += a @ (b & 0xFFFF)
+    return mod(high, q)
 
 
 # Prefixes extended per batch by every_subset_full_rank: a batch holds at

@@ -164,10 +164,17 @@ def _eigenvalues(q: int, points: tuple[int, ...], B: int, ratio: int) -> list[in
 
     Column t of the Vandermonde block at the points is an eigenvector of
     the circulant's transpose with eigenvalue mu_t.  These K columns are
-    independent, so the circulant is invertible iff no mu_t is 0.
+    independent, so the circulant is invertible iff no mu_t is 0.  Each
+    sum is taken by Horner's rule, mu = mu * x + 1, one step per term.
     """
     inverses = points[:1] + points[:0:-1]  # w**-t = w**(K-t)
-    return [sum(pow(ratio * x, j, q) for j in range(B)) % q for x in inverses]
+    mus = []
+    for x in inverses:
+        x, mu = ratio * x % q, 1
+        for _ in range(B - 1):
+            mu = (mu * x + 1) % q
+        mus.append(mu)
+    return mus
 
 
 # Most row subsets one all-subsets certificate may eliminate.  It admits
@@ -180,8 +187,11 @@ def circulant_ratio_valid(field: PrimeField, K: int, B: int, ratio: int) -> bool
 
     A zero ratio would leave associated links without a coefficient.
     """
-    points = evaluation_points(field, K, B)
-    return ratio % field.q != 0 and all(_eigenvalues(field.q, points, B, ratio))
+    return _ratio_valid(field.q, evaluation_points(field, K, B), B, ratio)
+
+
+def _ratio_valid(q: int, points: tuple[int, ...], B: int, ratio: int) -> bool:
+    return ratio % q != 0 and all(_eigenvalues(q, points, B, ratio))
 
 
 def circulant_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
@@ -190,7 +200,7 @@ def circulant_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
         raise ValueError(f"circulant regime needs 2 <= B <= K/2, got K={K}, B={B}")
     q = field.q
     points = evaluation_points(field, K, B)
-    ratio = next((r for r in range(2, q) if circulant_ratio_valid(field, K, B, r)), None)
+    ratio = next((r for r in range(2, q) if _ratio_valid(q, points, B, r)), None)
     if ratio is None:
         raise ConstructionError(
             f"no valid circulant ratio in GF({q}); size {sufficient_field_size(K, B)} suffices"
@@ -204,11 +214,8 @@ def sample_circulant_validity(
     K: int, B: int, field: PrimeField, samples: int, seed: int = 0
 ) -> int:
     """Count valid ratios among uniform draws from the whole field."""
-    rng = random.Random(seed)
-    return sum(
-        circulant_ratio_valid(field, K, B, rng.randrange(field.q))
-        for _ in range(samples)
-    )
+    rng, points = random.Random(seed), evaluation_points(field, K, B)
+    return sum(_ratio_valid(field.q, points, B, rng.randrange(field.q)) for _ in range(samples))
 
 
 def _relay_solve_data(

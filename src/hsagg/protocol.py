@@ -7,11 +7,15 @@ symbol to each associated relay, reusing a single key symbol across its
 outgoing messages; every relay forwards the sum of what it received; the
 server multiplies the relay symbols by the recovery matrix and reads off
 the blockwise input sum.  Each stage is one exact int64 array operation
-over GF(q) for all users, blocks and relays at once (``gf.matmul_mod``).
-Every entry point takes its symbols through one strict converter: Python
-ints, or an integer numpy array; a float or a string raises TypeError
-instead of being truncated.  Symbols outside [0, q) are reduced on
-entry, and reduced input is taken as it is.
+over GF(q) for all users, blocks and relays at once (``gf.matmul_mod``),
+and the kernels reduce with ``gf.mod``, which spares numpy's per-entry
+hardware remainder; ``direct_sum``, the oracle, keeps plain ``%``.  A
+user's message adds its key product to its B input products with no
+concatenated operand.  Every entry point takes its symbols through one
+strict converter: Python ints, packed row by row into int64 by
+``struct``, or an integer numpy array; a float or a string raises
+TypeError instead of being truncated.  Symbols outside [0, q) are
+reduced on entry, and reduced input is taken as it is.
 ``run_rounds`` runs a batch of rounds of one input length, given as one
 mapping per round or as an (R, K, L) integer array: blocks are
 independent, so the rounds' blocks stack along the block axis and each
@@ -36,6 +40,7 @@ message so transcripts and rate accounting can see it.
 from __future__ import annotations
 
 import random
+import struct
 from array import array
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -44,7 +49,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .code_design import CodeDesign, build_code_design
-from .gf import Matrix, PrimeField, matmul_mod
+from .gf import Matrix, PrimeField, matmul_mod, mod, one_product_fits
 from .key_design import (
     AuditReport,
     ConstructionError,
@@ -70,13 +75,15 @@ class _RoundArrays:
     """A scheme as the arrays the round kernels multiply by.
 
     Link j of user k goes to relay relays[k-1][j].  Row j of encode[k-1]
-    holds the link's B input coefficients and then its key coefficient,
-    so one product with [input block, key symbol] gives its message.
+    holds the link's B input coefficients and key_coeffs[k-1, j] its key
+    coefficient, so its message is encode[k-1] @ input block plus
+    key_coeffs[k-1] times the key symbol.
     Relay i sums the links received[i-1], numbered (k-1)*B + j.
     """
 
     key_matrix_t: np.ndarray  # (n, K)
-    encode: np.ndarray  # (K, B, B + 1)
+    encode: np.ndarray  # (K, B, B)
+    key_coeffs: np.ndarray  # (K, B, 1)
     recovery: np.ndarray  # (K, B)
     relays: tuple[tuple[int, ...], ...]
     received: np.ndarray  # (K, B)
@@ -136,12 +143,10 @@ class SchemeParams:
         """Built on first use and kept for every later round of the scheme."""
         topo, bs = self.topo, self.block_size
         relays = tuple(relays_of_user(topo, k) for k in topo.users())
-        encode = np.array(
-            [
-                [self.input_coeffs[(k, i)] + (self.key_coeffs.rows[k - 1][i - 1],) for i in rs]
-                for k, rs in zip(topo.users(), relays)
-            ],
-            dtype=np.int64,
+        users = tuple(zip(topo.users(), relays))
+        encode = np.array([[self.input_coeffs[(k, i)] for i in rs] for k, rs in users], np.int64)
+        key_coeffs = np.array(
+            [[[self.key_coeffs.rows[k - 1][i - 1]] for i in rs] for k, rs in users], np.int64
         )
         received = [
             [(k - 1) * bs + relays[k - 1].index(i) for k in users_of_relay(topo, i)]
@@ -150,6 +155,7 @@ class SchemeParams:
         return _RoundArrays(
             key_matrix_t=np.array(self.key_matrix.transpose().rows, dtype=np.int64),
             encode=encode,
+            key_coeffs=key_coeffs,
             recovery=np.array(self.recovery.take_cols(range(bs)).rows, dtype=np.int64),
             relays=relays,
             received=np.array(received),
@@ -311,6 +317,13 @@ def _field_array(rows, q: int) -> np.ndarray:
     equal-length rows of ints, which gives a (len(rows), L) array.  This
     is the one converter of every entry point, and it is strict: a float,
     a string or a float array raises TypeError instead of being truncated.
+
+    Each row of ints is packed straight into its row of the array by one
+    ``struct`` call, whose "q" code takes only objects with __index__
+    that fit in int64.  Anything else raises struct.error, and then the
+    rows are taken again by ``array("q")``, which raises TypeError for a
+    non-integer and OverflowError for an int beyond int64, which is then
+    reduced exactly as a Python int.
     """
     if isinstance(rows, np.ndarray):
         if rows.dtype.kind not in "iu":
@@ -320,15 +333,18 @@ def _field_array(rows, q: int) -> np.ndarray:
         a = rows.astype(np.int64, copy=False)
     else:
         a = np.empty((len(rows), len(rows[0])), np.int64)
-        for r, row in enumerate(rows):
-            # array("q") takes only objects with __index__, and raises
-            # TypeError for anything else.
-            try:
-                a[r] = array("q", row)
-            except OverflowError:  # ints beyond int64, reduced exactly as Python ints
-                a[r] = array("q", [v % q for v in row])
+        pack = struct.Struct(f"{a.shape[1]}q").pack_into
+        try:
+            for r, row in enumerate(rows):
+                pack(a[r], 0, *row)
+        except struct.error:
+            for r, row in enumerate(rows):
+                try:
+                    a[r] = array("q", row)
+                except OverflowError:
+                    a[r] = array("q", [v % q for v in row])
     if a.size and (a.min() < 0 or a.max() >= q):
-        a = a % q
+        a = mod(a, q)
     return a
 
 
@@ -339,14 +355,28 @@ def _derive(params: SchemeParams, source: np.ndarray) -> np.ndarray:
 
 def _encode(params: SchemeParams, users: slice, w: np.ndarray, z: np.ndarray) -> np.ndarray:
     """(U, B, blocks) input blocks, one per column, and (U, blocks) key
-    symbols of a slice of users -> (U, B, blocks) messages, row j for link j."""
-    wz = np.concatenate((w, z[:, None, :]), axis=1)
-    return matmul_mod(params._arrays.encode[users], wz, params.field.q)
+    symbols of a slice of users -> (U, B, blocks) messages, row j for link j.
+
+    A message sums B input products and one key product.  When those
+    B + 1 products cannot wrap int64, the sum is reduced once; otherwise
+    the input part goes through ``matmul_mod`` and the key product, below
+    q**2 < 2**62, is added to its reduced result.  The key products'
+    array then takes the reduced messages.
+    """
+    arrays, q = params._arrays, params.field.q
+    coeffs = arrays.encode[users]
+    if one_product_fits(coeffs.shape[-1] + 1, q):
+        x = coeffs @ w
+    else:
+        x = matmul_mod(coeffs, w, q)
+    keys = arrays.key_coeffs[users] * z[:, None, :]
+    x += keys
+    return mod(x, q, out=keys)
 
 
 def _relay_sums(received: np.ndarray, q: int) -> np.ndarray:
     """(..., senders, blocks) received symbols -> (..., blocks) relay symbols."""
-    return received.sum(axis=-2) % q
+    return mod(received.sum(axis=-2), q)
 
 
 def _decode(params: SchemeParams, y: np.ndarray) -> np.ndarray:

@@ -17,6 +17,8 @@ from hsagg.gf import (
     every_subset_full_rank,
     is_prime,
     matmul_mod,
+    mod,
+    one_product_fits,
     vandermonde,
 )
 
@@ -187,6 +189,30 @@ def test_matmul_mod_matches_python_ints_at_largest_field():
     got = matmul_mod(stack_a, stack_b, q)
     for s in range(2):
         assert got[s].tolist() == _matmul_reference(stack_a[s].tolist(), stack_b[s].tolist(), q)
+
+
+@pytest.mark.parametrize("q", [2, 73, 2147483647])
+def test_mod_equals_remainder_on_int64_extremes(q):
+    top = (1 << 63) - 1
+    values = [0, 1, -1, q - 1, q, -q, -q - 1, top, -top, -top - 1, top - q, 1 - q * (top // q)]
+    rng = random.Random(q)
+    values += [rng.randint(-top - 1, top) for _ in range(204)]
+    a = np.array(values, dtype=np.int64)
+    got = mod(a, q)
+    assert got.dtype == np.int64
+    assert got.tolist() == (a % q).tolist() == [v % q for v in values]
+    stacked = a.reshape(4, -1, 2)
+    assert np.array_equal(mod(stacked, q), stacked % q)
+    out = np.full_like(stacked, -5)
+    assert mod(stacked, q, out=out) is out and np.array_equal(out, stacked % q)
+    assert a.tolist() == values  # the input is left as it was
+
+
+def test_one_product_fits_is_the_int64_bound():
+    q = 2147483647
+    assert one_product_fits(2, q) and not one_product_fits(3, q)
+    assert one_product_fits(((1 << 63) - 1) // (q - 1) ** 2, q)
+    assert not one_product_fits(((1 << 63) - 1) // (q - 1) ** 2 + 1, q)
 
 
 def _one_product_edge(n):

@@ -271,7 +271,7 @@ def test_validate_flags_rank_deficient_key_matrix():
     assert "key-matrix-mds" in failed
 
 
-@pytest.mark.parametrize("K, B, q", [(4, 2, 13), (4, 2, None), (6, 3, None)])
+@pytest.mark.parametrize("K, B, q", [(4, 2, 53), (4, 2, None), (6, 3, None)])
 def test_circulant_takes_smallest_valid_ratio(K, B, q):
     field = select_field(K, B) if q is None else PrimeField(q)
     smallest = min(r for r in range(2, field.q) if circulant_ratio_valid(field, K, B, r))

@@ -2,10 +2,12 @@ import hashlib
 import itertools
 import os
 import random
+import struct
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from hsagg import cli, protocol
 from hsagg.audit import golden_decode, golden_example1
+from hsagg.gf import PrimeField
 from hsagg.protocol import (
     MissingMessageError,
     SizeMismatchError,
@@ -451,6 +454,82 @@ def test_non_integer_symbols_raise_type_error(bad):
         relay_encode(params, 1, {1: (bad,), 3: (1,)})
     with pytest.raises(TypeError):
         server_decode(params, {1: (1,), 2: (bad,), 3: (1,)})
+
+
+class _NoPack:
+    """A struct.Struct whose every pack fails, so the array("q") rows run."""
+
+    def __init__(self, fmt):
+        pass
+
+    def pack_into(self, *args):
+        raise struct.error("packing refused")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1, 2, 3), (4, 5, 6)],
+        [[0, 6, 7], [8, 9, 10]],
+        [(True, np.int64(5), False), [np.int64(12), True, 3]],
+        [(-1, -13, -(1 << 63)), (-14, 0, -(1 << 62))],
+        [(1 << 63, (1 << 64) + 5, 13 << 70), (1, 2, 3)],
+        [(1, 2, 3), (-(1 << 63) - 1, 5, 6)],
+    ],
+    ids=["tuples", "lists", "bool-and-int64", "negative", "above-int64", "below-int64"],
+)
+def test_packed_rows_match_array_rows(rows, monkeypatch):
+    q = 13
+    packed = protocol._field_array(rows, q)
+    assert packed.dtype == np.int64
+    assert packed.tolist() == [[int(v) % q for v in row] for row in rows]
+    monkeypatch.setattr(struct, "Struct", _NoPack)
+    assert np.array_equal(protocol._field_array(rows, q), packed)
+
+
+@pytest.mark.parametrize("bad", [1.5, "1"])
+def test_bad_symbol_after_packed_rows_raises_type_error(bad):
+    rows = [(1, 2), (3, 4), (5, bad)]
+    with pytest.raises(TypeError):
+        protocol._field_array(rows, 13)
+    params = build_scheme(3, 2)
+    inputs = random_inputs(params, 2, seed=1)
+    with pytest.raises(TypeError):
+        run_round(params, {**inputs, 3: (inputs[3][0], bad)}, seed=2)
+    with pytest.raises(TypeError):
+        run_rounds(params, [inputs, {**inputs, 3: (inputs[3][0], bad)}], [2, 3])
+
+
+@pytest.mark.parametrize("B", [2, 3])
+def test_encode_guards_its_sum_at_the_largest_field(B):
+    # B input products and one key product of (q - 1)**2 each sum to
+    # about (B + 1) * 2**62, which an unguarded int64 sum would wrap;
+    # at B = 2 the B input products alone would not.
+    q, U, blocks = 2147483647, 2, 5
+    top = q - 1
+    arrays = SimpleNamespace(
+        encode=np.full((U, B, B), top, np.int64), key_coeffs=np.full((U, B, 1), top, np.int64)
+    )
+    params = SimpleNamespace(_arrays=arrays, field=PrimeField(q))
+    w = np.full((U, B, blocks), top, np.int64)
+    z = np.full((U, blocks), top, np.int64)
+    z[1, 0] = w[0, 1, 2] = 0x7FFEFFFF
+    got = protocol._encode(params, slice(None), w, z)
+    expected = [
+        [[(sum(top * int(w[u, i, t]) for i in range(B)) + top * int(z[u, t])) % q
+          for t in range(blocks)] for _ in range(B)]
+        for u in range(U)
+    ]
+    assert got.tolist() == expected
+    assert got[0, 0, 0] == (B + 1) * top * top % q
+
+
+@pytest.mark.parametrize("K, B, q", [(5, 3, 2147483647), (4, 2, 2147483629)])
+def test_round_matches_reference_on_all_top_inputs_at_largest_fields(K, B, q):
+    params = build_scheme(K, B, q=q)
+    L = params.block_size * 3
+    _assert_matches_reference(params, {k: (q - 1,) * L for k in range(1, K + 1)}, seed=9)
+    _assert_matches_reference(params, random_inputs(params, L, seed=4), seed=5)
 
 
 @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=10**6))
