@@ -169,8 +169,8 @@ def _eigenvalues(q: int, points: tuple[int, ...], B: int, ratio: int) -> list[in
     """
     inverses = points[:1] + points[:0:-1]  # w**-t = w**(K-t)
     mus = []
-    for x in inverses:
-        x, mu = ratio * x % q, 1
+    for inverse in inverses:
+        x, mu = ratio * inverse % q, 1
         for _ in range(B - 1):
             mu = (mu * x + 1) % q
         mus.append(mu)
