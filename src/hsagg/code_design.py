@@ -21,20 +21,25 @@ Lagrange basis polynomial l_r of the points, so ``lagrange_rows`` writes
 it in closed form: prod (x - p) divided synthetically by (x - p_r), then
 scaled by 1 / prod_{j != r} (p_r - p_j), with no elimination.
 
-The per-link input coefficients are user k's rows dotted with the powers
-of the receiving relay's point; links outside the association pattern
-get no entry at all, which makes "relay i never mixes non-associated
-inputs" a structural fact rather than a numerical one.
+The per-link input coefficients are user k's rows evaluated at the
+receiving relay's point.  ``build_code_design`` computes the points once,
+stacks every family row into one int64 array and takes one
+``gf.matmul_mod`` product with the points' power table, so a single
+table holds every row at every point; each link reads its B entries
+from it.  Links outside the association pattern get no entry at all,
+which makes "relay i never mixes non-associated inputs" a structural
+fact rather than a numerical one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from math import prod
-from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .gf import DuplicatePointsError, Matrix, PrimeField, vandermonde
+import numpy as np
+
+from .gf import DuplicatePointsError, Matrix, PrimeField, matmul_mod, power_table, vandermonde
 from .topology import Topology, relays_of_user
 
 
@@ -101,8 +106,16 @@ def lagrange_rows(q: int, points: Sequence[int]) -> list[list[int]]:
 
 def recovery_matrix(field: PrimeField, K: int, B: int) -> Matrix:
     """The last B columns of the evaluation matrix's inverse: the top B coefficients of each l_r."""
-    rows = lagrange_rows(field.q, evaluation_points(field, K, B))
-    return Matrix(field, [row[K - B:] for row in rows])
+    return _recovery_matrix(field, evaluation_points(field, K, B), B)
+
+
+def _recovery_matrix(field: PrimeField, points: tuple[int, ...], B: int) -> Matrix:
+    return Matrix(field, [row[len(points) - B:] for row in lagrange_rows(field.q, points)])
+
+
+def _require_family(topo: Topology) -> None:
+    if topo.B == topo.K:
+        raise ValueError("full association has no recursive family; code at B = K-1")
 
 
 def family_rows(topo: Topology, field: PrimeField, k: int) -> tuple[tuple[int, ...], ...]:
@@ -115,11 +128,16 @@ def family_rows(topo: Topology, field: PrimeField, k: int) -> tuple[tuple[int, .
     that is what zeroes the coefficient band under the leading 1 while
     keeping every row divisible by the indicator polynomial.
     """
-    K, B, q = topo.K, topo.B, field.q
-    if B == K:
-        raise ValueError("full association has no recursive family; code at B = K-1")
+    _require_family(topo)
+    return _family_rows(topo, field.q, evaluation_points(field, topo.K, topo.B), k)
+
+
+def _family_rows(
+    topo: Topology, q: int, points: tuple[int, ...], k: int
+) -> tuple[tuple[int, ...], ...]:
+    """``family_rows`` at the relays' evaluation points, computed once by the caller."""
+    K, B = topo.K, topo.B
     assoc = set(relays_of_user(topo, k))
-    points = evaluation_points(field, K, B)
     base = _root_product(q, (x for i, x in zip(topo.relays(), points) if i not in assoc))
     base += [0] * (K - len(base))
     rows = [base]
@@ -143,26 +161,32 @@ class CodeDesign:
     code_matrix: Matrix
     recovery: Matrix
     input_coeffs: Mapping[tuple[int, int], tuple[int, ...]] = dc_field(repr=False)
+    points: tuple[int, ...]  # evaluation_points(field, K, B); relay i's is points[i-1]
 
 
 def build_code_design(topo: Topology, field: PrimeField) -> CodeDesign:
     """Code matrix, recovery matrix and per-link coefficients; absent links mean zero.
 
-    Entry (k, i) of the coefficient table holds user k's B rows dotted
-    with the powers of relay i's point.  Only associated links appear.
+    Entry (k, i) of the coefficient table holds user k's B rows evaluated
+    at relay i's point: column (k-1)B .. kB-1 of row i-1 of the one
+    product of the points' power table with the stacked code matrix.
+    Only associated links appear.
     """
+    _require_family(topo)
     K, B, q = topo.K, topo.B, field.q
-    families = [family_rows(topo, field, k) for k in topo.users()]
-    powers = vandermonde(field, evaluation_points(field, K, B), K).rows
+    points = evaluation_points(field, K, B)
+    rows = [row for k in topo.users() for row in _family_rows(topo, q, points, k)]
+    at_relay = matmul_mod(power_table(points, K, q), np.array(rows, dtype=np.int64).T, q).tolist()
     input_coeffs = {
-        (k, i): tuple(sum(map(mul, row, powers[i - 1])) % q for row in rows)
-        for k, rows in zip(topo.users(), families)
+        (k, i): tuple(at_relay[i - 1][(k - 1) * B:k * B])
+        for k in topo.users()
         for i in relays_of_user(topo, k)
     }
     return CodeDesign(
         topo=topo,
         field=field,
-        code_matrix=Matrix(field, [row for rows in families for row in rows]),
-        recovery=recovery_matrix(field, K, B),
+        code_matrix=Matrix(field, rows),
+        recovery=_recovery_matrix(field, points, B),
         input_coeffs=input_coeffs,
+        points=points,
     )

@@ -16,11 +16,13 @@ elements always fits in a 64-bit intermediate.  ``mod`` reduces an
 int64 array as a - (a // q) * q, which numpy computes by a multiply and
 a shift where ``%`` takes a hardware remainder per entry, and
 ``one_product_fits`` is the bound below which a sum of n products
-cannot wrap int64.  Two array kernels work on int64 arrays:
+cannot wrap int64.  Three array kernels work on int64 arrays:
+``power_table``, the rows [1, p, ..., p**(n-1)] of a Vandermonde block;
 ``matmul_mod``, an exact matrix product mod q that the protocol runs
-every round stage on (one int64 product when its sums cannot wrap, as
-at every default field the protocol uses, and a 16-bit split of one
-operand otherwise), and ``every_subset_full_rank``, the
+every round stage on, and that construction and validation take every
+product with (one int64 product when its sums cannot wrap, as at every
+default field, and a 16-bit split of one operand otherwise); and
+``every_subset_full_rank``, the
 fraction-free all-subsets rank certificate.  It walks the row subsets as
 a tree of sorted prefixes, so subsets that share a prefix share its
 elimination, and it holds at most ``_SUBSET_CHUNK`` prefixes per batch.
@@ -112,9 +114,10 @@ class DuplicatePointsError(ValueError):
 class Matrix:
     """Immutable dense matrix over a prime field.
 
-    Rows are tuples of reduced ints.  Rank, solve and null space share
+    Rows are tuples of reduced ints.  Solve, inverse and null space share
     one Gauss-Jordan elimination with first-nonzero pivoting, so every
-    derived matrix is reproducible bit for bit.
+    derived matrix is reproducible bit for bit.  Rank takes its own
+    forward pass, which clears only the rows below each pivot.
     """
 
     __slots__ = ("field", "rows")
@@ -204,7 +207,31 @@ class Matrix:
         return work, pivots
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        """Number of pivots of a forward elimination, which equals ``len(self._echelon()[1])``.
+
+        The rows still to be reduced are kept as their suffixes from the
+        current column, where every earlier entry is 0.  A pivot row
+        leaves them, and clears column c of only those that remain.
+        """
+        q = self.field.q
+        rows, rank = list(self.rows), 0
+        for _ in range(self.ncols):
+            pivot = next((row for row in rows if row[0]), None)
+            if pivot is None:
+                rows = [row[1:] for row in rows]
+                continue
+            rank += 1
+            rows.remove(pivot)
+            if not rows:
+                break
+            scale, tail = q - pow(pivot[0], q - 2, q), pivot[1:]  # -1 / pivot
+            rows = [
+                [(x + f * y) % q for x, y in zip(row[1:], tail)]
+                if (f := row[0] * scale % q)
+                else row[1:]
+                for row in rows
+            ]
+        return rank
 
     def solve(self, rhs: "Matrix") -> "Matrix":
         """Solve self @ X = rhs for square self; exact.
@@ -265,7 +292,25 @@ def vandermonde(field: PrimeField, points: Sequence[int], ncols: int) -> Matrix:
         raise DuplicatePointsError(f"evaluation points collide mod {field.q}: {points}")
     if ncols < 1:
         raise ValueError("ncols must be positive")
-    return Matrix(field, [[pow(p, j, field.q) for j in range(ncols)] for p in reduced])
+    return Matrix(field, power_table(reduced, ncols, field.q).tolist())
+
+
+def power_table(points: Sequence[int], ncols: int, q: int) -> np.ndarray:
+    """int64 array whose row r is [1, p, p**2, ..., p**(ncols-1)] mod q for p = points[r].
+
+    Columns [k, 2k) are columns [0, k) times p**k, so the table takes
+    about log2(ncols) array products, each of two entries below q.
+    """
+    step = np.array(points, dtype=np.int64)[:, None] % q
+    table = np.ones((len(points), ncols), dtype=np.int64)
+    k = 1
+    while k < ncols:
+        block = table[:, k:2 * k]
+        np.multiply(table[:, :block.shape[1]], step, out=block)
+        block %= q
+        step = step * step % q
+        k *= 2
+    return table
 
 
 def mod(a: np.ndarray, q: int, out: "np.ndarray | None" = None) -> np.ndarray:

@@ -53,9 +53,12 @@ from dataclasses import dataclass, replace
 from math import comb
 from operator import mul
 
+import numpy as np
+
 from .code_design import CodeDesign, ConstructionError, evaluation_points, lagrange_rows
 from .code_design import recovery_matrix
-from .gf import MAX_MODULUS, Matrix, PrimeField, every_subset_full_rank, is_prime, vandermonde
+from .gf import MAX_MODULUS, Matrix, PrimeField, every_subset_full_rank, is_prime, matmul_mod
+from .gf import power_table, vandermonde
 from .topology import Topology, relays_of_user, users_of_relay
 
 REGIME_SINGLE = "single"
@@ -337,25 +340,20 @@ def _vandermonde_witness(M: Matrix, points: tuple[int, ...]) -> bool:
     """True iff M = V @ T for V with rows [1, p, ..., p**(m-1)] at distinct points and T invertible.
 
     The top m rows give T = V_top**-1 @ M_top in closed form: row r of
-    ``lagrange_rows`` is column r of V_top's inverse.  Then V @ T is
-    compared with M on every row, and rank T is counted on its columns.
+    ``lagrange_rows`` is column r of V_top's inverse.  Both products,
+    T and V @ T, are ``matmul_mod`` products of int64 arrays; V @ T is
+    compared with M on every row, and then rank T is counted.
     """
     q, K, m = M.field.q, M.nrows, M.ncols
     points = [p % q for p in points]
     if len(points) != K or len(set(points)) != K or m > K:
         return False
-    inverse = lagrange_rows(q, points[:m])
-    T_cols = [
-        [sum(map(mul, inverse_col, col)) % q for inverse_col in zip(*inverse)]
-        for col in zip(*M.rows[:m])
-    ]
-    for k in [*range(m, K), *range(m)]:  # the rows below the top first
-        powers = [1] * m
-        for j in range(1, m):
-            powers[j] = powers[j - 1] * points[k] % q
-        if any(sum(map(mul, powers, col)) % q != x for col, x in zip(T_cols, M.rows[k])):
-            return False
-    return Matrix(M.field, T_cols).rank() == m
+    rows = np.array(M.rows, dtype=np.int64)
+    inverse_t = np.array(lagrange_rows(q, points[:m]), dtype=np.int64).T
+    T = matmul_mod(inverse_t, rows[:m], q)
+    if not np.array_equal(matmul_mod(power_table(points, m, q), T, q), rows):
+        return False
+    return Matrix(M.field, T.tolist()).rank() == m
 
 
 def mds_proof(M: Matrix, size: int, points: tuple[int, ...]) -> "str | None":
@@ -402,12 +400,15 @@ def masked_key_span(
 
     The relay-message combinations that cancel every key are the nullspace
     of the masked matrix; the server learns only the sum exactly when that
-    nullspace is B-dimensional and spanned by the recovery columns.
+    nullspace is B-dimensional and spanned by the recovery columns.  Both
+    products are ``matmul_mod`` products of int64 arrays.
     """
-    masked = key_matrix.transpose() @ key_coeffs
-    cancels = (masked @ recovery).is_zero()
-    rank = masked.rank()
-    null_dim = masked.ncols - rank
+    field = key_matrix.field
+    key_matrix_t = np.array(key_matrix.rows, dtype=np.int64).T
+    masked = matmul_mod(key_matrix_t, np.array(key_coeffs.rows, dtype=np.int64), field.q)
+    cancels = not matmul_mod(masked, np.array(recovery.rows, dtype=np.int64), field.q).any()
+    rank = Matrix(field, masked.tolist()).rank()
+    null_dim = masked.shape[1] - rank
     recovery_rank = recovery.rank()
     # Cancelling recovery columns lie in the nullspace, so B independent
     # ones span it exactly when it is B-dimensional (rank-nullity).
@@ -460,7 +461,7 @@ def validate_scheme(keys: KeyDesign, code: CodeDesign) -> AuditReport:
         )
     )
 
-    mds = mds_proof(key_matrix, B, evaluation_points(code.field, K, B)) is not None
+    mds = mds_proof(key_matrix, B, code.points) is not None
     checks.append(
         CheckResult("key-matrix-mds", mds, f"every {B} rows independent")
     )

@@ -19,6 +19,7 @@ from hsagg.gf import (
     matmul_mod,
     mod,
     one_product_fits,
+    power_table,
     vandermonde,
 )
 
@@ -95,6 +96,45 @@ def test_rank_matches_span_enumeration_oracle():
             assert m.rank() == brute_force_rank(m)
 
 
+def _oracle_rank_cases(rng, q):
+    """Random matrices of every shape, rank-deficient ones and zero rows and columns among them."""
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        shape = rng.choice(["dense", "sparse", "low rank", "zero lines"])
+        if shape == "low rank":
+            # A product through an inner dimension below both sides.
+            inner = rng.randint(0, min(nrows, ncols) - 1)
+            left = [[rng.randrange(q) for _ in range(inner)] for _ in range(nrows)]
+            right = [[rng.randrange(q) for _ in range(ncols)] for _ in range(inner)]
+            rows = [
+                [sum(row[t] * right[t][j] for t in range(inner)) for j in range(ncols)]
+                for row in left
+            ]
+        else:
+            density = 0.3 if shape == "sparse" else 1.0
+            rows = [
+                [rng.randrange(q) if rng.random() < density else 0 for _ in range(ncols)]
+                for _ in range(nrows)
+            ]
+        if shape == "zero lines":
+            zero_row, zero_col = rng.randrange(nrows), rng.randrange(ncols)
+            rows[zero_row] = [0] * ncols
+            for row in rows:
+                row[zero_col] = 0
+        yield Matrix(PrimeField(q), rows)
+
+
+@pytest.mark.parametrize("q", [2, 3, 73, 2147483647])
+def test_rank_equals_gauss_jordan_pivot_count(q):
+    rng = random.Random(q)
+    shapes = set()
+    for m in _oracle_rank_cases(rng, q):
+        rank = len(m._echelon()[1])
+        assert m.rank() == rank, m
+        shapes.add((m.nrows > m.ncols) - (m.nrows < m.ncols))
+    assert shapes == {-1, 0, 1}  # wide, square and tall all met
+
+
 def test_inverse_round_trips():
     gf3 = PrimeField(3)
     ident = Matrix.identity(gf3, 4)
@@ -149,6 +189,16 @@ def test_vandermonde_shapes_and_values():
     assert vandermonde(gf7, (0, 1), 2).rows == ((1, 0), (1, 1))
     with pytest.raises(DuplicatePointsError):
         vandermonde(gf7, (1, 8), 2)  # collide mod 7
+
+
+@pytest.mark.parametrize("q", [2, 73, 2147483647])
+def test_power_table_matches_pow(q):
+    rng = random.Random(q)
+    points = [rng.randrange(q) for _ in range(6)]
+    for ncols in range(1, 20):
+        table = power_table(points, ncols, q)
+        assert table.dtype == np.int64
+        assert table.tolist() == [[pow(p, j, q) for j in range(ncols)] for p in points]
 
 
 def test_vandermonde_full_column_rank():

@@ -7,7 +7,8 @@ import pytest
 
 from hsagg import key_design
 from hsagg.code_design import build_code_design, evaluation_points
-from hsagg.gf import Matrix, PrimeField, every_subset_full_rank, is_prime, vandermonde
+from hsagg.gf import Matrix, PrimeField, every_subset_full_rank, is_prime, one_product_fits
+from hsagg.gf import vandermonde
 from hsagg.key_design import (
     REGIME_CIRCULANT,
     REGIME_FULL,
@@ -27,8 +28,11 @@ from hsagg.key_design import (
     sufficient_field_size,
     validate_scheme,
     vandermonde_keygen,
+    MaskedKeySpan,
+    masked_key_span,
     _circulant,
     _relay_solve_data,
+    _vandermonde_witness,
 )
 from hsagg.protocol import build_scheme
 from hsagg.topology import Topology, relays_of_user, users_of_relay
@@ -395,6 +399,67 @@ def test_mds_proof_agrees_with_every_subset_full_rank():
                 assert (verdict is not None) == expected, (K, B, name)
     assert sum(map(len, proofs.values())) == 104
     assert {proof for found in proofs.values() for proof in found} == {"vandermonde"}
+
+
+def masked_key_span_reference(key_matrix, key_coeffs, recovery, B):
+    """``masked_key_span`` from the pure-Python ``Matrix`` product and rank."""
+    masked = key_matrix.transpose() @ key_coeffs
+    cancels = (masked @ recovery).is_zero()
+    rank, recovery_rank = masked.rank(), recovery.rank()
+    null_dim = masked.ncols - rank
+    spans = cancels and null_dim == B and recovery_rank == B
+    return MaskedKeySpan(rank, null_dim, recovery_rank, cancels, spans)
+
+
+# Every (K, B) with K <= 12 at its default field, and (12, 6) near the
+# modulus cap, where an inner dimension of 12 takes matmul_mod's split path.
+SPAN_SCHEMES = [(K, B, None) for K in range(2, 13) for B in range(1, K + 1)] + [(12, 6, 2147483629)]
+
+
+def test_masked_key_span_matches_the_python_reference():
+    assert not one_product_fits(12, 2147483629)
+    for K, B, q in SPAN_SCHEMES:
+        params = build_scheme(K, B, q)
+        coded_B = params.topo.B
+        args = (params.key_matrix, params.key_coeffs, params.recovery, coded_B)
+        span = masked_key_span(*args)
+        assert span == masked_key_span_reference(*args), (K, B, q)
+        assert span.cancels and span.spans and span.rank == K - coded_B, (K, B, q)
+        # Zero user 1's coefficient on relay 1: the masked matrix loses a
+        # nonzero rank-one term, and the top recovery entry of relay 1's
+        # row is nonzero, so the keys no longer cancel.
+        rows = [list(row) for row in params.key_coeffs.rows]
+        rows[0][0] = 0
+        mutant = (params.key_matrix, Matrix(params.field, rows), params.recovery, coded_B)
+        broken = masked_key_span(*mutant)
+        assert broken == masked_key_span_reference(*mutant), (K, B, q)
+        assert not broken.cancels and not broken.spans, (K, B, q)
+
+
+def vandermonde_witness_reference(M, points):
+    """``_vandermonde_witness`` with T from the Gauss-Jordan inverse of the top Vandermonde rows."""
+    q, K, m = M.field.q, M.nrows, M.ncols
+    points = [p % q for p in points]
+    if len(points) != K or len(set(points)) != K or m > K:
+        return False
+    V = Matrix(M.field, [[pow(p, j, q) for j in range(m)] for p in points])
+    T = V.take_rows(range(m)).inverse() @ M.take_rows(range(m))
+    return V @ T == M and T.rank() == m
+
+
+def test_vandermonde_witness_matches_the_python_reference():
+    verdicts = set()
+    for K, B, q in SPAN_SCHEMES + [(K, B, None) for K in (13, 14) for B in range(1, K + 1)]:
+        field = select_field(K, B) if q is None else PrimeField(q)
+        coded_B = B if B < K else K - 1
+        M = build_keys(K, B, field).key_matrix
+        points = evaluation_points(field, K, coded_B)
+        assert _vandermonde_witness(M, points) and vandermonde_witness_reference(M, points)
+        for name, mutant, mutant_points in mds_mutations(M, points):
+            verdict = _vandermonde_witness(mutant, mutant_points)
+            assert verdict == vandermonde_witness_reference(mutant, mutant_points), (K, B, q, name)
+            verdicts.add(verdict)
+    assert verdicts == {False, True}  # one-column mutants stay V @ T at K = 2
 
 
 def _no_elimination(*args):
