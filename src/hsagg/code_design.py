@@ -11,7 +11,10 @@ of the relays it does NOT upload to:
 
 From p_k a family of B rows is generated recursively; member b has
 degree K - B + b - 1, leading coefficient 1, and zero coefficients in the
-band just below the leading term.  Stacking all rows gives a BK x K code
+band just below the leading term.  ``_family_table`` builds every user's
+family at once, as one (K, B, K) int64 array: the indicators take K - B
+multiply-by-(x - p) steps and the recursion B - 1 steps, each step one
+array operation over all K users.  Stacking all rows gives a BK x K code
 matrix whose last B columns are stacked identity blocks.  That identity
 tail is what makes the column combinations e_{K-B+1..K} reproduce the B
 coordinates of the input sum, and the recovery matrix is the last B
@@ -22,9 +25,9 @@ it in closed form: prod (x - p) divided synthetically by (x - p_r), then
 scaled by 1 / prod_{j != r} (p_r - p_j), with no elimination.
 
 The per-link input coefficients are user k's rows evaluated at the
-receiving relay's point.  ``build_code_design`` computes the points once,
-stacks every family row into one int64 array and takes one
-``gf.matmul_mod`` product with the points' power table, so a single
+receiving relay's point.  ``build_code_design`` computes the points once
+and takes one ``gf.matmul_mod`` product of the points' power table with
+the family table, viewed as the BK x K code matrix, so a single
 table holds every row at every point; each link reads its B entries
 from it.  Links outside the association pattern get no entry at all,
 which makes "relay i never mixes non-associated inputs" a structural
@@ -40,7 +43,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .gf import DuplicatePointsError, Matrix, PrimeField, matmul_mod, power_table, vandermonde
-from .topology import Topology, relays_of_user
+from .topology import Topology, _check_index, relays_of_user
 
 
 class ConstructionError(RuntimeError):
@@ -129,23 +132,36 @@ def family_rows(topo: Topology, field: PrimeField, k: int) -> tuple[tuple[int, .
     keeping every row divisible by the indicator polynomial.
     """
     _require_family(topo)
-    return _family_rows(topo, field.q, evaluation_points(field, topo.K, topo.B), k)
+    _check_index(topo, k, "user")
+    table = _family_table(topo, field.q, evaluation_points(field, topo.K, topo.B))
+    return tuple(map(tuple, table[k - 1].tolist()))
 
 
-def _family_rows(
-    topo: Topology, q: int, points: tuple[int, ...], k: int
-) -> tuple[tuple[int, ...], ...]:
-    """``family_rows`` at the relays' evaluation points, computed once by the caller."""
+def _family_table(topo: Topology, q: int, points: tuple[int, ...]) -> np.ndarray:
+    """int64 array of shape (K, B, K) whose slice k-1 is ``family_rows(topo, field, k)``.
+
+    User k's non-associated relays are k+B, ..., k+K-1, taken cyclically,
+    so step j multiplies every user's indicator by (x - p) at the point
+    of its relay k+B+j: K-B steps, each over all K users at once.  The
+    recursion then takes B-1 steps, each over all users too.  Every
+    product is of two entries in [0, q), below q**2 < 2**62.
+    """
     K, B = topo.K, topo.B
-    assoc = set(relays_of_user(topo, k))
-    base = _root_product(q, (x for i, x in zip(topo.relays(), points) if i not in assoc))
-    base += [0] * (K - len(base))
-    rows = [base]
-    drop = K - B - 1
-    for _ in range(B - 1):
-        prev = rows[-1]
-        rows.append([(a - prev[drop] * b) % q for a, b in zip([0] + prev, base)])
-    return tuple(map(tuple, rows))
+    P = np.array(points, dtype=np.int64) % q
+    roots = P[(np.arange(K)[:, None] + np.arange(B, K)) % K]  # row k-1: relays k+B, ..., k+K-1
+    # Each row sits after a zero column, so shifting a row's window one
+    # column left reads x times it.
+    table = np.zeros((K, B, K + 1), dtype=np.int64)
+    base = table[:, 0]
+    base[:, 1] = 1
+    for j in range(K - B):  # base has degree j, in columns 1 .. j+1
+        shifted, row = base[:, :j + 2], base[:, 1:j + 3]
+        np.remainder(shifted - roots[:, j, None] * row, q, out=row)
+    drop = K - B  # the column of x**(K-B-1)
+    for b in range(1, B):
+        prev = table[:, b - 1]
+        np.remainder(prev[:, :-1] - prev[:, drop, None] * base[:, 1:], q, out=table[:, b, 1:])
+    return table[:, :, 1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,8 +191,8 @@ def build_code_design(topo: Topology, field: PrimeField) -> CodeDesign:
     _require_family(topo)
     K, B, q = topo.K, topo.B, field.q
     points = evaluation_points(field, K, B)
-    rows = [row for k in topo.users() for row in _family_rows(topo, q, points, k)]
-    at_relay = matmul_mod(power_table(points, K, q), np.array(rows, dtype=np.int64).T, q).tolist()
+    rows = _family_table(topo, q, points).reshape(K * B, K)
+    at_relay = matmul_mod(power_table(points, K, q), rows.T, q).tolist()
     input_coeffs = {
         (k, i): tuple(at_relay[i - 1][(k - 1) * B:k * B])
         for k in topo.users()
@@ -185,7 +201,7 @@ def build_code_design(topo: Topology, field: PrimeField) -> CodeDesign:
     return CodeDesign(
         topo=topo,
         field=field,
-        code_matrix=Matrix(field, rows),
+        code_matrix=Matrix(field, rows.tolist()),
         recovery=_recovery_matrix(field, points, B),
         input_coeffs=input_coeffs,
         points=points,

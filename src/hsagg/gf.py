@@ -125,7 +125,7 @@ class Matrix:
     def __init__(self, field: PrimeField, rows: Iterable[Sequence[int]]):
         q = field.q
         self.field = field
-        self.rows = tuple(tuple(x % q for x in row) for row in rows)
+        self.rows = tuple(tuple([x % q for x in row]) for row in rows)
         if not self.rows or not self.rows[0]:
             raise ValueError("matrix must have at least one row and column")
         ncols = len(self.rows[0])

@@ -37,9 +37,12 @@ Four regimes, by association count B:
                matrix C^(-T) V is the Vandermonde block V with column t
                divided by mu_t: closed form, and MDS.
   vandermonde  K/2 < B <= K-1.  The key matrix is a K x B Vandermonde
-               block; each relay's coefficient vector is solved, in
-               closed form from its senders' Lagrange basis polynomials,
-               from a target row whose leading entry (the anchor) is the
+               block; each relay's coefficient vector solves its
+               senders' B x B Vandermonde system in closed form: the
+               K-B low coefficients of each sender's Lagrange basis
+               polynomial, taken from the low coefficients of the
+               senders' root product and a barycentric weight, against
+               a target row whose leading entry (the anchor) is the
                smallest nonzero element outside a bad set of at most K*B
                elements, so no coefficient collapses to 0.
   full         B = K.  Reduction: run the B = K-1 regime and disable the
@@ -51,7 +54,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from math import comb
-from operator import mul
 
 import numpy as np
 
@@ -229,24 +231,63 @@ def _relay_solve_data(
     The relay's coefficient vector is anchor * first + rest.  It solves the
     transposed B x B block of the senders' key rows, a Vandermonde matrix
     at the senders' points, against the target (anchor, p, p**2, ...,
-    p**(K-B-1), 0, ..., 0) at the relay's point p.  That block's inverse
-    has the coefficient rows of the senders' Lagrange basis polynomials
-    l_j as its rows, so entry j of first is the constant term of l_j and
-    entry j of rest is the sum over 1 <= t <= K-B-1 of coef_t(l_j) * p**t.
-    A constant term l_j(0) is a product of nonzero differences, so first
-    has no zero entry.
+    p**T, 0, ..., 0) at the relay's point p, with T = K-B-1.  That block's
+    inverse has the coefficient rows of the senders' Lagrange basis
+    polynomials as its rows, so entry u of first is the constant term of
+    l_u and entry u of rest is the sum over 1 <= t <= T of coef_t(l_u) * p**t.
+    Only those T + 1 low coefficients are computed.
+
+    With N(x) the product of (x - p_v) over the senders v, the Lagrange
+    basis polynomial is l_u = w_u * N / (x - p_u), with the barycentric
+    weight w_u = 1 / prod over senders v != u of (p_u - p_v).  Matching
+    coefficients in N = (x - p_u) * Q gives Q's low coefficients from N's:
+    Q_0 = -N_0 / p_u and Q_t = (Q_(t-1) - N_t) / p_u, as every point is
+    nonzero.  These are the same values ``lagrange_rows`` holds, so the
+    solve is unchanged.  The senders are a cyclic window of B users, so
+    user u's weight is a product of differences to its predecessors in
+    the window times one to its successors, read from two tables that
+    hold them for 0..B-1 neighbours.  The constant term w_u * Q_0 is, up
+    to sign, a product of nonzero differences over p_u, so first has no
+    zero entry.
     """
     q = field.q
     topo = Topology(K, B)
     points = evaluation_points(field, K, B)
+    T = K - B - 1
+    inverses = [pow(p, -1, q) for p in points]
+    below, above = [], []  # products of differences to 0..B-1 cyclic predecessors, successors
+    for u, p in enumerate(points):
+        back = ahead = 1
+        below.append([1])
+        above.append([1])
+        for s in range(1, B):
+            back = back * (p - points[u - s]) % q
+            ahead = ahead * (p - points[(u + s) % K]) % q
+            below[u].append(back)
+            above[u].append(ahead)
     out: dict[int, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = {}
     for i, p in zip(topo.relays(), points):
         senders = users_of_relay(topo, i)
-        rows = lagrange_rows(q, [points[u - 1] for u in senders])
-        powers = [pow(p, t, q) for t in range(1, K - B)]
-        first = tuple(row[0] for row in rows)
-        rest = tuple(sum(map(mul, row[1:K - B], powers)) % q for row in rows)
-        out[i] = (senders, first, rest)
+        low = [1] + [0] * T  # N_0..N_T
+        for u in senders:
+            pu = points[u - 1]
+            low = [-pu * low[0] % q] + [(a - pu * b) % q for a, b in zip(low, low[1:])]
+        powers = [p]
+        for _ in range(T - 1):
+            powers.append(powers[-1] * p % q)
+        first, rest = [], []
+        for u in senders:
+            j = (u - i + B - 1) % K  # u's place in the window i-B+1, ..., i
+            weight = pow(below[u - 1][j] * above[u - 1][B - 1 - j], -1, q)
+            inv = inverses[u - 1]
+            c = -low[0] * inv % q
+            first.append(weight * c % q)
+            total = 0
+            for n_t, power in zip(low[1:], powers):
+                c = (c - n_t) * inv % q
+                total += c * power
+            rest.append(weight * total % q)
+        out[i] = (senders, tuple(first), tuple(rest))
     return out
 
 

@@ -1,10 +1,13 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from hsagg.code_design import (
     ConstructionError,
+    _family_table,
+    _root_product,
     build_code_design,
     evaluation_matrix,
     evaluation_points,
@@ -78,6 +81,40 @@ def test_degree_ladder_and_leading_band():
                     # zero band directly below the leading coefficient
                     for l in range(1, b):
                         assert row[K - B + b - 1 - l] == 0
+
+
+def family_table_reference(topo, q, points):
+    """Each user's rows one at a time: the indicator factor by factor, then the list recursion."""
+    K, B = topo.K, topo.B
+    drop = K - B - 1
+    table = []
+    for k in topo.users():
+        assoc = set(relays_of_user(topo, k))
+        base = _root_product(q, (x for i, x in zip(topo.relays(), points) if i not in assoc))
+        base += [0] * (K - len(base))
+        rows = [base]
+        for _ in range(B - 1):
+            prev = rows[-1]
+            rows.append([(a - prev[drop] * b) % q for a, b in zip([0] + prev, base)])
+        table.append(rows)
+    return table
+
+
+@pytest.mark.parametrize("q", [None, 2147483647])  # None: select_field(K, B)
+def test_family_table_matches_the_per_user_recursion(q):
+    # At q = 2**31 - 1 the points are the K largest field elements, so
+    # every product the table takes lies near its q**2 < 2**62 headroom.
+    for K in range(2, 15):
+        for B in range(1, K):
+            topo = Topology(K, B)
+            if q is None:
+                field_q = select_field(K, B).q
+                points = evaluation_points(PrimeField(field_q), K, B)
+            else:
+                field_q, points = q, tuple(range(q - 1, q - 1 - K, -1))
+            table = _family_table(topo, field_q, points)
+            assert table.dtype == np.int64 and table.shape == (K, B, K)
+            assert table.tolist() == family_table_reference(topo, field_q, points), (K, B)
 
 
 def _row_values(code):

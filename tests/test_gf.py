@@ -218,6 +218,16 @@ def test_matrix_multiply_and_stack():
     assert a.transpose().rows == ((1, 3), (2, 4))
 
 
+def test_matrix_reduces_entries_and_refuses_ragged_rows():
+    gf7 = PrimeField(7)
+    assert Matrix(gf7, [[-1, 7, 15]]).rows == ((6, 0, 1),)
+    assert Matrix(gf7, ([x, x + 8] for x in (-1, 20))).rows == ((6, 0), (6, 0))
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix(gf7, [[1, 2], [3]])
+    with pytest.raises(ValueError):
+        Matrix(gf7, [[]])
+
+
 def _matmul_reference(a, b, q):
     return [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)] for row in a]
 
