@@ -16,22 +16,21 @@ elements always fits in a 64-bit intermediate.  ``mod`` reduces an
 int64 array as a - (a // q) * q, which numpy computes by a multiply and
 a shift where ``%`` takes a hardware remainder per entry, and
 ``one_product_fits`` is the bound below which a sum of n products
-cannot wrap int64.  Three array kernels work on int64 arrays:
-``power_table``, the rows [1, p, ..., p**(n-1)] of a Vandermonde block;
-``matmul_mod``, an exact matrix product mod q that the protocol runs
+cannot wrap int64.  Two array kernels work on int64 arrays:
+``power_table``, the rows [1, p, ..., p**(n-1)] of a Vandermonde block,
+and ``matmul_mod``, an exact matrix product mod q that the protocol runs
 every round stage on, and that construction and validation take every
 product with (one int64 product when its sums cannot wrap, as at every
-default field, and a 16-bit split of one operand otherwise); and
-``every_subset_full_rank``, the
-fraction-free all-subsets rank certificate.  It walks the row subsets as
-a tree of sorted prefixes, so subsets that share a prefix share its
-elimination, and it holds at most ``_SUBSET_CHUNK`` prefixes per batch.
-``key_design.mds_proof`` calls it only where no closed-form proof
-applies, which no constructed key design reaches.
+default field, and a 16-bit split of one operand otherwise).
+``every_subset_full_rank``, the all-subsets certificate, takes one
+``Matrix.rank`` per row subset; ``key_design.mds_proof`` calls it only
+where no closed-form proof applies, which no constructed key design
+reaches.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -363,72 +362,13 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return mod(high, q)
 
 
-# Prefixes extended per batch by every_subset_full_rank: a batch holds at
-# most this many annihilator bases, about 3 MB of int64 at 10 x 10, and a
-# dependent subset ends the check after at most one batch of wasted work.
-_SUBSET_CHUNK = 4096
-
-
-def _extend_prefixes(
-    rows: np.ndarray, size: int, q: int, last: np.ndarray, C: np.ndarray
-) -> bool:
-    """Whether every completion of these sorted row prefixes to ``size`` rows is independent.
-
-    Prefix n ends at row ``last[n]``, and ``C[n]`` (ncols x w) is a
-    fraction-free basis of the vectors its j = ncols - w rows annihilate.
-    Row r extends the prefix when r > last and r <= nrows - size + j,
-    which leaves enough later rows to finish the subset.  The row lies in
-    the prefix's span exactly when v = r @ C is zero.  Otherwise, with v's
-    first nonzero entry v_p as pivot, every column becomes
-    v_p * C_c - v_c * C_p, which r annihilates too, and the zeroed pivot
-    column is dropped.  Each product is of two entries in [0, q), so it
-    stays below q**2 < 2**62, and so does their difference.
-    """
-    nrows = rows.shape[0]
-    j = rows.shape[1] - C.shape[2]
-    if j + 1 == size:
-        # The last row only has to stay outside the span.
-        later = np.arange(nrows) > last[:, None]
-        return bool(((matmul_mod(rows, C, q) != 0).any(axis=2) | ~later).all())
-    counts = nrows - size + j - last
-    node = np.repeat(np.arange(len(last)), counts)
-    extension = np.arange(len(node)) + (last + 1 - (np.cumsum(counts) - counts))[node]
-    # Each slice's subtree is finished before the next slice is extended,
-    # so every level holds at most one slice of bases during the descent.
-    for start in range(0, len(node), _SUBSET_CHUNK):
-        r = extension[start:start + _SUBSET_CHUNK]
-        basis = C[node[start:start + _SUBSET_CHUNK]]
-        v = matmul_mod(rows[r][:, None, :], basis, q)[:, 0, :]
-        nonzero = v != 0
-        if not nonzero.any(axis=1).all():
-            return False
-        batch = np.arange(len(r))
-        pivot = nonzero.argmax(axis=1)
-        pv = v[batch, pivot][:, None, None]
-        child = (pv * basis - basis[batch, :, pivot][:, :, None] * v[:, None, :]) % q
-        del basis, v, nonzero  # not needed while the subtree is walked
-        # Drop the zeroed pivot column: the last column takes its place.
-        child[batch, :, pivot] = child[:, :, -1]
-        if not _extend_prefixes(rows, size, q, r, child[:, :, :-1]):
-            return False
-    return True
-
-
 def every_subset_full_rank(M: Matrix, size: int) -> bool:
     """True iff every ``size``-row subset of M is linearly independent.
 
-    The subsets are walked as a tree of sorted row prefixes, so subsets
-    that share a prefix share its elimination.  Each prefix holds an
-    int64 basis of the vectors its rows annihilate, which starts as the
-    identity and loses one column per added row; a row that leaves the
-    basis no column it does not annihilate lies in the prefix's span.
-    The elimination is fraction-free and never inverts a pivot (see
-    ``_extend_prefixes``).  At most ``_SUBSET_CHUNK`` prefixes are
-    extended per batch, and the check returns False at the first
-    dependent subset.
+    One ``Matrix.rank`` per subset, in ``itertools.combinations`` order;
+    the check returns False at the first dependent subset.  It is True
+    when size is 0 (the empty subset) or exceeds M.nrows (no subset).
     """
-    if size == 0 or size > M.nrows:
-        return True
-    rows = np.array(M.rows, dtype=np.int64)
-    identity = np.eye(M.ncols, dtype=np.int64)[None]
-    return _extend_prefixes(rows, size, M.field.q, np.array([-1]), identity)
+    return size == 0 or all(
+        M.take_rows(rows).rank() == size for rows in combinations(range(M.nrows), size)
+    )

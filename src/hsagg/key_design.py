@@ -15,10 +15,9 @@ plus the MDS condition that any B rows of the key matrix are linearly
 independent, which hands every relay B mutually independent masks.
 ``mds_proof`` proves it in polynomial time: every key matrix built here
 is a Vandermonde block at the evaluation points times an invertible
-matrix.  The all-subsets certificate ``gf.every_subset_full_rank``
-remains its fallback for other matrices, and no certificate starts on
-more than MAX_SUBSETS row subsets; past that cap it raises
-ConstructionError.
+matrix.  For other matrices it falls back on one rank per row subset
+(``gf.every_subset_full_rank``), and refuses with ConstructionError,
+before any elimination, more than MAX_SUBSETS subsets.
 
 Every Vandermonde block below is taken at the message design's
 evaluation points (code_design.evaluation_points): 1..K, or the K-th
@@ -182,9 +181,11 @@ def _eigenvalues(q: int, points: tuple[int, ...], B: int, ratio: int) -> list[in
     return mus
 
 
-# Most row subsets one all-subsets certificate may eliminate.  It admits
-# C(22, 11) = 705432, which certifies in about a second.
-MAX_SUBSETS = 1 << 20
+# Most row subsets one all-subsets certificate may eliminate, one rank
+# each.  It admits C(16, 8) = 12870, which certifies in 1.5 to 2.0 s on
+# a 2-vCPU Intel Xeon VM (115 to 155 us a subset); 2**20 subsets would
+# take minutes.
+MAX_SUBSETS = 1 << 14
 
 
 def circulant_ratio_valid(field: PrimeField, K: int, B: int, ratio: int) -> bool:
@@ -336,7 +337,12 @@ def single_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
     Rows 1..K-1 are Vandermonde rows and row K is the negated sum of the
     others, so the unscaled rows sum to zero.  Each row is then divided by
     the matching entry of the recovery column, which moves the zero-sum
-    property to exactly the combination the server applies.
+    property to exactly the combination the server applies.  Any K-1
+    rows stay independent: rows 1..K-1 form an invertible Vandermonde
+    block at distinct points, row K is minus their sum, and the scales
+    are nonzero.  ``validate_scheme``'s nullspace-equals-recovery-span
+    gate checks it: the rows' only dependency is then the recovery
+    column, which has no zero entry.
     """
     if field.q <= K + 1:
         raise ConstructionError(f"single-association regime needs q > K+1, got q={field.q}")
@@ -349,13 +355,7 @@ def single_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
         [v * field.inv(r) % q for v in row]
         for row, r in zip(ext, recovery_col)
     ]
-    key_matrix = Matrix(field, rows)
-    if mds_proof(key_matrix, K - 1, points) is None:
-        raise ConstructionError(
-            f"single-association key matrix lost full rank on some K-1 rows over GF({q}); "
-            "choose another field"
-        )
-    return KeyDesign(key_matrix, Matrix.identity(field, K), REGIME_SINGLE)
+    return KeyDesign(Matrix(field, rows), Matrix.identity(field, K), REGIME_SINGLE)
 
 
 def full_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
@@ -407,11 +407,15 @@ def mds_proof(M: Matrix, size: int, points: tuple[int, ...]) -> "str | None":
                      V at the distinct points (``_vandermonde_witness``).
                      Any size <= m rows of V are independent, and T keeps
                      them so.  This covers every key design built here.
-      "subsets"      every size-row subset eliminated.
+      "subsets"      one rank per size-row subset.
 
-    The last step raises ConstructionError, before any elimination, when
-    it would take more than MAX_SUBSETS subsets.
+    More rows than M has columns are dependent, so such a size gets None
+    before either proof.  The subsets step raises ConstructionError,
+    before any elimination, when it would take more than MAX_SUBSETS
+    subsets.
     """
+    if M.ncols < size <= M.nrows:
+        return None
     if size <= M.ncols and _vandermonde_witness(M, points):
         return "vandermonde"
     count = comb(M.nrows, size)

@@ -207,6 +207,15 @@ def test_single_assoc_keygen():
         assert validate_scheme(keys, code).passed
 
 
+def test_single_assoc_key_matrix_is_mds_without_its_own_proof():
+    # Rows 1..K-1 are an invertible Vandermonde block, row K is minus
+    # their sum, and every row is scaled by a nonzero recovery entry.
+    for K in range(2, 15):
+        for field in (select_field(K, 1), PrimeField(2**31 - 1)):
+            key_matrix = single_assoc_keygen(K, field).key_matrix
+            assert every_subset_full_rank(key_matrix, K - 1), (K, field)
+
+
 def test_single_assoc_requires_margin():
     with pytest.raises(ConstructionError):
         single_assoc_keygen(4, PrimeField(5))
@@ -273,6 +282,15 @@ def test_validate_flags_rank_deficient_key_matrix():
     failed = {c.name for c in report.checks if not c.passed}
     assert "mixed-rank" in failed
     assert "key-matrix-mds" in failed
+
+
+def test_validate_reports_mismatched_key_width_without_enumerating():
+    # Keys for B = 16 have 16 columns, so no 17 of their rows are
+    # independent; the gate says so at once, where C(30, 17) = 119759850
+    # subsets would exceed the certificate's budget.
+    field = PrimeField(521)
+    report = validate_scheme(build_keys(30, 16, field), build_code_design(Topology(30, 17), field))
+    assert {c.name: c.passed for c in report.checks}["key-matrix-mds"] is False
 
 
 @pytest.mark.parametrize("K, B, q", [(4, 2, 53), (4, 2, None), (6, 3, None)])
@@ -498,7 +516,7 @@ def test_circulant_build_certifies_its_key_matrix_once(K, B, monkeypatch):
 
 
 def test_subset_budget_refuses_before_any_elimination(monkeypatch):
-    assert comb(22, 11) <= key_design.MAX_SUBSETS < comb(40, 20) == 137846528820
+    assert comb(16, 8) <= key_design.MAX_SUBSETS < comb(40, 20) == 137846528820
     monkeypatch.setattr(key_design, "every_subset_full_rank", _no_elimination)
     field = PrimeField(241)  # 40 divides 240
     points = evaluation_points(field, 40, 20)
