@@ -361,15 +361,22 @@ def test_every_subset_full_rank_at_int64_headroom():
     assert not every_subset_full_rank(planted, 3)
 
 
-def test_every_subset_full_rank_below_ncols_and_single_rows():
+@pytest.mark.parametrize("seed", [1, 2, 3, 4096])
+def test_every_subset_full_rank_below_ncols_and_single_rows(seed):
+    # Each seed shuffles the row order, which moves the dependent subsets
+    # to other places in the combinations order that the check stops in;
+    # the verdicts do not depend on row order.
+    order = list(range(9))
+    random.Random(seed).shuffle(order)
     field = PrimeField(13)
-    mds = vandermonde(field, range(1, 10), 6)  # any 6 of the 9 rows are independent
+    mds = vandermonde(field, [p + 1 for p in order], 6)  # any 6 of the 9 rows are independent
     for size in range(1, 7):
         assert every_subset_full_rank(mds, size)
     rows = list(mds.rows)
-    rows[7] = [(2 * a + 5 * b) % 13 for a, b in zip(rows[1], rows[4])]
-    planted = Matrix(field, rows)  # rows 1, 4 and 7 are dependent, no two are
-    rows[2] = [0] * 6
+    a, b, c = (order.index(i) for i in (1, 4, 7))
+    rows[c] = [(2 * x + 5 * y) % 13 for x, y in zip(rows[a], rows[b])]
+    planted = Matrix(field, rows)  # rows a, b and c are dependent, no two are
+    rows[order.index(2)] = [0] * 6
     zero_row = Matrix(field, rows)
     cases = [(planted, 1, True), (planted, 2, True), (planted, 3, False), (planted, 5, False),
              (zero_row, 1, False), (zero_row, 2, False), (mds, 7, False)]
