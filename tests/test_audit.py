@@ -218,21 +218,30 @@ def _input_coeff_shifted(params):
 
 
 @pytest.mark.parametrize(
-    "params",
+    "params, functional",
     [
-        golden_example1(),
-        _corrupt(golden_example1(), input_coeffs=((1, 1), 0, 2)),
-        _corrupt(golden_example1(), key_coeffs=(0, 0, 0)),
-        _corrupt(golden_example1(), key_matrix=(2, 1, 0), recovery=(0, 1, 1)),
-        _input_coeff_shifted(build_scheme(3, 2, q=5)),
+        (golden_example1(), True),
+        (_corrupt(golden_example1(), input_coeffs=((1, 1), 0, 2)), False),
+        (_corrupt(golden_example1(), key_coeffs=(0, 0, 0)), False),
+        (_corrupt(golden_example1(), key_matrix=(2, 1, 0), recovery=(0, 1, 1)), False),
+        (_input_coeff_shifted(build_scheme(3, 2, q=5)), False),
+        (_input_coeff_shifted(build_scheme(2, 1)), False),
     ],
-    ids=["golden", "golden-input", "golden-key-coeff", "golden-key-recovery", "q5-input"],
+    ids=[
+        "golden", "golden-input", "golden-key-coeff", "golden-key-recovery", "q5-input",
+        "single-input",
+    ],
 )
-def test_chunked_row_comparison_matches_one_chunk(monkeypatch, params):
+def test_chunked_row_comparison_matches_one_chunk(monkeypatch, params, functional):
     # one row and three rows per chunk must give the same checks,
     # verdicts and details as the default size; a check's rows span only
-    # the source symbols it reads, so three rows are sized from each array
+    # the source symbols it reads, so three rows are sized from each array.
+    # The recovery table is scattered in chunks of the same size, and each
+    # corrupted scheme makes it no function of the messages; the last one
+    # zeroes an input coefficient at (2, 1).
     whole = full_audit(params, level="exhaustive", L=2)
+    detail = whole.checks[-1].detail
+    assert f"messages determine the sum: {functional}" in detail
     monkeypatch.setattr(audit, "_COMPARE_CHUNK", 1)
     assert full_audit(params, level="exhaustive", L=2) == whole
     rows_match = audit._rows_match
@@ -256,10 +265,10 @@ def test_evaluate_packs_in_narrowest_16_bit_or_wider_type(n_forms, dtype, spans)
     space = audit._StateSpace(build_scheme(2, 1, q=7), 2, 10**8)
     q, n = space.q, space.n_vars
     rng = Random(n_forms)
-    # Either the first form reads every variable, so the code spans the
-    # grid at once and later forms pack in place, or every form leaves
-    # the last variable out, so its axis stays length 1 and the code
-    # grows by broadcasting.  Zero coefficients read nothing.
+    # Either the first form reads every variable, so its term spans the
+    # grid and the others are added to the code in place, or every form
+    # leaves the last variable out, so its axis stays length 1.  Zero
+    # coefficients read nothing.
     forms = [
         {v: rng.randrange(q) for v in rng.sample(range(n - 1), rng.randint(1, n - 1))}
         for _ in range(n_forms)
@@ -270,13 +279,94 @@ def test_evaluate_packs_in_narrowest_16_bit_or_wider_type(n_forms, dtype, spans)
     read = {v for form in forms for v, c in form.items() if c}
     assert code.dtype == dtype
     assert code.shape == tuple(q if v in read else 1 for v in range(n))
-    grid = np.broadcast_to(code, (q,) * n).reshape(-1)
-    for index in rng.sample(range(space.size), 50):
-        values = [index // q ** (n - 1 - v) % q for v in range(n)]
-        want = 0
-        for form in forms:
-            want = want * q + sum(c * values[v] for v, c in form.items()) % q
-        assert grid[index] == want
+    assert (np.broadcast_to(code, (q,) * n).reshape(-1) == _every_state(space, forms)).all()
+
+
+def _every_state(space, forms):
+    """The packed code at every state in grid order, from a table of every
+    variable's value at every state."""
+    q = space.q
+    values = np.indices((q,) * space.n_vars).reshape(space.n_vars, -1)
+    code = np.zeros(space.size, dtype=np.int64)
+    for form in forms:
+        code = code * q + sum(c * values[v] for v, c in form.items()) % q
+    return code
+
+
+def _shuffled(forms, seed):
+    return Random(seed).sample(forms, len(forms))
+
+
+def _random_forms(space, count, seed):
+    rng = Random(seed)
+    return [
+        {v: rng.randrange(space.q) for v in rng.sample(range(space.n_vars), rng.randint(1, 3))}
+        for _ in range(count)
+    ]
+
+
+_Q7 = audit._StateSpace(build_scheme(2, 1, q=7), 2, 10**8)
+_GOLDEN = audit._StateSpace(golden_example1(), 2, 10**8)
+
+
+@pytest.mark.parametrize("inner", [1, audit._INNER_AXIS, 10**9], ids=["one", "default", "all"])
+@pytest.mark.parametrize(
+    "space, forms, dtype",
+    [
+        (_GOLDEN, _shuffled(_GOLDEN.joint_forms(), 1), np.int16),
+        (_Q7, _shuffled(_Q7.joint_forms(), 2), np.int32),
+        (_Q7, [{0: 1, 1: 2}, {2: 3}, {3: 1, 4: 5}, {5: 6}], np.int16),
+        (_Q7, [{1: 3}, {}, {2: 5, 4: 1}, {0: 0, 3: 0}, {4: 2}], np.int16),
+        (_Q7, _random_forms(_Q7, 11, 5), np.int32),
+        (_Q7, _random_forms(_Q7, 12, 6), np.int64),
+        (_GOLDEN, [{v: 1 + v % 2 for v in range(8)}, {0: 1, 7: 2}], np.int16),
+    ],
+    ids=[
+        "golden-joint-shuffled", "q7-joint-shuffled", "disjoint", "zero-forms",
+        "int32-top", "int64-bottom", "inputs-in-inner",
+    ],
+)
+def test_evaluate_matches_every_state(monkeypatch, space, forms, dtype, inner):
+    # 7**11 < 2**31 - 1 < 7**12, and the test above takes the int16
+    # boundary.  The joint forms come in shuffled order.  One variable
+    # per merged axis, the default split, and every read variable merged
+    # must all give the same code; the golden space's default inner axis
+    # holds its last 6 variables, 4 of them inputs, so rows() must still
+    # split inputs from source symbols.
+    monkeypatch.setattr(audit, "_INNER_AXIS", inner)
+    code = space.evaluate("test", *forms)
+    read = sorted({v for form in forms for v, c in form.items() if c})
+    assert code.dtype == dtype
+    assert code.shape == tuple(space.q if v in read else 1 for v in range(space.n_vars))
+    full = _every_state(space, forms).reshape((space.q,) * space.n_vars)
+    assert (np.broadcast_to(code, full.shape) == full).all()
+    # one row per value of the inputs read, one column per value of the
+    # source symbols read, as a view of the code
+    rows = space.rows(code)
+    kept = tuple(slice(None) if v in read else slice(0, 1) for v in range(space.n_vars))
+    n_rows = space.q ** sum(v < space.n_w for v in read)
+    assert rows.shape == (n_rows, code.size // n_rows)
+    assert np.shares_memory(rows, code)
+    assert (rows == full[kept].reshape(rows.shape)).all()
+
+
+@pytest.mark.parametrize("chunk", [1, audit._COMPARE_CHUNK])
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
+def test_rows_match_compares_each_row_with_its_group_leader(monkeypatch, dtype, chunk):
+    monkeypatch.setattr(audit, "_COMPARE_CHUNK", chunk)
+    # groups 20000, 3 and 500 lead at rows 0, 1 and 4; rows of a group
+    # hold its leader's multiset in any order
+    group = np.array([20000, 3, 20000, 3, 500, 3], dtype=dtype)
+    rows = [[4, 1, 1], [2, 7, 5], [1, 4, 1], [5, 2, 7], [0, 0, 9], [7, 5, 2]]
+    got = np.array(rows, dtype=dtype)
+    assert audit._rows_match(got, group.copy())
+    assert (got == np.sort(rows, axis=1)).all()
+    # row 3 now holds group 20000's multiset, not its own group's
+    rows[3] = [1, 1, 4]
+    assert not audit._rows_match(np.array(rows, dtype=dtype), group.copy())
+    # without groups every row is compared with row 0
+    assert not audit._rows_match(np.array(rows, dtype=dtype))
+    assert audit._rows_match(np.array([[3, 1], [1, 3], [3, 1]], dtype=dtype))
 
 
 def test_checks_hold_only_the_variables_their_forms_read(monkeypatch):

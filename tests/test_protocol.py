@@ -682,6 +682,15 @@ def test_round_outputs_are_python_ints(K, B):
         # Its source-key and input draws both run the numpy stream.
         ("simulate --K 12 --B 6 --L 600 --trials 2 --seed 3 --transcript",
          "3ad18b2906c45a59fc94cd5c5e35845c80716d7f9ab46e0dbdae7df9f39eb63b"),
+        # Exhaustive audits: every relay and joint code over every state.
+        ("audit --golden-example1 --level exhaustive",
+         "849e080d6f27d27128c2e8b8925c7e34ab876ff52cbaffbe922010fd68b157e0"),
+        ("audit --K 2 --B 1 --level exhaustive --L 3",
+         "92943c6266c04d4081208d49f8e58c150f12b1d0f3f4a6e1067c6310ff55cf0b"),
+        ("audit --K 3 --B 2 --q 7 --level exhaustive --L 2",
+         "818d8ac16fd7d850f5005517a2f27e7a6eea25ed2084e417573b9ab8441a0a7b"),
+        ("audit --K 4 --B 1 --level exhaustive --L 1",
+         "4c4b3cd6aac39248c2390864234710bd003224c24006e7da95d1375fe4e81248"),
     ],
 )
 def test_seeded_reports_are_pinned(capsys, argv, digest):
