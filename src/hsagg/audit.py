@@ -65,16 +65,10 @@ class StateSpaceError(RuntimeError):
 
 def relay_security_algebraic(params: SchemeParams, i: int) -> CheckResult:
     """Relay i's masks: scaled key rows of its senders must have rank B."""
-    senders = users_of_relay(params.topo, i)
-    q = params.field.q
-    rows = []
-    zero_coeff = False
-    for k in senders:
-        lam = params.key_coeffs.rows[k - 1][i - 1]
-        if lam == 0:
-            zero_coeff = True
-        rows.append([lam * h % q for h in params.key_matrix.row(k - 1)])
-    rank = Matrix(params.field, rows).rank()
+    senders = np.array(users_of_relay(params.topo, i)) - 1
+    lam = params.key_coeffs.a[senders, i - 1, None]
+    zero_coeff = not lam.all()
+    rank = Matrix(params.field, lam * params.key_matrix.a[senders]).rank()
     want = params.topo.B
     passed = not zero_coeff and rank == want
     return CheckResult(
@@ -230,9 +224,8 @@ class _StateSpace:
         for j, c in enumerate(p.input_coeffs[(k, i)]):
             if c:
                 form[self.w_var(k, block * bs + j)] = c
-        lam = p.key_coeffs.rows[k - 1][i - 1]
-        for m, h in enumerate(p.key_matrix.row(k - 1)):
-            c = lam * h % q
+        lam = p.key_coeffs.a[k - 1, i - 1]
+        for m, c in enumerate((lam * p.key_matrix.a[k - 1] % q).tolist()):
             if c:
                 form[self.z_var(block, m)] = c
         return form
@@ -350,7 +343,7 @@ def _recovery_check(space: _StateSpace, joint: np.ndarray) -> CheckResult:
 
     # relay i's block-t symbol is base-q digit i * blocks + t of y
     digits = y[:, None] // q ** np.arange(K * blocks - 1, -1, -1) % q
-    recovery = np.array(space.params.recovery.rows, dtype=np.int64)
+    recovery = space.params.recovery.a
     decoded = np.zeros_like(s)
     for t in range(blocks):
         for symbol in (digits[:, t::blocks] @ recovery % q).T:

@@ -201,7 +201,7 @@ def build_code_design(topo: Topology, field: PrimeField) -> CodeDesign:
     return CodeDesign(
         topo=topo,
         field=field,
-        code_matrix=Matrix(field, rows.tolist()),
+        code_matrix=Matrix(field, rows),
         recovery=_recovery_matrix(field, points, B),
         input_coeffs=input_coeffs,
         points=points,

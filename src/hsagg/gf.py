@@ -1,15 +1,18 @@
 """Exact arithmetic and linear algebra over a prime field GF(q).
 
-Field elements are plain Python ints reduced into [0, q).  Everything in
-this layer is integer-exact; the security audits downstream compare
-matrices for literal equality, so floats are banned throughout.  The
-module holds the field, a dense ``Matrix`` with one exact elimination
-and the Vandermonde constructor; the message design keeps its
-polynomials as plain coefficient rows (``code_design.family_rows``).
-Every system construction meets has a closed-form solution (Lagrange
-rows, and the circulant key design's Fourier eigenvalues), so no
-library code calls ``Matrix.solve``; it, ``inverse`` and ``nullspace``
-remain as the exact oracles that check those closed forms.
+Field elements are ints reduced into [0, q), held in int64 arrays.
+Everything in this layer is integer-exact; the security audits
+downstream compare matrices for literal equality, so floats are banned
+throughout.  The module holds the field, ``field_array``, the one
+strict converter from Python ints or integer arrays to reduced int64
+arrays, a ``Matrix`` that holds its entries as one read-only int64
+array with one exact elimination, and the Vandermonde constructor; the
+message design keeps its polynomials as plain coefficient rows
+(``code_design.family_rows``).  Every system construction meets has a
+closed-form solution (Lagrange rows, and the circulant key design's
+Fourier eigenvalues), so no library code calls ``Matrix.solve``; it,
+``inverse`` and ``nullspace`` remain as the exact oracles that check
+those closed forms.
 
 The modulus is capped below 2**31 so that a product of two reduced
 elements always fits in a 64-bit intermediate.  ``mod`` reduces an
@@ -18,10 +21,11 @@ a shift where ``%`` takes a hardware remainder per entry, and
 ``one_product_fits`` is the bound below which a sum of n products
 cannot wrap int64.  Two array kernels work on int64 arrays:
 ``power_table``, the rows [1, p, ..., p**(n-1)] of a Vandermonde block,
-and ``matmul_mod``, an exact matrix product mod q that the protocol runs
-every round stage on, and that construction and validation take every
-product with (one int64 product when its sums cannot wrap, as at every
-default field, and a 16-bit split of one operand otherwise).
+and ``matmul_mod``, an exact matrix product mod q, the one product of
+the library: ``Matrix.__matmul__``, every round stage of the protocol,
+and construction and validation all take it (one int64 product when its
+sums cannot wrap, as at every default field, and a 16-bit split of one
+operand otherwise).
 ``every_subset_full_rank``, the all-subsets certificate, takes one
 ``Matrix.rank`` per row subset; ``key_design.mds_proof`` calls it only
 where no closed-form proof applies, which no constructed key design
@@ -30,6 +34,8 @@ reaches.
 
 from __future__ import annotations
 
+import struct
+from array import array
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -111,81 +117,86 @@ class DuplicatePointsError(ValueError):
 
 
 class Matrix:
-    """Immutable dense matrix over a prime field.
+    """Immutable matrix over a prime field, held as one read-only 2-D int64 array ``a``.
 
-    Rows are tuples of reduced ints.  Solve, inverse and null space share
-    one Gauss-Jordan elimination with first-nonzero pivoting, so every
-    derived matrix is reproducible bit for bit.  Rank takes its own
-    forward pass, which clears only the rows below each pivot.
+    The entries are reduced into [0, q) by ``field_array`` and copied
+    when they come from a caller's array, so no later write to that array
+    reaches the matrix.  ``rows``, tuples of Python ints, is built when it
+    is read.  Products are ``matmul_mod`` products; rank, solve, inverse
+    and null space run on Python ints from ``a.tolist()``.  Solve,
+    inverse and null space share one Gauss-Jordan elimination with
+    first-nonzero pivoting, so every derived matrix is reproducible bit
+    for bit.  Rank takes its own forward pass, which clears only the rows
+    below each pivot.
     """
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "a")
 
-    def __init__(self, field: PrimeField, rows: Iterable[Sequence[int]]):
-        q = field.q
-        self.field = field
-        self.rows = tuple(tuple([x % q for x in row]) for row in rows)
-        if not self.rows or not self.rows[0]:
+    def __init__(self, field: PrimeField, rows: "np.ndarray | Iterable[Sequence[int]]"):
+        rows = rows if isinstance(rows, np.ndarray) else list(rows)
+        a = field_array(rows, field.q)
+        if a.ndim != 2 or 0 in a.shape:
             raise ValueError("matrix must have at least one row and column")
-        ncols = len(self.rows[0])
-        if any(len(row) != ncols for row in self.rows):
-            raise ValueError("ragged rows")
+        if a is rows:
+            a = a.copy()
+        a.flags.writeable = False
+        self.field = field
+        self.a = a
 
     @classmethod
     def zeros(cls, field: PrimeField, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, [[0] * ncols for _ in range(nrows)])
+        return cls(field, np.zeros((nrows, ncols), np.int64))
 
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "Matrix":
-        return cls(field, [[int(i == j) for j in range(n)] for i in range(n)])
+        return cls(field, np.eye(n, dtype=np.int64))
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.a.tolist()))
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return self.a.shape[0]
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0])
+        return self.a.shape[1]
 
     def row(self, i: int) -> tuple:
-        return self.rows[i]
+        return tuple(self.a[i].tolist())
 
     def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.rows)
+        return tuple(self.a[:, j].tolist())
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, zip(*self.rows))
+        return Matrix(self.field, self.a.T)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise ValueError("field mismatch")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.ncols} vs {other.nrows}")
-        q = self.field.q
-        cols = other.transpose().rows
-        return Matrix(
-            self.field,
-            [[sum(a * b for a, b in zip(row, col)) % q for col in cols] for row in self.rows],
-        )
+        return Matrix(self.field, matmul_mod(self.a, other.a, self.field.q))
 
     def take_rows(self, indices: Sequence[int]) -> "Matrix":
-        return Matrix(self.field, [self.rows[i] for i in indices])
+        return Matrix(self.field, self.a[list(indices)])
 
     def take_cols(self, indices: Sequence[int]) -> "Matrix":
-        return Matrix(self.field, [[row[j] for j in indices] for row in self.rows])
+        return Matrix(self.field, self.a[:, list(indices)])
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
-        return Matrix(self.field, [a + b for a, b in zip(self.rows, other.rows)])
+        return Matrix(self.field, np.hstack([self.a, other.a]))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not self.a.any()
 
     def _echelon(self):
         """Reduce a working copy to reduced row echelon form; returns (rows, pivot_cols)."""
         q = self.field.q
-        work = [list(row) for row in self.rows]
+        work = self.a.tolist()
         pivots: list[int] = []
         r = 0
         for c in range(self.ncols):
@@ -213,7 +224,7 @@ class Matrix:
         leaves them, and clears column c of only those that remain.
         """
         q = self.field.q
-        rows, rank = list(self.rows), 0
+        rows, rank = self.a.tolist(), 0
         for _ in range(self.ncols):
             pivot = next((row for row in rows if row[0]), None)
             if pivot is None:
@@ -273,14 +284,14 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and other.field == self.field
-            and other.rows == self.rows
+            and np.array_equal(other.a, self.a)
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.rows))
+        return hash((self.field, self.a.shape, self.a.tobytes()))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
+        body = "; ".join(" ".join(map(str, row)) for row in self.a.tolist())
         return f"Matrix(GF({self.field.q}), [{body}])"
 
 
@@ -291,7 +302,7 @@ def vandermonde(field: PrimeField, points: Sequence[int], ncols: int) -> Matrix:
         raise DuplicatePointsError(f"evaluation points collide mod {field.q}: {points}")
     if ncols < 1:
         raise ValueError("ncols must be positive")
-    return Matrix(field, power_table(reduced, ncols, field.q).tolist())
+    return Matrix(field, power_table(reduced, ncols, field.q))
 
 
 def power_table(points: Sequence[int], ncols: int, q: int) -> np.ndarray:
@@ -328,6 +339,50 @@ def mod(a: np.ndarray, q: int, out: "np.ndarray | None" = None) -> np.ndarray:
     t = np.floor_divide(a, q, out=out)
     t *= q
     return np.subtract(a, t, out=t)
+
+
+def field_array(rows, q: int) -> np.ndarray:
+    """Symbols as a reduced int64 array; input already in [0, q) is not reduced again.
+
+    rows is an integer numpy array, kept in its shape and returned as it
+    is when it is int64 and reduced, or a sequence of equal-length rows
+    of ints, which gives a (len(rows), L) array.  This is the one
+    converter of every ``Matrix`` and every protocol entry point, and it
+    is strict: a float, a string or a float array raises TypeError
+    instead of being truncated, and rows of unequal length raise
+    ValueError.
+
+    Each row of ints is packed straight into its row of the array by one
+    ``struct`` call, whose "q" code takes only objects with __index__
+    that fit in int64.  Anything else raises struct.error, and then the
+    rows are taken again by ``array("q")``, which raises TypeError for a
+    non-integer and OverflowError for an int beyond int64, which is then
+    reduced exactly as a Python int.
+    """
+    if isinstance(rows, np.ndarray):
+        if rows.dtype.kind not in "iu":
+            raise TypeError(f"symbols must be integers, got an array of dtype {rows.dtype}")
+        if rows.dtype == np.uint64:
+            rows = rows % q  # exact in uint64; a cast first would wrap above 2**63
+        a = rows.astype(np.int64, copy=False)
+    else:
+        a = np.empty((len(rows), len(rows[0]) if rows else 0), np.int64)
+        pack = struct.Struct(f"{a.shape[1]}q").pack_into
+        try:
+            for r, row in enumerate(rows):
+                pack(a[r], 0, *row)
+        except struct.error:
+            for r, row in enumerate(rows):
+                if len(row) != a.shape[1]:
+                    raise ValueError("ragged rows") from None
+                try:
+                    a[r] = array("q", row)
+                except OverflowError:
+                    a[r] = array("q", [v % q for v in row])
+    # Read as uint64, a negative entry is at least 2**63, so one max finds both kinds.
+    if a.size and a.view(np.uint64).max() >= q:
+        a = mod(a, q)
+    return a
 
 
 def one_product_fits(n: int, q: int) -> bool:

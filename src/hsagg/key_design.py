@@ -154,12 +154,8 @@ def select_field(K: int, B: int) -> PrimeField:
 
 
 def _circulant(field: PrimeField, K: int, B: int, ratio: int) -> Matrix:
-    rows = []
-    for k in range(K):
-        row = [0] * K
-        for j in range(B):
-            row[(k + j) % K] = pow(ratio, j, field.q)
-        rows.append(row)
+    rows, k = np.zeros((K, K), np.int64), np.arange(K)[:, None]
+    rows[k, (k + np.arange(B)) % K] = power_table([ratio], B, field.q)
     return Matrix(field, rows)
 
 
@@ -212,7 +208,7 @@ def circulant_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
             f"no valid circulant ratio in GF({q}); size {sufficient_field_size(K, B)} suffices"
         )
     inv = [field.inv(mu) for mu in _eigenvalues(q, points, B, ratio)[: K - B]]
-    key_matrix = Matrix(field, [[pow(p, t, q) * c % q for t, c in enumerate(inv)] for p in points])
+    key_matrix = Matrix(field, power_table(points, K - B, q) * inv % q)
     return KeyDesign(key_matrix, _circulant(field, K, B, ratio), REGIME_CIRCULANT, ratio=ratio)
 
 
@@ -348,14 +344,11 @@ def single_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
         raise ConstructionError(f"single-association regime needs q > K+1, got q={field.q}")
     q = field.q
     points = evaluation_points(field, K, 1)
-    ext = [[pow(points[k], j, q) for j in range(K - 1)] for k in range(K - 1)]
-    ext.append([-sum(col) % q for col in zip(*ext)])
-    recovery_col = recovery_matrix(field, K, 1).column(0)
-    rows = [
-        [v * field.inv(r) % q for v in row]
-        for row, r in zip(ext, recovery_col)
-    ]
-    return KeyDesign(Matrix(field, rows), Matrix.identity(field, K), REGIME_SINGLE)
+    ext = power_table(points[: K - 1], K - 1, q)
+    ext = np.vstack([ext, -ext.sum(axis=0) % q])
+    scales = [field.inv(r) for r in recovery_matrix(field, K, 1).a[:, 0].tolist()]
+    key_matrix = Matrix(field, ext * np.array(scales)[:, None] % q)
+    return KeyDesign(key_matrix, Matrix.identity(field, K), REGIME_SINGLE)
 
 
 def full_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
@@ -389,12 +382,11 @@ def _vandermonde_witness(M: Matrix, points: tuple[int, ...]) -> bool:
     points = [p % q for p in points]
     if len(points) != K or len(set(points)) != K or m > K:
         return False
-    rows = np.array(M.rows, dtype=np.int64)
     inverse_t = np.array(lagrange_rows(q, points[:m]), dtype=np.int64).T
-    T = matmul_mod(inverse_t, rows[:m], q)
-    if not np.array_equal(matmul_mod(power_table(points, m, q), T, q), rows):
+    T = matmul_mod(inverse_t, M.a[:m], q)
+    if not np.array_equal(matmul_mod(power_table(points, m, q), T, q), M.a):
         return False
-    return Matrix(M.field, T.tolist()).rank() == m
+    return Matrix(M.field, T).rank() == m
 
 
 def mds_proof(M: Matrix, size: int, points: tuple[int, ...]) -> "str | None":
@@ -449,10 +441,9 @@ def masked_key_span(
     products are ``matmul_mod`` products of int64 arrays.
     """
     field = key_matrix.field
-    key_matrix_t = np.array(key_matrix.rows, dtype=np.int64).T
-    masked = matmul_mod(key_matrix_t, np.array(key_coeffs.rows, dtype=np.int64), field.q)
-    cancels = not matmul_mod(masked, np.array(recovery.rows, dtype=np.int64), field.q).any()
-    rank = Matrix(field, masked.tolist()).rank()
+    masked = matmul_mod(key_matrix.a.T, key_coeffs.a, field.q)
+    cancels = not matmul_mod(masked, recovery.a, field.q).any()
+    rank = Matrix(field, masked).rank()
     null_dim = masked.shape[1] - rank
     recovery_rank = recovery.rank()
     # Cancelling recovery columns lie in the nullspace, so B independent
@@ -473,12 +464,10 @@ def validate_scheme(keys: KeyDesign, code: CodeDesign) -> AuditReport:
     coeffs, key_matrix = keys.key_coeffs, keys.key_matrix
     checks = []
 
-    assoc = {k: relays_of_user(topo, k) for k in topo.users()}
-    supported = all(
-        (coeffs.rows[k - 1][i - 1] != 0) == (i in assoc[k])
-        for k in topo.users()
-        for i in topo.relays()
-    )
+    associated = np.zeros((K, K), bool)
+    relays = [relays_of_user(topo, k) for k in topo.users()]
+    associated[np.arange(K)[:, None], np.array(relays) - 1] = True
+    supported = np.array_equal(coeffs.a != 0, associated)
     checks.append(
         CheckResult(
             "coefficient-support",

@@ -11,11 +11,13 @@ over GF(q) for all users, blocks and relays at once (``gf.matmul_mod``),
 and the kernels reduce with ``gf.mod``, which spares numpy's per-entry
 hardware remainder; ``direct_sum``, the oracle, keeps plain ``%``.  A
 user's message adds its key product to its B input products with no
-concatenated operand.  Every entry point takes its symbols through one
-strict converter: Python ints, packed row by row into int64 by
-``struct``, or an integer numpy array; a float or a string raises
-TypeError instead of being truncated.  Symbols outside [0, q) are
-reduced on entry, and reduced input is taken as it is.
+concatenated operand.  Every entry point takes its symbols through
+``gf.field_array``, the strict converter that every ``Matrix`` uses too:
+Python ints, packed row by row into int64 by ``struct``, or an integer
+numpy array; a float or a string raises TypeError instead of being
+truncated.  Symbols outside [0, q) are reduced on entry, and reduced
+input is taken as it is.  The scheme's matrices are read-only int64
+arrays already, so the kernels multiply by views of them.
 ``run_rounds`` runs a batch of rounds of one input length, given as one
 mapping per round or as an (R, K, L) integer array: blocks are
 independent, so the rounds' blocks stack along the block axis and each
@@ -40,8 +42,6 @@ message so transcripts and rate accounting can see it.
 from __future__ import annotations
 
 import random
-import struct
-from array import array
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -49,7 +49,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .code_design import CodeDesign, build_code_design
-from .gf import Matrix, PrimeField, matmul_mod, mod, one_product_fits
+from .gf import Matrix, PrimeField, field_array, matmul_mod, mod, one_product_fits
 from .key_design import (
     AuditReport,
     ConstructionError,
@@ -145,18 +145,16 @@ class SchemeParams:
         relays = tuple(relays_of_user(topo, k) for k in topo.users())
         users = tuple(zip(topo.users(), relays))
         encode = np.array([[self.input_coeffs[(k, i)] for i in rs] for k, rs in users], np.int64)
-        key_coeffs = np.array(
-            [[[self.key_coeffs.rows[k - 1][i - 1]] for i in rs] for k, rs in users], np.int64
-        )
+        key_coeffs = self.key_coeffs.a[np.arange(topo.K)[:, None], np.array(relays) - 1, None]
         received = [
             [(k - 1) * bs + relays[k - 1].index(i) for k in users_of_relay(topo, i)]
             for i in topo.relays()
         ]
         return _RoundArrays(
-            key_matrix_t=np.array(self.key_matrix.transpose().rows, dtype=np.int64),
+            key_matrix_t=self.key_matrix.a.T,
             encode=encode,
             key_coeffs=key_coeffs,
-            recovery=np.array(self.recovery.take_cols(range(bs)).rows, dtype=np.int64),
+            recovery=self.recovery.a[:, :bs],
             relays=relays,
             received=np.array(received),
         )
@@ -310,44 +308,6 @@ def _block_count(params: SchemeParams, L: int) -> int:
 # rounds, are the only callers.
 
 
-def _field_array(rows, q: int) -> np.ndarray:
-    """Symbols as a reduced int64 array; input already in [0, q) is not reduced again.
-
-    rows is an integer numpy array, kept in its shape, or a sequence of
-    equal-length rows of ints, which gives a (len(rows), L) array.  This
-    is the one converter of every entry point, and it is strict: a float,
-    a string or a float array raises TypeError instead of being truncated.
-
-    Each row of ints is packed straight into its row of the array by one
-    ``struct`` call, whose "q" code takes only objects with __index__
-    that fit in int64.  Anything else raises struct.error, and then the
-    rows are taken again by ``array("q")``, which raises TypeError for a
-    non-integer and OverflowError for an int beyond int64, which is then
-    reduced exactly as a Python int.
-    """
-    if isinstance(rows, np.ndarray):
-        if rows.dtype.kind not in "iu":
-            raise TypeError(f"symbols must be integers, got an array of dtype {rows.dtype}")
-        if rows.dtype == np.uint64:
-            rows = rows % q  # exact in uint64; a cast first would wrap above 2**63
-        a = rows.astype(np.int64, copy=False)
-    else:
-        a = np.empty((len(rows), len(rows[0])), np.int64)
-        pack = struct.Struct(f"{a.shape[1]}q").pack_into
-        try:
-            for r, row in enumerate(rows):
-                pack(a[r], 0, *row)
-        except struct.error:
-            for r, row in enumerate(rows):
-                try:
-                    a[r] = array("q", row)
-                except OverflowError:
-                    a[r] = array("q", [v % q for v in row])
-    if a.size and (a.min() < 0 or a.max() >= q):
-        a = mod(a, q)
-    return a
-
-
 def _derive(params: SchemeParams, source: np.ndarray) -> np.ndarray:
     """(blocks, n) source segments -> (blocks, K) key symbols."""
     return matmul_mod(source, params._arrays.key_matrix_t, params.field.q)
@@ -457,7 +417,7 @@ def derive_keys(params: SchemeParams, source_key: Sequence[int]) -> dict[int, tu
         raise SizeMismatchError(
             f"source key length {len(source_key)} is not a positive multiple of {n}"
         )
-    z = _derive(params, _field_array([source_key], params.field.q).reshape(-1, n))
+    z = _derive(params, field_array([source_key], params.field.q).reshape(-1, n))
     return {k: tuple(keys) for k, keys in zip(params.topo.users(), z.T.tolist())}
 
 
@@ -474,8 +434,8 @@ def user_encode(
     x = _encode(
         params,
         slice(k - 1, k),
-        _field_array([w], q).reshape(1, blocks, bs).transpose(0, 2, 1),
-        _field_array([z], q),
+        field_array([w], q).reshape(1, blocks, bs).transpose(0, 2, 1),
+        field_array([z], q),
     )
     return _user_messages(params, k, x[0].tolist())
 
@@ -500,7 +460,7 @@ def relay_encode(
     if any(len(m) != n for m in msgs):
         raise SizeMismatchError(f"relay {i} received messages of unequal length")
     q = params.field.q
-    return tuple(_relay_sums(_field_array(msgs, q), q).tolist())
+    return tuple(_relay_sums(field_array(msgs, q), q).tolist())
 
 
 def server_decode(params: SchemeParams, relay_msgs: Mapping[int, Sequence[int]]) -> tuple[int, ...]:
@@ -511,7 +471,7 @@ def server_decode(params: SchemeParams, relay_msgs: Mapping[int, Sequence[int]])
     blocks = len(relay_msgs[1])
     if any(len(relay_msgs[i]) != blocks for i in params.topo.relays()):
         raise SizeMismatchError("relay messages of unequal length")
-    y = _field_array([relay_msgs[i] for i in params.topo.relays()], params.field.q)
+    y = field_array([relay_msgs[i] for i in params.topo.relays()], params.field.q)
     return tuple(_decode(params, y).tolist())
 
 
@@ -556,7 +516,7 @@ def run_rounds(
 
     n = params.source_key_len
     z = _derive(params, _uniform_rows(seeds, blocks * n, q).reshape(width, n))
-    w = _field_array(inputs, q).reshape(rounds, K, blocks, bs).transpose(1, 3, 0, 2)
+    w = field_array(inputs, q).reshape(rounds, K, blocks, bs).transpose(1, 3, 0, 2)
     x = _encode(params, slice(None), w.reshape(K, bs, width), z.T)
     y = _relay_sums(x.reshape(K * bs, width)[params._arrays.received], q)
     sums = _decode(params, y).reshape(rounds, L)

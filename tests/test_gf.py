@@ -218,12 +218,46 @@ def test_matrix_multiply_and_stack():
 
 def test_matrix_reduces_entries_and_refuses_ragged_rows():
     gf7 = PrimeField(7)
-    assert Matrix(gf7, [[-1, 7, 15]]).rows == ((6, 0, 1),)
-    assert Matrix(gf7, ([x, x + 8] for x in (-1, 20))).rows == ((6, 0), (6, 0))
+    for rows, want in [
+        ([[-1, 7, 15]], ((6, 0, 1),)),
+        (([x, x + 8] for x in (-1, 20)), ((6, 0), (6, 0))),
+        (np.array([[-1, 7], [15, 3]], dtype=np.int64), ((6, 0), (1, 3))),
+        (np.array([[2**64 - 1, 2**63 + 5]], dtype=np.uint64), ((1, 6),)),  # exact, not wrapped
+    ]:
+        got = Matrix(gf7, rows).rows
+        assert got == want
+        assert all(type(x) is int for row in got for x in row)
+    for bad in ([[1.5, 2], [3, 4]], [[1, "2"], [3, 4]], np.array([[1.0, 2.0]])):
+        with pytest.raises(TypeError):
+            Matrix(gf7, bad)
     with pytest.raises(ValueError, match="ragged"):
         Matrix(gf7, [[1, 2], [3]])
     with pytest.raises(ValueError):
         Matrix(gf7, [[]])
+    with pytest.raises(ValueError):
+        Matrix(gf7, [])
+
+
+def test_matrix_array_is_read_only_and_its_own():
+    gf7 = PrimeField(7)
+    source = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    m = Matrix(gf7, source)
+    with pytest.raises(ValueError):
+        m.a[0, 0] = 5
+    source[0, 0] = 6
+    assert m.rows == ((1, 2), (3, 4))
+    assert m.transpose().a.flags.writeable is False
+
+
+def test_matrix_equality_and_hash_follow_entries_and_shape():
+    gf7 = PrimeField(7)
+    from_list = Matrix(gf7, [[1, 9], [-3, 4]])
+    from_array = Matrix(gf7, np.array([[1, 2], [4, 4]], dtype=np.int32))
+    assert from_list == from_array
+    assert hash(from_list) == hash(from_array)
+    assert Matrix(gf7, [[0, 0, 0, 0]]) != Matrix(gf7, [[0, 0], [0, 0]])
+    assert hash(Matrix(gf7, [[0, 0, 0, 0]])) != hash(Matrix(gf7, [[0, 0], [0, 0]]))
+    assert from_list != Matrix(PrimeField(11), [[1, 9], [8, 4]])
 
 
 def _matmul_reference(a, b, q):

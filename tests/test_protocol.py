@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsagg import cli, protocol
+from hsagg import cli, gf, protocol
 from hsagg.audit import golden_decode, golden_example1
 from hsagg.gf import PrimeField
 from hsagg.protocol import (
@@ -480,18 +480,18 @@ class _NoPack:
 )
 def test_packed_rows_match_array_rows(rows, monkeypatch):
     q = 13
-    packed = protocol._field_array(rows, q)
+    packed = gf.field_array(rows, q)
     assert packed.dtype == np.int64
     assert packed.tolist() == [[int(v) % q for v in row] for row in rows]
     monkeypatch.setattr(struct, "Struct", _NoPack)
-    assert np.array_equal(protocol._field_array(rows, q), packed)
+    assert np.array_equal(gf.field_array(rows, q), packed)
 
 
 @pytest.mark.parametrize("bad", [1.5, "1"])
 def test_bad_symbol_after_packed_rows_raises_type_error(bad):
     rows = [(1, 2), (3, 4), (5, bad)]
     with pytest.raises(TypeError):
-        protocol._field_array(rows, 13)
+        gf.field_array(rows, 13)
     params = build_scheme(3, 2)
     inputs = random_inputs(params, 2, seed=1)
     with pytest.raises(TypeError):
