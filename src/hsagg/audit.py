@@ -34,13 +34,14 @@ are intentionally not regenerated by the general constructions.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from .gf import Matrix, PrimeField
 from .key_design import AuditReport, CheckResult, masked_key_span
 from .protocol import SchemeParams
-from .topology import Topology, users_of_relay
+from .topology import Topology, _check_index
 
 
 class StateSpaceError(RuntimeError):
@@ -65,18 +66,31 @@ class StateSpaceError(RuntimeError):
 
 def relay_security_algebraic(params: SchemeParams, i: int) -> CheckResult:
     """Relay i's masks: scaled key rows of its senders must have rank B."""
-    senders = np.array(users_of_relay(params.topo, i)) - 1
-    lam = params.key_coeffs.a[senders, i - 1, None]
-    zero_coeff = not lam.all()
-    rank = Matrix(params.field, lam * params.key_matrix.a[senders]).rank()
-    want = params.topo.B
-    passed = not zero_coeff and rank == want
-    return CheckResult(
-        f"relay-security-algebraic[{i}]",
-        passed,
-        f"masked key rows rank {rank}/{want}"
-        + (", zero coefficient on an associated link" if zero_coeff else ""),
-    )
+    _check_index(params.topo, i, "relay")
+    return _relay_checks(params, [i])[0]
+
+
+def _relay_checks(params: SchemeParams, relays: Sequence[int]) -> list[CheckResult]:
+    """``relay_security_algebraic`` of each relay: one gather of every relay's
+    senders, their key coefficients at it and their key rows, from the ids
+    (k-1)*B + j of the links it sums, then one rank per relay."""
+    topo, want = params.topo, params.topo.B
+    index = np.array(relays) - 1
+    senders = topo.relay_links[index] // want
+    lam = params.key_coeffs.a[senders, index[:, None]]
+    masked = lam[:, :, None] * params.key_matrix.a[senders] % params.field.q
+    checks = []
+    for i, zero_coeff, rows in zip(relays, (lam == 0).any(axis=1).tolist(), masked):
+        rank = Matrix(params.field, rows).rank()
+        checks.append(
+            CheckResult(
+                f"relay-security-algebraic[{i}]",
+                not zero_coeff and rank == want,
+                f"masked key rows rank {rank}/{want}"
+                + (", zero coefficient on an associated link" if zero_coeff else ""),
+            )
+        )
+    return checks
 
 
 def server_security_algebraic(params: SchemeParams) -> CheckResult:
@@ -92,7 +106,7 @@ def server_security_algebraic(params: SchemeParams) -> CheckResult:
 
 
 def algebraic_audit(params: SchemeParams) -> AuditReport:
-    checks = [relay_security_algebraic(params, i) for i in params.topo.relays()]
+    checks = _relay_checks(params, params.topo.relays())
     checks.append(server_security_algebraic(params))
     return AuditReport(tuple(checks))
 
@@ -215,25 +229,24 @@ class _StateSpace:
         """View of code with one row per value of the inputs it reads."""
         return code.reshape(math.prod(code.shape[: self.n_w]), -1)
 
-    def message_form(self, k: int, i: int, block: int) -> dict[int, int]:
-        """Linear form of the block-th symbol of the (k, i) message."""
-        p = self.params
-        q = self.q
-        bs = p.block_size
+    def message_form(self, link: int, block: int) -> dict[int, int]:
+        """Linear form of the block-th symbol sent on link (k-1)*B + j, link j of user k."""
+        p, q, bs = self.params, self.q, self.params.block_size
+        k, j = divmod(link, bs)  # user k + 1
         form: dict[int, int] = {}
-        for j, c in enumerate(p.input_coeffs[(k, i)]):
+        for b, c in enumerate(p.input_coeffs[k, j].tolist()):
             if c:
-                form[self.w_var(k, block * bs + j)] = c
-        lam = p.key_coeffs.a[k - 1, i - 1]
-        for m, c in enumerate((lam * p.key_matrix.a[k - 1] % q).tolist()):
+                form[self.w_var(k + 1, block * bs + b)] = c
+        lam = p.key_coeffs.a[k, p.topo.link_relay[k, j]]
+        for m, c in enumerate((lam * p.key_matrix.a[k] % q).tolist()):
             if c:
                 form[self.z_var(block, m)] = c
         return form
 
     def relay_form(self, i: int, block: int) -> dict[int, int]:
         form: dict[int, int] = {}
-        for k in users_of_relay(self.params.topo, i):
-            for v, c in self.message_form(k, i, block).items():
+        for link in self.params.topo.relay_links[i - 1].tolist():
+            for v, c in self.message_form(link, block).items():
                 form[v] = (form.get(v, 0) + c) % self.q
         return form
 
@@ -285,8 +298,8 @@ def _mi_checks(space: _StateSpace) -> tuple[list[CheckResult], np.ndarray]:
     checks = []
     for i in params.topo.relays():
         forms = [
-            space.message_form(k, i, t)
-            for k in users_of_relay(params.topo, i)
+            space.message_form(link, t)
+            for link in params.topo.relay_links[i - 1].tolist()
             for t in range(space.blocks)
         ]
         # Passed without a name, so each relay's array is freed before the
@@ -415,18 +428,14 @@ def golden_example1() -> SchemeParams:
     (Y1 - 2 Y2 + Y3)/2; those combinations are the two recovery columns.
     """
     field = PrimeField(3)
+    # Row k-1: user k's links in the order above, to relays k and k+1.
+    input_coeffs = np.array([[[1, 0], [2, 2]], [[1, 2], [2, 0]], [[1, 1], [2, 1]]], np.int64)
+    input_coeffs.flags.writeable = False
     return SchemeParams(
         topo=Topology(3, 2),
         requested_B=2,
         field=field,
-        input_coeffs={
-            (1, 1): (1, 0),  # -2 W1a - Z1
-            (1, 2): (2, 2),  # -(W1a + W1b) + Z1
-            (2, 2): (1, 2),  # W2a - W2b + 2 Z2
-            (2, 3): (2, 0),  # 2 W2a + Z2
-            (3, 3): (1, 1),  # W3a + W3b + Z3
-            (3, 1): (2, 1),  # W3b - W3a + 2 Z3
-        },
+        input_coeffs=input_coeffs,
         key_coeffs=Matrix(field, [[2, 1, 0], [0, 2, 1], [2, 0, 1]]),
         key_matrix=Matrix(field, [[1, 0], [0, 1], [1, 1]]),
         recovery=Matrix(field, [[1, 2], [0, 2], [2, 2]]),

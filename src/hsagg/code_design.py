@@ -14,7 +14,7 @@ degree K - B + b - 1, leading coefficient 1, and zero coefficients in the
 band just below the leading term.  ``_family_table`` builds every user's
 family at once, as one (K, B, K) int64 array: the indicators take K - B
 multiply-by-(x - p) steps and the recursion B - 1 steps, each step one
-array operation over all K users.  Stacking all rows gives a BK x K code
+array operation over all K users.  Stacked, the rows form a BK x K code
 matrix whose last B columns are stacked identity blocks.  That identity
 tail is what makes the column combinations e_{K-B+1..K} reproduce the B
 coordinates of the input sum, and the recovery matrix is the last B
@@ -25,25 +25,24 @@ it in closed form: prod (x - p) divided synthetically by (x - p_r), then
 scaled by 1 / prod_{j != r} (p_r - p_j), with no elimination.
 
 The per-link input coefficients are user k's rows evaluated at the
-receiving relay's point.  ``build_code_design`` computes the points once
-and takes one ``gf.matmul_mod`` product of the points' power table with
-the family table, viewed as the BK x K code matrix, so a single
-table holds every row at every point; each link reads its B entries
-from it.  Links outside the association pattern get no entry at all,
-which makes "relay i never mixes non-associated inputs" a structural
-fact rather than a numerical one.
+points of its own B relays: one stacked ``gf.matmul_mod`` product of
+those points' power rows with every user's family rows gives them all as
+one read-only (K, B, B) int64 array, entry [k-1, j] for link j of user
+k.  Links outside the association pattern have no entry at all, which
+makes "relay i never mixes non-associated inputs" a structural fact
+rather than a numerical one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from math import prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .gf import DuplicatePointsError, Matrix, PrimeField, matmul_mod, power_table, vandermonde
-from .topology import Topology, _check_index, relays_of_user
+from .topology import Topology, _check_index
 
 
 class ConstructionError(RuntimeError):
@@ -140,15 +139,15 @@ def family_rows(topo: Topology, field: PrimeField, k: int) -> tuple[tuple[int, .
 def _family_table(topo: Topology, q: int, points: tuple[int, ...]) -> np.ndarray:
     """int64 array of shape (K, B, K) whose slice k-1 is ``family_rows(topo, field, k)``.
 
-    User k's non-associated relays are k+B, ..., k+K-1, taken cyclically,
-    so step j multiplies every user's indicator by (x - p) at the point
-    of its relay k+B+j: K-B steps, each over all K users at once.  The
-    recursion then takes B-1 steps, each over all users too.  Every
-    product is of two entries in [0, q), below q**2 < 2**62.
+    Step j multiplies every user's indicator by (x - p) at the point of
+    its j-th non-associated relay, ``topo.skipped_relay``: K-B steps, each
+    over all K users at once.  The recursion then takes B-1 steps, each
+    over all users too.  Every product is of two entries in [0, q), below
+    q**2 < 2**62.
     """
     K, B = topo.K, topo.B
     P = np.array(points, dtype=np.int64) % q
-    roots = P[(np.arange(K)[:, None] + np.arange(B, K)) % K]  # row k-1: relays k+B, ..., k+K-1
+    roots = P[topo.skipped_relay]
     # Each row sits after a zero column, so shifting a row's window one
     # column left reads x times it.
     table = np.zeros((K, B, K + 1), dtype=np.int64)
@@ -168,40 +167,34 @@ def _family_table(topo: Topology, q: int, points: tuple[int, ...]) -> np.ndarray
 class CodeDesign:
     """Compiled message design for one (topology, field) choice.
 
-    Rows (k-1)B through kB-1 of the code matrix, counted from 0, are
-    ``family_rows(topo, field, k)``.
+    input_coeffs[k-1, j] holds the B coefficients of link j of user k:
+    ``family_rows(topo, field, k)`` evaluated at the point of relay
+    ``relays_of_user(topo, k)[j]``.
     """
 
     topo: Topology
     field: PrimeField
-    code_matrix: Matrix
     recovery: Matrix
-    input_coeffs: Mapping[tuple[int, int], tuple[int, ...]] = dc_field(repr=False)
+    input_coeffs: np.ndarray = dc_field(repr=False)  # read-only (K, B, B) int64
     points: tuple[int, ...]  # evaluation_points(field, K, B); relay i's is points[i-1]
 
 
 def build_code_design(topo: Topology, field: PrimeField) -> CodeDesign:
-    """Code matrix, recovery matrix and per-link coefficients; absent links mean zero.
+    """Recovery matrix and per-link coefficients; absent links mean zero.
 
-    Entry (k, i) of the coefficient table holds user k's B rows evaluated
-    at relay i's point: column (k-1)B .. kB-1 of row i-1 of the one
-    product of the points' power table with the stacked code matrix.
-    Only associated links appear.
+    Row j of user k's (B, K) slice of the gathered power table holds the
+    powers of the point of its link j's relay, so one stacked product with
+    the transposed family table gives every link's coefficients.
     """
     _require_family(topo)
     K, B, q = topo.K, topo.B, field.q
     points = evaluation_points(field, K, B)
-    rows = _family_table(topo, q, points).reshape(K * B, K)
-    at_relay = matmul_mod(power_table(points, K, q), rows.T, q).tolist()
-    input_coeffs = {
-        (k, i): tuple(at_relay[i - 1][(k - 1) * B:k * B])
-        for k in topo.users()
-        for i in relays_of_user(topo, k)
-    }
+    family = _family_table(topo, q, points)
+    input_coeffs = matmul_mod(power_table(points, K, q)[topo.link_relay], family.swapaxes(1, 2), q)
+    input_coeffs.flags.writeable = False
     return CodeDesign(
         topo=topo,
         field=field,
-        code_matrix=Matrix(field, rows),
         recovery=_recovery_matrix(field, points, B),
         input_coeffs=input_coeffs,
         points=points,

@@ -60,7 +60,7 @@ from .code_design import CodeDesign, ConstructionError, evaluation_points, lagra
 from .code_design import recovery_matrix
 from .gf import MAX_MODULUS, Matrix, PrimeField, every_subset_full_rank, is_prime, matmul_mod
 from .gf import power_table, vandermonde
-from .topology import Topology, relays_of_user, users_of_relay
+from .topology import Topology, users_of_relay
 
 REGIME_SINGLE = "single"
 REGIME_CIRCULANT = "circulant"
@@ -154,8 +154,8 @@ def select_field(K: int, B: int) -> PrimeField:
 
 
 def _circulant(field: PrimeField, K: int, B: int, ratio: int) -> Matrix:
-    rows, k = np.zeros((K, K), np.int64), np.arange(K)[:, None]
-    rows[k, (k + np.arange(B)) % K] = power_table([ratio], B, field.q)
+    rows = np.zeros((K, K), np.int64)
+    rows[np.arange(K)[:, None], Topology(K, B).link_relay] = power_table([ratio], B, field.q)
     return Matrix(field, rows)
 
 
@@ -465,8 +465,7 @@ def validate_scheme(keys: KeyDesign, code: CodeDesign) -> AuditReport:
     checks = []
 
     associated = np.zeros((K, K), bool)
-    relays = [relays_of_user(topo, k) for k in topo.users()]
-    associated[np.arange(K)[:, None], np.array(relays) - 1] = True
+    associated[np.arange(K)[:, None], topo.link_relay] = True
     supported = np.array_equal(coeffs.a != 0, associated)
     checks.append(
         CheckResult(

@@ -16,8 +16,9 @@ concatenated operand.  Every entry point takes its symbols through
 Python ints, packed row by row into int64 by ``struct``, or an integer
 numpy array; a float or a string raises TypeError instead of being
 truncated.  Symbols outside [0, q) are reduced on entry, and reduced
-input is taken as it is.  The scheme's matrices are read-only int64
-arrays already, so the kernels multiply by views of them.
+input is taken as it is.  The kernels multiply by the scheme's read-only
+int64 matrices and (K, B, B) link coefficients as they are, and take the
+relay of each link and the links each relay sums from ``Topology``.
 ``run_rounds`` runs a batch of rounds of one input length, given as one
 mapping per round or as an (R, K, L) integer array: blocks are
 independent, so the rounds' blocks stack along the block axis and each
@@ -70,37 +71,21 @@ class MissingMessageError(LookupError):
         super().__init__(f"missing message from {sender} to {receiver}")
 
 
-@dataclass(frozen=True)
-class _RoundArrays:
-    """A scheme as the arrays the round kernels multiply by.
-
-    Link j of user k goes to relay relays[k-1][j].  Row j of encode[k-1]
-    holds the link's B input coefficients and key_coeffs[k-1, j] its key
-    coefficient, so its message is encode[k-1] @ input block plus
-    key_coeffs[k-1] times the key symbol.
-    Relay i sums the links received[i-1], numbered (k-1)*B + j.
-    """
-
-    key_matrix_t: np.ndarray  # (n, K)
-    encode: np.ndarray  # (K, B, B)
-    key_coeffs: np.ndarray  # (K, B, 1)
-    recovery: np.ndarray  # (K, B)
-    relays: tuple[tuple[int, ...], ...]
-    received: np.ndarray  # (K, B)
-
-
 @dataclass(frozen=True, eq=False)
 class SchemeParams:
     """Everything the protocol needs to run rounds, plus provenance.
 
     topo is the association actually coded: for requested B = K it is the
     inner (K, K-1) topology and requested_B records the original K.
+    input_coeffs, a read-only (K, B, B) int64 array, holds in entry
+    [k-1, j] the input coefficients of link j of user k, the link to relay
+    ``relays_of_user(topo, k)[j]``.
     """
 
     topo: Topology
     requested_B: int
     field: PrimeField
-    input_coeffs: Mapping[tuple[int, int], tuple[int, ...]]
+    input_coeffs: np.ndarray
     key_coeffs: Matrix
     key_matrix: Matrix
     recovery: Matrix
@@ -137,27 +122,6 @@ class SchemeParams:
         if not self.reduced:
             return None
         return i % self.K + 1
-
-    @cached_property
-    def _arrays(self) -> _RoundArrays:
-        """Built on first use and kept for every later round of the scheme."""
-        topo, bs = self.topo, self.block_size
-        relays = tuple(relays_of_user(topo, k) for k in topo.users())
-        users = tuple(zip(topo.users(), relays))
-        encode = np.array([[self.input_coeffs[(k, i)] for i in rs] for k, rs in users], np.int64)
-        key_coeffs = self.key_coeffs.a[np.arange(topo.K)[:, None], np.array(relays) - 1, None]
-        received = [
-            [(k - 1) * bs + relays[k - 1].index(i) for k in users_of_relay(topo, i)]
-            for i in topo.relays()
-        ]
-        return _RoundArrays(
-            key_matrix_t=self.key_matrix.a.T,
-            encode=encode,
-            key_coeffs=key_coeffs,
-            recovery=self.recovery.a[:, :bs],
-            relays=relays,
-            received=np.array(received),
-        )
 
 
 @dataclass(frozen=True)
@@ -310,26 +274,29 @@ def _block_count(params: SchemeParams, L: int) -> int:
 
 def _derive(params: SchemeParams, source: np.ndarray) -> np.ndarray:
     """(blocks, n) source segments -> (blocks, K) key symbols."""
-    return matmul_mod(source, params._arrays.key_matrix_t, params.field.q)
+    return matmul_mod(source, params.key_matrix.a.T, params.field.q)
 
 
 def _encode(params: SchemeParams, users: slice, w: np.ndarray, z: np.ndarray) -> np.ndarray:
     """(U, B, blocks) input blocks, one per column, and (U, blocks) key
     symbols of a slice of users -> (U, B, blocks) messages, row j for link j.
 
+    Link j of user k takes input_coeffs[k-1, j] and user k's key
+    coefficient at the link's relay, ``topo.link_relay[k-1, j]``.
     A message sums B input products and one key product.  When those
     B + 1 products cannot wrap int64, the sum is reduced once; otherwise
     the input part goes through ``matmul_mod`` and the key product, below
     q**2 < 2**62, is added to its reduced result.  The key products'
     array then takes the reduced messages.
     """
-    arrays, q = params._arrays, params.field.q
-    coeffs = arrays.encode[users]
+    topo, q = params.topo, params.field.q
+    coeffs = params.input_coeffs[users]
     if one_product_fits(coeffs.shape[-1] + 1, q):
         x = coeffs @ w
     else:
         x = matmul_mod(coeffs, w, q)
-    keys = arrays.key_coeffs[users] * z[:, None, :]
+    lam = params.key_coeffs.a[np.arange(topo.K)[users, None], topo.link_relay[users]]
+    keys = lam[:, :, None] * z[:, None, :]
     x += keys
     return mod(x, q, out=keys)
 
@@ -341,12 +308,12 @@ def _relay_sums(received: np.ndarray, q: int) -> np.ndarray:
 
 def _decode(params: SchemeParams, y: np.ndarray) -> np.ndarray:
     """(K, blocks) relay symbols -> the blockwise sum, block by block."""
-    return matmul_mod(y.T, params._arrays.recovery, params.field.q).ravel()
+    return matmul_mod(y.T, params.recovery.a, params.field.q).ravel()
 
 
 def _user_messages(params: SchemeParams, k: int, links: list) -> dict[int, tuple[int, ...]]:
     """User k's messages by relay, from its per-link symbol lists."""
-    out = dict(zip(params._arrays.relays[k - 1], map(tuple, links)))
+    out = dict(zip(relays_of_user(params.topo, k), map(tuple, links)))
     disabled = params.disabled_relay(k)
     if disabled is not None:
         out[disabled] = ()
@@ -518,7 +485,7 @@ def run_rounds(
     z = _derive(params, _uniform_rows(seeds, blocks * n, q).reshape(width, n))
     w = field_array(inputs, q).reshape(rounds, K, blocks, bs).transpose(1, 3, 0, 2)
     x = _encode(params, slice(None), w.reshape(K, bs, width), z.T)
-    y = _relay_sums(x.reshape(K * bs, width)[params._arrays.received], q)
+    y = _relay_sums(x.reshape(K * bs, width)[params.topo.relay_links], q)
     sums = _decode(params, y).reshape(rounds, L)
     return RoundBatch(params, sums, x.reshape(K, bs, rounds, blocks), y.reshape(K, rounds, blocks))
 

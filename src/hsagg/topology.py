@@ -3,16 +3,27 @@
 K users face K relays.  User k uploads to the B consecutive relays
 k, k+1, ..., k+B-1, with indices wrapping past K back to 1.  All public
 indices are 1-based; off-by-one bugs here would poison every matrix built
-downstream, so the wrap arithmetic lives only in this module.
+downstream, so the wrap arithmetic lives only in this module.  Link j of
+user k goes to relay ``relays_of_user(topo, k)[j]`` and has the id
+(k-1)*B + j.  Array code reads the association from a ``Topology``'s
+three read-only int64 arrays of 0-based indices, each built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 
 class InvalidIndexError(IndexError):
     pass
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -33,6 +44,23 @@ class Topology:
 
     def relays(self) -> range:
         return range(1, self.K + 1)
+
+    @cached_property
+    def link_relay(self) -> np.ndarray:
+        """Entry [k-1, j] is relays_of_user(self, k)[j] - 1."""
+        return _read_only((np.arange(self.K)[:, None] + np.arange(self.B)) % self.K)
+
+    @cached_property
+    def skipped_relay(self) -> np.ndarray:
+        """Row k-1 holds the relays user k skips, k+B, ..., k+K-1 taken cyclically, less 1."""
+        return _read_only((np.arange(self.K)[:, None] + np.arange(self.B, self.K)) % self.K)
+
+    @cached_property
+    def relay_links(self) -> np.ndarray:
+        """Row i-1 holds the ids (k-1)*B + j of the links to relay i, by ascending user k."""
+        j = np.arange(self.B)
+        senders = (np.arange(self.K)[:, None] - j) % self.K  # whose link j reaches relay i
+        return _read_only(np.sort(senders * self.B + j, axis=1))
 
 
 def _check_index(topo: Topology, idx: int, kind: str) -> None:

@@ -16,8 +16,8 @@ from hsagg.audit import (
     exhaustive_recovery_audit,
     golden_example1,
 )
-from hsagg.code_design import build_code_design, evaluation_matrix
-from hsagg.gf import PrimeField
+from hsagg.code_design import build_code_design, evaluation_matrix, family_rows
+from hsagg.gf import Matrix, PrimeField
 from hsagg.key_design import (
     sample_circulant_validity,
     select_field,
@@ -216,12 +216,13 @@ def test_criterion_8_property_suites():
     for K in range(2, 9):
         for B in range(1, K):
             code = build_code_design(Topology(K, B), big)
-            values = (code.code_matrix @ evaluation_matrix(big, K, B)).rows
+            rows = [row for k in code.topo.users() for row in family_rows(code.topo, big, k)]
+            values = (Matrix(big, rows) @ evaluation_matrix(big, K, B)).rows
             for k in range(1, K + 1):
                 assoc = set(relays_of_user(code.topo, k))
                 for b in range(1, B + 1):
                     r = (k - 1) * B + b - 1
-                    row = code.code_matrix.row(r)
+                    row = rows[r]
                     degree = max(j for j, c in enumerate(row) if c)
                     ladder &= degree == K - B + b - 1 and row[degree] == 1
                     for j in range(1, K + 1):

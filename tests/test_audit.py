@@ -111,9 +111,8 @@ def test_corrupted_input_coefficient_is_hidden_from_relays_not_server(make):
     # the relay sums now carry input information beyond the total and no
     # longer determine it
     params = make()
-    coeffs = dict(params.input_coeffs)
-    first, *rest = coeffs[(1, 1)]
-    coeffs[(1, 1)] = ((first + 1) % params.field.q, *rest)
+    coeffs = params.input_coeffs.copy()  # link 0 of user 1 goes to relay 1
+    coeffs[0, 0, 0] = (coeffs[0, 0, 0] + 1) % params.field.q
     broken = replace(params, input_coeffs=coeffs)
     full = full_audit(broken, level="exhaustive", L=2)
     for report in (exhaustive_mi_audit(broken, L=2), full):
@@ -181,12 +180,15 @@ def _reference_verdicts(params, L):
 
 
 def _corrupt(params, **entries):
-    """Copy of params with single matrix entries or input coefficients changed."""
+    """Copy of params with single matrix entries or input coefficients changed.
+
+    An input coefficient is named by (user - 1, link), its index and its value.
+    """
     changes = {}
     for name, (r, c, value) in entries.items():
         if name == "input_coeffs":
-            coeffs = dict(params.input_coeffs)
-            coeffs[r] = coeffs[r][:c] + (value,) + coeffs[r][c + 1 :]
+            coeffs = params.input_coeffs.copy()
+            coeffs[(*r, c)] = value
             changes[name] = coeffs
         else:
             rows = [list(row) for row in getattr(params, name).rows]
@@ -199,7 +201,7 @@ def _corrupt(params, **entries):
     "params, L",
     [
         (golden_example1(), 2),
-        (_corrupt(golden_example1(), input_coeffs=((1, 1), 0, 2)), 2),
+        (_corrupt(golden_example1(), input_coeffs=((0, 0), 0, 2)), 2),
         (_corrupt(golden_example1(), key_coeffs=(0, 0, 0)), 2),
         (_corrupt(golden_example1(), key_matrix=(2, 1, 0), recovery=(0, 1, 1)), 2),
         (build_scheme(2, 1), 2),
@@ -212,16 +214,16 @@ def test_exhaustive_verdicts_match_count_table_reference(params, L):
     assert got == _reference_verdicts(params, L)
 
 def _input_coeff_shifted(params):
-    """params with the first input coefficient on link (1, 1) raised by one."""
-    first = params.input_coeffs[(1, 1)][0]
-    return _corrupt(params, input_coeffs=((1, 1), 0, (first + 1) % params.field.q))
+    """params with the first input coefficient of user 1's link 0, to relay 1, raised by one."""
+    first = int(params.input_coeffs[0, 0, 0])
+    return _corrupt(params, input_coeffs=((0, 0), 0, (first + 1) % params.field.q))
 
 
 @pytest.mark.parametrize(
     "params, functional",
     [
         (golden_example1(), True),
-        (_corrupt(golden_example1(), input_coeffs=((1, 1), 0, 2)), False),
+        (_corrupt(golden_example1(), input_coeffs=((0, 0), 0, 2)), False),
         (_corrupt(golden_example1(), key_coeffs=(0, 0, 0)), False),
         (_corrupt(golden_example1(), key_matrix=(2, 1, 0), recovery=(0, 1, 1)), False),
         (_input_coeff_shifted(build_scheme(3, 2, q=5)), False),

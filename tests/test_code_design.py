@@ -28,7 +28,7 @@ BIG = PrimeField(2147483647)
 # regime's K-th roots of unity exist.
 ROOTS = PrimeField(2147478481)
 
-# sha256 over the input coefficients, code matrix and recovery matrix of
+# sha256 over the input coefficients, code matrix rows and recovery matrix of
 # every (K, B < K) with K <= 10, at select_field(K, B) and at BIG, with
 # the circulant regime at its roots of unity; a field without them
 # contributes its ConstructionError message instead.
@@ -72,7 +72,7 @@ def test_degree_ladder_and_leading_band():
             code = build_code_design(topo, field)
             for k in topo.users():
                 rows = family_rows(topo, field, k)
-                assert rows == code.code_matrix.rows[(k - 1) * B : k * B]
+                assert rows == _code_matrix(code).rows[(k - 1) * B : k * B]
                 for b, row in enumerate(rows, start=1):
                     assert len(row) == K
                     assert row[K - B + b - 1] == 1
@@ -117,9 +117,15 @@ def test_family_table_matches_the_per_user_recursion(q):
             assert table.tolist() == family_table_reference(topo, field_q, points), (K, B)
 
 
+def _code_matrix(code):
+    """The BK x K code matrix: every user's family rows, stacked in user order."""
+    topo = code.topo
+    return Matrix(code.field, _family_table(topo, code.field.q, code.points).reshape(-1, topo.K))
+
+
 def _row_values(code):
     """Entry (r, j-1) is code row r evaluated at relay j's point."""
-    return (code.code_matrix @ evaluation_matrix(code.field, code.topo.K, code.topo.B)).rows
+    return (_code_matrix(code) @ evaluation_matrix(code.field, code.topo.K, code.topo.B)).rows
 
 
 def test_zero_on_non_associated_relays_any_field():
@@ -151,7 +157,7 @@ def test_code_matrix_shape_and_identity_tail():
     for (K, B) in [(3, 2), (5, 2), (5, 4), (8, 3)]:
         field = select_field(K, B)
         code = build_code_design(Topology(K, B), field)
-        m = code.code_matrix
+        m = _code_matrix(code)
         assert (m.nrows, m.ncols) == (B * K, K)
         tail = m.take_cols(range(K - B, K))
         ident = Matrix.identity(field, B)
@@ -161,8 +167,8 @@ def test_code_matrix_shape_and_identity_tail():
 
 def test_code_matrix_rows_for_first_user():
     code = build_code_design(Topology(3, 2), GF7)
-    assert code.code_matrix.row(0) == (-3 % 7, 1, 0)
-    assert code.code_matrix.row(1) == (-9 % 7, 0, 1)
+    assert _code_matrix(code).row(0) == (-3 % 7, 1, 0)
+    assert _code_matrix(code).row(1) == (-9 % 7, 0, 1)
 
 
 def test_recovery_matrix_is_inverse_tail():
@@ -201,7 +207,7 @@ def test_recovery_reproduces_sums_for_random_inputs():
     rng = random.Random(99)
     for _ in range(20):
         w = [rng.randrange(7) for _ in range(B * K)]
-        relay_values = (Matrix(GF7, [w]) @ code.code_matrix) @ evaluation_matrix(GF7, K, B)
+        relay_values = (Matrix(GF7, [w]) @ _code_matrix(code)) @ evaluation_matrix(GF7, K, B)
         decoded = relay_values @ code.recovery
         sums = tuple(sum(w[u * B + b] for u in range(K)) % 7 for b in range(B))
         assert decoded.row(0) == sums
@@ -209,17 +215,15 @@ def test_recovery_reproduces_sums_for_random_inputs():
 
 def test_input_coefficients_worked_values():
     code = build_code_design(Topology(3, 2), GF7)
-    # family of user 1 at point 1: (1 - 3, 1 - 9) = (-2, -8)
-    assert code.input_coeffs[(1, 1)] == (-2 % 7, -8 % 7)
+    # family of user 1 at point 1, its link 0: (1 - 3, 1 - 9) = (-2, -8)
+    assert code.input_coeffs[0, 0].tolist() == [-2 % 7, -8 % 7]
 
 
 def test_input_coefficients_sparse_on_association():
+    # One entry of B coefficients per associated link, and no other.
     for (K, B) in [(3, 2), (5, 3), (6, 2)]:
         code = build_code_design(Topology(K, B), select_field(K, B))
-        for (k, i), coeffs in code.input_coeffs.items():
-            assert i in relays_of_user(code.topo, k)
-            assert len(coeffs) == B
-        assert len(code.input_coeffs) == K * B
+        assert code.input_coeffs.shape == (K, B, B)
 
 
 def test_default_points_need_room():
@@ -263,8 +267,10 @@ def test_input_coefficients_are_rows_at_relay_points():
         field = select_field(K, B)
         code = build_code_design(Topology(K, B), field)
         values = _row_values(code)
-        for (k, i), coeffs in code.input_coeffs.items():
-            assert coeffs == tuple(values[(k - 1) * B + b][i - 1] for b in range(B))
+        for k in code.topo.users():
+            for j, i in enumerate(relays_of_user(code.topo, k)):
+                expected = [values[(k - 1) * B + b][i - 1] for b in range(B)]
+                assert code.input_coeffs[k - 1, j].tolist() == expected
 
 
 @pytest.mark.parametrize(
@@ -286,7 +292,7 @@ def test_link_coefficients_times_relay_recovery_rows_is_identity(field_of):
             ident = Matrix.identity(field, B)
             for k in topo.users():
                 relays = relays_of_user(topo, k)
-                links = Matrix(field, [code.input_coeffs[(k, i)] for i in relays]).transpose()
+                links = Matrix(field, code.input_coeffs[k - 1]).transpose()
                 assert links @ code.recovery.take_rows([i - 1 for i in relays]) == ident
 
 
@@ -297,16 +303,19 @@ def _design_digest(keep):
             if not keep(K, B):
                 continue
             for field in (select_field(K, B), BIG):
+                topo = Topology(K, B)
                 try:
-                    code = build_code_design(Topology(K, B), field)
-                    item = (
-                        K,
-                        B,
-                        field.q,
-                        list(code.input_coeffs.items()),
-                        code.code_matrix.rows,
-                        code.recovery.rows,
-                    )
+                    code = build_code_design(topo, field)
+                    # The pinned digests hash the links as ((user, relay),
+                    # coefficients) items in user order, then every user's
+                    # family rows, stacked.
+                    links = [
+                        ((k, i), tuple(code.input_coeffs[k - 1, j].tolist()))
+                        for k in topo.users()
+                        for j, i in enumerate(relays_of_user(topo, k))
+                    ]
+                    rows = tuple(row for k in topo.users() for row in family_rows(topo, field, k))
+                    item = (K, B, field.q, links, rows, code.recovery.rows)
                 except ConstructionError as e:
                     item = (K, B, field.q, str(e))  # circulant needs K | q - 1
                 h.update(repr(item).encode())

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from hsagg import cli, gf, protocol
 from hsagg.audit import golden_decode, golden_example1
-from hsagg.gf import PrimeField
+from hsagg.gf import Matrix, PrimeField
 from hsagg.protocol import (
     MissingMessageError,
     SizeMismatchError,
@@ -32,7 +32,7 @@ from hsagg.protocol import (
     user_encode,
 )
 from hsagg.rates import achievable_rates, measured_rates
-from hsagg.topology import relays_of_user, users_of_relay
+from hsagg.topology import Topology, relays_of_user, users_of_relay
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -91,6 +91,24 @@ def test_golden_message_formulas():
         decoded = server_decode(params, {1: y1, 2: y2, 3: y3})
         assert decoded == golden_decode({1: y1, 2: y2, 3: y3})
         assert decoded == ((w1a + w2a + w3a) % 3, (w1b + w2b + w3b) % 3)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: build_scheme(5, 3), lambda: build_scheme(4, 4), golden_example1],
+    ids=["build_scheme", "build_scheme_full", "golden_example1"],
+)
+def test_input_coeffs_is_one_read_only_array(make):
+    params = make()
+    K, B = params.K, params.block_size
+    arrays = [params.input_coeffs]
+    if params.code is not None:
+        arrays.append(params.code.input_coeffs)
+    for coeffs in arrays:
+        assert coeffs.dtype == np.int64 and coeffs.shape == (K, B, B)
+        assert not coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            coeffs[0, 0, 0] = 1
 
 
 def test_key_symbol_reused_across_outgoing_messages():
@@ -507,14 +525,19 @@ def test_encode_guards_its_sum_at_the_largest_field(B):
     # at B = 2 the B input products alone would not.
     q, U, blocks = 2147483647, 2, 5
     top = q - 1
-    arrays = SimpleNamespace(
-        encode=np.full((U, B, B), top, np.int64), key_coeffs=np.full((U, B, 1), top, np.int64)
+    # Three users, so that B = 3 is a valid association; the slice
+    # encodes the first two.
+    field = PrimeField(q)
+    params = SimpleNamespace(
+        topo=Topology(3, B),
+        field=field,
+        input_coeffs=np.full((3, B, B), top, np.int64),
+        key_coeffs=Matrix(field, np.full((3, 3), top, np.int64)),
     )
-    params = SimpleNamespace(_arrays=arrays, field=PrimeField(q))
     w = np.full((U, B, blocks), top, np.int64)
     z = np.full((U, blocks), top, np.int64)
     z[1, 0] = w[0, 1, 2] = 0x7FFEFFFF
-    got = protocol._encode(params, slice(None), w, z)
+    got = protocol._encode(params, slice(0, U), w, z)
     expected = [
         [[(sum(top * int(w[u, i, t]) for i in range(B)) + top * int(z[u, t])) % q
           for t in range(blocks)] for _ in range(B)]
@@ -555,8 +578,8 @@ def _reference_round(params, inputs, seed):
     }
     msgs = {}
     for k in users:
-        for i in relays_of_user(params.topo, k):
-            c, lam = params.input_coeffs[(k, i)], params.key_coeffs.rows[k - 1][i - 1]
+        for j, i in enumerate(relays_of_user(params.topo, k)):
+            c, lam = params.input_coeffs[k - 1, j].tolist(), params.key_coeffs.rows[k - 1][i - 1]
             msgs[(k, i)] = tuple(
                 (sum(cj * inputs[k][t * bs + j] for j, cj in enumerate(c)) + lam * z[k][t]) % q
                 for t in range(blocks)

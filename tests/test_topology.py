@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -83,3 +84,26 @@ def test_duality_sampled_larger(K, data):
     i = data.draw(st.integers(min_value=1, max_value=K))
     topo = Topology(K, B)
     assert (i in relays_of_user(topo, k)) == (k in users_of_relay(topo, i))
+
+
+def test_arrays_agree_with_the_index_functions():
+    for K in range(1, 13):
+        for B in range(1, K + 1):
+            topo = Topology(K, B)
+            arrays = (topo.link_relay, topo.skipped_relay, topo.relay_links)
+            assert [a.shape for a in arrays] == [(K, B), (K, K - B), (K, B)]
+            for a in arrays:
+                assert a.dtype == np.int64 and not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[...] = 0
+            for k in topo.users():
+                relays = relays_of_user(topo, k)
+                assert tuple(topo.link_relay[k - 1] + 1) == relays
+                skipped = tuple((k - 1 + t) % K + 1 for t in range(B, K))
+                assert tuple(topo.skipped_relay[k - 1] + 1) == skipped
+                assert set(relays).isdisjoint(skipped)
+            for i in topo.relays():
+                links = topo.relay_links[i - 1].tolist()
+                # link (k-1)*B + j is link j of user k, and it reaches relay i
+                assert tuple(link // B + 1 for link in links) == users_of_relay(topo, i)
+                assert all(topo.link_relay[link // B, link % B] == i - 1 for link in links)
