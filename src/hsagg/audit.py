@@ -39,9 +39,9 @@ from typing import Sequence
 import numpy as np
 
 from .gf import Matrix, PrimeField
-from .key_design import AuditReport, CheckResult, masked_key_span
+from .key_design import AuditReport, CheckResult, _relay_masks, masked_key_span
 from .protocol import SchemeParams
-from .topology import Topology, _check_index
+from .topology import Topology, _check_index, _read_only
 
 
 class StateSpaceError(RuntimeError):
@@ -72,15 +72,13 @@ def relay_security_algebraic(params: SchemeParams, i: int) -> CheckResult:
 
 def _relay_checks(params: SchemeParams, relays: Sequence[int]) -> list[CheckResult]:
     """``relay_security_algebraic`` of each relay: one gather of every relay's
-    senders, their key coefficients at it and their key rows, from the ids
-    (k-1)*B + j of the links it sums, then one rank per relay."""
-    topo, want = params.topo, params.topo.B
+    link coefficients and masked key rows (``key_design._relay_masks``, the
+    rows ``masked_key_span`` sums), then one rank per relay."""
+    want = params.topo.B
     index = np.array(relays) - 1
-    senders = topo.relay_links[index] // want
-    lam = params.key_coeffs.a[senders, index[:, None]]
-    masked = lam[:, :, None] * params.key_matrix.a[senders] % params.field.q
+    lam, masked = _relay_masks(params.key_matrix, params.key_coeffs, params.topo)
     checks = []
-    for i, zero_coeff, rows in zip(relays, (lam == 0).any(axis=1).tolist(), masked):
+    for i, zero_coeff, rows in zip(relays, (lam[index] == 0).any(axis=1).tolist(), masked[index]):
         rank = Matrix(params.field, rows).rank()
         checks.append(
             CheckResult(
@@ -96,7 +94,7 @@ def _relay_checks(params: SchemeParams, relays: Sequence[int]) -> list[CheckResu
 def server_security_algebraic(params: SchemeParams) -> CheckResult:
     """Key-canceling combinations must be exactly the recovery combinations."""
     K, B = params.K, params.topo.B
-    span = masked_key_span(params.key_matrix, params.key_coeffs, params.recovery, B)
+    span = masked_key_span(params.key_matrix, params.key_coeffs, params.recovery, params.topo)
     return CheckResult(
         "server-security-algebraic",
         span.rank == K - B and span.spans,
@@ -237,8 +235,7 @@ class _StateSpace:
         for b, c in enumerate(p.input_coeffs[k, j].tolist()):
             if c:
                 form[self.w_var(k + 1, block * bs + b)] = c
-        lam = p.key_coeffs.a[k, p.topo.link_relay[k, j]]
-        for m, c in enumerate((lam * p.key_matrix.a[k] % q).tolist()):
+        for m, c in enumerate((p.key_coeffs[k, j] * p.key_matrix.a[k] % q).tolist()):
             if c:
                 form[self.z_var(block, m)] = c
         return form
@@ -430,13 +427,12 @@ def golden_example1() -> SchemeParams:
     field = PrimeField(3)
     # Row k-1: user k's links in the order above, to relays k and k+1.
     input_coeffs = np.array([[[1, 0], [2, 2]], [[1, 2], [2, 0]], [[1, 1], [2, 1]]], np.int64)
-    input_coeffs.flags.writeable = False
     return SchemeParams(
         topo=Topology(3, 2),
         requested_B=2,
         field=field,
-        input_coeffs=input_coeffs,
-        key_coeffs=Matrix(field, [[2, 1, 0], [0, 2, 1], [2, 0, 1]]),
+        input_coeffs=_read_only(input_coeffs),
+        key_coeffs=_read_only(np.array([[2, 1], [2, 1], [1, 2]], np.int64)),
         key_matrix=Matrix(field, [[1, 0], [0, 1], [1, 1]]),
         recovery=Matrix(field, [[1, 2], [0, 2], [2, 2]]),
     )

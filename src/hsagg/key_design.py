@@ -1,15 +1,16 @@
 """Key generation: the matrices that mask inputs and cancel at the server.
 
 Each user's key is one fresh symbol per block, derived linearly from a
-pool of max(B, K-B) independent source symbols via a K-row key matrix.
-The key coefficient matrix (K x K, row k supported exactly on user k's
-associated relays) scales that key inside each outgoing message.  Two
-joint conditions drive every construction here:
+pool of max(B, K-B) independent source symbols via a K-row key matrix H.
+The (K, B) key coefficients, laid out like the input coefficients, scale
+that key on each link, so relay i's sum carries the key part m_i, the
+sum over its links j of users k of key_coeffs[k-1, j] * H[k-1].  Two
+joint conditions on M = [m_1 ... m_K] drive every construction here:
 
-  cancellation   key_matrix^T @ key_coeffs @ recovery == 0
-  tightness      rank(key_coeffs^T @ key_matrix) == K - B, so the only
-                 combinations of relay messages that cancel the keys are
-                 spanned by the recovery matrix
+  cancellation   M @ recovery == 0
+  tightness      rank M == K - B, so the only combinations of relay
+                 messages that cancel the keys are spanned by the
+                 recovery matrix
 
 plus the MDS condition that any B rows of the key matrix are linearly
 independent, which hands every relay B mutually independent masks.
@@ -25,19 +26,19 @@ roots of unity in the circulant regime.  Each regime takes the smallest
 valid parameter, so a key design is a function of (K, B, q) alone.
 Four regimes, by association count B:
 
-  single       B = 1.  Key coefficients are the identity; the key matrix
-               is an extended Vandermonde block with rows rescaled so the
+  single       B = 1.  Key coefficients are 1; the key matrix is an
+               extended Vandermonde block with rows rescaled so the
                keys cancel under the actual recovery column.
-  circulant    2 <= B <= K/2.  The coefficient matrix C is a circulant
-               whose first row is the geometric progression 1, r, ...,
-               r**(B-1); r is the smallest ratio >= 2 for which C is
-               invertible.  At the points w**t the Fourier vectors are
-               C^T's eigenvectors, with eigenvalues mu_t, so the key
-               matrix C^(-T) V is the Vandermonde block V with column t
-               divided by mu_t: closed form, and MDS.
+  circulant    2 <= B <= K/2.  Every user's links carry 1, r, ...,
+               r**(B-1), so M = H^T C for the circulant C with that
+               zero-padded first row; r is the smallest ratio >= 2 for
+               which C is invertible.  At the points w**t the Fourier
+               vectors are C^T's eigenvectors, with eigenvalues mu_t, so
+               the key matrix C^(-T) V is the Vandermonde block V with
+               column t divided by mu_t: closed form, and MDS.
   vandermonde  K/2 < B <= K-1.  The key matrix is a K x B Vandermonde
-               block; each relay's coefficient vector solves its
-               senders' B x B Vandermonde system in closed form: the
+               block; each relay's coefficients, one per sender, solve
+               its senders' B x B Vandermonde system in closed form: the
                K-B low coefficients of each sender's Lagrange basis
                polynomial, taken from the low coefficients of the
                senders' root product and a barycentric weight, against
@@ -60,7 +61,7 @@ from .code_design import CodeDesign, ConstructionError, evaluation_points, lagra
 from .code_design import recovery_matrix
 from .gf import MAX_MODULUS, Matrix, PrimeField, every_subset_full_rank, is_prime, matmul_mod
 from .gf import power_table, vandermonde
-from .topology import Topology, users_of_relay
+from .topology import Topology, _read_only
 
 REGIME_SINGLE = "single"
 REGIME_CIRCULANT = "circulant"
@@ -68,12 +69,15 @@ REGIME_VANDERMONDE = "vandermonde"
 REGIME_FULL = "full"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KeyDesign:
-    """Key matrix, coefficient matrix, and the regime that produced them."""
+    """Key matrix, key coefficients, and the regime that produced them.
+
+    key_coeffs is read-only (K, B) int64, laid out like ``input_coeffs``,
+    with B the coded B: K - 1 when B = K was requested."""
 
     key_matrix: Matrix
-    key_coeffs: Matrix
+    key_coeffs: np.ndarray
     regime: str
     ratio: "int | None" = None   # circulant progression ratio
     anchor: "int | None" = None  # leading target entry of the vandermonde solve
@@ -153,12 +157,6 @@ def select_field(K: int, B: int) -> PrimeField:
     return PrimeField(q)
 
 
-def _circulant(field: PrimeField, K: int, B: int, ratio: int) -> Matrix:
-    rows = np.zeros((K, K), np.int64)
-    rows[np.arange(K)[:, None], Topology(K, B).link_relay] = power_table([ratio], B, field.q)
-    return Matrix(field, rows)
-
-
 def _eigenvalues(q: int, points: tuple[int, ...], B: int, ratio: int) -> list[int]:
     """mu_t = sum over j < B of (ratio * w**-t)**j for t = 0..K-1, at the points w**t.
 
@@ -209,7 +207,8 @@ def circulant_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
         )
     inv = [field.inv(mu) for mu in _eigenvalues(q, points, B, ratio)[: K - B]]
     key_matrix = Matrix(field, power_table(points, K - B, q) * inv % q)
-    return KeyDesign(key_matrix, _circulant(field, K, B, ratio), REGIME_CIRCULANT, ratio=ratio)
+    coeffs = _read_only(np.repeat(power_table([ratio], B, q), K, axis=0))
+    return KeyDesign(key_matrix, coeffs, REGIME_CIRCULANT, ratio=ratio)
 
 
 def sample_circulant_validity(
@@ -220,18 +219,23 @@ def sample_circulant_validity(
     return sum(_ratio_valid(field.q, points, B, rng.randrange(field.q)) for _ in range(samples))
 
 
-def _relay_solve_data(
-    field: PrimeField, K: int, B: int
-) -> dict[int, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """Per relay of the K x B Vandermonde key block: (senders, first, rest).
+def _inverses(a: np.ndarray, q: int) -> np.ndarray:
+    """Entrywise inverses mod q of an int64 array with no entry divisible by q."""
+    return np.array([pow(x, -1, q) for x in a.ravel().tolist()], np.int64).reshape(a.shape)
 
-    The relay's coefficient vector is anchor * first + rest.  It solves the
-    transposed B x B block of the senders' key rows, a Vandermonde matrix
-    at the senders' points, against the target (anchor, p, p**2, ...,
-    p**T, 0, ..., 0) at the relay's point p, with T = K-B-1.  That block's
-    inverse has the coefficient rows of the senders' Lagrange basis
-    polynomials as its rows, so entry u of first is the constant term of
-    l_u and entry u of rest is the sum over 1 <= t <= T of coef_t(l_u) * p**t.
+
+def _relay_solve_data(field: PrimeField, K: int, B: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every relay's solve of the K x B Vandermonde key block, as (first, rest).
+
+    Both are (K, B) int64 arrays laid out like ``topo.relay_links``, so
+    row i-1 is relay i's, by ascending sender.  The relay's
+    coefficients are anchor * first + rest.  They solve the transposed
+    B x B block of the senders' key rows, a Vandermonde matrix at the
+    senders' points, against the target (anchor, p, p**2, ..., p**T, 0,
+    ..., 0) at the relay's point p, with T = K-B-1.  That block's inverse
+    has the coefficient rows of the senders' Lagrange basis polynomials
+    as its rows, so entry u of first is the constant term of l_u and
+    entry u of rest is the sum over 1 <= t <= T of coef_t(l_u) * p**t.
     Only those T + 1 low coefficients are computed.
 
     With N(x) the product of (x - p_v) over the senders v, the Lagrange
@@ -240,65 +244,49 @@ def _relay_solve_data(
     coefficients in N = (x - p_u) * Q gives Q's low coefficients from N's:
     Q_0 = -N_0 / p_u and Q_t = (Q_(t-1) - N_t) / p_u, as every point is
     nonzero.  These are the same values ``lagrange_rows`` holds, so the
-    solve is unchanged.  The senders are a cyclic window of B users, so
-    user u's weight is a product of differences to its predecessors in
-    the window times one to its successors, read from two tables that
-    hold them for 0..B-1 neighbours.  The constant term w_u * Q_0 is, up
-    to sign, a product of nonzero differences over p_u, so first has no
-    zero entry.
+    solve is unchanged.  Every step below runs on all K relays at once:
+    each of the B senders' columns multiplies its factor into N's low
+    coefficients and its difference into the other senders' weight
+    products.  The constant term w_u * Q_0 is, up to sign, a product of
+    nonzero differences over p_u, so first has no zero entry.
     """
     q = field.q
     topo = Topology(K, B)
     points = evaluation_points(field, K, B)
+    senders, pts = topo.relay_links // B, np.array(points, np.int64)
+    p = pts[senders]
     T = K - B - 1
-    inverses = [pow(p, -1, q) for p in points]
-    below, above = [], []  # products of differences to 0..B-1 cyclic predecessors, successors
-    for u, p in enumerate(points):
-        back = ahead = 1
-        below.append([1])
-        above.append([1])
-        for s in range(1, B):
-            back = back * (p - points[u - s]) % q
-            ahead = ahead * (p - points[(u + s) % K]) % q
-            below[u].append(back)
-            above[u].append(ahead)
-    out: dict[int, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = {}
-    for i, p in zip(topo.relays(), points):
-        senders = users_of_relay(topo, i)
-        low = [1] + [0] * T  # N_0..N_T
-        for u in senders:
-            pu = points[u - 1]
-            low = [-pu * low[0] % q] + [(a - pu * b) % q for a, b in zip(low, low[1:])]
-        powers = [p]
-        for _ in range(T - 1):
-            powers.append(powers[-1] * p % q)
-        first, rest = [], []
-        for u in senders:
-            j = (u - i + B - 1) % K  # u's place in the window i-B+1, ..., i
-            weight = pow(below[u - 1][j] * above[u - 1][B - 1 - j], -1, q)
-            inv = inverses[u - 1]
-            c = -low[0] * inv % q
-            first.append(weight * c % q)
-            total = 0
-            for n_t, power in zip(low[1:], powers):
-                c = (c - n_t) * inv % q
-                total += c * power
-            rest.append(weight * total % q)
-        out[i] = (senders, tuple(first), tuple(rest))
-    return out
+    low = np.zeros((K, T + 1), np.int64)  # N_0..N_T of each relay
+    low[:, 0] = 1
+    prods = np.ones((K, B), np.int64)  # 1 / w_u
+    for s in range(B):
+        ps = p[:, s, None]
+        low[:, 1:] = (low[:, :-1] - ps * low[:, 1:]) % q
+        low[:, :1] = -ps * low[:, :1] % q
+        diff = p - ps
+        diff[:, s] = 1
+        prods = prods * diff % q
+    weight = _inverses(prods, q)
+    inv_p = _inverses(pts, q)[senders]
+    c = -low[:, :1] * inv_p % q  # Q_0
+    first = weight * c % q
+    powers = power_table(points, T + 1, q)  # row i-1: powers of relay i's point
+    rest = np.zeros((K, B), np.int64)
+    for t in range(1, T + 1):
+        c = (c - low[:, t, None]) * inv_p % q
+        rest = (rest + c * powers[:, t, None]) % q
+    return first, weight * rest % q
 
 
-def _bad_sets(field: PrimeField, per_relay: dict) -> dict[int, set[int]]:
+def _bad_anchors(q: int, first: np.ndarray, rest: np.ndarray) -> np.ndarray:
     # The anchor c zeroes coefficient c * f + r exactly when c = -r / f.
-    return {
-        i: {-r * field.inv(f) % field.q for f, r in zip(first, rest)}
-        for i, (_, first, rest) in per_relay.items()
-    }
+    return -rest * _inverses(first, q) % q
 
 
 def anchor_bad_sets(K: int, B: int, field: PrimeField) -> dict[int, set[int]]:
     """Anchors that zero some coefficient of a relay; at most B per relay."""
-    return _bad_sets(field, _relay_solve_data(field, K, B))
+    bad = _bad_anchors(field.q, *_relay_solve_data(field, K, B))
+    return {i: set(row) for i, row in enumerate(bad.tolist(), 1)}
 
 
 def vandermonde_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
@@ -307,8 +295,8 @@ def vandermonde_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
         raise ValueError(f"vandermonde regime needs K/2 < B <= K-1, got K={K}, B={B}")
     q = field.q
     key_matrix = vandermonde(field, evaluation_points(field, K, B), B)
-    per_relay = _relay_solve_data(field, K, B)
-    bad = set().union(*_bad_sets(field, per_relay).values())
+    first, rest = _relay_solve_data(field, K, B)
+    bad = set(_bad_anchors(q, first, rest).ravel().tolist())
 
     # |bad| <= K*B, so this takes at most K*B + 1 tries.
     anchor = next((c for c in range(1, q) if c not in bad), None)
@@ -318,17 +306,13 @@ def vandermonde_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
             f"q > {K * B} suffices"
         )
 
-    coeff_rows = [[0] * K for _ in range(K)]
-    for i, (senders, first, rest) in per_relay.items():
-        for j, u in enumerate(senders):
-            coeff_rows[u - 1][i - 1] = (anchor * first[j] + rest[j]) % q
-    return KeyDesign(
-        key_matrix, Matrix(field, coeff_rows), REGIME_VANDERMONDE, anchor=anchor
-    )
+    coeffs = np.empty((K, B), np.int64)
+    coeffs.reshape(-1)[Topology(K, B).relay_links] = (anchor * first + rest) % q
+    return KeyDesign(key_matrix, _read_only(coeffs), REGIME_VANDERMONDE, anchor=anchor)
 
 
 def single_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
-    """Regime B = 1: identity coefficients, extended Vandermonde key matrix.
+    """Regime B = 1: unit key coefficients, extended Vandermonde key matrix.
 
     Rows 1..K-1 are Vandermonde rows and row K is the negated sum of the
     others, so the unscaled rows sum to zero.  Each row is then divided by
@@ -348,7 +332,7 @@ def single_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
     ext = np.vstack([ext, -ext.sum(axis=0) % q])
     scales = [field.inv(r) for r in recovery_matrix(field, K, 1).a[:, 0].tolist()]
     key_matrix = Matrix(field, ext * np.array(scales)[:, None] % q)
-    return KeyDesign(key_matrix, Matrix.identity(field, K), REGIME_SINGLE)
+    return KeyDesign(key_matrix, _read_only(np.ones((K, 1), np.int64)), REGIME_SINGLE)
 
 
 def full_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
@@ -421,7 +405,7 @@ def mds_proof(M: Matrix, size: int, points: tuple[int, ...]) -> "str | None":
 
 @dataclass(frozen=True)
 class MaskedKeySpan:
-    """Facts about the masked key matrix key_matrix^T @ key_coeffs."""
+    """Facts about the masked key matrix, whose column i sums relay i's masked key rows."""
 
     rank: int
     null_dim: int
@@ -430,18 +414,35 @@ class MaskedKeySpan:
     spans: bool    # cancels, and its nullspace and the recovery span both have dimension B
 
 
+def _relay_masks(
+    key_matrix: Matrix, key_coeffs: np.ndarray, topo: Topology
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each relay's (K, B) link coefficients and (K, B, n) masked key rows.
+
+    Row i-1 of each holds relay i's links in ``topo.relay_links`` order; a
+    masked row is the link's coefficient times its sender's key row.  A
+    key_coeffs array not of shape (K, B) raises ValueError."""
+    K, B = topo.K, topo.B
+    if key_coeffs.shape != (K, B):
+        raise ValueError(
+            f"key_coeffs must have shape ({K}, {B}), one per link, got {key_coeffs.shape}"
+        )
+    lam = key_coeffs.reshape(-1)[topo.relay_links]
+    return lam, lam[:, :, None] * key_matrix.a[topo.relay_links // B] % key_matrix.field.q
+
+
 def masked_key_span(
-    key_matrix: Matrix, key_coeffs: Matrix, recovery: Matrix, B: int
+    key_matrix: Matrix, key_coeffs: np.ndarray, recovery: Matrix, topo: Topology
 ) -> MaskedKeySpan:
     """Rank, nullspace dimension and recovery-span verdicts of the masked key matrix.
 
     The relay-message combinations that cancel every key are the nullspace
-    of the masked matrix; the server learns only the sum exactly when that
-    nullspace is B-dimensional and spanned by the recovery columns.  Both
-    products are ``matmul_mod`` products of int64 arrays.
+    of the masked matrix, whose column i sums relay i's ``_relay_masks``
+    rows; the server learns only the sum exactly when that nullspace is
+    B-dimensional and spanned by the recovery columns.
     """
-    field = key_matrix.field
-    masked = matmul_mod(key_matrix.a.T, key_coeffs.a, field.q)
+    field, B = key_matrix.field, topo.B
+    masked = _relay_masks(key_matrix, key_coeffs, topo)[1].sum(axis=1).T % field.q
     cancels = not matmul_mod(masked, recovery.a, field.q).any()
     rank = Matrix(field, masked).rank()
     null_dim = masked.shape[1] - rank
@@ -462,20 +463,12 @@ def validate_scheme(keys: KeyDesign, code: CodeDesign) -> AuditReport:
     topo = code.topo
     K, B = topo.K, topo.B
     coeffs, key_matrix = keys.key_coeffs, keys.key_matrix
-    checks = []
 
-    associated = np.zeros((K, K), bool)
-    associated[np.arange(K)[:, None], topo.link_relay] = True
-    supported = np.array_equal(coeffs.a != 0, associated)
-    checks.append(
-        CheckResult(
-            "coefficient-support",
-            supported,
-            "nonzero exactly on associated links",
-        )
-    )
+    # One coefficient per link, so none zero means nonzero exactly on the links.
+    supported = bool(coeffs.all())
+    checks = [CheckResult("coefficient-support", supported, "nonzero exactly on associated links")]
 
-    span = masked_key_span(key_matrix, coeffs, code.recovery, B)
+    span = masked_key_span(key_matrix, coeffs, code.recovery, topo)
     checks.append(
         CheckResult("key-cancellation", span.cancels, "key_matrix^T @ coeffs @ recovery == 0")
     )

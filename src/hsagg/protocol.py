@@ -17,7 +17,7 @@ Python ints, packed row by row into int64 by ``struct``, or an integer
 numpy array; a float or a string raises TypeError instead of being
 truncated.  Symbols outside [0, q) are reduced on entry, and reduced
 input is taken as it is.  The kernels multiply by the scheme's read-only
-int64 matrices and (K, B, B) link coefficients as they are, and take the
+int64 matrices and per-link coefficients as they are, and take the
 relay of each link and the links each relay sums from ``Topology``.
 ``run_rounds`` runs a batch of rounds of one input length, given as one
 mapping per round or as an (R, K, L) integer array: blocks are
@@ -79,14 +79,15 @@ class SchemeParams:
     inner (K, K-1) topology and requested_B records the original K.
     input_coeffs, a read-only (K, B, B) int64 array, holds in entry
     [k-1, j] the input coefficients of link j of user k, the link to relay
-    ``relays_of_user(topo, k)[j]``.
+    ``relays_of_user(topo, k)[j]``; key_coeffs, a read-only (K, B) int64
+    array, holds in the same entry that link's key coefficient.
     """
 
     topo: Topology
     requested_B: int
     field: PrimeField
     input_coeffs: np.ndarray
-    key_coeffs: Matrix
+    key_coeffs: np.ndarray
     key_matrix: Matrix
     recovery: Matrix
     code: "CodeDesign | None" = dc_field(default=None, repr=False)
@@ -281,22 +282,20 @@ def _encode(params: SchemeParams, users: slice, w: np.ndarray, z: np.ndarray) ->
     """(U, B, blocks) input blocks, one per column, and (U, blocks) key
     symbols of a slice of users -> (U, B, blocks) messages, row j for link j.
 
-    Link j of user k takes input_coeffs[k-1, j] and user k's key
-    coefficient at the link's relay, ``topo.link_relay[k-1, j]``.
+    Link j of user k takes input_coeffs[k-1, j] and key_coeffs[k-1, j].
     A message sums B input products and one key product.  When those
     B + 1 products cannot wrap int64, the sum is reduced once; otherwise
     the input part goes through ``matmul_mod`` and the key product, below
     q**2 < 2**62, is added to its reduced result.  The key products'
     array then takes the reduced messages.
     """
-    topo, q = params.topo, params.field.q
+    q = params.field.q
     coeffs = params.input_coeffs[users]
     if one_product_fits(coeffs.shape[-1] + 1, q):
         x = coeffs @ w
     else:
         x = matmul_mod(coeffs, w, q)
-    lam = params.key_coeffs.a[np.arange(topo.K)[users, None], topo.link_relay[users]]
-    keys = lam[:, :, None] * z[:, None, :]
+    keys = params.key_coeffs[users, :, None] * z[:, None, :]
     x += keys
     return mod(x, q, out=keys)
 

@@ -8,6 +8,7 @@ are the stated Monte Carlo slack and the wall-clock budgets.
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hsagg.audit import (
@@ -30,6 +31,14 @@ from hsagg.topology import Topology, relays_of_user, users_of_relay
 
 SWEEP = [(K, B) for K in range(2, 9) for B in range(1, K)]
 FULL_ASSOC = [(K, K) for K in range(2, 7)]
+
+
+def coeff_matrix(params) -> Matrix:
+    """The K x K matrix the per-link key coefficients fill on the association, zero elsewhere."""
+    K = params.K
+    rows = np.zeros((K, K), np.int64)
+    rows[np.arange(K)[:, None], params.topo.link_relay] = params.key_coeffs
+    return Matrix(params.field, rows)
 
 
 def verdict(criterion: str, passed: bool, detail: str) -> None:
@@ -234,7 +243,7 @@ def test_criterion_8_property_suites():
     relay_rank = True
     for K, B in [(2, 1), (4, 2), (3, 2), (6, 3), (7, 5), (8, 4), (4, 4), (6, 6)]:
         params = build_scheme(K, B)
-        masked = params.key_matrix.transpose() @ params.key_coeffs
+        masked = params.key_matrix.transpose() @ coeff_matrix(params)
         cancellation &= (masked @ params.recovery).is_zero()
         null = masked.nullspace()
         nullspace &= (

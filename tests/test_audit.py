@@ -37,11 +37,28 @@ def test_golden_relay_checks_pass_with_worked_key_rows():
         assert relay_security_algebraic(params, i).passed
     # relay 1 sees -N1 (from user 1) and 2(N1+N2) (from user 3): rows
     # lam * h are (2,0) and (2,2) over GF(3), which indeed have rank 2
-    lam11 = params.key_coeffs.rows[0][0]
-    lam31 = params.key_coeffs.rows[2][0]
+    lam11 = params.key_coeffs[0, 0]  # user 1's link 0, to relay 1
+    lam31 = params.key_coeffs[2, 1]  # user 3's link 1, to relay 1
     assert (lam11, lam31) == (2, 2)
     rows = Matrix(params.field, [[2, 0], [2, 2]])
     assert rows.rank() == 2
+
+
+@pytest.mark.parametrize(
+    "make", [golden_example1, lambda: build_scheme(5, 3)], ids=["golden", "vandermonde"]
+)
+def test_algebraic_audit_refuses_misshaped_key_coeffs(make):
+    # The K x K coefficient matrix, zero off the association, and an
+    # array with one link too many both fail the shape check.
+    params = make()
+    K, B = params.K, params.topo.B
+    square = np.zeros((K, K), np.int64)
+    square[np.arange(K)[:, None], params.topo.link_relay] = params.key_coeffs
+    for bad in (square, np.hstack([params.key_coeffs, params.key_coeffs[:, :1]])):
+        broken = replace(params, key_coeffs=bad)
+        for check in (algebraic_audit, lambda p: relay_security_algebraic(p, 1)):
+            with pytest.raises(ValueError, match=rf"shape \({K}, {B}\)"):
+                check(broken)
 
 
 def test_golden_server_check_passes():
@@ -94,9 +111,9 @@ def test_exhaustive_audit_single_association():
 
 def test_zeroed_coefficient_exposes_inputs_to_relay():
     params = build_scheme(3, 2, q=5)
-    rows = [list(r) for r in params.key_coeffs.rows]
-    rows[0][0] = 0  # user 1's input reaches relay 1 in the clear
-    broken = replace(params, key_coeffs=Matrix(params.field, rows))
+    coeffs = params.key_coeffs.copy()
+    coeffs[0, 0] = 0  # user 1's input reaches relay 1 in the clear
+    broken = replace(params, key_coeffs=coeffs)
     report = exhaustive_mi_audit(broken, L=2)
     failed = {c.name for c in report.checks if not c.passed}
     assert "relay-mi[1]" in failed
@@ -180,20 +197,22 @@ def _reference_verdicts(params, L):
 
 
 def _corrupt(params, **entries):
-    """Copy of params with single matrix entries or input coefficients changed.
+    """Copy of params with single matrix entries or link coefficients changed.
 
-    An input coefficient is named by (user - 1, link), its index and its value.
+    A matrix entry is named by its row, its column and its value, a key
+    coefficient by user - 1, link and its value, and an input coefficient
+    by (user - 1, link), its index and its value.
     """
     changes = {}
     for name, (r, c, value) in entries.items():
-        if name == "input_coeffs":
-            coeffs = params.input_coeffs.copy()
-            coeffs[(*r, c)] = value
-            changes[name] = coeffs
-        else:
+        if isinstance(getattr(params, name), Matrix):
             rows = [list(row) for row in getattr(params, name).rows]
             rows[r][c] = value
             changes[name] = Matrix(params.field, rows)
+        else:
+            coeffs = getattr(params, name).copy()
+            coeffs[r][c] = value
+            changes[name] = coeffs
     return replace(params, **changes)
 
 

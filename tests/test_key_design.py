@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 from math import comb, gcd
 
+import numpy as np
 import pytest
 
 from hsagg import key_design
@@ -30,12 +31,11 @@ from hsagg.key_design import (
     vandermonde_keygen,
     MaskedKeySpan,
     masked_key_span,
-    _circulant,
     _relay_solve_data,
     _vandermonde_witness,
 )
 from hsagg.protocol import build_scheme
-from hsagg.topology import Topology, relays_of_user, users_of_relay
+from hsagg.topology import Topology, users_of_relay
 
 # sha256 over every key design build_keys gives for 2 <= K <= 12 and
 # 1 <= B <= K, at select_field(K, B) and at GF(2**31 - 1), with the
@@ -46,6 +46,14 @@ KEY_DESIGN_DIGEST = "f164095888157886a6e06e9b219033a8fb83523e19a7b4fddfa28d32ff7
 # points of every regime built them before the circulant regime moved to
 # roots of unity: those designs are unchanged.
 NON_CIRCULANT_KEY_DESIGN_DIGEST = "41340e4931e24a7afa620160019dfc7d37021187b98c5b7fe9faf3ec7d3e6d66"
+
+
+def coeff_matrix(field, key_coeffs):
+    """The K x K matrix the (K, B) key coefficients fill on the association, zero elsewhere."""
+    K, B = key_coeffs.shape
+    rows = np.zeros((K, K), np.int64)
+    rows[np.arange(K)[:, None], Topology(K, B).link_relay] = key_coeffs
+    return Matrix(field, rows)
 
 
 def smallest_qualifying_prime_oracle(K, B):
@@ -116,15 +124,12 @@ def test_circulant_keygen_structure():
         assert keys.regime == REGIME_CIRCULANT
         assert circulant_ratio_valid(field, K, B, keys.ratio)
 
-        # coefficient rows follow the circulant progression on the association
-        topo = Topology(K, B)
-        for k in topo.users():
-            for pos, i in enumerate(relays_of_user(topo, k)):
-                assert keys.key_coeffs.rows[k - 1][i - 1] == pow(keys.ratio, pos, field.q)
+        # every user's links carry the circulant progression
+        assert keys.key_coeffs.tolist() == [[pow(keys.ratio, j, field.q) for j in range(B)]] * K
 
         # the defining identity: coeffs^T @ key_matrix reproduces the target block
         target = vandermonde(field, evaluation_points(field, K, B), K - B)
-        assert keys.key_coeffs.transpose() @ keys.key_matrix == target
+        assert coeff_matrix(field, keys.key_coeffs).transpose() @ keys.key_matrix == target
 
 
 @pytest.mark.parametrize(
@@ -134,8 +139,14 @@ def test_circulant_ratio_valid_is_circulant_invertibility(K, B, q):
     # The eigenvalue predicate against an elimination on the circulant
     # itself, for every element of the field.
     field = PrimeField(q)
+
+    def circulant(r):
+        # row k, column i holds r**((i - k) mod K) on the association
+        return Matrix(field, [[pow(r, (i - k) % K, q) * ((i - k) % K < B) for i in range(K)]
+                              for k in range(K)])
+
     valid = [circulant_ratio_valid(field, K, B, r) for r in range(q)]
-    assert valid == [r != 0 and _circulant(field, K, B, r).rank() == K for r in range(q)]
+    assert valid == [r != 0 and circulant(r).rank() == K for r in range(q)]
     # at most K(B-1) nonzero ratios and r = 0 fail, which sizes the field
     assert valid.count(False) <= sufficient_field_size(K, B) - 1
     # a K-th root of unity r fails iff gcd(K, B) > 1: then r * w**-t is a
@@ -172,7 +183,7 @@ def test_vandermonde_keygen_structure():
         keys = vandermonde_keygen(K, B, field)
         assert keys.regime == REGIME_VANDERMONDE
         q = field.q
-        mixed = keys.key_coeffs.transpose() @ keys.key_matrix
+        mixed = coeff_matrix(field, keys.key_coeffs).transpose() @ keys.key_matrix
         for k in range(1, K + 1):
             row = mixed.row(k - 1)
             assert row[0] == keys.anchor % q
@@ -181,10 +192,7 @@ def test_vandermonde_keygen_structure():
             assert all(x == 0 for x in row[K - B :])
         assert mixed.rank() == K - B
 
-        topo = Topology(K, B)
-        for k in topo.users():
-            for i in relays_of_user(topo, k):
-                assert keys.key_coeffs.rows[k - 1][i - 1] != 0
+        assert keys.key_coeffs.shape == (K, B) and keys.key_coeffs.all()
 
 
 def test_anchor_bad_sets_bounded_per_relay():
@@ -201,7 +209,7 @@ def test_single_assoc_keygen():
     for K in (2, 3, 5, 7):
         field = select_field(K, 1)
         keys = single_assoc_keygen(K, field)
-        assert keys.key_coeffs == Matrix.identity(field, K)
+        assert keys.key_coeffs.tolist() == [[1]] * K
         assert keys.key_matrix.ncols == K - 1
         code = build_code_design(Topology(K, 1), field)
         assert validate_scheme(keys, code).passed
@@ -243,10 +251,10 @@ def test_full_assoc_reduction():
     assert keys.anchor is not None  # built by the (3, 2) vandermonde regime
     inner = vandermonde_keygen(3, 2, field)
     assert keys.key_matrix == inner.key_matrix
-    assert keys.key_coeffs == inner.key_coeffs
+    assert np.array_equal(keys.key_coeffs, inner.key_coeffs)
 
     two = full_assoc_keygen(2, select_field(2, 2))
-    assert two.key_coeffs == Matrix.identity(select_field(2, 2), 2)
+    assert two.key_coeffs.tolist() == [[1], [1]]
 
 
 def test_validate_scheme_passes_for_all_regimes():
@@ -264,9 +272,9 @@ def test_validate_flags_support_violation():
     field = select_field(3, 2)
     code = build_code_design(Topology(3, 2), field)
     keys = build_keys(3, 2, field)
-    rows = [list(r) for r in keys.key_coeffs.rows]
-    rows[0][0] = 0  # relay 1 is associated with user 1; zeroing breaks support
-    broken = replace(keys, key_coeffs=Matrix(field, rows))
+    coeffs = keys.key_coeffs.copy()
+    coeffs[0, 0] = 0  # user 1's link 0, to relay 1; zeroing breaks support
+    broken = replace(keys, key_coeffs=coeffs)
     report = validate_scheme(broken, code)
     assert not report.passed
     assert any(c.name == "coefficient-support" and not c.passed for c in report.checks)
@@ -285,11 +293,13 @@ def test_validate_flags_rank_deficient_key_matrix():
 
 
 def test_validate_reports_mismatched_key_width_without_enumerating():
-    # Keys for B = 16 have 16 columns, so no 17 of their rows are
+    # A key matrix for B = 16 has 16 columns, so no 17 of its rows are
     # independent; the gate says so at once, where C(30, 17) = 119759850
-    # subsets would exceed the certificate's budget.
+    # subsets would exceed the certificate's budget.  The coefficients
+    # take the (30, 17) code's per-link shape, which the masked span needs.
     field = PrimeField(521)
-    report = validate_scheme(build_keys(30, 16, field), build_code_design(Topology(30, 17), field))
+    keys = replace(build_keys(30, 16, field), key_coeffs=np.ones((30, 17), np.int64))
+    report = validate_scheme(keys, build_code_design(Topology(30, 17), field))
     assert {c.name: c.passed for c in report.checks}["key-matrix-mds"] is False
 
 
@@ -299,7 +309,7 @@ def test_circulant_takes_smallest_valid_ratio(K, B, q):
     smallest = min(r for r in range(2, field.q) if circulant_ratio_valid(field, K, B, r))
     keys = circulant_keygen(K, B, field)
     assert keys.ratio == smallest
-    assert keys == circulant_keygen(K, B, field)
+    assert _key_design_item(keys) == _key_design_item(circulant_keygen(K, B, field))
 
 
 @pytest.mark.parametrize(
@@ -311,29 +321,31 @@ def test_vandermonde_takes_smallest_anchor_outside_bad_set(K, B, q):
     smallest = min(c for c in range(1, field.q) if c not in bad)
     keys = vandermonde_keygen(K, B, field)
     assert keys.anchor == smallest <= K * B + 1
-    assert keys == vandermonde_keygen(K, B, field)
+    assert _key_design_item(keys) == _key_design_item(vandermonde_keygen(K, B, field))
 
 
 def relay_solve_reference(field, K, B):
-    """Each relay's generic B x B solve against e_0 and (0, p, ..., p**(K-B-1), 0, ...)."""
+    """Each relay's generic B x B solve against e_0 and (0, p, ..., p**(K-B-1), 0, ...),
+    as the lists of first and of rest entries, one row per relay, by ascending sender."""
     q = field.q
     points = evaluation_points(field, K, B)
     key_matrix = vandermonde(field, points, B)
     topo = Topology(K, B)
-    out = {}
+    first, rest = [], []
     for i, p in zip(topo.relays(), points):
         senders = users_of_relay(topo, i)
         target = [[int(t == 0), pow(p, t, q) if 0 < t < K - B else 0] for t in range(B)]
         sub = key_matrix.take_rows([u - 1 for u in senders]).transpose()
         solution = sub.solve(Matrix(field, target))
-        out[i] = (senders, solution.column(0), solution.column(1))
-    return out
+        first.append(list(solution.column(0)))
+        rest.append(list(solution.column(1)))
+    return first, rest
 
 
 def test_relay_solve_data_matches_the_generic_solve():
-    # Up to K = 20 many sender windows wrap past user K, so the cyclic
-    # difference tables behind each barycentric weight are read across
-    # the wrap as well as inside it.
+    # Up to K = 20 many sender windows wrap past user K, so the senders'
+    # differences behind each barycentric weight are taken across the
+    # wrap as well as inside it.
     checked = 0
     for K in range(2, 21):
         for B in range(1, K + 1):
@@ -342,10 +354,25 @@ def test_relay_solve_data_matches_the_generic_solve():
                 continue
             solved_B = K - 1 if regime == REGIME_FULL else B
             for field in (select_field(K, B), PrimeField(2147483647)):
+                # Row i-1 of both arrays is relay i's, entry j its sender
+                # relay_links[i-1, j] // B + 1: users_of_relay's order.
+                senders = Topology(K, solved_B).relay_links // solved_B + 1
+                assert senders.tolist() == [
+                    list(users_of_relay(Topology(K, solved_B), i)) for i in range(1, K + 1)
+                ]
+                first, rest = _relay_solve_data(field, K, solved_B)
+                for got in (first, rest):
+                    assert got.dtype == np.int64 and got.shape == (K, solved_B)
                 expected = relay_solve_reference(field, K, solved_B)
-                assert _relay_solve_data(field, K, solved_B) == expected, (K, B, field.q)
+                assert (first.tolist(), rest.tolist()) == expected, (K, B, field.q)
                 checked += 1
     assert checked == 2 * sum(K - K // 2 for K in range(3, 21))  # vandermonde B, and B = K
+
+
+def _key_design_item(d):
+    """A key design's fields as plain values, its coefficients as the K x K rows they fill."""
+    coeffs = coeff_matrix(d.key_matrix.field, d.key_coeffs)
+    return (d.regime, d.ratio, d.anchor, d.key_matrix.rows, coeffs.rows)
 
 
 def _key_design_digest(keep):
@@ -357,17 +384,7 @@ def _key_design_digest(keep):
                 continue
             for field in (select_field(K, B), big):
                 try:
-                    d = build_keys(K, B, field)
-                    item = (
-                        K,
-                        B,
-                        field.q,
-                        d.regime,
-                        d.ratio,
-                        d.anchor,
-                        d.key_matrix.rows,
-                        d.key_coeffs.rows,
-                    )
+                    item = (K, B, field.q, *_key_design_item(build_keys(K, B, field)))
                 except ConstructionError as e:
                     item = (K, B, field.q, str(e))  # e.g. circulant needs K | q - 1
                 h.update(repr(item).encode())
@@ -423,8 +440,9 @@ def test_mds_proof_agrees_with_every_subset_full_rank():
 
 
 def masked_key_span_reference(key_matrix, key_coeffs, recovery, B):
-    """``masked_key_span`` from the pure-Python ``Matrix`` product and rank."""
-    masked = key_matrix.transpose() @ key_coeffs
+    """``masked_key_span`` from the pure-Python ``Matrix`` product and rank of
+    key_matrix^T @ the K x K coefficient matrix."""
+    masked = key_matrix.transpose() @ coeff_matrix(key_matrix.field, key_coeffs)
     cancels = (masked @ recovery).is_zero()
     rank, recovery_rank = masked.rank(), recovery.rank()
     null_dim = masked.ncols - rank
@@ -441,20 +459,43 @@ def test_masked_key_span_matches_the_python_reference():
     assert not one_product_fits(12, 2147483629)
     for K, B, q in SPAN_SCHEMES:
         params = build_scheme(K, B, q)
-        coded_B = params.topo.B
-        args = (params.key_matrix, params.key_coeffs, params.recovery, coded_B)
-        span = masked_key_span(*args)
-        assert span == masked_key_span_reference(*args), (K, B, q)
-        assert span.cancels and span.spans and span.rank == K - coded_B, (K, B, q)
-        # Zero user 1's coefficient on relay 1: the masked matrix loses a
-        # nonzero rank-one term, and the top recovery entry of relay 1's
-        # row is nonzero, so the keys no longer cancel.
-        rows = [list(row) for row in params.key_coeffs.rows]
-        rows[0][0] = 0
-        mutant = (params.key_matrix, Matrix(params.field, rows), params.recovery, coded_B)
-        broken = masked_key_span(*mutant)
-        assert broken == masked_key_span_reference(*mutant), (K, B, q)
+        topo = params.topo
+        args = (params.key_matrix, params.key_coeffs, params.recovery)
+        span = masked_key_span(*args, topo)
+        assert span == masked_key_span_reference(*args, topo.B), (K, B, q)
+        assert span.cancels and span.spans and span.rank == K - topo.B, (K, B, q)
+        # Zero user 1's coefficient on relay 1, its link 0: the masked
+        # matrix loses a nonzero rank-one term, and the top recovery entry
+        # of relay 1's row is nonzero, so the keys no longer cancel.
+        coeffs = params.key_coeffs.copy()
+        coeffs[0, 0] = 0
+        mutant = (params.key_matrix, coeffs, params.recovery)
+        broken = masked_key_span(*mutant, topo)
+        assert broken == masked_key_span_reference(*mutant, topo.B), (K, B, q)
         assert not broken.cancels and not broken.spans, (K, B, q)
+
+
+@pytest.mark.parametrize("K, B", [(3, 2), (4, 2), (5, 1), (6, 6)])
+def test_misshaped_key_coeffs_are_refused_before_any_product(K, B, monkeypatch):
+    # The K x K matrix of earlier releases, or a link too many, would
+    # otherwise be read silently as link coefficients.
+    params = build_scheme(K, B)
+
+    def no_product(*args):
+        raise AssertionError("a product ran before the shape check")
+
+    monkeypatch.setattr(key_design, "matmul_mod", no_product)
+    monkeypatch.setattr(Matrix, "rank", no_product)
+    coded_B = params.topo.B
+    coeffs = params.key_coeffs
+    square = coeff_matrix(params.field, coeffs).a
+    wide = np.hstack([coeffs, coeffs[:, :1]])
+    for bad in (square, wide):
+        message = rf"key_coeffs must have shape \({K}, {coded_B}\).*got \({K}, {bad.shape[1]}\)"
+        with pytest.raises(ValueError, match=message):
+            masked_key_span(params.key_matrix, bad, params.recovery, params.topo)
+        with pytest.raises(ValueError, match=message):
+            validate_scheme(replace(params.keys, key_coeffs=bad), params.code)
 
 
 def vandermonde_witness_reference(M, points):

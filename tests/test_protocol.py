@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from hsagg import cli, gf, protocol
 from hsagg.audit import golden_decode, golden_example1
-from hsagg.gf import Matrix, PrimeField
+from hsagg.gf import PrimeField
 from hsagg.protocol import (
     MissingMessageError,
     SizeMismatchError,
@@ -32,7 +32,7 @@ from hsagg.protocol import (
     user_encode,
 )
 from hsagg.rates import achievable_rates, measured_rates
-from hsagg.topology import Topology, relays_of_user, users_of_relay
+from hsagg.topology import relays_of_user, users_of_relay
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -111,13 +111,38 @@ def test_input_coeffs_is_one_read_only_array(make):
             coeffs[0, 0, 0] = 1
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_scheme(5, 1),
+        lambda: build_scheme(6, 3),
+        lambda: build_scheme(5, 3),
+        lambda: build_scheme(4, 4),
+        lambda: build_scheme(2, 2),
+        golden_example1,
+    ],
+    ids=["single", "circulant", "vandermonde", "full", "full_single", "golden_example1"],
+)
+def test_key_coeffs_is_one_read_only_per_link_array(make):
+    params = make()
+    K, B = params.K, params.block_size
+    arrays = [params.key_coeffs]
+    if params.keys is not None:
+        arrays.append(params.keys.key_coeffs)
+    for coeffs in arrays:
+        assert coeffs.dtype == np.int64 and coeffs.shape == (K, B)
+        assert not coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            coeffs[0, 0] = 1
+
+
 def test_key_symbol_reused_across_outgoing_messages():
     params = build_scheme(5, 3)
     z = (4,)
     msgs = user_encode(params, 2, (0,) * 3, z)
     # zero inputs isolate the key part: every message is coeff * key symbol
-    for i in relays_of_user(params.topo, 2):
-        lam = params.key_coeffs.rows[1][i - 1]
+    for j, i in enumerate(relays_of_user(params.topo, 2)):
+        lam = params.key_coeffs[1, j]
         assert msgs[i] == ((lam * 4) % params.field.q,)
 
 
@@ -525,14 +550,11 @@ def test_encode_guards_its_sum_at_the_largest_field(B):
     # at B = 2 the B input products alone would not.
     q, U, blocks = 2147483647, 2, 5
     top = q - 1
-    # Three users, so that B = 3 is a valid association; the slice
-    # encodes the first two.
-    field = PrimeField(q)
+    # Three users of B links each; the slice encodes the first two.
     params = SimpleNamespace(
-        topo=Topology(3, B),
-        field=field,
+        field=PrimeField(q),
         input_coeffs=np.full((3, B, B), top, np.int64),
-        key_coeffs=Matrix(field, np.full((3, 3), top, np.int64)),
+        key_coeffs=np.full((3, B), top, np.int64),
     )
     w = np.full((U, B, blocks), top, np.int64)
     z = np.full((U, blocks), top, np.int64)
@@ -579,7 +601,7 @@ def _reference_round(params, inputs, seed):
     msgs = {}
     for k in users:
         for j, i in enumerate(relays_of_user(params.topo, k)):
-            c, lam = params.input_coeffs[k - 1, j].tolist(), params.key_coeffs.rows[k - 1][i - 1]
+            c, lam = params.input_coeffs[k - 1, j].tolist(), int(params.key_coeffs[k - 1, j])
             msgs[(k, i)] = tuple(
                 (sum(cj * inputs[k][t * bs + j] for j, cj in enumerate(c)) + lam * z[k][t]) % q
                 for t in range(blocks)
