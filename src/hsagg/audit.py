@@ -17,14 +17,17 @@ rather than sampled.
 Each check evaluates its messages over only the variables they read (an
 unread one only repeats rows or values, so no verdict changes), in the
 narrowest integer type of at least 16 bits that holds them, and sorts
-it in place.  The packed code is a sum of one weighted digit per form,
-each computed on the grid of the variables its form reads; the sum runs
-in the order that grows the grid least, over a grid whose trailing
-variables share one inner axis of about 1k entries, so no pass runs a
-length-q inner loop.  The server check finds each group's first row in a
-table indexed by the sum.  Recovery scatters the joint code into a bool
-table of (messages, sum) pairs in bounded chunks and reads the pairs
-that occur from the flat table, in increasing order.
+its rows in place: many narrow rows through a compare-exchange network,
+other rows with one ndarray.sort.  The packed code is a sum of one
+weighted digit per form, each computed on the grid of the variables its
+form reads; the sum runs in the order that grows the grid least, over a
+grid whose trailing variables share one inner axis of about 1k entries,
+so no pass runs a length-q inner loop.  The server check finds each
+group's first row, its leader, in a table indexed by the sum.  Recovery
+marks a bool table of (messages, sum) pairs, in bounded chunks, from the
+leaders' rows and any row that differs from its leader, which between
+them hold every pair that occurs, and reads the pairs from the flat
+table, in increasing order.
 
 This module also carries the worked 3-user instance over GF(3) as a
 hard-coded golden scheme; its coefficients come from a manual design and
@@ -261,36 +264,109 @@ class _StateSpace:
 
 
 # Elements compared per step when rows are checked against a reference
-# row, which bounds the comparison's temporaries.
+# row, and codes marked per step in the recovery table, which bounds the
+# temporaries of both.
 _COMPARE_CHUNK = 1 << 16
 
+# _sort_rows sorts rows of at most _NETWORK_BYTES bytes, and at least
+# _NETWORK_ROWS of them, with a network: 13 int16 entries, 6 int32 or 3
+# int64.  numpy sorts each row of an array with its own kernel call, about
+# 65 ns per int16 row whatever its width, while each network round costs
+# some microseconds of fixed numpy overhead plus passes over the rows'
+# bytes.  On a 2-vCPU Intel Xeon VM the network won on about 800k entries
+# in rows of up to about 15 int16, 8 int32 and 5 int64 entries, and lost
+# at 16, 10 and 7; on 9-entry int16 rows it lost below about 2k rows.
+_NETWORK_BYTES = 26
+_NETWORK_ROWS = 1 << 11
 
-def _rows_match(rows: np.ndarray, group: "np.ndarray | None" = None) -> bool:
-    """Exact test that rows tell nothing about the inputs beyond group.
+# Bytes of rows that the network sorts as one transposed block, so each
+# round's passes stay in cache: about 256 KB ran fastest in every type.
+_NETWORK_BLOCK = 1 << 18
+
+
+def _sort_rows(rows: np.ndarray) -> None:
+    """Sort each row of rows in place.
+
+    At least _NETWORK_ROWS rows of at most _NETWORK_BYTES bytes go through
+    an odd-even transposition network (Knuth, TAOCP vol. 3, 5.3.4): W
+    rounds of compare-exchange on adjacent columns, starting alternately
+    at column 0 and column 1, sort any W entries.  Each block of rows is
+    copied transposed, so a column is contiguous and a round is one
+    np.minimum and one np.maximum over all its pairs, and the sorted block
+    is written back.  Other rows take one ndarray.sort.
+    """
+    n, width = rows.shape
+    if width * rows.itemsize > _NETWORK_BYTES or n < _NETWORK_ROWS:
+        rows.sort(axis=1)
+        return
+    step = _NETWORK_BLOCK // (width * rows.itemsize)
+    cols = np.empty((width, min(n, step)), dtype=rows.dtype)
+    for start in range(0, n, step):
+        block = rows[start : start + step]
+        t = cols[:, : len(block)]
+        t[...] = block.T
+        for r in range(width):
+            a, b = t[r % 2 : width - 1 : 2], t[r % 2 + 1 : width : 2]
+            low = np.minimum(a, b)
+            np.maximum(a, b, out=b)
+            a[...] = low
+        block[...] = t.T
+
+
+def _rows_match(rows: np.ndarray, group: "np.ndarray | None" = None) -> tuple[bool, np.ndarray]:
+    """Exact test that rows tell nothing about the inputs beyond group, and
+    the rows that hold every value of rows.
 
     Each row holds the code on one value of the inputs it reads, over
     every value of the source symbols it reads; group gives one value per
     row, a function of the inputs, and without it every row is compared
     with the first.  The mutual information of the code and the inputs
     given group is zero exactly when every row holds the same multiset of
-    values as the first row of its group; sorted rows compare those
-    multisets.  rows are sorted in place, so the audit must own them.
+    values as the first row of its group, its leader; sorted rows compare
+    those multisets.  rows are sorted in place, so the audit must own them.
+
+    The rows returned, in increasing order, are every leader and every row
+    whose multiset differs from its leader's.  Any other row holds its
+    leader's values, so the rows returned hold every value that occurs;
+    when the test passes they are the leaders alone.
     """
-    rows.sort(axis=1)
-    if group is not None:
+    _sort_rows(rows)
+    index = np.arange(len(rows))
+    if group is None:
+        lead = np.zeros_like(index)
+    else:
         first = np.full(int(group.max()) + 1, len(rows))
-        np.minimum.at(first, group, np.arange(len(rows)))
+        np.minimum.at(first, group, index)
         lead = first[group]
+    marked = lead == index
+    ok = True
     step = max(1, _COMPARE_CHUNK // rows.shape[1])
     for start in range(0, len(rows), step):
-        ref = rows[0] if group is None else rows[lead[start : start + step]]
-        if not (rows[start : start + step] == ref).all():
-            return False
-    return True
+        # np.take gathers narrow rows several times faster than indexing.
+        ref = rows[0] if group is None else np.take(rows, lead[start : start + step], axis=0)
+        same = rows[start : start + step] == ref
+        if not same.all():
+            ok = False
+            marked[start : start + step] |= ~same.all(axis=1)
+    return ok, np.flatnonzero(marked)
 
 
-def _mi_checks(space: _StateSpace) -> tuple[list[CheckResult], np.ndarray]:
-    """Relay and server MI checks, plus the joint code they evaluated."""
+def _server_match(space: _StateSpace, joint: np.ndarray) -> tuple[bool, np.ndarray]:
+    """``_rows_match`` of the joint code's rows, grouped by the sum.
+
+    The sum depends on the inputs only, so it is constant along a row,
+    and within a group of equal sums rows of joint codes match exactly
+    when rows of relay messages do.  For the same reason sorting a row
+    keeps every symbol's sum digits, and the recovery table that reads
+    joint afterwards does not depend on order.
+    """
+    rows = space.rows(joint)
+    return _rows_match(rows, rows[:, 0] % space.q**space.L)
+
+
+def _mi_checks(space: _StateSpace) -> tuple[list[CheckResult], np.ndarray, np.ndarray]:
+    """Relay and server MI checks, plus the joint code they evaluated and
+    the rows of it that recovery marks."""
     params = space.params
     checks = []
     for i in params.topo.relays():
@@ -301,7 +377,7 @@ def _mi_checks(space: _StateSpace) -> tuple[list[CheckResult], np.ndarray]:
         ]
         # Passed without a name, so each relay's array is freed before the
         # next one is evaluated.
-        ok = _rows_match(space.rows(space.evaluate(f"relay-mi[{i}]", *forms)))
+        ok, _ = _rows_match(space.rows(space.evaluate(f"relay-mi[{i}]", *forms)))
         checks.append(
             CheckResult(
                 f"relay-mi[{i}]",
@@ -312,13 +388,7 @@ def _mi_checks(space: _StateSpace) -> tuple[list[CheckResult], np.ndarray]:
         )
 
     joint = space.joint("server-mi")
-    # The sum depends on the inputs only, so it is constant along a row,
-    # and within a group of equal sums rows of joint codes match exactly
-    # when rows of relay messages do.  For the same reason sorting a row
-    # keeps every symbol's sum digits, and the recovery table that reads
-    # joint afterwards does not depend on order.
-    rows = space.rows(joint)
-    server_ok = _rows_match(rows, rows[:, 0] % space.q**space.L)
+    server_ok, marked = _server_match(space, joint)
     checks.append(
         CheckResult(
             "server-mi",
@@ -326,15 +396,17 @@ def _mi_checks(space: _StateSpace) -> tuple[list[CheckResult], np.ndarray]:
             f"relay messages conditionally independent of inputs given the sum: {server_ok}",
         )
     )
-    return checks, joint
+    return checks, joint, marked
 
 
-def _recovery_check(space: _StateSpace, joint: np.ndarray) -> CheckResult:
+def _recovery_check(space: _StateSpace, joint: np.ndarray, marked: np.ndarray) -> CheckResult:
     """Decode equals the true sum on every realization, and the relay
     messages determine the sum as a function.
 
     Both are read off one table of the (relay messages, sum) pairs that
-    occur: decoding every pair that occurs covers every realization.
+    occur: decoding every pair that occurs covers every realization.  The
+    table is marked from the rows of joint that ``_server_match`` returned,
+    which hold every code of joint, in bounded chunks.
     """
     q, K, blocks, bs = space.q, space.K, space.blocks, space.params.block_size
     n_s = q**space.L
@@ -342,21 +414,29 @@ def _recovery_check(space: _StateSpace, joint: np.ndarray) -> CheckResult:
         pairs = np.zeros(q ** (K * blocks) * n_s, dtype=bool)
     except MemoryError as exc:
         raise StateSpaceError(q ** (K * blocks) * n_s, None, "recovery-exhaustive") from exc
-    # numpy would index with an intp copy of all of joint at once.
-    codes = joint.reshape(-1)
-    for start in range(0, len(codes), _COMPARE_CHUNK):
-        pairs[codes[start : start + _COMPARE_CHUNK].astype(np.intp)] = True
+    rows = space.rows(joint)
+    step = max(1, _COMPARE_CHUNK // rows.shape[1])
+    for start in range(0, len(marked), step):
+        pairs[np.take(rows, marked[start : start + step], axis=0)] = True
     # Pairs come in increasing order, so the messages y determine the sum
     # s exactly when no y repeats.
     y, s = np.divmod(np.flatnonzero(pairs), n_s)
     functional = bool((y[1:] > y[:-1]).all())
 
-    # relay i's block-t symbol is base-q digit i * blocks + t of y
-    digits = y[:, None] // q ** np.arange(K * blocks - 1, -1, -1) % q
-    recovery = space.params.recovery.a
+    # relay i's block-t symbol is base-q digit i * blocks + t of y, row
+    # i * blocks + t of digits.  Digits are peeled off by a scalar
+    # division each, which numpy runs several times faster than dividing
+    # by an array of powers.
+    digits = np.empty((K * blocks, len(y)), dtype=y.dtype)
+    rest = y
+    for d in range(K * blocks - 1, -1, -1):
+        quotient = rest // q
+        digits[d] = rest - quotient * q
+        rest = quotient
+    recovery = space.params.recovery.a.T
     decoded = np.zeros_like(s)
     for t in range(blocks):
-        for symbol in (digits[:, t::blocks] @ recovery % q).T:
+        for symbol in recovery @ digits[t::blocks] % q:
             decoded = decoded * q + symbol
     decode_ok = bool((decoded == s).all())
 
@@ -372,7 +452,7 @@ def exhaustive_mi_audit(
     params: SchemeParams, L: "int | None" = None, max_states: int = 10**8
 ) -> AuditReport:
     """Exact zero-information verdicts for every relay and for the server."""
-    checks, _ = _mi_checks(_StateSpace(params, L, max_states))
+    checks, _, _ = _mi_checks(_StateSpace(params, L, max_states))
     return AuditReport(tuple(checks))
 
 
@@ -382,7 +462,9 @@ def exhaustive_recovery_audit(
     """Decode equals the true sum on every realization, and the relay
     messages determine the sum as a function."""
     space = _StateSpace(params, L, max_states)
-    return _recovery_check(space, space.joint("recovery-exhaustive"))
+    joint = space.joint("recovery-exhaustive")
+    _, marked = _server_match(space, joint)
+    return _recovery_check(space, joint, marked)
 
 
 def full_audit(
@@ -391,15 +473,16 @@ def full_audit(
     L: "int | None" = None,
     max_states: int = 10**8,
 ) -> AuditReport:
+    if level not in ("algebraic", "exhaustive"):
+        raise ValueError(f"unknown audit level {level!r}")
     checks = list(algebraic_audit(params).checks)
     if level == "exhaustive":
-        # One space for both audits, so every output is evaluated once.
+        # One space and one server row match for both audits, so every
+        # output is evaluated and sorted once.
         space = _StateSpace(params, L, max_states)
-        mi_checks, joint = _mi_checks(space)
+        mi_checks, joint, marked = _mi_checks(space)
         checks += mi_checks
-        checks.append(_recovery_check(space, joint))
-    elif level != "algebraic":
-        raise ValueError(f"unknown audit level {level!r}")
+        checks.append(_recovery_check(space, joint, marked))
     return AuditReport(tuple(checks))
 
 

@@ -4,9 +4,13 @@ from dataclasses import replace
 from itertools import product
 from random import Random
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hsagg import audit
 from hsagg.audit import (
@@ -20,6 +24,7 @@ from hsagg.audit import (
     server_security_algebraic,
 )
 from hsagg.gf import Matrix
+from hsagg.key_design import CheckResult
 from hsagg.protocol import (
     build_scheme,
     derive_keys,
@@ -257,7 +262,7 @@ def test_chunked_row_comparison_matches_one_chunk(monkeypatch, params, functiona
     # one row and three rows per chunk must give the same checks,
     # verdicts and details as the default size; a check's rows span only
     # the source symbols it reads, so three rows are sized from each array.
-    # The recovery table is scattered in chunks of the same size, and each
+    # The recovery table is marked in chunks of the same size, and each
     # corrupted scheme makes it no function of the messages; the last one
     # zeroes an input coefficient at (2, 1).
     whole = full_audit(params, level="exhaustive", L=2)
@@ -371,23 +376,78 @@ def test_evaluate_matches_every_state(monkeypatch, space, forms, dtype, inner):
     assert (rows == full[kept].reshape(rows.shape)).all()
 
 
+@pytest.mark.parametrize("network_rows", [1, audit._NETWORK_ROWS], ids=["network", "default"])
 @pytest.mark.parametrize("chunk", [1, audit._COMPARE_CHUNK])
 @pytest.mark.parametrize("dtype", [np.int16, np.int32])
-def test_rows_match_compares_each_row_with_its_group_leader(monkeypatch, dtype, chunk):
+def test_rows_match_compares_each_row_with_its_group_leader(
+    monkeypatch, dtype, chunk, network_rows
+):
     monkeypatch.setattr(audit, "_COMPARE_CHUNK", chunk)
+    monkeypatch.setattr(audit, "_NETWORK_ROWS", network_rows)
     # groups 20000, 3 and 500 lead at rows 0, 1 and 4; rows of a group
-    # hold its leader's multiset in any order
+    # hold its leader's multiset in any order, so only the leaders' rows
+    # come back
     group = np.array([20000, 3, 20000, 3, 500, 3], dtype=dtype)
     rows = [[4, 1, 1], [2, 7, 5], [1, 4, 1], [5, 2, 7], [0, 0, 9], [7, 5, 2]]
     got = np.array(rows, dtype=dtype)
-    assert audit._rows_match(got, group.copy())
+    ok, marked = audit._rows_match(got, group.copy())
+    assert ok and marked.tolist() == [0, 1, 4]
     assert (got == np.sort(rows, axis=1)).all()
-    # row 3 now holds group 20000's multiset, not its own group's
+    # row 3 now holds group 20000's multiset, not its own group's, so it
+    # comes back with the leaders
     rows[3] = [1, 1, 4]
-    assert not audit._rows_match(np.array(rows, dtype=dtype), group.copy())
-    # without groups every row is compared with row 0
-    assert not audit._rows_match(np.array(rows, dtype=dtype))
-    assert audit._rows_match(np.array([[3, 1], [1, 3], [3, 1]], dtype=dtype))
+    ok, marked = audit._rows_match(np.array(rows, dtype=dtype), group.copy())
+    assert not ok and marked.tolist() == [0, 1, 3, 4]
+    # without groups every row is compared with row 0, which leads them all
+    ok, marked = audit._rows_match(np.array(rows, dtype=dtype))
+    assert not ok and marked.tolist() == [0, 1, 4, 5]
+    ok, marked = audit._rows_match(np.array([[3, 1], [1, 3], [3, 1]], dtype=dtype))
+    assert ok and marked.tolist() == [0]
+
+
+def _network_width(dtype):
+    """Widest row, in entries, that _sort_rows sorts with its network."""
+    return audit._NETWORK_BYTES // np.dtype(dtype).itemsize
+
+
+@st.composite
+def _row_arrays(draw):
+    """Row arrays as _sort_rows may meet them: a dtype, any width from 1
+    to two past the network's, one row or many, and entries from either a
+    few values, so rows hold ties, or the dtype's whole range."""
+    dtype = draw(st.sampled_from([np.int16, np.int32, np.int64]))
+    width = draw(st.integers(min_value=1, max_value=_network_width(dtype) + 2))
+    n_rows = draw(st.sampled_from([1, 2, 7, 40]))
+    info = np.iinfo(dtype)
+    low, high = draw(st.sampled_from([(0, 2), (-3, 3), (int(info.min), int(info.max))]))
+    return draw(hnp.arrays(dtype, (n_rows, width), elements=st.integers(low, high)))
+
+
+@given(_row_arrays(), st.integers(min_value=1, max_value=5))
+@settings(max_examples=200, deadline=None)
+def test_sort_rows_matches_np_sort(rows, block_rows):
+    # Every row count takes the network when the width allows it, and a
+    # block holds block_rows rows, so blocks end inside the array.
+    want = np.sort(rows, axis=1)
+    block = block_rows * rows.shape[1] * rows.itemsize
+    with mock.patch.object(audit, "_NETWORK_ROWS", 1), mock.patch.object(
+        audit, "_NETWORK_BLOCK", block
+    ):
+        audit._sort_rows(rows)
+    assert rows.dtype == want.dtype and (rows == want).all()
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+def test_sort_network_sorts_every_zero_one_row(monkeypatch, dtype):
+    # A comparator network that sorts every row of zeros and ones sorts
+    # every row (Knuth, TAOCP vol. 3, 5.3.4, Theorem Z), so this proves
+    # the network at each width it takes.
+    monkeypatch.setattr(audit, "_NETWORK_ROWS", 1)
+    for width in range(1, _network_width(dtype) + 1):
+        rows = (np.arange(2**width)[:, None] >> np.arange(width) & 1).astype(dtype)
+        want = np.sort(rows, axis=1)
+        audit._sort_rows(rows)
+        assert (rows == want).all(), width
 
 
 def test_checks_hold_only_the_variables_their_forms_read(monkeypatch):
@@ -435,6 +495,77 @@ def test_relay_mi_agrees_with_algebraic_on_planted_dependence(params):
     assert not all(verdicts[f"relay-mi[{i}]"] for i in relays)
     for i in relays:
         assert verdicts[f"relay-mi[{i}]"] == verdicts[f"relay-security-algebraic[{i}]"], i
+
+
+def _recovery_shifted(params):
+    """params with the first recovery entry raised by one."""
+    first = int(params.recovery.a[0, 0])
+    return _corrupt(params, recovery=(0, 0, (first + 1) % params.field.q))
+
+
+def _full_scatter_recovery(params, L):
+    """recovery-exhaustive from every code of the joint array: each code is
+    marked in a table of (relay messages, sum) pairs, and every pair that
+    occurs is decoded through server_decode."""
+    space = audit._StateSpace(params, L, 10**8)
+    q, relays, blocks = space.q, params.topo.relays(), space.blocks
+    table = np.zeros(q ** (params.K * blocks + L), dtype=bool)
+    table[space.joint("reference").reshape(-1)] = True
+    y, s = np.divmod(np.flatnonzero(table), q**L)
+    functional = len(set(y.tolist())) == len(y)
+    decode_ok = True
+    for code, total in zip(y.tolist(), s.tolist()):
+        digits = [code // q**e % q for e in range(params.K * blocks - 1, -1, -1)]
+        msgs = {i: tuple(digits[(i - 1) * blocks : i * blocks]) for i in relays}
+        want = tuple(total // q**e % q for e in range(L - 1, -1, -1))
+        decode_ok &= server_decode(params, msgs) == want
+    return CheckResult(
+        "recovery-exhaustive",
+        decode_ok and functional,
+        f"decode exact: {decode_ok}; messages determine the sum: {functional}"
+        f" ({space.size} realizations)",
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, audit._COMPARE_CHUNK])
+@pytest.mark.parametrize(
+    "params",
+    [
+        golden_example1(),
+        _corrupt(golden_example1(), input_coeffs=((0, 0), 0, 2)),
+        _corrupt(golden_example1(), key_coeffs=(0, 0, 0)),
+        _corrupt(golden_example1(), key_matrix=(2, 1, 0)),
+        _corrupt(golden_example1(), key_matrix=(2, 1, 0), recovery=(0, 1, 1)),
+        _input_coeff_shifted(golden_example1()),
+        _key_row_times_three(golden_example1()),
+        _recovery_shifted(golden_example1()),
+        build_scheme(3, 2, q=5),
+        _corrupt(build_scheme(3, 2, q=5), key_coeffs=(0, 0, 0)),
+        _input_coeff_shifted(build_scheme(3, 2, q=5)),
+        _recovery_shifted(build_scheme(3, 2, q=5)),
+        build_scheme(2, 1),
+        _corrupt(build_scheme(2, 1), key_matrix=(1, 0, 0)),
+        _input_coeff_shifted(build_scheme(2, 1)),
+        build_scheme(3, 2, q=7),
+        _key_row_times_three(build_scheme(3, 2, q=7)),
+        _corrupt(build_scheme(3, 2, q=7), key_coeffs=(0, 0, 0)),
+    ],
+    ids=[
+        "golden", "golden-input", "golden-key-coeff", "golden-key-row-copy",
+        "golden-key-recovery", "golden-input-shift", "golden-key-row", "golden-recovery",
+        "q5", "q5-key-coeff", "q5-input", "q5-recovery", "single", "single-key",
+        "single-input", "q7", "q7-key-row", "q7-key-coeff",
+    ],
+)
+def test_recovery_marks_every_pair_a_full_scatter_marks(monkeypatch, params, chunk):
+    # Recovery marks only the rows the server row match returns: every
+    # leader, and every row that differs from its leader when server-mi
+    # fails.  Its check must equal one read off every code, on passing
+    # schemes and on mutants that fail any of the checks.
+    want = _full_scatter_recovery(params, 2)
+    monkeypatch.setattr(audit, "_COMPARE_CHUNK", chunk)
+    assert full_audit(params, level="exhaustive", L=2).checks[-1] == want
+    assert exhaustive_recovery_audit(params, L=2) == want
 
 
 def _unallocatable(monkeypatch, only=None):
@@ -494,6 +625,15 @@ def test_full_audit_levels():
     ]
     with pytest.raises(ValueError):
         full_audit(params, level="sampled")
+
+
+def test_full_audit_refuses_unknown_level_before_any_audit(monkeypatch):
+    ran = []
+    monkeypatch.setattr(audit, "algebraic_audit", lambda params: ran.append("algebraic"))
+    monkeypatch.setattr(audit, "_StateSpace", lambda *args: ran.append("exhaustive"))
+    with pytest.raises(ValueError, match="unknown audit level 'sampled'"):
+        full_audit(golden_example1(), level="sampled")
+    assert ran == []
 
 
 def test_report_serialization():
