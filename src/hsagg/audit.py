@@ -22,12 +22,16 @@ other rows with one ndarray.sort.  The packed code is a sum of one
 weighted digit per form, each computed on the grid of the variables its
 form reads; the sum runs in the order that grows the grid least, over a
 grid whose trailing variables share one inner axis of about 1k entries,
-so no pass runs a length-q inner loop.  The server check finds each
-group's first row, its leader, in a table indexed by the sum.  Recovery
-marks a bool table of (messages, sum) pairs, in bounded chunks, from the
-leaders' rows and any row that differs from its leader, which between
-them hold every pair that occurs, and reads the pairs from the flat
-table, in increasing order.
+so no pass runs a length-q inner loop.  The server check's code holds
+the relay symbols only, on the grid of every input (an input no relay
+reads still gets its own axis there).  The sum is a function of the
+inputs, so each row takes its sum from one evaluation of the sum forms
+over the inputs alone, and groups of equal sums find their first row,
+their leader, in a table indexed by the sum.  Recovery marks a bool
+table of (messages, sum) pairs at messages * q**L + sum, in bounded
+chunks, from the leaders' rows and any row that differs from its leader,
+which between them hold every pair that occurs, and reads the pairs from
+the flat table, in increasing order.
 
 This module also carries the worked 3-user instance over GF(3) as a
 hard-coded golden scheme; its coefficients come from a manual design and
@@ -150,8 +154,8 @@ class _StateSpace:
         self.size = self.q**self.n_vars
         if self.size > max_states:
             raise StateSpaceError(self.size, max_states)
-        # The widest code packed below is every relay symbol plus every sum
-        # symbol, and it must fit the widest integer type.
+        # Recovery indexes its table by every relay symbol and every sum
+        # symbol, one (messages, sum) pair index, which must fit int64.
         bound = self.q ** (self.K * self.blocks + L)
         if bound > np.iinfo(np.int64).max:
             raise StateSpaceError(bound, np.iinfo(np.int64).max, "(relay messages, sum) values")
@@ -184,8 +188,10 @@ class _StateSpace:
             n_inner += 1
         outer, inner = read[: len(read) - n_inner], read[len(read) - n_inner :]
         sizes = [q] * len(outer) + [q**n_inner]
-        # digits[x, j] is the value of variable inner[j] at inner index x.
-        digits = np.arange(q**n_inner)[:, None] // q ** np.arange(n_inner - 1, -1, -1) % q
+        # digits[x, j] is the value of variable inner[j] at inner index x;
+        # np.indices builds it about three times faster than dividing an
+        # arange by an array of powers.
+        digits = np.indices((q,) * n_inner).reshape(n_inner, -1).T
         axes = [
             {a for a, v in enumerate(outer) if form.get(v)}
             | ({len(outer)} if any(form.get(v) for v in inner) else set())
@@ -251,16 +257,25 @@ class _StateSpace:
         return form
 
     def joint_forms(self) -> list[dict[int, int]]:
-        """Every relay symbol, relay-major, then every sum symbol."""
+        """Every relay symbol, relay-major."""
         relays = self.params.topo.relays()
-        return [
-            *(self.relay_form(i, t) for i in relays for t in range(self.blocks)),
-            *({self.w_var(k, pos): 1 for k in range(1, self.K + 1)} for pos in range(self.L)),
-        ]
+        return [self.relay_form(i, t) for i in relays for t in range(self.blocks)]
+
+    def sum_forms(self) -> list[dict[int, int]]:
+        """Every sum symbol, in input order; each reads every user's input."""
+        return [{self.w_var(k, pos): 1 for k in range(1, self.K + 1)} for pos in range(self.L)]
 
     def joint(self, check: str) -> np.ndarray:
-        """The joint forms, packed."""
-        return self.evaluate(check, *self.joint_forms())
+        """The relay symbols, packed, on the grid of every input: an input
+        that no relay symbol reads still gets its own axis, so each row is
+        one value of all the inputs and has one sum.  The sum symbols are
+        not packed in; ``_server_match`` evaluates them over the inputs
+        alone."""
+        code = self.evaluate(check, *self.joint_forms())
+        full = (self.q,) * self.n_w + code.shape[self.n_w :]
+        if code.shape == full:
+            return code
+        return np.broadcast_to(code, full).copy()
 
 
 # Elements compared per step when rows are checked against a reference
@@ -335,6 +350,8 @@ def _rows_match(rows: np.ndarray, group: "np.ndarray | None" = None) -> tuple[bo
     if group is None:
         lead = np.zeros_like(index)
     else:
+        # Indexing by intp skips a cast in both the table and the gather.
+        group = group.astype(np.intp)
         first = np.full(int(group.max()) + 1, len(rows))
         np.minimum.at(first, group, index)
         lead = first[group]
@@ -351,22 +368,29 @@ def _rows_match(rows: np.ndarray, group: "np.ndarray | None" = None) -> tuple[bo
     return ok, np.flatnonzero(marked)
 
 
-def _server_match(space: _StateSpace, joint: np.ndarray) -> tuple[bool, np.ndarray]:
-    """``_rows_match`` of the joint code's rows, grouped by the sum.
+def _server_match(
+    space: _StateSpace, check: str
+) -> tuple[bool, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``_rows_match`` of the relay symbols' rows, grouped by the sum.
 
-    The sum depends on the inputs only, so it is constant along a row,
-    and within a group of equal sums rows of joint codes match exactly
-    when rows of relay messages do.  For the same reason sorting a row
-    keeps every symbol's sum digits, and the recovery table that reads
-    joint afterwards does not depend on order.
+    The sum depends on the inputs only, so one packed sum per row, from
+    the sum forms evaluated over the inputs alone, groups the rows; within
+    a group of equal sums rows of (messages, sum) codes match exactly when
+    rows of relay messages do.  Returns the verdict, and for
+    ``_recovery_check`` the sorted rows, each row's packed sum and the rows
+    it marks.
     """
-    rows = space.rows(joint)
-    return _rows_match(rows, rows[:, 0] % space.q**space.L)
+    rows = space.rows(space.joint(check))
+    sums = space.evaluate(check, *space.sum_forms()).reshape(-1)
+    ok, marked = _rows_match(rows, sums)
+    return ok, (rows, sums, marked)
 
 
-def _mi_checks(space: _StateSpace) -> tuple[list[CheckResult], np.ndarray, np.ndarray]:
-    """Relay and server MI checks, plus the joint code they evaluated and
-    the rows of it that recovery marks."""
+def _mi_checks(
+    space: _StateSpace,
+) -> tuple[list[CheckResult], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Relay and server MI checks, plus the rows, sums and marked rows of
+    the server match, which recovery reads."""
     params = space.params
     checks = []
     for i in params.topo.relays():
@@ -387,8 +411,7 @@ def _mi_checks(space: _StateSpace) -> tuple[list[CheckResult], np.ndarray, np.nd
             )
         )
 
-    joint = space.joint("server-mi")
-    server_ok, marked = _server_match(space, joint)
+    server_ok, match = _server_match(space, "server-mi")
     checks.append(
         CheckResult(
             "server-mi",
@@ -396,17 +419,20 @@ def _mi_checks(space: _StateSpace) -> tuple[list[CheckResult], np.ndarray, np.nd
             f"relay messages conditionally independent of inputs given the sum: {server_ok}",
         )
     )
-    return checks, joint, marked
+    return checks, match
 
 
-def _recovery_check(space: _StateSpace, joint: np.ndarray, marked: np.ndarray) -> CheckResult:
+def _recovery_check(
+    space: _StateSpace, rows: np.ndarray, sums: np.ndarray, marked: np.ndarray
+) -> CheckResult:
     """Decode equals the true sum on every realization, and the relay
     messages determine the sum as a function.
 
     Both are read off one table of the (relay messages, sum) pairs that
     occur: decoding every pair that occurs covers every realization.  The
-    table is marked from the rows of joint that ``_server_match`` returned,
-    which hold every code of joint, in bounded chunks.
+    table is marked, in bounded chunks, at messages * q**L + sum for each
+    code of the marked rows, which ``_server_match`` returned with the rows
+    and their sums; they hold every code of the relay symbols.
     """
     q, K, blocks, bs = space.q, space.K, space.blocks, space.params.block_size
     n_s = q**space.L
@@ -414,10 +440,11 @@ def _recovery_check(space: _StateSpace, joint: np.ndarray, marked: np.ndarray) -
         pairs = np.zeros(q ** (K * blocks) * n_s, dtype=bool)
     except MemoryError as exc:
         raise StateSpaceError(q ** (K * blocks) * n_s, None, "recovery-exhaustive") from exc
-    rows = space.rows(joint)
     step = max(1, _COMPARE_CHUNK // rows.shape[1])
     for start in range(0, len(marked), step):
-        pairs[np.take(rows, marked[start : start + step], axis=0)] = True
+        chunk = marked[start : start + step]
+        codes = np.take(rows, chunk, axis=0).astype(np.int64)
+        pairs[codes * n_s + sums[chunk, None]] = True
     # Pairs come in increasing order, so the messages y determine the sum
     # s exactly when no y repeats.
     y, s = np.divmod(np.flatnonzero(pairs), n_s)
@@ -452,7 +479,7 @@ def exhaustive_mi_audit(
     params: SchemeParams, L: "int | None" = None, max_states: int = 10**8
 ) -> AuditReport:
     """Exact zero-information verdicts for every relay and for the server."""
-    checks, _, _ = _mi_checks(_StateSpace(params, L, max_states))
+    checks, _ = _mi_checks(_StateSpace(params, L, max_states))
     return AuditReport(tuple(checks))
 
 
@@ -462,9 +489,8 @@ def exhaustive_recovery_audit(
     """Decode equals the true sum on every realization, and the relay
     messages determine the sum as a function."""
     space = _StateSpace(params, L, max_states)
-    joint = space.joint("recovery-exhaustive")
-    _, marked = _server_match(space, joint)
-    return _recovery_check(space, joint, marked)
+    _, match = _server_match(space, "recovery-exhaustive")
+    return _recovery_check(space, *match)
 
 
 def full_audit(
@@ -480,9 +506,9 @@ def full_audit(
         # One space and one server row match for both audits, so every
         # output is evaluated and sorted once.
         space = _StateSpace(params, L, max_states)
-        mi_checks, joint, marked = _mi_checks(space)
+        mi_checks, match = _mi_checks(space)
         checks += mi_checks
-        checks.append(_recovery_check(space, joint, marked))
+        checks.append(_recovery_check(space, *match))
     return AuditReport(tuple(checks))
 
 

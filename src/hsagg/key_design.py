@@ -53,12 +53,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
 from .code_design import CodeDesign, ConstructionError, evaluation_points, lagrange_rows
-from .code_design import recovery_matrix
 from .gf import MAX_MODULUS, Matrix, PrimeField, every_subset_full_rank, is_prime, matmul_mod
 from .gf import power_table, vandermonde
 from .topology import Topology, _read_only
@@ -320,9 +319,12 @@ def single_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
     property to exactly the combination the server applies.  Any K-1
     rows stay independent: rows 1..K-1 form an invertible Vandermonde
     block at distinct points, row K is minus their sum, and the scales
-    are nonzero.  ``validate_scheme``'s nullspace-equals-recovery-span
-    gate checks it: the rows' only dependency is then the recovery
-    column, which has no zero entry.
+    are nonzero.  Entry r of the recovery column is the top coefficient
+    of the Lagrange basis polynomial l_r, 1 / prod_{j != r} (p_r - p_j),
+    so dividing row r by it multiplies the row by that product.
+    ``validate_scheme``'s nullspace-equals-recovery-span gate checks it:
+    the rows' only dependency is then the recovery column, which has no
+    zero entry.
     """
     if field.q <= K + 1:
         raise ConstructionError(f"single-association regime needs q > K+1, got q={field.q}")
@@ -330,7 +332,7 @@ def single_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
     points = evaluation_points(field, K, 1)
     ext = power_table(points[: K - 1], K - 1, q)
     ext = np.vstack([ext, -ext.sum(axis=0) % q])
-    scales = [field.inv(r) for r in recovery_matrix(field, K, 1).a[:, 0].tolist()]
+    scales = [prod(p - other for other in points if other != p) % q for p in points]
     key_matrix = Matrix(field, ext * np.array(scales)[:, None] % q)
     return KeyDesign(key_matrix, _read_only(np.ones((K, 1), np.int64)), REGIME_SINGLE)
 

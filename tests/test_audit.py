@@ -221,6 +221,14 @@ def _corrupt(params, **entries):
     return replace(params, **changes)
 
 
+def _unread_input(params):
+    """params with user 1's first input coefficient zeroed on every link,
+    so that no relay symbol reads user 1's first input symbol."""
+    coeffs = params.input_coeffs.copy()
+    coeffs[0, :, 0] = 0
+    return replace(params, input_coeffs=coeffs)
+
+
 @pytest.mark.parametrize(
     "params, L",
     [
@@ -230,6 +238,7 @@ def _corrupt(params, **entries):
         (_corrupt(golden_example1(), key_matrix=(2, 1, 0), recovery=(0, 1, 1)), 2),
         (build_scheme(2, 1), 2),
         (_corrupt(build_scheme(2, 1), key_matrix=(1, 0, 0)), 2),
+        (_unread_input(golden_example1()), 2),
     ],
 )
 def test_exhaustive_verdicts_match_count_table_reference(params, L):
@@ -331,6 +340,16 @@ def _random_forms(space, count, seed):
     ]
 
 
+def _relay_and_sum_forms(space):
+    """The forms of the (relay messages, sum) code: every relay symbol,
+    relay-major, then every sum symbol."""
+    relays = space.params.topo.relays()
+    return [
+        *(space.relay_form(i, t) for i in relays for t in range(space.blocks)),
+        *({space.w_var(k, pos): 1 for k in range(1, space.K + 1)} for pos in range(space.L)),
+    ]
+
+
 _Q7 = audit._StateSpace(build_scheme(2, 1, q=7), 2, 10**8)
 _GOLDEN = audit._StateSpace(golden_example1(), 2, 10**8)
 
@@ -339,8 +358,8 @@ _GOLDEN = audit._StateSpace(golden_example1(), 2, 10**8)
 @pytest.mark.parametrize(
     "space, forms, dtype",
     [
-        (_GOLDEN, _shuffled(_GOLDEN.joint_forms(), 1), np.int16),
-        (_Q7, _shuffled(_Q7.joint_forms(), 2), np.int32),
+        (_GOLDEN, _shuffled(_relay_and_sum_forms(_GOLDEN), 1), np.int16),
+        (_Q7, _shuffled(_relay_and_sum_forms(_Q7), 2), np.int32),
         (_Q7, [{0: 1, 1: 2}, {2: 3}, {3: 1, 4: 5}, {5: 6}], np.int16),
         (_Q7, [{1: 3}, {}, {2: 5, 4: 1}, {0: 0, 3: 0}, {4: 2}], np.int16),
         (_Q7, _random_forms(_Q7, 11, 5), np.int32),
@@ -504,21 +523,22 @@ def _recovery_shifted(params):
 
 
 def _full_scatter_recovery(params, L):
-    """recovery-exhaustive from every code of the joint array: each code is
-    marked in a table of (relay messages, sum) pairs, and every pair that
-    occurs is decoded through server_decode."""
+    """recovery-exhaustive from every code of the (relay messages, sum)
+    array: each code is marked in a table of pairs, and the pairs that
+    occur are decoded through server_decode until one decodes wrong."""
     space = audit._StateSpace(params, L, 10**8)
     q, relays, blocks = space.q, params.topo.relays(), space.blocks
     table = np.zeros(q ** (params.K * blocks + L), dtype=bool)
-    table[space.joint("reference").reshape(-1)] = True
+    table[space.evaluate("reference", *_relay_and_sum_forms(space)).reshape(-1)] = True
     y, s = np.divmod(np.flatnonzero(table), q**L)
     functional = len(set(y.tolist())) == len(y)
-    decode_ok = True
-    for code, total in zip(y.tolist(), s.tolist()):
+
+    def decodes(code, total):
         digits = [code // q**e % q for e in range(params.K * blocks - 1, -1, -1)]
         msgs = {i: tuple(digits[(i - 1) * blocks : i * blocks]) for i in relays}
-        want = tuple(total // q**e % q for e in range(L - 1, -1, -1))
-        decode_ok &= server_decode(params, msgs) == want
+        return server_decode(params, msgs) == tuple(total // q**e % q for e in range(L - 1, -1, -1))
+
+    decode_ok = all(decodes(code, total) for code, total in zip(y.tolist(), s.tolist()))
     return CheckResult(
         "recovery-exhaustive",
         decode_ok and functional,
@@ -527,35 +547,39 @@ def _full_scatter_recovery(params, L):
     )
 
 
+# Every scheme and mutant of this file that the exhaustive audits take at
+# L = 2, with its id.
+_EXHAUSTIVE_SCHEMES = {
+    "golden": golden_example1(),
+    "golden-input": _corrupt(golden_example1(), input_coeffs=((0, 0), 0, 2)),
+    "golden-key-coeff": _corrupt(golden_example1(), key_coeffs=(0, 0, 0)),
+    "golden-key-row-copy": _corrupt(golden_example1(), key_matrix=(2, 1, 0)),
+    "golden-key-recovery": _corrupt(golden_example1(), key_matrix=(2, 1, 0), recovery=(0, 1, 1)),
+    "golden-input-shift": _input_coeff_shifted(golden_example1()),
+    "golden-key-row": _key_row_times_three(golden_example1()),
+    "golden-recovery": _recovery_shifted(golden_example1()),
+    "q5": build_scheme(3, 2, q=5),
+    "q5-key-coeff": _corrupt(build_scheme(3, 2, q=5), key_coeffs=(0, 0, 0)),
+    "q5-input": _input_coeff_shifted(build_scheme(3, 2, q=5)),
+    "q5-recovery": _recovery_shifted(build_scheme(3, 2, q=5)),
+    "single": build_scheme(2, 1),
+    "single-key": _corrupt(build_scheme(2, 1), key_matrix=(1, 0, 0)),
+    "single-input": _input_coeff_shifted(build_scheme(2, 1)),
+    "q7": build_scheme(3, 2, q=7),
+    "q7-key-row": _key_row_times_three(build_scheme(3, 2, q=7)),
+    "q7-key-coeff": _corrupt(build_scheme(3, 2, q=7), key_coeffs=(0, 0, 0)),
+}
+
+# Mutants that leave an input unread by every relay symbol, with their L.
+_UNREAD_INPUT = {
+    "golden-unread": (_unread_input(golden_example1()), 2),
+    "single-unread-L3": (_unread_input(build_scheme(2, 1)), 3),
+}
+
+
 @pytest.mark.parametrize("chunk", [1, audit._COMPARE_CHUNK])
 @pytest.mark.parametrize(
-    "params",
-    [
-        golden_example1(),
-        _corrupt(golden_example1(), input_coeffs=((0, 0), 0, 2)),
-        _corrupt(golden_example1(), key_coeffs=(0, 0, 0)),
-        _corrupt(golden_example1(), key_matrix=(2, 1, 0)),
-        _corrupt(golden_example1(), key_matrix=(2, 1, 0), recovery=(0, 1, 1)),
-        _input_coeff_shifted(golden_example1()),
-        _key_row_times_three(golden_example1()),
-        _recovery_shifted(golden_example1()),
-        build_scheme(3, 2, q=5),
-        _corrupt(build_scheme(3, 2, q=5), key_coeffs=(0, 0, 0)),
-        _input_coeff_shifted(build_scheme(3, 2, q=5)),
-        _recovery_shifted(build_scheme(3, 2, q=5)),
-        build_scheme(2, 1),
-        _corrupt(build_scheme(2, 1), key_matrix=(1, 0, 0)),
-        _input_coeff_shifted(build_scheme(2, 1)),
-        build_scheme(3, 2, q=7),
-        _key_row_times_three(build_scheme(3, 2, q=7)),
-        _corrupt(build_scheme(3, 2, q=7), key_coeffs=(0, 0, 0)),
-    ],
-    ids=[
-        "golden", "golden-input", "golden-key-coeff", "golden-key-row-copy",
-        "golden-key-recovery", "golden-input-shift", "golden-key-row", "golden-recovery",
-        "q5", "q5-key-coeff", "q5-input", "q5-recovery", "single", "single-key",
-        "single-input", "q7", "q7-key-row", "q7-key-coeff",
-    ],
+    "params", list(_EXHAUSTIVE_SCHEMES.values()), ids=list(_EXHAUSTIVE_SCHEMES)
 )
 def test_recovery_marks_every_pair_a_full_scatter_marks(monkeypatch, params, chunk):
     # Recovery marks only the rows the server row match returns: every
@@ -566,6 +590,86 @@ def test_recovery_marks_every_pair_a_full_scatter_marks(monkeypatch, params, chu
     monkeypatch.setattr(audit, "_COMPARE_CHUNK", chunk)
     assert full_audit(params, level="exhaustive", L=2).checks[-1] == want
     assert exhaustive_recovery_audit(params, L=2) == want
+
+
+def _full_joint_match(params, L):
+    """server-mi's verdict, and the rows recovery marks, from the (relay
+    messages, sum) code: each row sorted, grouped by the sum digits of its
+    first code, and compared with the first row of its group.  Returns
+    them with the sorted rows."""
+    space = audit._StateSpace(params, L, 10**8)
+    code = space.evaluate("reference", *_relay_and_sum_forms(space))
+    rows = np.sort(code.reshape(space.q**space.n_w, -1), axis=1)
+    _, first, inverse = np.unique(rows[:, 0] % space.q**L, return_index=True, return_inverse=True)
+    lead = first[inverse.reshape(-1)]
+    differs = (rows != rows[lead]).any(axis=1)
+    marked = np.flatnonzero((lead == np.arange(len(rows))) | differs)
+    return not differs.any(), marked, rows
+
+
+_SERVER_MATCH_CASES = {
+    **{name: (params, 2) for name, params in _EXHAUSTIVE_SCHEMES.items()},
+    **_UNREAD_INPUT,
+}
+
+
+@pytest.mark.parametrize("chunk", [1, audit._COMPARE_CHUNK])
+@pytest.mark.parametrize(
+    "params, L", list(_SERVER_MATCH_CASES.values()), ids=list(_SERVER_MATCH_CASES)
+)
+def test_server_match_equals_a_match_on_the_full_joint_code(monkeypatch, params, L, chunk):
+    # The server code holds the relay symbols only, and each row's sum
+    # comes from the input grid.  Its verdict, its sorted rows with their
+    # sums packed back in, and the rows it returns for recovery must equal
+    # a match on the code that packs every sum symbol into every state.
+    want_ok, want_marked, want_rows = _full_joint_match(params, L)
+    monkeypatch.setattr(audit, "_COMPARE_CHUNK", chunk)
+    server_match = audit._server_match
+    got = []
+
+    def spy(space, check):
+        got.append(server_match(space, check))
+        return got[-1]
+
+    monkeypatch.setattr(audit, "_server_match", spy)
+    report = full_audit(params, level="exhaustive", L=L)
+    assert report.checks[-2].name == "server-mi" and report.checks[-2].passed == want_ok
+    exhaustive_recovery_audit(params, L=L)
+    assert len(got) == 2
+    for ok, (rows, sums, marked) in got:
+        assert ok == want_ok
+        assert marked.tolist() == want_marked.tolist()
+        assert sums.shape == (len(rows),)
+        assert (rows.astype(np.int64) * params.field.q**L + sums[:, None] == want_rows).all()
+
+
+@pytest.mark.parametrize("params, L", list(_UNREAD_INPUT.values()), ids=list(_UNREAD_INPUT))
+def test_unread_input_keeps_every_row_with_its_own_sum(params, L):
+    # No relay symbol reads user 1's first input, so the relay code has a
+    # length-1 axis there; each row must still be one value of every input,
+    # with its own sum.  Every exhaustive verdict and detail must equal the
+    # references on the full (relay messages, sum) code.
+    space = audit._StateSpace(params, L, 10**8)
+    read = space.evaluate("test", *space.joint_forms()).shape
+    assert read[space.w_var(1, 0)] == 1
+    assert space.joint("test").shape[: space.n_w] == (space.q,) * space.n_w
+    server_ok, _, _ = _full_joint_match(params, L)
+    recovery = _full_scatter_recovery(params, L)
+    assert not server_ok and not recovery.passed
+    full = full_audit(params, level="exhaustive", L=L).checks
+    exhaustive = exhaustive_mi_audit(params, L=L).checks + (exhaustive_recovery_audit(params, L=L),)
+    n_algebraic = len(algebraic_audit(params).checks)
+    assert full[n_algebraic:] == exhaustive
+    assert full[-2] == CheckResult(
+        "server-mi",
+        server_ok,
+        f"relay messages conditionally independent of inputs given the sum: {server_ok}",
+    )
+    assert full[-1] == recovery
+    # the keys still mask every message, so every relay sees nothing
+    for i in params.topo.relays():
+        detail = f"received messages independent of inputs over {space.size} realizations"
+        assert full[n_algebraic + i - 1] == CheckResult(f"relay-mi[{i}]", True, detail)
 
 
 def _unallocatable(monkeypatch, only=None):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hsagg import key_design
-from hsagg.code_design import build_code_design, evaluation_points
+from hsagg.code_design import build_code_design, evaluation_points, recovery_matrix
 from hsagg.gf import Matrix, PrimeField, every_subset_full_rank, is_prime, one_product_fits
 from hsagg.gf import vandermonde
 from hsagg.key_design import (
@@ -213,6 +213,16 @@ def test_single_assoc_keygen():
         assert keys.key_matrix.ncols == K - 1
         code = build_code_design(Topology(K, 1), field)
         assert validate_scheme(keys, code).passed
+    # Each row is divided by its entry of the recovery column, which
+    # recovery_matrix takes from the Lagrange rows: the first K - 1 rows
+    # start with 1 before scaling, and the scaled rows cancel exactly
+    # under the combination the server applies.
+    for K in range(2, 40):
+        field = select_field(K, 1)
+        column = recovery_matrix(field, K, 1).a[:, 0]
+        key_matrix = single_assoc_keygen(K, field).key_matrix.a
+        assert (column[:-1] * key_matrix[:-1, 0] % field.q == 1).all(), K
+        assert not (column @ key_matrix % field.q).any(), K
 
 
 def test_single_assoc_key_matrix_is_mds_without_its_own_proof():
