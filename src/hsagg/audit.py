@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf import Matrix, PrimeField
+from .gf import PrimeField, rank_mod
 from .key_design import AuditReport, CheckResult, _relay_masks, masked_key_span
 from .protocol import SchemeParams
 from .topology import Topology, _check_index, _read_only
@@ -81,12 +81,12 @@ def _relay_checks(params: SchemeParams, relays: Sequence[int]) -> list[CheckResu
     """``relay_security_algebraic`` of each relay: one gather of every relay's
     link coefficients and masked key rows (``key_design._relay_masks``, the
     rows ``masked_key_span`` sums), then one rank per relay."""
-    want = params.topo.B
+    want, q = params.topo.B, params.field.q
     index = np.array(relays) - 1
-    lam, masked = _relay_masks(params.key_matrix, params.key_coeffs, params.topo)
+    lam, masked = _relay_masks(params.key_matrix, params.key_coeffs, params.topo, q)
     checks = []
     for i, zero_coeff, rows in zip(relays, (lam[index] == 0).any(axis=1).tolist(), masked[index]):
-        rank = Matrix(params.field, rows).rank()
+        rank = rank_mod(rows, q)
         checks.append(
             CheckResult(
                 f"relay-security-algebraic[{i}]",
@@ -101,7 +101,9 @@ def _relay_checks(params: SchemeParams, relays: Sequence[int]) -> list[CheckResu
 def server_security_algebraic(params: SchemeParams) -> CheckResult:
     """Key-canceling combinations must be exactly the recovery combinations."""
     K, B = params.K, params.topo.B
-    span = masked_key_span(params.key_matrix, params.key_coeffs, params.recovery, params.topo)
+    span = masked_key_span(
+        params.key_matrix, params.key_coeffs, params.recovery, params.topo, params.field.q
+    )
     return CheckResult(
         "server-security-algebraic",
         span.rank == K - B and span.spans,
@@ -244,7 +246,7 @@ class _StateSpace:
         for b, c in enumerate(p.input_coeffs[k, j].tolist()):
             if c:
                 form[self.w_var(k + 1, block * bs + b)] = c
-        for m, c in enumerate((p.key_coeffs[k, j] * p.key_matrix.a[k] % q).tolist()):
+        for m, c in enumerate((p.key_coeffs[k, j] * p.key_matrix[k] % q).tolist()):
             if c:
                 form[self.z_var(block, m)] = c
         return form
@@ -460,7 +462,7 @@ def _recovery_check(
         quotient = rest // q
         digits[d] = rest - quotient * q
         rest = quotient
-    recovery = space.params.recovery.a.T
+    recovery = space.params.recovery.T
     decoded = np.zeros_like(s)
     for t in range(blocks):
         for symbol in recovery @ digits[t::blocks] % q:
@@ -533,17 +535,16 @@ def golden_example1() -> SchemeParams:
     The server recovers (sum_a, sum_b) via (Y3 - Y1)/2 and
     (Y1 - 2 Y2 + Y3)/2; those combinations are the two recovery columns.
     """
-    field = PrimeField(3)
     # Row k-1: user k's links in the order above, to relays k and k+1.
     input_coeffs = np.array([[[1, 0], [2, 2]], [[1, 2], [2, 0]], [[1, 1], [2, 1]]], np.int64)
     return SchemeParams(
         topo=Topology(3, 2),
         requested_B=2,
-        field=field,
+        field=PrimeField(3),
         input_coeffs=_read_only(input_coeffs),
         key_coeffs=_read_only(np.array([[2, 1], [2, 1], [1, 2]], np.int64)),
-        key_matrix=Matrix(field, [[1, 0], [0, 1], [1, 1]]),
-        recovery=Matrix(field, [[1, 2], [0, 2], [2, 2]]),
+        key_matrix=_read_only(np.array([[1, 0], [0, 1], [1, 1]], np.int64)),
+        recovery=_read_only(np.array([[1, 2], [0, 2], [2, 2]], np.int64)),
     )
 
 

@@ -22,7 +22,8 @@ columns of the inverse evaluation matrix (the K x K Vandermonde matrix
 of the points).  Row r of that inverse holds the coefficients of the
 Lagrange basis polynomial l_r of the points, so ``lagrange_rows`` writes
 it in closed form: prod (x - p) divided synthetically by (x - p_r), then
-scaled by 1 / prod_{j != r} (p_r - p_j), with no elimination.
+scaled by 1 / prod_{j != r} (p_r - p_j), with no elimination.  The
+recovery matrix is held as a read-only (K, B) int64 array.
 
 The per-link input coefficients are user k's rows evaluated at the
 points of its own B relays: one stacked ``gf.matmul_mod`` product of
@@ -41,8 +42,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gf import DuplicatePointsError, Matrix, PrimeField, matmul_mod, power_table, vandermonde
-from .topology import Topology, _check_index
+from .gf import DuplicatePointsError, PrimeField, matmul_mod, power_table, vandermonde
+from .topology import Topology, _check_index, _read_only
 
 
 class ConstructionError(RuntimeError):
@@ -69,9 +70,9 @@ def evaluation_points(field: PrimeField, K: int, B: int) -> tuple[int, ...]:
             return points
 
 
-def evaluation_matrix(field: PrimeField, K: int, B: int) -> Matrix:
-    """K x K matrix whose column j is [1, p_j, p_j**2, ..., p_j**(K-1)]."""
-    return vandermonde(field, evaluation_points(field, K, B), K).transpose()
+def evaluation_matrix(field: PrimeField, K: int, B: int) -> np.ndarray:
+    """Read-only K x K int64 array whose column j is [1, p_j, p_j**2, ..., p_j**(K-1)]."""
+    return vandermonde(field, evaluation_points(field, K, B), K).T
 
 
 def _root_product(q: int, roots: Iterable[int]) -> list[int]:
@@ -106,13 +107,15 @@ def lagrange_rows(q: int, points: Sequence[int]) -> list[list[int]]:
     return rows
 
 
-def recovery_matrix(field: PrimeField, K: int, B: int) -> Matrix:
-    """The last B columns of the evaluation matrix's inverse: the top B coefficients of each l_r."""
-    return _recovery_matrix(field, evaluation_points(field, K, B), B)
+def recovery_matrix(field: PrimeField, K: int, B: int) -> np.ndarray:
+    """The last B columns of the evaluation matrix's inverse, the top B coefficients
+    of each l_r, as a read-only (K, B) int64 array."""
+    return _recovery_matrix(field.q, evaluation_points(field, K, B), B)
 
 
-def _recovery_matrix(field: PrimeField, points: tuple[int, ...], B: int) -> Matrix:
-    return Matrix(field, [row[len(points) - B:] for row in lagrange_rows(field.q, points)])
+def _recovery_matrix(q: int, points: tuple[int, ...], B: int) -> np.ndarray:
+    rows = [row[len(points) - B:] for row in lagrange_rows(q, points)]
+    return _read_only(np.array(rows, np.int64))
 
 
 def _require_family(topo: Topology) -> None:
@@ -174,7 +177,7 @@ class CodeDesign:
 
     topo: Topology
     field: PrimeField
-    recovery: Matrix
+    recovery: np.ndarray  # read-only (K, B) int64
     input_coeffs: np.ndarray = dc_field(repr=False)  # read-only (K, B, B) int64
     points: tuple[int, ...]  # evaluation_points(field, K, B); relay i's is points[i-1]
 
@@ -195,7 +198,7 @@ def build_code_design(topo: Topology, field: PrimeField) -> CodeDesign:
     return CodeDesign(
         topo=topo,
         field=field,
-        recovery=_recovery_matrix(field, points, B),
+        recovery=_recovery_matrix(q, points, B),
         input_coeffs=input_coeffs,
         points=points,
     )

@@ -5,14 +5,16 @@ Everything in this layer is integer-exact; the security audits
 downstream compare matrices for literal equality, so floats are banned
 throughout.  The module holds the field, ``field_array``, the one
 strict converter from Python ints or integer arrays to reduced int64
-arrays, a ``Matrix`` that holds its entries as one read-only int64
-array with one exact elimination, and the Vandermonde constructor; the
-message design keeps its polynomials as plain coefficient rows
-(``code_design.family_rows``).  Every system construction meets has a
-closed-form solution (Lagrange rows, and the circulant key design's
-Fourier eigenvalues), so no library code calls ``Matrix.solve``; it,
-``inverse`` and ``nullspace`` remain as the exact oracles that check
-those closed forms.
+arrays, ``rank_mod``, the one rank of the library, and the Vandermonde
+constructor, which returns a read-only int64 array as every scheme
+matrix is held.  The message design keeps its polynomials as plain
+coefficient rows (``code_design.family_rows``).  Every system
+construction meets has a closed-form solution (Lagrange rows, and the
+circulant key design's Fourier eigenvalues), so the library solves
+nothing.  ``Matrix``, a read-only int64 array with one Gauss-Jordan
+elimination behind its rank, solve, inverse and null space, is the
+exact oracle that checks those closed forms and ``rank_mod``; no
+library code builds one.
 
 The modulus is capped below 2**31 so that a product of two reduced
 elements always fits in a 64-bit intermediate.  ``mod`` reduces an
@@ -27,7 +29,7 @@ and construction and validation all take it (one int64 product when its
 sums cannot wrap, as at every default field, and a 16-bit split of one
 operand otherwise).
 ``every_subset_full_rank``, the all-subsets certificate, takes one
-``Matrix.rank`` per row subset; ``key_design.mds_proof`` calls it only
+``rank_mod`` per row subset; ``key_design.mds_proof`` calls it only
 where no closed-form proof applies, which no constructed key design
 reaches.
 """
@@ -119,15 +121,14 @@ class DuplicatePointsError(ValueError):
 class Matrix:
     """Immutable matrix over a prime field, held as one read-only 2-D int64 array ``a``.
 
-    The entries are reduced into [0, q) by ``field_array`` and copied
-    when they come from a caller's array, so no later write to that array
-    reaches the matrix.  ``rows``, tuples of Python ints, is built when it
-    is read.  Products are ``matmul_mod`` products; rank, solve, inverse
-    and null space run on Python ints from ``a.tolist()``.  Solve,
-    inverse and null space share one Gauss-Jordan elimination with
-    first-nonzero pivoting, so every derived matrix is reproducible bit
-    for bit.  Rank takes its own forward pass, which clears only the rows
-    below each pivot.
+    The exact oracle the tests check the library against; no library
+    code builds one.  The entries are reduced into [0, q) by
+    ``field_array`` and copied when they come from a caller's array, so
+    no later write to that array reaches the matrix.  Products are
+    ``matmul_mod`` products; rank, solve, inverse and null space share
+    one Gauss-Jordan elimination with first-nonzero pivoting on Python
+    ints from ``a.tolist()``, so every derived matrix is reproducible bit
+    for bit, and the rank shares no code with ``rank_mod``.
     """
 
     __slots__ = ("field", "a")
@@ -144,16 +145,8 @@ class Matrix:
         self.a = a
 
     @classmethod
-    def zeros(cls, field: PrimeField, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, np.zeros((nrows, ncols), np.int64))
-
-    @classmethod
     def identity(cls, field: PrimeField, n: int) -> "Matrix":
         return cls(field, np.eye(n, dtype=np.int64))
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.a.tolist()))
 
     @property
     def nrows(self) -> int:
@@ -163,15 +156,6 @@ class Matrix:
     def ncols(self) -> int:
         return self.a.shape[1]
 
-    def row(self, i: int) -> tuple:
-        return tuple(self.a[i].tolist())
-
-    def column(self, j: int) -> tuple:
-        return tuple(self.a[:, j].tolist())
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.a.T)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise ValueError("field mismatch")
@@ -179,19 +163,10 @@ class Matrix:
             raise ValueError(f"shape mismatch: {self.ncols} vs {other.nrows}")
         return Matrix(self.field, matmul_mod(self.a, other.a, self.field.q))
 
-    def take_rows(self, indices: Sequence[int]) -> "Matrix":
-        return Matrix(self.field, self.a[list(indices)])
-
-    def take_cols(self, indices: Sequence[int]) -> "Matrix":
-        return Matrix(self.field, self.a[:, list(indices)])
-
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
         return Matrix(self.field, np.hstack([self.a, other.a]))
-
-    def is_zero(self) -> bool:
-        return not self.a.any()
 
     def _echelon(self):
         """Reduce a working copy to reduced row echelon form; returns (rows, pivot_cols)."""
@@ -217,31 +192,8 @@ class Matrix:
         return work, pivots
 
     def rank(self) -> int:
-        """Number of pivots of a forward elimination, which equals ``len(self._echelon()[1])``.
-
-        The rows still to be reduced are kept as their suffixes from the
-        current column, where every earlier entry is 0.  A pivot row
-        leaves them, and clears column c of only those that remain.
-        """
-        q = self.field.q
-        rows, rank = self.a.tolist(), 0
-        for _ in range(self.ncols):
-            pivot = next((row for row in rows if row[0]), None)
-            if pivot is None:
-                rows = [row[1:] for row in rows]
-                continue
-            rank += 1
-            rows.remove(pivot)
-            if not rows:
-                break
-            scale, tail = q - pow(pivot[0], q - 2, q), pivot[1:]  # -1 / pivot
-            rows = [
-                [(x + f * y) % q for x, y in zip(row[1:], tail)]
-                if (f := row[0] * scale % q)
-                else row[1:]
-                for row in rows
-            ]
-        return rank
+        """Number of pivots of the Gauss-Jordan elimination."""
+        return len(self._echelon()[1])
 
     def solve(self, rhs: "Matrix") -> "Matrix":
         """Solve self @ X = rhs for square self; exact.
@@ -278,7 +230,7 @@ class Matrix:
             for r, pc in enumerate(pivots):
                 vec[pc] = -work[r][c] % q
             basis.append(vec)
-        return Matrix(self.field, basis).transpose()
+        return Matrix(self.field, np.array(basis, np.int64).T)
 
     def __eq__(self, other) -> bool:
         return (
@@ -287,22 +239,49 @@ class Matrix:
             and np.array_equal(other.a, self.a)
         )
 
-    def __hash__(self) -> int:
-        return hash((self.field, self.a.shape, self.a.tobytes()))
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(map(str, row)) for row in self.a.tolist())
         return f"Matrix(GF({self.field.q}), [{body}])"
 
 
-def vandermonde(field: PrimeField, points: Sequence[int], ncols: int) -> Matrix:
-    """Rows [1, p, p**2, ..., p**(ncols-1)] for each evaluation point p."""
+def rank_mod(a: np.ndarray, q: int) -> int:
+    """Rank over GF(q) of a 2-D int64 array with entries in [0, q), by forward elimination.
+
+    Runs on Python ints from ``a.tolist()``.  The rows still to be
+    reduced are kept as their suffixes from the current column, where
+    every earlier entry is 0.  A pivot row leaves them, and clears
+    column c of only those that remain.
+    """
+    rows, rank = a.tolist(), 0
+    for _ in range(a.shape[1]):
+        pivot = next((row for row in rows if row[0]), None)
+        if pivot is None:
+            rows = [row[1:] for row in rows]
+            continue
+        rank += 1
+        rows.remove(pivot)
+        if not rows:
+            break
+        scale, tail = q - pow(pivot[0], q - 2, q), pivot[1:]  # -1 / pivot
+        rows = [
+            [(x + f * y) % q for x, y in zip(row[1:], tail)]
+            if (f := row[0] * scale % q)
+            else row[1:]
+            for row in rows
+        ]
+    return rank
+
+
+def vandermonde(field: PrimeField, points: Sequence[int], ncols: int) -> np.ndarray:
+    """Read-only int64 rows [1, p, p**2, ..., p**(ncols-1)] for each evaluation point p."""
     reduced = [p % field.q for p in points]
     if len(set(reduced)) != len(reduced):
         raise DuplicatePointsError(f"evaluation points collide mod {field.q}: {points}")
     if ncols < 1:
         raise ValueError("ncols must be positive")
-    return Matrix(field, power_table(reduced, ncols, field.q))
+    table = power_table(reduced, ncols, field.q)
+    table.flags.writeable = False
+    return table
 
 
 def power_table(points: Sequence[int], ncols: int, q: int) -> np.ndarray:
@@ -417,13 +396,14 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return mod(high, q)
 
 
-def every_subset_full_rank(M: Matrix, size: int) -> bool:
-    """True iff every ``size``-row subset of M is linearly independent.
+def every_subset_full_rank(a: np.ndarray, q: int, size: int) -> bool:
+    """True iff every ``size``-row subset of the reduced int64 array a is independent over GF(q).
 
-    One ``Matrix.rank`` per subset, in ``itertools.combinations`` order;
+    One ``rank_mod`` per subset, in ``itertools.combinations`` order;
     the check returns False at the first dependent subset.  It is True
-    when size is 0 (the empty subset) or exceeds M.nrows (no subset).
+    when size is 0 (the empty subset) or exceeds a's row count (no
+    subset).
     """
     return size == 0 or all(
-        M.take_rows(rows).rank() == size for rows in combinations(range(M.nrows), size)
+        rank_mod(a[list(rows)], q) == size for rows in combinations(range(len(a)), size)
     )

@@ -1,7 +1,8 @@
 """Key generation: the matrices that mask inputs and cancel at the server.
 
 Each user's key is one fresh symbol per block, derived linearly from a
-pool of max(B, K-B) independent source symbols via a K-row key matrix H.
+pool of n = max(B, K-B) independent source symbols via the key matrix H,
+a read-only (K, n) int64 array.
 The (K, B) key coefficients, laid out like the input coefficients, scale
 that key on each link, so relay i's sum carries the key part m_i, the
 sum over its links j of users k of key_coeffs[k-1, j] * H[k-1].  Two
@@ -18,7 +19,8 @@ independent, which hands every relay B mutually independent masks.
 is a Vandermonde block at the evaluation points times an invertible
 matrix.  For other matrices it falls back on one rank per row subset
 (``gf.every_subset_full_rank``), and refuses with ConstructionError,
-before any elimination, more than MAX_SUBSETS subsets.
+before any elimination, more than MAX_SUBSETS subsets.  Every rank here
+is one ``gf.rank_mod`` of an int64 array.
 
 Every Vandermonde block below is taken at the message design's
 evaluation points (code_design.evaluation_points): 1..K, or the K-th
@@ -58,8 +60,8 @@ from math import comb, prod
 import numpy as np
 
 from .code_design import CodeDesign, ConstructionError, evaluation_points, lagrange_rows
-from .gf import MAX_MODULUS, Matrix, PrimeField, every_subset_full_rank, is_prime, matmul_mod
-from .gf import power_table, vandermonde
+from .gf import MAX_MODULUS, PrimeField, every_subset_full_rank, is_prime, matmul_mod
+from .gf import power_table, rank_mod, vandermonde
 from .topology import Topology, _read_only
 
 REGIME_SINGLE = "single"
@@ -72,10 +74,11 @@ REGIME_FULL = "full"
 class KeyDesign:
     """Key matrix, key coefficients, and the regime that produced them.
 
-    key_coeffs is read-only (K, B) int64, laid out like ``input_coeffs``,
-    with B the coded B: K - 1 when B = K was requested."""
+    key_matrix is read-only (K, n) int64, with n source symbols per
+    block.  key_coeffs is read-only (K, B) int64, laid out like
+    ``input_coeffs``, with B the coded B: K - 1 when B = K was requested."""
 
-    key_matrix: Matrix
+    key_matrix: np.ndarray
     key_coeffs: np.ndarray
     regime: str
     ratio: "int | None" = None   # circulant progression ratio
@@ -205,7 +208,7 @@ def circulant_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
             f"no valid circulant ratio in GF({q}); size {sufficient_field_size(K, B)} suffices"
         )
     inv = [field.inv(mu) for mu in _eigenvalues(q, points, B, ratio)[: K - B]]
-    key_matrix = Matrix(field, power_table(points, K - B, q) * inv % q)
+    key_matrix = _read_only(power_table(points, K - B, q) * inv % q)
     coeffs = _read_only(np.repeat(power_table([ratio], B, q), K, axis=0))
     return KeyDesign(key_matrix, coeffs, REGIME_CIRCULANT, ratio=ratio)
 
@@ -333,7 +336,7 @@ def single_assoc_keygen(K: int, field: PrimeField) -> KeyDesign:
     ext = power_table(points[: K - 1], K - 1, q)
     ext = np.vstack([ext, -ext.sum(axis=0) % q])
     scales = [prod(p - other for other in points if other != p) % q for p in points]
-    key_matrix = Matrix(field, ext * np.array(scales)[:, None] % q)
+    key_matrix = _read_only(ext * np.array(scales)[:, None] % q)
     return KeyDesign(key_matrix, _read_only(np.ones((K, 1), np.int64)), REGIME_SINGLE)
 
 
@@ -356,29 +359,30 @@ def build_keys(K: int, B: int, field: PrimeField) -> KeyDesign:
     return full_assoc_keygen(K, field)
 
 
-def _vandermonde_witness(M: Matrix, points: tuple[int, ...]) -> bool:
-    """True iff M = V @ T for V with rows [1, p, ..., p**(m-1)] at distinct points and T invertible.
+def _vandermonde_witness(M: np.ndarray, q: int, points: tuple[int, ...]) -> bool:
+    """True iff M = V @ T over GF(q) for V with rows [1, p, ..., p**(m-1)] at distinct
+    points and T invertible.
 
     The top m rows give T = V_top**-1 @ M_top in closed form: row r of
     ``lagrange_rows`` is column r of V_top's inverse.  Both products,
     T and V @ T, are ``matmul_mod`` products of int64 arrays; V @ T is
     compared with M on every row, and then rank T is counted.
     """
-    q, K, m = M.field.q, M.nrows, M.ncols
+    K, m = M.shape
     points = [p % q for p in points]
     if len(points) != K or len(set(points)) != K or m > K:
         return False
     inverse_t = np.array(lagrange_rows(q, points[:m]), dtype=np.int64).T
-    T = matmul_mod(inverse_t, M.a[:m], q)
-    if not np.array_equal(matmul_mod(power_table(points, m, q), T, q), M.a):
+    T = matmul_mod(inverse_t, M[:m], q)
+    if not np.array_equal(matmul_mod(power_table(points, m, q), T, q), M):
         return False
-    return Matrix(M.field, T).rank() == m
+    return rank_mod(T, q) == m
 
 
-def mds_proof(M: Matrix, size: int, points: tuple[int, ...]) -> "str | None":
-    """How every ``size`` rows of M were proven independent, or None when some are not.
+def mds_proof(M: np.ndarray, q: int, size: int, points: tuple[int, ...]) -> "str | None":
+    """How every ``size`` rows of M were proven independent over GF(q), or None when some are not.
 
-    The verdict always equals ``every_subset_full_rank(M, size)``; the
+    The verdict always equals ``every_subset_full_rank(M, q, size)``; the
     name says which proof gave it:
 
       "vandermonde"  M = V @ T with T invertible, for the Vandermonde rows
@@ -392,17 +396,18 @@ def mds_proof(M: Matrix, size: int, points: tuple[int, ...]) -> "str | None":
     before any elimination, when it would take more than MAX_SUBSETS
     subsets.
     """
-    if M.ncols < size <= M.nrows:
+    nrows, ncols = M.shape
+    if ncols < size <= nrows:
         return None
-    if size <= M.ncols and _vandermonde_witness(M, points):
+    if size <= ncols and _vandermonde_witness(M, q, points):
         return "vandermonde"
-    count = comb(M.nrows, size)
+    count = comb(nrows, size)
     if count > MAX_SUBSETS:
         raise ConstructionError(
-            f"certifying every {size} of {M.nrows} key-matrix rows independent needs "
+            f"certifying every {size} of {nrows} key-matrix rows independent needs "
             f"{count} subsets, above the cap of {MAX_SUBSETS}"
         )
-    return "subsets" if every_subset_full_rank(M, size) else None
+    return "subsets" if every_subset_full_rank(M, q, size) else None
 
 
 @dataclass(frozen=True)
@@ -417,7 +422,7 @@ class MaskedKeySpan:
 
 
 def _relay_masks(
-    key_matrix: Matrix, key_coeffs: np.ndarray, topo: Topology
+    key_matrix: np.ndarray, key_coeffs: np.ndarray, topo: Topology, q: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each relay's (K, B) link coefficients and (K, B, n) masked key rows.
 
@@ -430,11 +435,11 @@ def _relay_masks(
             f"key_coeffs must have shape ({K}, {B}), one per link, got {key_coeffs.shape}"
         )
     lam = key_coeffs.reshape(-1)[topo.relay_links]
-    return lam, lam[:, :, None] * key_matrix.a[topo.relay_links // B] % key_matrix.field.q
+    return lam, lam[:, :, None] * key_matrix[topo.relay_links // B] % q
 
 
 def masked_key_span(
-    key_matrix: Matrix, key_coeffs: np.ndarray, recovery: Matrix, topo: Topology
+    key_matrix: np.ndarray, key_coeffs: np.ndarray, recovery: np.ndarray, topo: Topology, q: int
 ) -> MaskedKeySpan:
     """Rank, nullspace dimension and recovery-span verdicts of the masked key matrix.
 
@@ -443,15 +448,14 @@ def masked_key_span(
     rows; the server learns only the sum exactly when that nullspace is
     B-dimensional and spanned by the recovery columns.
     """
-    field, B = key_matrix.field, topo.B
-    masked = _relay_masks(key_matrix, key_coeffs, topo)[1].sum(axis=1).T % field.q
-    cancels = not matmul_mod(masked, recovery.a, field.q).any()
-    rank = Matrix(field, masked).rank()
+    masked = _relay_masks(key_matrix, key_coeffs, topo, q)[1].sum(axis=1).T % q
+    cancels = not matmul_mod(masked, recovery, q).any()
+    rank = rank_mod(masked, q)
     null_dim = masked.shape[1] - rank
-    recovery_rank = recovery.rank()
+    recovery_rank = rank_mod(recovery, q)
     # Cancelling recovery columns lie in the nullspace, so B independent
     # ones span it exactly when it is B-dimensional (rank-nullity).
-    spans = cancels and null_dim == B and recovery_rank == B
+    spans = cancels and null_dim == topo.B and recovery_rank == topo.B
     return MaskedKeySpan(rank, null_dim, recovery_rank, cancels, spans)
 
 
@@ -462,7 +466,7 @@ def validate_scheme(keys: KeyDesign, code: CodeDesign) -> AuditReport:
     failing report as a construction error, while tests mutate schemes and
     assert on individual entries.
     """
-    topo = code.topo
+    topo, q = code.topo, code.field.q
     K, B = topo.K, topo.B
     coeffs, key_matrix = keys.key_coeffs, keys.key_matrix
 
@@ -470,7 +474,7 @@ def validate_scheme(keys: KeyDesign, code: CodeDesign) -> AuditReport:
     supported = bool(coeffs.all())
     checks = [CheckResult("coefficient-support", supported, "nonzero exactly on associated links")]
 
-    span = masked_key_span(key_matrix, coeffs, code.recovery, topo)
+    span = masked_key_span(key_matrix, coeffs, code.recovery, topo, q)
     checks.append(
         CheckResult("key-cancellation", span.cancels, "key_matrix^T @ coeffs @ recovery == 0")
     )
@@ -489,7 +493,7 @@ def validate_scheme(keys: KeyDesign, code: CodeDesign) -> AuditReport:
         )
     )
 
-    mds = mds_proof(key_matrix, B, code.points) is not None
+    mds = mds_proof(key_matrix, q, B, code.points) is not None
     checks.append(
         CheckResult("key-matrix-mds", mds, f"every {B} rows independent")
     )

@@ -12,8 +12,8 @@ and the kernels reduce with ``gf.mod``, which spares numpy's per-entry
 hardware remainder; ``direct_sum``, the oracle, keeps plain ``%``.  A
 user's message adds its key product to its B input products with no
 concatenated operand.  Every entry point takes its symbols through
-``gf.field_array``, the strict converter that every ``Matrix`` uses too:
-Python ints, packed row by row into int64 by ``struct``, or an integer
+``gf.field_array``, the strict converter of the whole library: Python
+ints, packed row by row into int64 by ``struct``, or an integer
 numpy array; a float or a string raises TypeError instead of being
 truncated.  Symbols outside [0, q) are reduced on entry, and reduced
 input is taken as it is.  The kernels multiply by the scheme's read-only
@@ -50,7 +50,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .code_design import CodeDesign, build_code_design
-from .gf import Matrix, PrimeField, field_array, matmul_mod, mod, one_product_fits
+from .gf import PrimeField, field_array, matmul_mod, mod, one_product_fits
 from .key_design import (
     AuditReport,
     ConstructionError,
@@ -81,6 +81,8 @@ class SchemeParams:
     [k-1, j] the input coefficients of link j of user k, the link to relay
     ``relays_of_user(topo, k)[j]``; key_coeffs, a read-only (K, B) int64
     array, holds in the same entry that link's key coefficient.
+    key_matrix, read-only (K, source_key_len) int64, derives the keys, and
+    recovery, read-only (K, B) int64, decodes the relay symbols.
     """
 
     topo: Topology
@@ -88,8 +90,8 @@ class SchemeParams:
     field: PrimeField
     input_coeffs: np.ndarray
     key_coeffs: np.ndarray
-    key_matrix: Matrix
-    recovery: Matrix
+    key_matrix: np.ndarray
+    recovery: np.ndarray
     code: "CodeDesign | None" = dc_field(default=None, repr=False)
     keys: "KeyDesign | None" = dc_field(default=None, repr=False)
     validation: "AuditReport | None" = dc_field(default=None, repr=False)
@@ -105,7 +107,7 @@ class SchemeParams:
     @property
     def source_key_len(self) -> int:
         """Fresh source symbols consumed per block."""
-        return self.key_matrix.ncols
+        return self.key_matrix.shape[1]
 
     @property
     def reduced(self) -> bool:
@@ -275,7 +277,7 @@ def _block_count(params: SchemeParams, L: int) -> int:
 
 def _derive(params: SchemeParams, source: np.ndarray) -> np.ndarray:
     """(blocks, n) source segments -> (blocks, K) key symbols."""
-    return matmul_mod(source, params.key_matrix.a.T, params.field.q)
+    return matmul_mod(source, params.key_matrix.T, params.field.q)
 
 
 def _encode(params: SchemeParams, users: slice, w: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -307,7 +309,7 @@ def _relay_sums(received: np.ndarray, q: int) -> np.ndarray:
 
 def _decode(params: SchemeParams, y: np.ndarray) -> np.ndarray:
     """(K, blocks) relay symbols -> the blockwise sum, block by block."""
-    return matmul_mod(y.T, params.recovery.a, params.field.q).ravel()
+    return matmul_mod(y.T, params.recovery, params.field.q).ravel()
 
 
 def _user_messages(params: SchemeParams, k: int, links: list) -> dict[int, tuple[int, ...]]:

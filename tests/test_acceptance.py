@@ -226,7 +226,7 @@ def test_criterion_8_property_suites():
         for B in range(1, K):
             code = build_code_design(Topology(K, B), big)
             rows = [row for k in code.topo.users() for row in family_rows(code.topo, big, k)]
-            values = (Matrix(big, rows) @ evaluation_matrix(big, K, B)).rows
+            values = (Matrix(big, rows) @ Matrix(big, evaluation_matrix(big, K, B))).a.tolist()
             for k in range(1, K + 1):
                 assoc = set(relays_of_user(code.topo, k))
                 for b in range(1, B + 1):
@@ -243,13 +243,14 @@ def test_criterion_8_property_suites():
     relay_rank = True
     for K, B in [(2, 1), (4, 2), (3, 2), (6, 3), (7, 5), (8, 4), (4, 4), (6, 6)]:
         params = build_scheme(K, B)
-        masked = params.key_matrix.transpose() @ coeff_matrix(params)
-        cancellation &= (masked @ params.recovery).is_zero()
+        masked = Matrix(params.field, params.key_matrix.T) @ coeff_matrix(params)
+        recovery = Matrix(params.field, params.recovery)
+        cancellation &= not (masked @ recovery).a.any()
         null = masked.nullspace()
         nullspace &= (
             null is not None
             and null.ncols == params.topo.B
-            and null.hstack(params.recovery).rank() == params.topo.B
+            and null.hstack(recovery).rank() == params.topo.B
         )
         relay_rank &= algebraic_audit(params).passed
 

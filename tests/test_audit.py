@@ -78,9 +78,9 @@ def test_algebraic_audit_sweep():
 
 def test_duplicated_key_row_breaks_relay_security():
     params = golden_example1()
-    h = [list(r) for r in params.key_matrix.rows]
+    h = params.key_matrix.copy()
     h[2] = h[0]  # users 1 and 3 now share a key row; relay 1 sees rank 1
-    broken = replace(params, key_matrix=Matrix(params.field, h))
+    broken = replace(params, key_matrix=h)
     check = relay_security_algebraic(broken, 1)
     assert not check.passed
     assert "rank 1/2" in check.detail
@@ -89,8 +89,9 @@ def test_duplicated_key_row_breaks_relay_security():
 def test_zeroed_key_column_breaks_server_security():
     # needs K - B >= 2 so losing one key dimension drops the mixed rank
     params = build_scheme(4, 2)
-    h = [list(row[:-1]) + [0] for row in params.key_matrix.rows]
-    broken = replace(params, key_matrix=Matrix(params.field, h))
+    h = params.key_matrix.copy()
+    h[:, -1] = 0
+    broken = replace(params, key_matrix=h)
     assert not server_security_algebraic(broken).passed
 
 
@@ -148,9 +149,9 @@ def test_corrupted_input_coefficient_is_hidden_from_relays_not_server(make):
 
 def test_corrupted_recovery_matrix_fails_recovery_audit():
     params = build_scheme(3, 2, q=5)
-    rows = [list(r) for r in params.recovery.rows]
-    rows[0][0] = (rows[0][0] + 1) % 5
-    broken = replace(params, recovery=Matrix(params.field, rows))
+    rows = params.recovery.copy()
+    rows[0, 0] = (rows[0, 0] + 1) % 5
+    broken = replace(params, recovery=rows)
     assert not exhaustive_recovery_audit(broken, L=2).passed
 
 
@@ -210,14 +211,8 @@ def _corrupt(params, **entries):
     """
     changes = {}
     for name, (r, c, value) in entries.items():
-        if isinstance(getattr(params, name), Matrix):
-            rows = [list(row) for row in getattr(params, name).rows]
-            rows[r][c] = value
-            changes[name] = Matrix(params.field, rows)
-        else:
-            coeffs = getattr(params, name).copy()
-            coeffs[r][c] = value
-            changes[name] = coeffs
+        changes[name] = getattr(params, name).copy()
+        changes[name][r][c] = value
     return replace(params, **changes)
 
 
@@ -492,9 +487,9 @@ def test_checks_hold_only_the_variables_their_forms_read(monkeypatch):
 
 def _key_row_times_three(params):
     """params with user 2's key row set to 3 times user 1's."""
-    rows = [list(r) for r in params.key_matrix.rows]
-    rows[1] = [3 * h % params.field.q for h in rows[0]]
-    return replace(params, key_matrix=Matrix(params.field, rows))
+    rows = params.key_matrix.copy()
+    rows[1] = 3 * rows[0] % params.field.q
+    return replace(params, key_matrix=rows)
 
 
 @pytest.mark.parametrize(
@@ -518,7 +513,7 @@ def test_relay_mi_agrees_with_algebraic_on_planted_dependence(params):
 
 def _recovery_shifted(params):
     """params with the first recovery entry raised by one."""
-    first = int(params.recovery.a[0, 0])
+    first = int(params.recovery[0, 0])
     return _corrupt(params, recovery=(0, 0, (first + 1) % params.field.q))
 
 

@@ -14,7 +14,7 @@ from hsagg.code_design import (
     family_rows,
     lagrange_rows,
 )
-from hsagg.gf import DuplicatePointsError, Matrix, PrimeField, is_prime, vandermonde
+from hsagg.gf import DuplicatePointsError, Matrix, PrimeField, is_prime, matmul_mod, vandermonde
 from hsagg.key_design import REGIME_CIRCULANT, regime_for, select_field
 from hsagg.topology import Topology, relays_of_user
 
@@ -72,7 +72,8 @@ def test_degree_ladder_and_leading_band():
             code = build_code_design(topo, field)
             for k in topo.users():
                 rows = family_rows(topo, field, k)
-                assert rows == _code_matrix(code).rows[(k - 1) * B : k * B]
+                stacked = _code_matrix(code)[(k - 1) * B : k * B]
+                assert list(rows) == list(map(tuple, stacked.tolist()))
                 for b, row in enumerate(rows, start=1):
                     assert len(row) == K
                     assert row[K - B + b - 1] == 1
@@ -120,12 +121,13 @@ def test_family_table_matches_the_per_user_recursion(q):
 def _code_matrix(code):
     """The BK x K code matrix: every user's family rows, stacked in user order."""
     topo = code.topo
-    return Matrix(code.field, _family_table(topo, code.field.q, code.points).reshape(-1, topo.K))
+    return _family_table(topo, code.field.q, code.points).reshape(-1, topo.K)
 
 
 def _row_values(code):
     """Entry (r, j-1) is code row r evaluated at relay j's point."""
-    return (_code_matrix(code) @ evaluation_matrix(code.field, code.topo.K, code.topo.B)).rows
+    evaluation = evaluation_matrix(code.field, code.topo.K, code.topo.B)
+    return matmul_mod(_code_matrix(code), evaluation, code.field.q).tolist()
 
 
 def test_zero_on_non_associated_relays_any_field():
@@ -158,28 +160,26 @@ def test_code_matrix_shape_and_identity_tail():
         field = select_field(K, B)
         code = build_code_design(Topology(K, B), field)
         m = _code_matrix(code)
-        assert (m.nrows, m.ncols) == (B * K, K)
-        tail = m.take_cols(range(K - B, K))
-        ident = Matrix.identity(field, B)
+        assert m.shape == (B * K, K)
+        tail = m[:, K - B:]
         for u in range(K):
-            assert tail.take_rows(range(u * B, (u + 1) * B)) == ident
+            assert np.array_equal(tail[u * B:(u + 1) * B], np.eye(B, dtype=np.int64))
 
 
 def test_code_matrix_rows_for_first_user():
     code = build_code_design(Topology(3, 2), GF7)
-    assert _code_matrix(code).row(0) == (-3 % 7, 1, 0)
-    assert _code_matrix(code).row(1) == (-9 % 7, 0, 1)
+    assert _code_matrix(code)[:2].tolist() == [[-3 % 7, 1, 0], [-9 % 7, 0, 1]]
 
 
 def test_recovery_matrix_is_inverse_tail():
     for (K, B) in [(3, 2), (6, 3), (7, 5)]:
         field = select_field(K, B)
         code = build_code_design(Topology(K, B), field)
-        prod = evaluation_matrix(field, K, B) @ code.recovery
+        prod = matmul_mod(evaluation_matrix(field, K, B), code.recovery, field.q)
         for b in range(B):
-            expect = tuple(int(r == K - B + b) for r in range(K))
-            assert prod.column(b) == expect
-        assert code.recovery.rank() == B
+            expect = [int(r == K - B + b) for r in range(K)]
+            assert prod[:, b].tolist() == expect
+        assert Matrix(field, code.recovery).rank() == B
 
 
 @pytest.mark.parametrize("q", [None, 31, 2147483629])  # None: the smallest prime above K
@@ -189,9 +189,8 @@ def test_lagrange_rows_are_columns_of_the_vandermonde_inverse(q):
         field = PrimeField(q or next(p for p in range(K + 1, 100) if is_prime(p)))
         scattered = rng.sample(range(field.q), K)
         for points in (range(1, K + 1), scattered):
-            inverse = vandermonde(field, points, K).inverse()
-            rows = lagrange_rows(field.q, points)
-            assert [tuple(row) for row in rows] == [inverse.column(r) for r in range(K)]
+            inverse = Matrix(field, vandermonde(field, points, K)).inverse()
+            assert lagrange_rows(field.q, points) == inverse.a.T.tolist()
 
 
 def test_lagrange_rows_refuse_colliding_points():
@@ -207,10 +206,10 @@ def test_recovery_reproduces_sums_for_random_inputs():
     rng = random.Random(99)
     for _ in range(20):
         w = [rng.randrange(7) for _ in range(B * K)]
-        relay_values = (Matrix(GF7, [w]) @ _code_matrix(code)) @ evaluation_matrix(GF7, K, B)
-        decoded = relay_values @ code.recovery
-        sums = tuple(sum(w[u * B + b] for u in range(K)) % 7 for b in range(B))
-        assert decoded.row(0) == sums
+        relay_values = np.array([w]) @ _code_matrix(code) @ evaluation_matrix(GF7, K, B) % 7
+        decoded = relay_values @ code.recovery % 7
+        sums = [sum(w[u * B + b] for u in range(K)) % 7 for b in range(B)]
+        assert decoded[0].tolist() == sums
 
 
 def test_input_coefficients_worked_values():
@@ -289,11 +288,10 @@ def test_link_coefficients_times_relay_recovery_rows_is_identity(field_of):
                 continue  # no K distinct points, or no K-th roots of unity
             topo = Topology(K, B)
             code = build_code_design(topo, field)
-            ident = Matrix.identity(field, B)
+            ident = np.eye(B, dtype=np.int64)
             for k in topo.users():
-                relays = relays_of_user(topo, k)
-                links = Matrix(field, code.input_coeffs[k - 1]).transpose()
-                assert links @ code.recovery.take_rows([i - 1 for i in relays]) == ident
+                rows = code.recovery[[i - 1 for i in relays_of_user(topo, k)]]
+                assert np.array_equal(matmul_mod(code.input_coeffs[k - 1].T, rows, field.q), ident)
 
 
 def _design_digest(keep):
@@ -315,7 +313,8 @@ def _design_digest(keep):
                         for j, i in enumerate(relays_of_user(topo, k))
                     ]
                     rows = tuple(row for k in topo.users() for row in family_rows(topo, field, k))
-                    item = (K, B, field.q, links, rows, code.recovery.rows)
+                    recovery = tuple(map(tuple, code.recovery.tolist()))
+                    item = (K, B, field.q, links, rows, recovery)
                 except ConstructionError as e:
                     item = (K, B, field.q, str(e))  # circulant needs K | q - 1
                 h.update(repr(item).encode())

@@ -18,6 +18,7 @@ from hsagg.gf import (
     mod,
     one_product_fits,
     power_table,
+    rank_mod,
     vandermonde,
 )
 
@@ -26,7 +27,7 @@ def brute_force_rank(m: Matrix) -> int:
     """Span enumeration: grow the row span set by set; rank = log_q |span|."""
     q = m.field.q
     span = {(0,) * m.ncols}
-    for row in m.rows:
+    for row in m.a.tolist():
         additions = set()
         for v in span:
             for c in range(1, q):
@@ -79,9 +80,13 @@ def test_inverse_involution(q, raw):
 
 def test_rank_trivial_cases():
     gf5 = PrimeField(5)
-    assert Matrix.identity(gf5, 3).rank() == 3
-    assert Matrix.zeros(gf5, 2, 2).rank() == 0
-    assert Matrix(gf5, [[1, 2], [2, 4]]).rank() == 1
+    for m, rank in [
+        (Matrix.identity(gf5, 3), 3),
+        (Matrix(gf5, np.zeros((2, 2), np.int64)), 0),
+        (Matrix(gf5, [[1, 2], [2, 4]]), 1),
+    ]:
+        assert m.rank() == rank_mod(m.a, 5) == rank
+    assert rank_mod(np.zeros((0, 3), np.int64), 5) == 0
 
 
 def test_rank_matches_span_enumeration_oracle():
@@ -91,14 +96,18 @@ def test_rank_matches_span_enumeration_oracle():
         for _ in range(25):
             n = rng.randint(1, 4)
             m = Matrix(field, [[rng.randrange(q) for _ in range(n)] for _ in range(n)])
-            assert m.rank() == brute_force_rank(m)
+            assert m.rank() == rank_mod(m.a, q) == brute_force_rank(m)
 
 
 def _oracle_rank_cases(rng, q):
-    """Random matrices of every shape, rank-deficient ones and zero rows and columns among them."""
+    """Random matrices of every shape, rank-deficient ones and zero rows and columns among them.
+
+    A planted matrix has one row replaced by a combination of others,
+    which large fields almost never draw by chance.
+    """
     for _ in range(60):
         nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
-        shape = rng.choice(["dense", "sparse", "low rank", "zero lines"])
+        shape = rng.choice(["dense", "sparse", "low rank", "zero lines", "planted"])
         if shape == "low rank":
             # A product through an inner dimension below both sides.
             inner = rng.randint(0, min(nrows, ncols) - 1)
@@ -119,16 +128,21 @@ def _oracle_rank_cases(rng, q):
             rows[zero_row] = [0] * ncols
             for row in rows:
                 row[zero_col] = 0
+        if shape == "planted" and nrows >= 2:
+            i, *others = rng.sample(range(nrows), rng.randint(2, min(nrows, 4)))
+            rows[i] = [sum(rng.randrange(q) * rows[j][c] for j in others) % q for c in range(ncols)]
         yield Matrix(PrimeField(q), rows)
 
 
 @pytest.mark.parametrize("q", [2, 3, 73, 2147483647])
 def test_rank_equals_gauss_jordan_pivot_count(q):
+    # rank_mod's forward elimination against Matrix's Gauss-Jordan, which
+    # share no code; at q = 2**31 - 1 their products reach about 2**62.
     rng = random.Random(q)
     shapes = set()
     for m in _oracle_rank_cases(rng, q):
         rank = len(m._echelon()[1])
-        assert m.rank() == rank, m
+        assert rank_mod(m.a, q) == m.rank() == rank, m
         shapes.add((m.nrows > m.ncols) - (m.nrows < m.ncols))
     assert shapes == {-1, 0, 1}  # wide, square and tall all met
 
@@ -140,7 +154,7 @@ def test_inverse_round_trips():
     assert Matrix(gf3, [[2]]).inverse() == Matrix(gf3, [[2]])
 
     gf7 = PrimeField(7)
-    v = vandermonde(gf7, (1, 2, 3), 3)
+    v = Matrix(gf7, vandermonde(gf7, (1, 2, 3), 3))
     assert v @ v.inverse() == Matrix.identity(gf7, 3)
     assert v.inverse() @ v == Matrix.identity(gf7, 3)
 
@@ -159,10 +173,9 @@ def test_nullspace_cases():
     m = Matrix(gf3, [[1, 1]])
     basis = m.nullspace()
     assert basis.ncols == 1
-    assert (m @ basis).is_zero()
+    assert not (m @ basis).a.any()
     # the basis vector is a nonzero multiple of (1, 2)
-    col = basis.column(0)
-    assert col in {(1, 2), (2, 1)}
+    assert basis.a[:, 0].tolist() in ([1, 2], [2, 1])
 
 
 def test_nullspace_dimension_property():
@@ -176,15 +189,17 @@ def test_nullspace_dimension_property():
         dim = 0 if basis is None else basis.ncols
         assert dim == cols - m.rank()
         if basis is not None:
-            assert (m @ basis).is_zero()
+            assert not (m @ basis).a.any()
             assert basis.rank() == dim
 
 
 def test_vandermonde_shapes_and_values():
     gf7 = PrimeField(7)
-    assert vandermonde(gf7, (1,), 3).rows == ((1, 1, 1),)
-    assert vandermonde(gf7, (1, 2, 3), 3).rank() == 3
-    assert vandermonde(gf7, (0, 1), 2).rows == ((1, 0), (1, 1))
+    assert vandermonde(gf7, (1,), 3).tolist() == [[1, 1, 1]]
+    assert rank_mod(vandermonde(gf7, (1, 2, 3), 3), 7) == 3
+    v = vandermonde(gf7, (0, 1, 9), 2)
+    assert v.tolist() == [[1, 0], [1, 1], [1, 2]]
+    assert v.dtype == np.int64 and not v.flags.writeable
     with pytest.raises(DuplicatePointsError):
         vandermonde(gf7, (1, 8), 2)  # collide mod 7
 
@@ -202,7 +217,7 @@ def test_power_table_matches_pow(q):
 def test_vandermonde_full_column_rank():
     gf31 = PrimeField(31)
     for ncols in range(1, 6):
-        assert vandermonde(gf31, (1, 4, 9, 16, 25), ncols).rank() == ncols
+        assert rank_mod(vandermonde(gf31, (1, 4, 9, 16, 25), ncols), 31) == ncols
 
 
 def test_matrix_multiply_and_stack():
@@ -210,10 +225,7 @@ def test_matrix_multiply_and_stack():
     a = Matrix(gf5, [[1, 2], [3, 4]])
     b = Matrix(gf5, [[0, 1], [1, 0]])
     assert a @ b == Matrix(gf5, [[2, 1], [4, 3]])
-    assert a.hstack(b).ncols == 4
-    assert a.take_rows([1]).rows == ((3, 4),)
-    assert a.take_cols([0]).column(0) == (1, 3)
-    assert a.transpose().rows == ((1, 3), (2, 4))
+    assert a.hstack(b).a.tolist() == [[1, 2, 0, 1], [3, 4, 1, 0]]
 
 
 def test_matrix_reduces_entries_and_refuses_ragged_rows():
@@ -224,9 +236,9 @@ def test_matrix_reduces_entries_and_refuses_ragged_rows():
         (np.array([[-1, 7], [15, 3]], dtype=np.int64), ((6, 0), (1, 3))),
         (np.array([[2**64 - 1, 2**63 + 5]], dtype=np.uint64), ((1, 6),)),  # exact, not wrapped
     ]:
-        got = Matrix(gf7, rows).rows
-        assert got == want
-        assert all(type(x) is int for row in got for x in row)
+        got = Matrix(gf7, rows).a
+        assert got.dtype == np.int64
+        assert got.tolist() == [list(row) for row in want]
     for bad in ([[1.5, 2], [3, 4]], [[1, "2"], [3, 4]], np.array([[1.0, 2.0]])):
         with pytest.raises(TypeError):
             Matrix(gf7, bad)
@@ -245,8 +257,8 @@ def test_matrix_array_is_read_only_and_its_own():
     with pytest.raises(ValueError):
         m.a[0, 0] = 5
     source[0, 0] = 6
-    assert m.rows == ((1, 2), (3, 4))
-    assert m.transpose().a.flags.writeable is False
+    assert m.a.tolist() == [[1, 2], [3, 4]]
+    assert (m @ m).a.flags.writeable is False
 
 
 def test_matrix_equality_and_hash_follow_entries_and_shape():
@@ -254,10 +266,10 @@ def test_matrix_equality_and_hash_follow_entries_and_shape():
     from_list = Matrix(gf7, [[1, 9], [-3, 4]])
     from_array = Matrix(gf7, np.array([[1, 2], [4, 4]], dtype=np.int32))
     assert from_list == from_array
-    assert hash(from_list) == hash(from_array)
     assert Matrix(gf7, [[0, 0, 0, 0]]) != Matrix(gf7, [[0, 0], [0, 0]])
-    assert hash(Matrix(gf7, [[0, 0, 0, 0]])) != hash(Matrix(gf7, [[0, 0], [0, 0]]))
     assert from_list != Matrix(PrimeField(11), [[1, 9], [8, 4]])
+    with pytest.raises(TypeError):  # equal by entries, so it is not hashed
+        hash(from_list)
 
 
 def _matmul_reference(a, b, q):
@@ -351,14 +363,17 @@ def test_matmul_mod_largest_inner_dimension():
         matmul_mod(a[:, :1], b[:1], 1 << 31)
 
 
-def subsets_full_rank_reference(m: Matrix, size: int) -> bool:
-    return all(m.take_rows(rows).rank() == size for rows in combinations(range(m.nrows), size))
+def subsets_full_rank_reference(a: np.ndarray, q: int, size: int) -> bool:
+    """One Gauss-Jordan rank of the exact oracle per size-row subset."""
+    field = PrimeField(q)
+    return all(
+        Matrix(field, a[list(rows)]).rank() == size for rows in combinations(range(len(a)), size)
+    )
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 305017, 2147483629, 2147483647])
 def test_every_subset_full_rank_matches_per_subset_rank(q):
     rng = random.Random(q)
-    field = PrimeField(q)
     verdicts, shapes = set(), set()
     for _ in range(300):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 6)
@@ -368,9 +383,9 @@ def test_every_subset_full_rank_matches_per_subset_rank(q):
             # Large fields almost never draw a dependent subset; plant one.
             i, *others = rng.sample(range(nrows), rng.randint(2, min(nrows, 4)))
             rows[i] = [sum(rng.randrange(q) * rows[j][c] for j in others) % q for c in range(ncols)]
-        m = Matrix(field, rows)
-        expected = subsets_full_rank_reference(m, size)
-        assert every_subset_full_rank(m, size) == expected, (rows, size)
+        m = np.array(rows, np.int64)
+        expected = subsets_full_rank_reference(m, q, size)
+        assert every_subset_full_rank(m, q, size) == expected, (rows, size)
         verdicts.add(expected)
         shapes.add((size > ncols) - (size < ncols))
     assert verdicts == {True, False} and shapes == {-1, 0, 1}
@@ -381,18 +396,16 @@ def test_every_subset_full_rank_at_int64_headroom():
     # 2**31 modulus cap: each elimination product is about (q - 1)**2,
     # just under 2**62, and the verdicts must still be exact.
     q = 2147483647
-    field = PrimeField(q)
-    flat = Matrix(field, [[q - 1] * 4 for _ in range(5)])
-    assert every_subset_full_rank(flat, 1)
-    assert not every_subset_full_rank(flat, 2)
-    near = Matrix(field, [[-v % q for v in row] for row in vandermonde(field, range(1, 8), 3).rows])
-    assert every_subset_full_rank(near, 3)
-    planted_row = tuple((a + b) % q for a, b in zip(near.rows[1], near.rows[4]))
-    planted = Matrix(field, near.rows + (planted_row,))
-    assert min(x for row in planted.rows for x in row) >= q - 100
+    flat = np.full((5, 4), q - 1, np.int64)
+    assert every_subset_full_rank(flat, q, 1)
+    assert not every_subset_full_rank(flat, q, 2)
+    near = -vandermonde(PrimeField(q), range(1, 8), 3) % q
+    assert every_subset_full_rank(near, q, 3)
+    planted = np.vstack([near, (near[1] + near[4]) % q])
+    assert planted.min() >= q - 100
     for m, size in [(flat, 1), (flat, 2), (near, 3), (planted, 2), (planted, 3)]:
-        assert every_subset_full_rank(m, size) == subsets_full_rank_reference(m, size)
-    assert not every_subset_full_rank(planted, 3)
+        assert every_subset_full_rank(m, q, size) == subsets_full_rank_reference(m, q, size)
+    assert not every_subset_full_rank(planted, q, 3)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4096])
@@ -402,18 +415,17 @@ def test_every_subset_full_rank_below_ncols_and_single_rows(seed):
     # the verdicts do not depend on row order.
     order = list(range(9))
     random.Random(seed).shuffle(order)
-    field = PrimeField(13)
-    mds = vandermonde(field, [p + 1 for p in order], 6)  # any 6 of the 9 rows are independent
+    # Any 6 of the 9 rows are independent.
+    mds = vandermonde(PrimeField(13), [p + 1 for p in order], 6)
     for size in range(1, 7):
-        assert every_subset_full_rank(mds, size)
-    rows = list(mds.rows)
+        assert every_subset_full_rank(mds, 13, size)
+    planted = mds.copy()
     a, b, c = (order.index(i) for i in (1, 4, 7))
-    rows[c] = [(2 * x + 5 * y) % 13 for x, y in zip(rows[a], rows[b])]
-    planted = Matrix(field, rows)  # rows a, b and c are dependent, no two are
-    rows[order.index(2)] = [0] * 6
-    zero_row = Matrix(field, rows)
+    planted[c] = (2 * planted[a] + 5 * planted[b]) % 13  # rows a, b and c are dependent, no two are
+    zero_row = planted.copy()
+    zero_row[order.index(2)] = 0
     cases = [(planted, 1, True), (planted, 2, True), (planted, 3, False), (planted, 5, False),
              (zero_row, 1, False), (zero_row, 2, False), (mds, 7, False)]
     for m, size, expected in cases:
-        assert every_subset_full_rank(m, size) == expected
-        assert subsets_full_rank_reference(m, size) == expected
+        assert every_subset_full_rank(m, 13, size) == expected
+        assert subsets_full_rank_reference(m, 13, size) == expected

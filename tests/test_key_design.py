@@ -8,8 +8,8 @@ import pytest
 
 from hsagg import key_design
 from hsagg.code_design import build_code_design, evaluation_points, recovery_matrix
-from hsagg.gf import Matrix, PrimeField, every_subset_full_rank, is_prime, one_product_fits
-from hsagg.gf import vandermonde
+from hsagg.gf import Matrix, PrimeField, every_subset_full_rank, field_array, is_prime
+from hsagg.gf import matmul_mod, one_product_fits, vandermonde
 from hsagg.key_design import (
     REGIME_CIRCULANT,
     REGIME_FULL,
@@ -48,12 +48,17 @@ KEY_DESIGN_DIGEST = "f164095888157886a6e06e9b219033a8fb83523e19a7b4fddfa28d32ff7
 NON_CIRCULANT_KEY_DESIGN_DIGEST = "41340e4931e24a7afa620160019dfc7d37021187b98c5b7fe9faf3ec7d3e6d66"
 
 
-def coeff_matrix(field, key_coeffs):
-    """The K x K matrix the (K, B) key coefficients fill on the association, zero elsewhere."""
+def coeff_matrix(key_coeffs):
+    """The K x K array the (K, B) key coefficients fill on the association, zero elsewhere."""
     K, B = key_coeffs.shape
     rows = np.zeros((K, K), np.int64)
     rows[np.arange(K)[:, None], Topology(K, B).link_relay] = key_coeffs
-    return Matrix(field, rows)
+    return rows
+
+
+def as_rows(a):
+    """An array as the tuples of Python ints the pinned digests hash."""
+    return tuple(map(tuple, a.tolist()))
 
 
 def smallest_qualifying_prime_oracle(K, B):
@@ -129,7 +134,8 @@ def test_circulant_keygen_structure():
 
         # the defining identity: coeffs^T @ key_matrix reproduces the target block
         target = vandermonde(field, evaluation_points(field, K, B), K - B)
-        assert coeff_matrix(field, keys.key_coeffs).transpose() @ keys.key_matrix == target
+        mixed = matmul_mod(coeff_matrix(keys.key_coeffs).T, keys.key_matrix, field.q)
+        assert np.array_equal(mixed, target)
 
 
 @pytest.mark.parametrize(
@@ -183,14 +189,14 @@ def test_vandermonde_keygen_structure():
         keys = vandermonde_keygen(K, B, field)
         assert keys.regime == REGIME_VANDERMONDE
         q = field.q
-        mixed = coeff_matrix(field, keys.key_coeffs).transpose() @ keys.key_matrix
+        mixed = matmul_mod(coeff_matrix(keys.key_coeffs).T, keys.key_matrix, q)
         for k in range(1, K + 1):
-            row = mixed.row(k - 1)
+            row = mixed[k - 1].tolist()
             assert row[0] == keys.anchor % q
             for t in range(1, K - B):
                 assert row[t] == pow(points[k - 1], t, q)
             assert all(x == 0 for x in row[K - B :])
-        assert mixed.rank() == K - B
+        assert Matrix(field, mixed).rank() == K - B
 
         assert keys.key_coeffs.shape == (K, B) and keys.key_coeffs.all()
 
@@ -210,7 +216,7 @@ def test_single_assoc_keygen():
         field = select_field(K, 1)
         keys = single_assoc_keygen(K, field)
         assert keys.key_coeffs.tolist() == [[1]] * K
-        assert keys.key_matrix.ncols == K - 1
+        assert keys.key_matrix.shape == (K, K - 1)
         code = build_code_design(Topology(K, 1), field)
         assert validate_scheme(keys, code).passed
     # Each row is divided by its entry of the recovery column, which
@@ -219,8 +225,8 @@ def test_single_assoc_keygen():
     # under the combination the server applies.
     for K in range(2, 40):
         field = select_field(K, 1)
-        column = recovery_matrix(field, K, 1).a[:, 0]
-        key_matrix = single_assoc_keygen(K, field).key_matrix.a
+        column = recovery_matrix(field, K, 1)[:, 0]
+        key_matrix = single_assoc_keygen(K, field).key_matrix
         assert (column[:-1] * key_matrix[:-1, 0] % field.q == 1).all(), K
         assert not (column @ key_matrix % field.q).any(), K
 
@@ -231,7 +237,7 @@ def test_single_assoc_key_matrix_is_mds_without_its_own_proof():
     for K in range(2, 15):
         for field in (select_field(K, 1), PrimeField(2**31 - 1)):
             key_matrix = single_assoc_keygen(K, field).key_matrix
-            assert every_subset_full_rank(key_matrix, K - 1), (K, field)
+            assert every_subset_full_rank(key_matrix, field.q, K - 1), (K, field)
 
 
 def test_single_assoc_requires_margin():
@@ -242,16 +248,17 @@ def test_single_assoc_requires_margin():
 def test_extended_vandermonde_pattern_examples():
     # the classic zero-sum pattern: rows sum to zero, any K-1 independent
     gf7 = PrimeField(7)
-    m = Matrix(gf7, [[1, 0], [0, 1], [-1, -1]])
-    assert all(sum(m.column(j)) % 7 == 0 for j in range(2))
+    m = Matrix(gf7, [[1, 0], [0, 1], [-1, -1]]).a
+    assert not (m.sum(axis=0) % 7).any()
     for drop in range(3):
         rows = [r for r in range(3) if r != drop]
-        assert m.take_rows(rows).rank() == 2
+        assert Matrix(gf7, m[rows]).rank() == 2
     # the golden instance's key map shows the same any-2-rows property
-    g = Matrix(PrimeField(3), [[1, 0], [0, 1], [1, 1]])
+    gf3 = PrimeField(3)
+    g = np.array([[1, 0], [0, 1], [1, 1]], np.int64)
     for drop in range(3):
         rows = [r for r in range(3) if r != drop]
-        assert g.take_rows(rows).rank() == 2
+        assert Matrix(gf3, g[rows]).rank() == 2
 
 
 def test_full_assoc_reduction():
@@ -260,7 +267,7 @@ def test_full_assoc_reduction():
     assert keys.regime == REGIME_FULL
     assert keys.anchor is not None  # built by the (3, 2) vandermonde regime
     inner = vandermonde_keygen(3, 2, field)
-    assert keys.key_matrix == inner.key_matrix
+    assert np.array_equal(keys.key_matrix, inner.key_matrix)
     assert np.array_equal(keys.key_coeffs, inner.key_coeffs)
 
     two = full_assoc_keygen(2, select_field(2, 2))
@@ -294,7 +301,7 @@ def test_validate_flags_rank_deficient_key_matrix():
     field = select_field(4, 2)
     code = build_code_design(Topology(4, 2), field)
     keys = build_keys(4, 2, field)
-    flat = Matrix(field, [[1] * keys.key_matrix.ncols for _ in range(4)])
+    flat = np.ones(keys.key_matrix.shape, np.int64)
     broken = replace(keys, key_matrix=flat)
     report = validate_scheme(broken, code)
     failed = {c.name for c in report.checks if not c.passed}
@@ -345,10 +352,10 @@ def relay_solve_reference(field, K, B):
     for i, p in zip(topo.relays(), points):
         senders = users_of_relay(topo, i)
         target = [[int(t == 0), pow(p, t, q) if 0 < t < K - B else 0] for t in range(B)]
-        sub = key_matrix.take_rows([u - 1 for u in senders]).transpose()
-        solution = sub.solve(Matrix(field, target))
-        first.append(list(solution.column(0)))
-        rest.append(list(solution.column(1)))
+        sub = Matrix(field, key_matrix[[u - 1 for u in senders]].T)
+        solution = sub.solve(Matrix(field, target)).a
+        first.append(solution[:, 0].tolist())
+        rest.append(solution[:, 1].tolist())
     return first, rest
 
 
@@ -381,8 +388,8 @@ def test_relay_solve_data_matches_the_generic_solve():
 
 def _key_design_item(d):
     """A key design's fields as plain values, its coefficients as the K x K rows they fill."""
-    coeffs = coeff_matrix(d.key_matrix.field, d.key_coeffs)
-    return (d.regime, d.ratio, d.anchor, d.key_matrix.rows, coeffs.rows)
+    coeffs = coeff_matrix(d.key_coeffs)
+    return (d.regime, d.ratio, d.anchor, as_rows(d.key_matrix), as_rows(coeffs))
 
 
 def _key_design_digest(keep):
@@ -411,17 +418,17 @@ def test_non_circulant_key_design_bytes_are_unchanged():
     )
 
 
-def mds_mutations(M: Matrix, points: tuple[int, ...]):
+def mds_mutations(M: np.ndarray, q: int, points: tuple[int, ...]):
     """(name, matrix, points) variants of M that the gate must judge as the oracle does."""
-    K, m = M.nrows, M.ncols
-    rows = [list(r) for r in M.rows]
+    K, m = M.shape
+    rows = M.tolist()
     perturbed = [r[:] for r in rows]
     perturbed[K // 2][m // 2] += 1
-    repeated = Matrix(M.field, rows[:-1] + [rows[0]])
-    yield "perturbed entry", Matrix(M.field, perturbed), points
-    yield "zero row scale", Matrix(M.field, rows[:-1] + [[0] * m]), points
+    repeated = field_array(rows[:-1] + [rows[0]], q)
+    yield "perturbed entry", field_array(perturbed, q), points
+    yield "zero row scale", field_array(rows[:-1] + [[0] * m], q), points
     if m >= 2:
-        yield "proportional columns", Matrix(M.field, [r[:-1] + [3 * r[0]] for r in rows]), points
+        yield "proportional columns", field_array([r[:-1] + [3 * r[0]] for r in rows], q), points
     yield "repeated row", repeated, points
     # With the repeated point too, the repeated row is V @ T at the points.
     yield "repeated row and point", repeated, points[:-1] + points[:1]
@@ -436,24 +443,27 @@ def test_mds_proof_agrees_with_every_subset_full_rank():
             coded_B = B if B < K else K - 1
             M = build_keys(K, B, field).key_matrix
             points = evaluation_points(field, K, coded_B)
-            proof = mds_proof(M, coded_B, points)
-            assert every_subset_full_rank(M, coded_B) and proof is not None, (K, B)
+            q = field.q
+            proof = mds_proof(M, q, coded_B, points)
+            assert every_subset_full_rank(M, q, coded_B) and proof is not None, (K, B)
             proofs[regime_for(K, B)].append(proof)
-            for name, mutant, mutant_points in mds_mutations(M, points):
-                verdict = mds_proof(mutant, coded_B, mutant_points)
+            for name, mutant, mutant_points in mds_mutations(M, q, points):
+                verdict = mds_proof(mutant, q, coded_B, mutant_points)
                 # One column is V @ T whenever its rows are equal (K = 2).
-                assert verdict != "vandermonde" or M.ncols == 1, (K, B, name)
-                expected = every_subset_full_rank(mutant, coded_B)
+                assert verdict != "vandermonde" or M.shape[1] == 1, (K, B, name)
+                expected = every_subset_full_rank(mutant, q, coded_B)
                 assert (verdict is not None) == expected, (K, B, name)
     assert sum(map(len, proofs.values())) == 104
     assert {proof for found in proofs.values() for proof in found} == {"vandermonde"}
 
 
-def masked_key_span_reference(key_matrix, key_coeffs, recovery, B):
-    """``masked_key_span`` from the pure-Python ``Matrix`` product and rank of
-    key_matrix^T @ the K x K coefficient matrix."""
-    masked = key_matrix.transpose() @ coeff_matrix(key_matrix.field, key_coeffs)
-    cancels = (masked @ recovery).is_zero()
+def masked_key_span_reference(key_matrix, key_coeffs, recovery, q, B):
+    """``masked_key_span`` from the exact ``Matrix`` product and Gauss-Jordan rank
+    of key_matrix^T @ the K x K coefficient matrix."""
+    field = PrimeField(q)
+    masked = Matrix(field, key_matrix.T) @ Matrix(field, coeff_matrix(key_coeffs))
+    recovery = Matrix(field, recovery)
+    cancels = not (masked @ recovery).a.any()
     rank, recovery_rank = masked.rank(), recovery.rank()
     null_dim = masked.ncols - rank
     spans = cancels and null_dim == B and recovery_rank == B
@@ -469,10 +479,10 @@ def test_masked_key_span_matches_the_python_reference():
     assert not one_product_fits(12, 2147483629)
     for K, B, q in SPAN_SCHEMES:
         params = build_scheme(K, B, q)
-        topo = params.topo
+        topo, field_q = params.topo, params.field.q
         args = (params.key_matrix, params.key_coeffs, params.recovery)
-        span = masked_key_span(*args, topo)
-        assert span == masked_key_span_reference(*args, topo.B), (K, B, q)
+        span = masked_key_span(*args, topo, field_q)
+        assert span == masked_key_span_reference(*args, field_q, topo.B), (K, B, q)
         assert span.cancels and span.spans and span.rank == K - topo.B, (K, B, q)
         # Zero user 1's coefficient on relay 1, its link 0: the masked
         # matrix loses a nonzero rank-one term, and the top recovery entry
@@ -480,8 +490,8 @@ def test_masked_key_span_matches_the_python_reference():
         coeffs = params.key_coeffs.copy()
         coeffs[0, 0] = 0
         mutant = (params.key_matrix, coeffs, params.recovery)
-        broken = masked_key_span(*mutant, topo)
-        assert broken == masked_key_span_reference(*mutant, topo.B), (K, B, q)
+        broken = masked_key_span(*mutant, topo, field_q)
+        assert broken == masked_key_span_reference(*mutant, field_q, topo.B), (K, B, q)
         assert not broken.cancels and not broken.spans, (K, B, q)
 
 
@@ -495,28 +505,28 @@ def test_misshaped_key_coeffs_are_refused_before_any_product(K, B, monkeypatch):
         raise AssertionError("a product ran before the shape check")
 
     monkeypatch.setattr(key_design, "matmul_mod", no_product)
-    monkeypatch.setattr(Matrix, "rank", no_product)
+    monkeypatch.setattr(key_design, "rank_mod", no_product)
     coded_B = params.topo.B
     coeffs = params.key_coeffs
-    square = coeff_matrix(params.field, coeffs).a
+    square = coeff_matrix(coeffs)
     wide = np.hstack([coeffs, coeffs[:, :1]])
     for bad in (square, wide):
         message = rf"key_coeffs must have shape \({K}, {coded_B}\).*got \({K}, {bad.shape[1]}\)"
         with pytest.raises(ValueError, match=message):
-            masked_key_span(params.key_matrix, bad, params.recovery, params.topo)
+            masked_key_span(params.key_matrix, bad, params.recovery, params.topo, params.field.q)
         with pytest.raises(ValueError, match=message):
             validate_scheme(replace(params.keys, key_coeffs=bad), params.code)
 
 
-def vandermonde_witness_reference(M, points):
+def vandermonde_witness_reference(M, q, points):
     """``_vandermonde_witness`` with T from the Gauss-Jordan inverse of the top Vandermonde rows."""
-    q, K, m = M.field.q, M.nrows, M.ncols
+    field, (K, m) = PrimeField(q), M.shape
     points = [p % q for p in points]
     if len(points) != K or len(set(points)) != K or m > K:
         return False
-    V = Matrix(M.field, [[pow(p, j, q) for j in range(m)] for p in points])
-    T = V.take_rows(range(m)).inverse() @ M.take_rows(range(m))
-    return V @ T == M and T.rank() == m
+    V = Matrix(field, [[pow(p, j, q) for j in range(m)] for p in points])
+    T = Matrix(field, V.a[:m]).inverse() @ Matrix(field, M[:m])
+    return V @ T == Matrix(field, M) and T.rank() == m
 
 
 def test_vandermonde_witness_matches_the_python_reference():
@@ -524,12 +534,13 @@ def test_vandermonde_witness_matches_the_python_reference():
     for K, B, q in SPAN_SCHEMES + [(K, B, None) for K in (13, 14) for B in range(1, K + 1)]:
         field = select_field(K, B) if q is None else PrimeField(q)
         coded_B = B if B < K else K - 1
-        M = build_keys(K, B, field).key_matrix
+        M, q = build_keys(K, B, field).key_matrix, field.q
         points = evaluation_points(field, K, coded_B)
-        assert _vandermonde_witness(M, points) and vandermonde_witness_reference(M, points)
-        for name, mutant, mutant_points in mds_mutations(M, points):
-            verdict = _vandermonde_witness(mutant, mutant_points)
-            assert verdict == vandermonde_witness_reference(mutant, mutant_points), (K, B, q, name)
+        assert _vandermonde_witness(M, q, points) and vandermonde_witness_reference(M, q, points)
+        for name, mutant, mutant_points in mds_mutations(M, q, points):
+            verdict = _vandermonde_witness(mutant, q, mutant_points)
+            expected = vandermonde_witness_reference(mutant, q, mutant_points)
+            assert verdict == expected, (K, B, q, name)
             verdicts.add(verdict)
     assert verdicts == {False, True}  # one-column mutants stay V @ T at K = 2
 
@@ -539,9 +550,10 @@ def _no_elimination(*args):
 
 
 def test_no_build_solves_or_enumerates_row_subsets(monkeypatch):
-    # mds_proof's subset budget either refuses, which fails the build, or
-    # hands over to every_subset_full_rank, so no build reaches it either.
-    monkeypatch.setattr(Matrix, "solve", _no_elimination)
+    # No build constructs a Matrix, so none solves.  mds_proof's subset
+    # budget either refuses, which fails the build, or hands over to
+    # every_subset_full_rank, so no build reaches it either.
+    monkeypatch.setattr(Matrix, "__init__", _no_elimination)
     monkeypatch.setattr(key_design, "every_subset_full_rank", _no_elimination)
     for K in range(2, 17):
         for B in range(1, K + 1):
@@ -553,8 +565,8 @@ def test_circulant_build_certifies_its_key_matrix_once(K, B, monkeypatch):
     # The one certificate is the key-matrix-mds gate's V @ T witness.
     proofs = []
 
-    def recording(M, size, points):
-        proofs.append((M, size, mds_proof(M, size, points)))
+    def recording(M, q, size, points):
+        proofs.append((M, size, mds_proof(M, q, size, points)))
         return proofs[-1][2]
 
     monkeypatch.setattr(key_design, "mds_proof", recording)
@@ -563,7 +575,9 @@ def test_circulant_build_certifies_its_key_matrix_once(K, B, monkeypatch):
     keys = build_keys(K, B, field)
     code = build_code_design(Topology(K, B), field)
     assert validate_scheme(keys, code).passed
-    assert proofs == [(keys.key_matrix, B, "vandermonde")]
+    assert [(M is keys.key_matrix, size, proof) for M, size, proof in proofs] == [
+        (True, B, "vandermonde")
+    ]
 
 
 def test_subset_budget_refuses_before_any_elimination(monkeypatch):
@@ -573,9 +587,9 @@ def test_subset_budget_refuses_before_any_elimination(monkeypatch):
     points = evaluation_points(field, 40, 20)
     # The circulant key matrix needs no certificate at any size.
     keys = circulant_keygen(40, 20, field)
-    assert mds_proof(keys.key_matrix, 20, points) == "vandermonde"
+    assert mds_proof(keys.key_matrix, 241, 20, points) == "vandermonde"
     # The gate's fallback, on a matrix that no proof covers.
     rng = random.Random(0)
-    M = Matrix(field, [[rng.randrange(241) for _ in range(20)] for _ in range(40)])
+    M = np.array([[rng.randrange(241) for _ in range(20)] for _ in range(40)], np.int64)
     with pytest.raises(ConstructionError, match="137846528820 subsets"):
-        mds_proof(M, 20, points)
+        mds_proof(M, 241, 20, points)

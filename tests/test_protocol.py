@@ -124,16 +124,26 @@ def test_input_coeffs_is_one_read_only_array(make):
     ids=["single", "circulant", "vandermonde", "full", "full_single", "golden_example1"],
 )
 def test_key_coeffs_is_one_read_only_per_link_array(make):
+    # The key matrix and the recovery matrix are read-only int64 arrays too,
+    # on the scheme and on the key and code designs it was built from.
     params = make()
     K, B = params.K, params.block_size
-    arrays = [params.key_coeffs]
+    n = max(B, K - B)  # source symbols per block, B the coded block size
+    assert params.source_key_len == n
+    arrays = [
+        (params.key_coeffs, (K, B)),
+        (params.key_matrix, (K, n)),
+        (params.recovery, (K, B)),
+    ]
     if params.keys is not None:
-        arrays.append(params.keys.key_coeffs)
-    for coeffs in arrays:
-        assert coeffs.dtype == np.int64 and coeffs.shape == (K, B)
-        assert not coeffs.flags.writeable
+        arrays += [(params.keys.key_coeffs, (K, B)), (params.keys.key_matrix, (K, n))]
+    if params.code is not None:
+        arrays.append((params.code.recovery, (K, B)))
+    for a, shape in arrays:
+        assert a.dtype == np.int64 and a.shape == shape
+        assert not a.flags.writeable
         with pytest.raises(ValueError):
-            coeffs[0, 0] = 1
+            a[0, 0] = 1
 
 
 def test_key_symbol_reused_across_outgoing_messages():
@@ -592,9 +602,10 @@ def _reference_round(params, inputs, seed):
     bs, n = params.block_size, params.source_key_len
     users, relays = params.topo.users(), params.topo.relays()
     blocks = len(inputs[1]) // bs
+    key_matrix, recovery = params.key_matrix.tolist(), params.recovery.tolist()
     s = sample_source_key(params, blocks, seed)
     z = {
-        k: [sum(h * s[t * n + m] for m, h in enumerate(params.key_matrix.rows[k - 1])) % q
+        k: [sum(h * s[t * n + m] for m, h in enumerate(key_matrix[k - 1])) % q
             for t in range(blocks)]
         for k in users
     }
@@ -614,7 +625,7 @@ def _reference_round(params, inputs, seed):
         for i in relays
     }
     total = tuple(
-        sum(y[i][t] * params.recovery.rows[i - 1][b] for i in relays) % q
+        sum(y[i][t] * recovery[i - 1][b] for i in relays) % q
         for t in range(blocks)
         for b in range(bs)
     )
