@@ -14,24 +14,30 @@ same sum).  The audits compare those multisets as sorted rows, so the
 verdicts are never thresholded.  State spaces above the cap are refused
 rather than sampled.
 
-Each check evaluates its messages over only the variables they read (an
-unread one only repeats rows or values, so no verdict changes), in the
-narrowest integer type of at least 16 bits that holds them, and sorts
-its rows in place: many narrow rows through a compare-exchange network,
-other rows with one ndarray.sort.  The packed code is a sum of one
-weighted digit per form, each computed on the grid of the variables its
-form reads; the sum runs in the order that grows the grid least, over a
-grid whose trailing variables share one inner axis of about 1k entries,
-so no pass runs a length-q inner loop.  The server check's code holds
-the relay symbols only, on the grid of every input (an input no relay
-reads still gets its own axis there).  The sum is a function of the
-inputs, so each row takes its sum from one evaluation of the sum forms
-over the inputs alone, and groups of equal sums find their first row,
-their leader, in a table indexed by the sum.  Recovery marks a bool
-table of (messages, sum) pairs at messages * q**L + sum, in bounded
-chunks, from the leaders' rows and any row that differs from its leader,
-which between them hold every pair that occurs, and reads the pairs from
-the flat table, in increasing order.
+Every message is a linear form in the inputs and source symbols.  A
+check's forms are one int64 array, one row of coefficients per message
+symbol, cut from one array of every link's forms that each audit builds
+once from ``input_coeffs`` and the ``key_design._relay_masks`` rows that
+validation and the algebraic audit read: a relay check takes its links'
+rows, the server check each relay's sum of them.  Each check evaluates
+its messages over only the variables they read (an unread one only
+repeats rows or values, so no verdict changes), in the narrowest integer
+type of at least 16 bits that holds them, and sorts its rows in place:
+many narrow rows through a compare-exchange network, other rows with one
+ndarray.sort.  The packed code is a sum of one weighted digit per form,
+each computed on the grid of the variables its form reads; the sum runs
+in the order that grows the grid least, over a grid whose trailing
+variables share one inner axis of about 1k entries, so no pass runs a
+length-q inner loop.  The server check's code holds the relay symbols
+only, on the grid of every input (an input no relay reads still gets its
+own axis there).  The sum is a function of the inputs, so each row takes
+its sum from one evaluation of the sum forms over the inputs alone, and
+groups of equal sums find their first row, their leader, in a table
+indexed by the sum.  Recovery marks a bool table of (messages, sum)
+pairs at messages * q**L + sum, in bounded chunks, from the leaders'
+rows and any row that differs from its leader, which between them hold
+every pair that occurs, and reads the pairs from the flat table, in
+increasing order.
 
 This module also carries the worked 3-user instance over GF(3) as a
 hard-coded golden scheme; its coefficients come from a manual design and
@@ -133,11 +139,17 @@ _INNER_AXIS = 1 << 10
 
 
 class _StateSpace:
-    """All realizations of (inputs, source key) as a q x ... x q grid.
+    """All realizations of (inputs, source key) as a q x ... x q grid, and
+    the linear forms of the messages sent on it.
 
     Axis v holds variable v, so in the flattened grid variable 0 varies
-    slowest.  Input symbols come first, source symbols last.  L defaults
-    to one block.
+    slowest.  Input symbols come first, user-major, source symbols last,
+    block-major.  L defaults to one block.  A form is one row of n_vars
+    coefficients.  forms, a read-only (K, B, blocks, n_vars) int64 array,
+    holds in entry [i-1, j, t] the block-t symbol on relay i's j-th link
+    in ``topo.relay_links`` order, built from ``input_coeffs`` and the
+    ``key_design._relay_masks`` rows that validation and the algebraic
+    audit read; a misshaped key_coeffs raises their ValueError.
     """
 
     def __init__(self, params: SchemeParams, L: "int | None", max_states: int):
@@ -161,18 +173,25 @@ class _StateSpace:
         bound = self.q ** (self.K * self.blocks + L)
         if bound > np.iinfo(np.int64).max:
             raise StateSpaceError(bound, np.iinfo(np.int64).max, "(relay messages, sum) values")
+        # Link j of relay i carries, in block t, its input coefficients at
+        # its sender's block-t input symbols plus its masked key row at
+        # block t's source symbols.
+        topo = params.topo
+        _, masked = _relay_masks(params.key_matrix, params.key_coeffs, topo, self.q)
+        coeffs = params.input_coeffs.reshape(self.K * bs, bs)[topo.relay_links]
+        sender = np.eye(self.K, dtype=np.int64)[topo.relay_links // bs]
+        block = np.eye(self.blocks, dtype=np.int64)
+        w = np.einsum("ijk,tu,ijb->ijtkub", sender, block, coeffs)
+        z = np.einsum("tu,ijm->ijtum", block, masked)
+        shape = (self.K, bs, self.blocks, -1)
+        self.forms = _read_only(np.concatenate([w.reshape(shape), z.reshape(shape)], axis=-1))
 
-    def w_var(self, k: int, pos: int) -> int:
-        return (k - 1) * self.L + pos
-
-    def z_var(self, block: int, m: int) -> int:
-        return self.n_w + block * self.params.source_key_len + m
-
-    def evaluate(self, check: str, *forms: dict[int, int]) -> np.ndarray:
-        """Values of the linear forms, packed base q with the first form
-        most significant, as an array the caller owns: axis v has length q
-        if some form reads variable v and length 1 if none does.  An array
-        numpy cannot allocate raises StateSpaceError naming check."""
+    def evaluate(self, check: str, forms: np.ndarray) -> np.ndarray:
+        """Values of the (F, n_vars) linear forms, one per row, packed base
+        q with the first form most significant, as an array the caller
+        owns: axis v has length q if some form reads variable v, a nonzero
+        column, and length 1 if none does.  An array numpy cannot allocate
+        raises StateSpaceError naming check."""
         # The code is the sum of one term per form, q**(F-1-f) times form f
         # mod q, and each term lives on the grid of the variables its form
         # reads.  The narrowest type of at least 16 bits moves the least
@@ -182,7 +201,9 @@ class _StateSpace:
         q = self.q
         bound = q ** len(forms)
         dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
-        read = sorted({v for form in forms for v, c in form.items() if c})
+        read = np.flatnonzero(forms.any(axis=0)).tolist()
+        # Python ints index and multiply faster than numpy scalars.
+        forms = forms.tolist()
         # The last read variables, as many as fit _INNER_AXIS entries and at
         # least one, share the inner axis; every other one keeps its own.
         n_inner = min(len(read), 1)
@@ -190,13 +211,13 @@ class _StateSpace:
             n_inner += 1
         outer, inner = read[: len(read) - n_inner], read[len(read) - n_inner :]
         sizes = [q] * len(outer) + [q**n_inner]
-        # digits[x, j] is the value of variable inner[j] at inner index x;
-        # np.indices builds it about three times faster than dividing an
-        # arange by an array of powers.
-        digits = np.indices((q,) * n_inner).reshape(n_inner, -1).T
+        # digits[x, j] is the value of variable inner[j] at inner index x,
+        # one empty row when nothing is read; np.indices builds it about
+        # three times faster than dividing an arange by an array of powers.
+        digits = np.indices((q,) * n_inner).reshape(n_inner, q**n_inner).T
         axes = [
-            {a for a, v in enumerate(outer) if form.get(v)}
-            | ({len(outer)} if any(form.get(v) for v in inner) else set())
+            {a for a, v in enumerate(outer) if form[v]}
+            | ({len(outer)} if any(form[v] for v in inner) else set())
             for form in forms
         ]
         try:
@@ -218,7 +239,7 @@ class _StateSpace:
                 for a in axes[f] - {len(outer)}:
                     axis = [q if b == a else 1 for b in range(len(outer))]
                     head = head + (np.arange(q) * forms[f][outer[a]]).reshape(axis)
-                tail = digits @ [forms[f].get(v, 0) for v in inner]
+                tail = digits @ [forms[f][v] for v in inner]
                 if len(outer) not in axes[f]:
                     tail = tail[:1]
                 weight = q ** (len(forms) - 1 - f)
@@ -238,34 +259,14 @@ class _StateSpace:
         """View of code with one row per value of the inputs it reads."""
         return code.reshape(math.prod(code.shape[: self.n_w]), -1)
 
-    def message_form(self, link: int, block: int) -> dict[int, int]:
-        """Linear form of the block-th symbol sent on link (k-1)*B + j, link j of user k."""
-        p, q, bs = self.params, self.q, self.params.block_size
-        k, j = divmod(link, bs)  # user k + 1
-        form: dict[int, int] = {}
-        for b, c in enumerate(p.input_coeffs[k, j].tolist()):
-            if c:
-                form[self.w_var(k + 1, block * bs + b)] = c
-        for m, c in enumerate((p.key_coeffs[k, j] * p.key_matrix[k] % q).tolist()):
-            if c:
-                form[self.z_var(block, m)] = c
-        return form
+    def joint_forms(self) -> np.ndarray:
+        """Every relay symbol, relay-major: the sum of its links' forms."""
+        return (self.forms.sum(axis=1) % self.q).reshape(-1, self.n_vars)
 
-    def relay_form(self, i: int, block: int) -> dict[int, int]:
-        form: dict[int, int] = {}
-        for link in self.params.topo.relay_links[i - 1].tolist():
-            for v, c in self.message_form(link, block).items():
-                form[v] = (form.get(v, 0) + c) % self.q
-        return form
-
-    def joint_forms(self) -> list[dict[int, int]]:
-        """Every relay symbol, relay-major."""
-        relays = self.params.topo.relays()
-        return [self.relay_form(i, t) for i in relays for t in range(self.blocks)]
-
-    def sum_forms(self) -> list[dict[int, int]]:
+    def sum_forms(self) -> np.ndarray:
         """Every sum symbol, in input order; each reads every user's input."""
-        return [{self.w_var(k, pos): 1 for k in range(1, self.K + 1)} for pos in range(self.L)]
+        eye = np.eye(self.L, dtype=np.int64)
+        return np.hstack([eye] * self.K + [np.zeros((self.L, self.n_z), np.int64)])
 
     def joint(self, check: str) -> np.ndarray:
         """The relay symbols, packed, on the grid of every input: an input
@@ -273,7 +274,7 @@ class _StateSpace:
         one value of all the inputs and has one sum.  The sum symbols are
         not packed in; ``_server_match`` evaluates them over the inputs
         alone."""
-        code = self.evaluate(check, *self.joint_forms())
+        code = self.evaluate(check, self.joint_forms())
         full = (self.q,) * self.n_w + code.shape[self.n_w :]
         if code.shape == full:
             return code
@@ -383,7 +384,7 @@ def _server_match(
     it marks.
     """
     rows = space.rows(space.joint(check))
-    sums = space.evaluate(check, *space.sum_forms()).reshape(-1)
+    sums = space.evaluate(check, space.sum_forms()).reshape(-1)
     ok, marked = _rows_match(rows, sums)
     return ok, (rows, sums, marked)
 
@@ -393,17 +394,12 @@ def _mi_checks(
 ) -> tuple[list[CheckResult], tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Relay and server MI checks, plus the rows, sums and marked rows of
     the server match, which recovery reads."""
-    params = space.params
     checks = []
-    for i in params.topo.relays():
-        forms = [
-            space.message_form(link, t)
-            for link in params.topo.relay_links[i - 1].tolist()
-            for t in range(space.blocks)
-        ]
+    for i in space.params.topo.relays():
+        forms = space.forms[i - 1].reshape(-1, space.n_vars)
         # Passed without a name, so each relay's array is freed before the
         # next one is evaluated.
-        ok, _ = _rows_match(space.rows(space.evaluate(f"relay-mi[{i}]", *forms)))
+        ok, _ = _rows_match(space.rows(space.evaluate(f"relay-mi[{i}]", forms)))
         checks.append(
             CheckResult(
                 f"relay-mi[{i}]",

@@ -29,7 +29,10 @@ from hsagg.protocol import (
     build_scheme,
     derive_keys,
     direct_sum,
+    random_inputs,
     relay_encode,
+    run_round,
+    sample_source_key,
     server_decode,
     user_encode,
 )
@@ -50,18 +53,28 @@ def test_golden_relay_checks_pass_with_worked_key_rows():
 
 
 @pytest.mark.parametrize(
-    "make", [golden_example1, lambda: build_scheme(5, 3)], ids=["golden", "vandermonde"]
+    "make, exhaustive",
+    [(golden_example1, True), (lambda: build_scheme(5, 3), False)],
+    ids=["golden", "vandermonde"],
 )
-def test_algebraic_audit_refuses_misshaped_key_coeffs(make):
+def test_algebraic_audit_refuses_misshaped_key_coeffs(make, exhaustive):
     # The K x K coefficient matrix, zero off the association, and an
-    # array with one link too many both fail the shape check.
+    # array with one link too many both fail the shape check, in the
+    # exhaustive audits too where the state space is small enough to
+    # build their forms.
     params = make()
     K, B = params.K, params.topo.B
     square = np.zeros((K, K), np.int64)
     square[np.arange(K)[:, None], params.topo.link_relay] = params.key_coeffs
+    checks = [algebraic_audit, lambda p: relay_security_algebraic(p, 1)]
+    if exhaustive:
+        checks += [
+            lambda p: exhaustive_mi_audit(p, L=2),
+            lambda p: exhaustive_recovery_audit(p, L=2),
+        ]
     for bad in (square, np.hstack([params.key_coeffs, params.key_coeffs[:, :1]])):
         broken = replace(params, key_coeffs=bad)
-        for check in (algebraic_audit, lambda p: relay_security_algebraic(p, 1)):
+        for check in checks:
             with pytest.raises(ValueError, match=rf"shape \({K}, {B}\)"):
                 check(broken)
 
@@ -224,6 +237,16 @@ def _unread_input(params):
     return replace(params, input_coeffs=coeffs)
 
 
+def _silent_relay(params):
+    """params with every input and key coefficient zeroed on the links
+    into relay 1, so that relay 1's check reads no variable."""
+    inputs, keys = params.input_coeffs.copy(), params.key_coeffs.copy()
+    users, links = np.divmod(params.topo.relay_links[0], params.topo.B)
+    inputs[users, links] = 0
+    keys[users, links] = 0
+    return replace(params, input_coeffs=inputs, key_coeffs=keys)
+
+
 @pytest.mark.parametrize(
     "params, L",
     [
@@ -299,16 +322,15 @@ def test_evaluate_packs_in_narrowest_16_bit_or_wider_type(n_forms, dtype, spans)
     # grid and the others are added to the code in place, or every form
     # leaves the last variable out, so its axis stays length 1.  Zero
     # coefficients read nothing.
-    forms = [
-        {v: rng.randrange(q) for v in rng.sample(range(n - 1), rng.randint(1, n - 1))}
-        for _ in range(n_forms)
-    ]
+    forms = np.zeros((n_forms, n), np.int64)
+    for form in forms:
+        for v in rng.sample(range(n - 1), rng.randint(1, n - 1)):
+            form[v] = rng.randrange(q)
     if spans:
-        forms[0] = {v: rng.randrange(1, q) for v in range(n)}
-    code = space.evaluate("test", *forms)
-    read = {v for form in forms for v, c in form.items() if c}
+        forms[0] = [rng.randrange(1, q) for _ in range(n)]
+    code = space.evaluate("test", forms)
     assert code.dtype == dtype
-    assert code.shape == tuple(q if v in read else 1 for v in range(n))
+    assert code.shape == tuple(q if read else 1 for read in forms.any(axis=0))
     assert (np.broadcast_to(code, (q,) * n).reshape(-1) == _every_state(space, forms)).all()
 
 
@@ -319,30 +341,28 @@ def _every_state(space, forms):
     values = np.indices((q,) * space.n_vars).reshape(space.n_vars, -1)
     code = np.zeros(space.size, dtype=np.int64)
     for form in forms:
-        code = code * q + sum(c * values[v] for v, c in form.items()) % q
+        code = code * q + form @ values % q
     return code
 
 
 def _shuffled(forms, seed):
-    return Random(seed).sample(forms, len(forms))
+    return forms[Random(seed).sample(range(len(forms)), len(forms))]
 
 
 def _random_forms(space, count, seed):
+    """count forms, each with 1 to 3 random coefficients, zero included."""
     rng = Random(seed)
-    return [
-        {v: rng.randrange(space.q) for v in rng.sample(range(space.n_vars), rng.randint(1, 3))}
-        for _ in range(count)
-    ]
+    forms = np.zeros((count, space.n_vars), np.int64)
+    for form in forms:
+        for v in rng.sample(range(space.n_vars), rng.randint(1, 3)):
+            form[v] = rng.randrange(space.q)
+    return forms
 
 
 def _relay_and_sum_forms(space):
     """The forms of the (relay messages, sum) code: every relay symbol,
     relay-major, then every sum symbol."""
-    relays = space.params.topo.relays()
-    return [
-        *(space.relay_form(i, t) for i in relays for t in range(space.blocks)),
-        *({space.w_var(k, pos): 1 for k in range(1, space.K + 1)} for pos in range(space.L)),
-    ]
+    return np.vstack([space.joint_forms(), space.sum_forms()])
 
 
 _Q7 = audit._StateSpace(build_scheme(2, 1, q=7), 2, 10**8)
@@ -355,11 +375,23 @@ _GOLDEN = audit._StateSpace(golden_example1(), 2, 10**8)
     [
         (_GOLDEN, _shuffled(_relay_and_sum_forms(_GOLDEN), 1), np.int16),
         (_Q7, _shuffled(_relay_and_sum_forms(_Q7), 2), np.int32),
-        (_Q7, [{0: 1, 1: 2}, {2: 3}, {3: 1, 4: 5}, {5: 6}], np.int16),
-        (_Q7, [{1: 3}, {}, {2: 5, 4: 1}, {0: 0, 3: 0}, {4: 2}], np.int16),
+        (
+            _Q7,
+            np.array(
+                [[1, 2, 0, 0, 0, 0], [0, 0, 3, 0, 0, 0], [0, 0, 0, 1, 5, 0], [0, 0, 0, 0, 0, 6]]
+            ),
+            np.int16,
+        ),
+        (
+            _Q7,
+            np.array(
+                [[0, 3, 0, 0, 0, 0], [0] * 6, [0, 0, 5, 0, 1, 0], [0] * 6, [0, 0, 0, 0, 2, 0]]
+            ),
+            np.int16,
+        ),
         (_Q7, _random_forms(_Q7, 11, 5), np.int32),
         (_Q7, _random_forms(_Q7, 12, 6), np.int64),
-        (_GOLDEN, [{v: 1 + v % 2 for v in range(8)}, {0: 1, 7: 2}], np.int16),
+        (_GOLDEN, np.array([[1, 2, 1, 2, 1, 2, 1, 2], [1, 0, 0, 0, 0, 0, 0, 2]]), np.int16),
     ],
     ids=[
         "golden-joint-shuffled", "q7-joint-shuffled", "disjoint", "zero-forms",
@@ -374,17 +406,17 @@ def test_evaluate_matches_every_state(monkeypatch, space, forms, dtype, inner):
     # holds its last 6 variables, 4 of them inputs, so rows() must still
     # split inputs from source symbols.
     monkeypatch.setattr(audit, "_INNER_AXIS", inner)
-    code = space.evaluate("test", *forms)
-    read = sorted({v for form in forms for v, c in form.items() if c})
+    code = space.evaluate("test", forms)
+    read = forms.any(axis=0)
     assert code.dtype == dtype
-    assert code.shape == tuple(space.q if v in read else 1 for v in range(space.n_vars))
+    assert code.shape == tuple(space.q if r else 1 for r in read)
     full = _every_state(space, forms).reshape((space.q,) * space.n_vars)
     assert (np.broadcast_to(code, full.shape) == full).all()
     # one row per value of the inputs read, one column per value of the
     # source symbols read, as a view of the code
     rows = space.rows(code)
-    kept = tuple(slice(None) if v in read else slice(0, 1) for v in range(space.n_vars))
-    n_rows = space.q ** sum(v < space.n_w for v in read)
+    kept = tuple(slice(None) if r else slice(0, 1) for r in read)
+    n_rows = space.q ** int(read[: space.n_w].sum())
     assert rows.shape == (n_rows, code.size // n_rows)
     assert np.shares_memory(rows, code)
     assert (rows == full[kept].reshape(rows.shape)).all()
@@ -464,6 +496,43 @@ def test_sort_network_sorts_every_zero_one_row(monkeypatch, dtype):
         assert (rows == want).all(), width
 
 
+# The schemes and L of the audit-exhaustive benchmark workload, each
+# with one block or blocks of one symbol, and one with two blocks of two.
+_FORM_CASES = {
+    "golden": (golden_example1(), 2),
+    "full-3": (build_scheme(3, 3), 2),
+    "single-4": (build_scheme(4, 1), 1),
+    "single-L3": (build_scheme(2, 1), 3),
+    "q5": (build_scheme(3, 2, q=5), 2),
+    "q7": (build_scheme(3, 2, q=7), 2),
+    "q5-L4": (build_scheme(3, 2, q=5), 4),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("params, L", list(_FORM_CASES.values()), ids=list(_FORM_CASES))
+def test_forms_evaluate_to_the_messages_a_round_sends(params, L, seed):
+    # A state lists the round's inputs, user-major, then its source key,
+    # block-major, which is the order of the grid's variables.  Every link
+    # form and relay form, evaluated there, must give the symbols the
+    # round sends; a link that the full-association regime disables has
+    # no form and sends nothing.  Nothing is enumerated, so no cap applies.
+    space = audit._StateSpace(params, L, math.inf)
+    inputs = random_inputs(params, L, seed)
+    key = sample_source_key(params, space.blocks, seed)
+    state = np.array([x for k in params.topo.users() for x in inputs[k]] + list(key))
+    transcript = run_round(params, inputs, seed).transcript
+    links = (space.forms @ state % space.q).tolist()
+    sent = {
+        (link // params.topo.B + 1, i): tuple(symbols)
+        for i, relay_links in zip(params.topo.relays(), params.topo.relay_links.tolist())
+        for link, symbols in zip(relay_links, links[i - 1])
+    }
+    assert sent == {k_i: m for k_i, m in transcript.user_messages.items() if m}
+    relays = (space.joint_forms() @ state % space.q).reshape(params.K, space.blocks)
+    assert dict(zip(params.topo.relays(), map(tuple, relays.tolist()))) == transcript.relay_messages
+
+
 def test_checks_hold_only_the_variables_their_forms_read(monkeypatch):
     # At (3, 2) over GF(7) with L = 2 a relay reads its 2 senders' 4 input
     # symbols and 2 source symbols, and the joint code reads every input
@@ -524,7 +593,7 @@ def _full_scatter_recovery(params, L):
     space = audit._StateSpace(params, L, 10**8)
     q, relays, blocks = space.q, params.topo.relays(), space.blocks
     table = np.zeros(q ** (params.K * blocks + L), dtype=bool)
-    table[space.evaluate("reference", *_relay_and_sum_forms(space)).reshape(-1)] = True
+    table[space.evaluate("reference", _relay_and_sum_forms(space)).reshape(-1)] = True
     y, s = np.divmod(np.flatnonzero(table), q**L)
     functional = len(set(y.tolist())) == len(y)
 
@@ -553,6 +622,7 @@ _EXHAUSTIVE_SCHEMES = {
     "golden-input-shift": _input_coeff_shifted(golden_example1()),
     "golden-key-row": _key_row_times_three(golden_example1()),
     "golden-recovery": _recovery_shifted(golden_example1()),
+    "golden-silent-relay": _silent_relay(golden_example1()),
     "q5": build_scheme(3, 2, q=5),
     "q5-key-coeff": _corrupt(build_scheme(3, 2, q=5), key_coeffs=(0, 0, 0)),
     "q5-input": _input_coeff_shifted(build_scheme(3, 2, q=5)),
@@ -593,7 +663,7 @@ def _full_joint_match(params, L):
     first code, and compared with the first row of its group.  Returns
     them with the sorted rows."""
     space = audit._StateSpace(params, L, 10**8)
-    code = space.evaluate("reference", *_relay_and_sum_forms(space))
+    code = space.evaluate("reference", _relay_and_sum_forms(space))
     rows = np.sort(code.reshape(space.q**space.n_w, -1), axis=1)
     _, first, inverse = np.unique(rows[:, 0] % space.q**L, return_index=True, return_inverse=True)
     lead = first[inverse.reshape(-1)]
@@ -645,8 +715,9 @@ def test_unread_input_keeps_every_row_with_its_own_sum(params, L):
     # with its own sum.  Every exhaustive verdict and detail must equal the
     # references on the full (relay messages, sum) code.
     space = audit._StateSpace(params, L, 10**8)
-    read = space.evaluate("test", *space.joint_forms()).shape
-    assert read[space.w_var(1, 0)] == 1
+    # User 1's first input symbol is variable 0.
+    read = space.evaluate("test", space.joint_forms()).shape
+    assert read[0] == 1
     assert space.joint("test").shape[: space.n_w] == (space.q,) * space.n_w
     server_ok, _, _ = _full_joint_match(params, L)
     recovery = _full_scatter_recovery(params, L)

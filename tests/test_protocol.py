@@ -747,6 +747,10 @@ def test_round_outputs_are_python_ints(K, B):
          "818d8ac16fd7d850f5005517a2f27e7a6eea25ed2084e417573b9ab8441a0a7b"),
         ("audit --K 4 --B 1 --level exhaustive --L 1",
          "4c4b3cd6aac39248c2390864234710bd003224c24006e7da95d1375fe4e81248"),
+        ("audit --K 3 --B 3 --level exhaustive --L 2",
+         "76134942d5c32b34b5258db45746c5078eab27e698ce17528ce6b3aeb09724ad"),
+        ("audit --K 3 --B 2 --q 5 --level exhaustive --L 2",
+         "7ec4e5fc8bcfd0b4fd47d81ebf2e6343853e2bb753f12cd59d7126f14b16d706"),
     ],
 )
 def test_seeded_reports_are_pinned(capsys, argv, digest):
