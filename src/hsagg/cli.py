@@ -8,18 +8,17 @@ Subcommands:
                    and takes no --K, --B or --q
     rates          achievable vs converse table over ranges of K and B
     search-params  the ratio or anchor of the validated scheme, and the
-                   Monte Carlo fraction of valid circulant ratios
+                   exact count of valid circulant ratios
 
 A scheme is a function of (K, B, q): construction takes the smallest
-valid ratio or anchor and draws nothing, so only simulate's rounds and
-search-params' sampler take a --seed.  A JSON config file (--config,
-top-level "version": 1) may supply any option: its keys are flag names,
-parsed with the same types and choices (true gives a bare flag), and
-explicit flags win.  Reports are JSON with sorted keys and carry
-"version": REPORT_VERSION, so an identical config produces
-byte-identical output.  Exit codes: 0 all pass, 2 construction failure,
-3 audit/recovery failure, 4 bad configuration, usage errors and unknown
-config keys too.
+valid ratio or anchor and draws nothing, so only simulate's rounds take
+a --seed.  A JSON config file (--config, top-level "version": 1) may
+supply any option: its keys are flag names, parsed with the same types
+and choices (true gives a bare flag), and explicit flags win.  Reports
+are JSON with sorted keys and carry "version": REPORT_VERSION, so an
+identical config produces byte-identical output.  Exit codes: 0 all
+pass, 2 construction failure, 3 audit/recovery failure, 4 bad
+configuration, usage errors and unknown config keys too.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .audit import StateSpaceError, full_audit, golden_example1
 from .key_design import (
     REGIME_CIRCULANT,
     ConstructionError,
-    sample_circulant_validity,
+    circulant_valid_ratios,
     select_field,
     sufficient_field_size,
 )
@@ -49,9 +48,9 @@ EXIT_CONFIG = 4
 
 # Every report's "version"; it changes when identical flags can give a
 # different report (2: construction takes the smallest valid ratio and
-# anchor; 3: the circulant regime's points are the K-th roots of unity,
-# which changes its fields, ratios and keys; the other regimes are unchanged).
-REPORT_VERSION = 3
+# anchor; 3: circulant points are the K-th roots of unity, with new fields,
+# ratios and keys; 4: search-params counts valid ratios instead of sampling).
+REPORT_VERSION = 4
 
 CSV_COLUMNS = [
     "K", "B", "q",
@@ -96,12 +95,14 @@ def _scheme_summary(params) -> dict:
         "source_key_len": params.source_key_len,
     }
     if params.keys is not None:
-        summary["regime"] = params.keys.regime
-        if params.keys.ratio is not None:
-            summary["ratio"] = params.keys.ratio
-        if params.keys.anchor is not None:
-            summary["anchor"] = params.keys.anchor
+        summary.update(_chosen(params.keys))
     return summary
+
+
+def _chosen(keys) -> dict:
+    """A key design's regime, with its ratio or anchor where it has one."""
+    found = {"ratio": keys.ratio, "anchor": keys.anchor}
+    return {"regime": keys.regime, **{n: v for n, v in found.items() if v is not None}}
 
 
 def _require(args, names) -> None:
@@ -206,7 +207,7 @@ def cmd_rates(args) -> int:
     rows = []
     for K in args.K:
         for B in args.B if args.B is not None else range(1, K + 1):
-            if not 1 <= B <= K:
+            if K < 2 or not 1 <= B <= K:
                 continue
             ach = achievable_rates(K, B)
             lb = converse_bounds(K, B)
@@ -225,7 +226,7 @@ def cmd_rates(args) -> int:
                 }
             )
     if not rows:
-        raise ConfigError("--K and --B select no (K, B) with 1 <= B <= K")
+        raise ConfigError("--K and --B select no (K, B) with 2 <= K and 1 <= B <= K")
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
@@ -251,17 +252,12 @@ def cmd_search_params(args) -> int:
     }
     if keys.regime == REGIME_CIRCULANT:
         bound = sufficient_field_size(args.K, args.B)
-        valid = sample_circulant_validity(args.K, args.B, params.field, args.samples, args.seed)
+        valid = circulant_valid_ratios(params.field, args.K, args.B)
         report["sufficient_field_size"] = bound
-        report["samples"] = args.samples
         report["valid"] = valid
-        report["valid_fraction"] = str(Fraction(valid, args.samples))
+        report["valid_fraction"] = str(Fraction(valid, q))
         report["success_floor"] = str(max(Fraction(0), 1 - Fraction(bound, q)))
-    report["chosen"] = {"regime": keys.regime}
-    if keys.ratio is not None:
-        report["chosen"]["ratio"] = keys.ratio
-    if keys.anchor is not None:
-        report["chosen"]["anchor"] = keys.anchor
+    report["chosen"] = _chosen(keys)
     _emit(report, args.out)
     return EXIT_OK
 
@@ -349,10 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     srch.add_argument("--K", type=int)
     srch.add_argument("--B", type=int)
     srch.add_argument("--q", type=int)
-    srch.add_argument("--samples", type=_at_least(1), default=200)
-    srch.add_argument(
-        "--seed", type=int, default=0, help="seed of the sampler that draws the --samples ratios"
-    )
     _add_common(srch)
     srch.set_defaults(func=cmd_search_params)
     return parser

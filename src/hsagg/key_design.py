@@ -53,9 +53,8 @@ Four regimes, by association count B:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
-from math import comb, prod
+from math import comb, gcd, prod
 
 import numpy as np
 
@@ -126,11 +125,8 @@ def regime_for(K: int, B: int) -> str:
 
 
 def sufficient_field_size(K: int, B: int) -> int:
-    """Field size above which some circulant ratio is always valid.
-
-    Eigenvalue t is 0 only when x = r * w**-t has x**B = 1 and x != 1, so
-    at most K(B-1) nonzero ratios fail, and r = 0.
-    """
+    """Field size above which some circulant ratio is always valid: at most
+    K(B-1) nonzero ratios fail (``circulant_valid_ratios``), and r = 0."""
     return K * (B - 1) + 2
 
 
@@ -185,15 +181,29 @@ MAX_SUBSETS = 1 << 14
 
 
 def circulant_ratio_valid(field: PrimeField, K: int, B: int, ratio: int) -> bool:
-    """Validity predicate of the ratio walk and its sampler: the circulant is invertible.
+    """Predicate of the ratio walk: the ratio is nonzero, so that every link has a
+    coefficient, and its circulant is invertible."""
+    q = field.q
+    return ratio % q != 0 and all(_eigenvalues(q, evaluation_points(field, K, B), B, ratio))
 
-    A zero ratio would leave associated links without a coefficient.
+
+def circulant_valid_ratios(field: PrimeField, K: int, B: int) -> int:
+    """How many r in GF(q) satisfy ``circulant_ratio_valid``, in closed form.
+
+    r = 0 fails, and a nonzero r fails exactly when some y = r * w**-t has
+    y**B = 1 and y != 1 (at y = 1 eigenvalue t is B, and B < q).  With W
+    the K-th and U the B-th roots of unity, g = |U| = gcd(B, q-1) and
+    d = |W & U| = gcd(g, K), the failing r fill the cosets W * u, u != 1
+    in U, of W in the group W * U of K*g/d elements: all its cosets when
+    d > 1, and all but W itself when d = 1.  So q - 1 - K*g/d or
+    q - 1 - K*(g-1) ratios are valid.  Refuses as ``circulant_keygen`` does.
     """
-    return _ratio_valid(field.q, evaluation_points(field, K, B), B, ratio)
-
-
-def _ratio_valid(q: int, points: tuple[int, ...], B: int, ratio: int) -> bool:
-    return ratio % q != 0 and all(_eigenvalues(q, points, B, ratio))
+    if not (2 <= B and 2 * B <= K):
+        raise ValueError(f"circulant regime needs 2 <= B <= K/2, got K={K}, B={B}")
+    evaluation_points(field, K, B)  # refuses unless q > K and K | (q - 1)
+    q = field.q
+    g, d = gcd(B, q - 1), gcd(B, q - 1, K)
+    return q - 1 - (K * g // d if d > 1 else K * (g - 1))
 
 
 def circulant_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
@@ -202,7 +212,7 @@ def circulant_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
         raise ValueError(f"circulant regime needs 2 <= B <= K/2, got K={K}, B={B}")
     q = field.q
     points = evaluation_points(field, K, B)
-    ratio = next((r for r in range(2, q) if _ratio_valid(q, points, B, r)), None)
+    ratio = next((r for r in range(2, q) if circulant_ratio_valid(field, K, B, r)), None)
     if ratio is None:
         raise ConstructionError(
             f"no valid circulant ratio in GF({q}); size {sufficient_field_size(K, B)} suffices"
@@ -211,14 +221,6 @@ def circulant_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
     key_matrix = _read_only(power_table(points, K - B, q) * inv % q)
     coeffs = _read_only(np.repeat(power_table([ratio], B, q), K, axis=0))
     return KeyDesign(key_matrix, coeffs, REGIME_CIRCULANT, ratio=ratio)
-
-
-def sample_circulant_validity(
-    K: int, B: int, field: PrimeField, samples: int, seed: int = 0
-) -> int:
-    """Count valid ratios among uniform draws from the whole field."""
-    rng, points = random.Random(seed), evaluation_points(field, K, B)
-    return sum(_ratio_valid(field.q, points, B, rng.randrange(field.q)) for _ in range(samples))
 
 
 def _inverses(a: np.ndarray, q: int) -> np.ndarray:

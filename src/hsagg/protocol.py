@@ -241,9 +241,12 @@ def build_scheme(
     field = select_field(K, B) if q is None else PrimeField(q)
     coded_B = B if B < K else K - 1
     topo = Topology(K, coded_B)
-    code = build_code_design(topo, field)
-    keys = build_keys(K, B, field)
-    report = validate_scheme(keys, code)
+    try:
+        code = build_code_design(topo, field)
+        keys = build_keys(K, B, field)
+        report = validate_scheme(keys, code)
+    except MemoryError as exc:
+        raise ConstructionError(f"(K, B) = {(K, B)} needs more than numpy can allocate") from exc
     if not report.passed:
         names = ", ".join(c.name for c in report.failures())
         raise ConstructionError(f"construction failed validation: {names}")

@@ -2,7 +2,7 @@
 
 Run standalone with:  pytest tests/test_acceptance.py -v -s
 Every comparison is exact (integers and rationals); the only inequalities
-are the stated Monte Carlo slack and the wall-clock budgets.
+are the stated bounds and the wall-clock budgets.
 """
 
 import time
@@ -20,7 +20,9 @@ from hsagg.audit import (
 from hsagg.code_design import build_code_design, evaluation_matrix, family_rows
 from hsagg.gf import Matrix, PrimeField
 from hsagg.key_design import (
-    sample_circulant_validity,
+    REGIME_CIRCULANT,
+    circulant_valid_ratios,
+    regime_for,
     select_field,
     sufficient_field_size,
     validate_scheme,
@@ -176,19 +178,26 @@ def test_criterion_5_converse_table(sweep_runs, full_assoc_runs):
 
 
 def test_criterion_6_ratio_search_probability():
+    # The exact fraction of valid ratios at select_field's q meets the
+    # floor 1 - (K(B-1) + 2) / q for every circulant (K, B) with K <= 24.
     started = time.monotonic()
-    K, B = 4, 2
-    field = select_field(K, B)
-    samples = 200
-    valid = sample_circulant_validity(K, B, field, samples=samples, seed=2024)
-    floor = 1 - Fraction(sufficient_field_size(K, B), field.q) - Fraction(1, 20)
-    fraction = Fraction(valid, samples)
+    cases = [(K, B) for K in range(4, 25) for B in range(2, K)
+             if regime_for(K, B) == REGIME_CIRCULANT]
+    below = []
+    for K, B in cases:
+        field = select_field(K, B)
+        fraction = Fraction(circulant_valid_ratios(field, K, B), field.q)
+        if fraction < 1 - Fraction(sufficient_field_size(K, B), field.q):
+            below.append((K, B, field.q, fraction))
     elapsed = time.monotonic() - started
+    q = select_field(4, 2).q
+    valid = circulant_valid_ratios(select_field(4, 2), 4, 2)
     verdict(
         "criterion 6 (ratio search success probability)",
-        fraction >= floor and elapsed < 30.0,
-        f"{valid}/{samples} valid over GF({field.q}), fraction {fraction} >= "
-        f"1 - {sufficient_field_size(K, B)}/{field.q} - 1/20 = {floor}, {elapsed:.1f}s < 30s",
+        not below and elapsed < 30.0,
+        f"valid/q >= 1 - sufficient_field_size/q on all {len(cases)} circulant (K, B) "
+        f"with K <= 24 ((4, 2): {valid}/{q} >= 1 - {sufficient_field_size(4, 2)}/{q}), "
+        f"{elapsed:.1f}s < 30s" + (f"; below the floor {below}" if below else ""),
     )
 
 

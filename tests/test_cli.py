@@ -26,7 +26,7 @@ def test_simulate_report(capsys):
     )
     assert code == 0
     report = json.loads(out)
-    assert report["version"] == cli.REPORT_VERSION == 3
+    assert report["version"] == cli.REPORT_VERSION == 4
     assert report["trials"] == {"requested": 25, "exact_recoveries": 25}
     assert report["rates"]["matches_achievable"] is True
     assert report["rates"]["measured"] == {"RX": "1", "RY": "1/2", "RZ": "1/2", "RZS": "1"}
@@ -281,15 +281,16 @@ def test_rates_requires_K(capsys):
 
 
 def test_search_params_reports_fraction(capsys):
-    code, out, _ = run_cli(
-        ["search-params", "--K", "4", "--B", "2", "--samples", "50", "--seed", "1"], capsys
-    )
+    code, out, _ = run_cli(["search-params", "--K", "4", "--B", "2"], capsys)
     assert code == 0
     report = json.loads(out)
     assert report["regime"] == "circulant"
     assert report["sufficient_field_size"] == 6
     assert report["q"] == 13
-    assert 0 <= report["valid"] <= 50
+    # every r but 0 and the 4 ratios 1, 5, 8, 12 that zero an eigenvalue
+    assert (report["valid"], report["valid_fraction"]) == (8, "8/13")
+    assert report["success_floor"] == "7/13"
+    assert "samples" not in report
     assert "ratio" in report["chosen"]
 
     # chosen is the ratio or anchor of the scheme that build_scheme validates
@@ -347,6 +348,8 @@ def test_config_values_are_parsed_like_flags(capsys, tmp_path):
         (["rates", "--K", "3", "--seed", "1"], None, "--seed"),
         (["audit", "--K", "3", "--B", "2", "--seed", "1"], None, "--seed"),
         (["audit"], {"K": 3, "B": 2, "seed": 1}, "--seed"),
+        (["search-params", "--K", "4", "--B", "2", "--seed", "1"], None, "--seed"),
+        (["search-params"], {"K": 4, "B": 2, "seed": 1}, "--seed"),
         (["simulate", "--K", "3", "--B", "2", "--L", "0"], None, "--L"),
         (["audit", "--K", "3", "--B", "2", "--L", "0"], None, "--L"),
         (["audit", "--K", "3", "--B", "2", "--L", "-2"], None, "--L"),
@@ -367,6 +370,7 @@ def test_config_values_are_parsed_like_flags(capsys, tmp_path):
     ids=["bad-int", "bad-choice", "no-subcommand", "unknown-key", "config-bad-choice",
          "negative-trials", "zero-samples", "flag-prefix", "config-key-prefix",
          "search-zero-modulus", "rates-seed", "audit-seed", "audit-config-seed",
+         "search-seed", "search-config-seed",
          "simulate-zero-L", "audit-zero-L", "audit-negative-L", "zero-max-states",
          "negative-max-states", "joint-code-wider-than-int64", "rates-inverted-K",
          "rates-inverted-B",
@@ -383,6 +387,42 @@ def test_usage_errors_exit_config(capsys, tmp_path, argv, config, named):
     assert code == cli.EXIT_CONFIG
     assert err.startswith("config error: ") and named in err
     assert err.count("\n") == 1
+
+
+def test_rates_skip_K_below_two(capsys):
+    # K = 1 has no scheme, so a range over it keeps only its K >= 2 rows.
+    code, out, _ = run_cli(["rates", "--K", "1:3", "--format", "csv"], capsys)
+    assert code == 0
+    assert run_cli(["rates", "--K", "2:3", "--format", "csv"], capsys) == (0, out, "")
+    code, out, err = run_cli(["rates", "--K", "1"], capsys)
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == "config error: --K and --B select no (K, B) with 2 <= K and 1 <= B <= K\n"
+
+
+def test_unallocatable_build_maps_to_construction_error():
+    # The family table of (20000, 19999) would take 58.2 TiB.  build_scheme
+    # chains numpy's MemoryError to a ConstructionError, and the CLI prints
+    # one construction error line, in a process that caps its own address
+    # space at 1 GB.
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from hsagg import ConstructionError, build_scheme\n"
+        "from hsagg.cli import main\n"
+        "try:\n"
+        "    build_scheme(20000, 19999, q=20011)\n"
+        "except ConstructionError as exc:\n"
+        "    print(isinstance(exc.__cause__, MemoryError))\n"
+        "sys.exit(main(['simulate', '--K', '20000', '--B', '19999', '--q', '20011']))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_CONSTRUCTION, "True\n")
+    assert proc.stderr == (
+        "construction error: (K, B) = (20000, 19999) needs more than numpy can allocate\n"
+    )
 
 
 def test_ranges_keep_single_values_and_equal_ends(capsys):

@@ -20,10 +20,10 @@ from hsagg.key_design import (
     build_keys,
     circulant_keygen,
     circulant_ratio_valid,
+    circulant_valid_ratios,
     full_assoc_keygen,
     mds_proof,
     regime_for,
-    sample_circulant_validity,
     select_field,
     single_assoc_keygen,
     sufficient_field_size,
@@ -174,11 +174,23 @@ def test_circulant_below_bound_field_still_attempts():
     assert validate_scheme(keys, code).passed
 
 
-def test_circulant_validity_fraction_reasonable():
-    K, B = 4, 2
-    field = select_field(K, B)
-    valid = sample_circulant_validity(K, B, field, samples=60, seed=5)
-    assert valid >= 30  # loose floor; the acceptance suite pins the bound
+def test_circulant_valid_ratios_matches_brute_force():
+    # Every circulant (K, B) with 4 <= K <= 16 over every prime q = 1 mod K
+    # below 400: 607 cases, fields with no valid ratio among them.
+    cases = [(K, B, q) for K in range(4, 17) for B in range(2, K // 2 + 1)
+             for q in range(K + 1, 400, K) if is_prime(q)]
+    assert len(cases) == 607
+    for K, B, q in cases:
+        field = PrimeField(q)
+        brute = sum(circulant_ratio_valid(field, K, B, r) for r in range(q))
+        assert circulant_valid_ratios(field, K, B) == brute, (K, B, q)
+    assert circulant_valid_ratios(PrimeField(5), 4, 2) == 0
+    assert circulant_valid_ratios(PrimeField(17), 8, 4) == 8
+    # it refuses what circulant_keygen refuses
+    with pytest.raises(ValueError):
+        circulant_valid_ratios(PrimeField(13), 4, 3)
+    with pytest.raises(ConstructionError):
+        circulant_valid_ratios(PrimeField(7), 4, 2)
 
 
 def test_vandermonde_keygen_structure():

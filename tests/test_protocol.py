@@ -726,9 +726,9 @@ def test_round_outputs_are_python_ints(K, B):
          "4c94bfde9184c706cac4128543610fd8366efa251420f4ba127c4bd3e90e6f5e"),
         ("audit --K 7 --B 5",
          "f7236e19d3d6f9133cd6fbbb49a3c9535d424a1a836b2f9f748976d30b9f5de3"),
-        ("search-params --K 4 --B 2 --samples 50 --seed 1",
-         "9d29269c59299f67c3e7dd786db338f0714fe3c4e6e88a19e435d58afac0dd26"),
-        ("search-params --K 6 --B 4 --seed 2",
+        ("search-params --K 4 --B 2",
+         "5a81ce6fb898736a57dc6b742dfa1ccceba37cb2b0538342639dab8a2eb87b48"),
+        ("search-params --K 6 --B 4",
          "06940a49e11cd69fdaab466d9c27d7288f9223337af0dc73c5a233dfdec36166"),
         # These two span more than one batch of simulate rounds.
         ("simulate --K 3 --B 2 --trials 3000 --seed 7",
