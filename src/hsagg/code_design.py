@@ -2,36 +2,39 @@
 
 Relay i's evaluation point p_i is i, or w**(i-1) for a primitive K-th
 root of unity w in the circulant regime (``evaluation_points``); either
-way the K points are distinct and nonzero.  Polynomials here are plain
-coefficient rows of length K, entry j multiplying x**j.  Each user k
-starts from the indicator polynomial that vanishes exactly at the points
-of the relays it does NOT upload to:
+way the K points are distinct and nonzero.  Each user k starts from the
+indicator polynomial that vanishes exactly at the points of the n = K - B
+relays it does NOT upload to:
 
-    p_k(x) = prod over non-associated relays i of (x - p_i)
+    I_k(x) = prod over non-associated relays i of (x - p_i)
 
-From p_k a family of B rows is generated recursively; member b has
-degree K - B + b - 1, leading coefficient 1, and zero coefficients in the
-band just below the leading term.  ``_family_table`` builds every user's
-family at once, as one (K, B, K) int64 array: the indicators take K - B
-multiply-by-(x - p) steps and the recursion B - 1 steps, each step one
-array operation over all K users.  Stacked, the rows form a BK x K code
+Member b = 0..B-1 of user k's family is I_k(x) * g_b(x), with
+
+    g_0 = 1,  g_b(x) = x * g_(b-1)(x) + h_b,
+
+where h_l is the complete homogeneous symmetric polynomial of degree l in
+I_k's roots.  g_b is the polynomial part of x**(n+b) / I_k(x), so member
+b is x**(n+b) less a remainder of degree below n: monic of degree n + b,
+with zero coefficients in the band just below its leading 1.  Written as
+coefficient rows of length K and stacked, the members form a BK x K code
 matrix whose last B columns are stacked identity blocks.  That identity
 tail is what makes the column combinations e_{K-B+1..K} reproduce the B
 coordinates of the input sum, and the recovery matrix is the last B
 columns of the inverse evaluation matrix (the K x K Vandermonde matrix
 of the points).  Row r of that inverse holds the coefficients of the
 Lagrange basis polynomial l_r of the points, so ``lagrange_rows`` writes
-it in closed form: prod (x - p) divided synthetically by (x - p_r), then
-scaled by 1 / prod_{j != r} (p_r - p_j), with no elimination.  The
+its top B coefficients in closed form, with no elimination.  The
 recovery matrix is held as a read-only (K, B) int64 array.
 
-The per-link input coefficients are user k's rows evaluated at the
-points of its own B relays: one stacked ``gf.matmul_mod`` product of
-those points' power rows with every user's family rows gives them all as
-one read-only (K, B, B) int64 array, entry [k-1, j] for link j of user
-k.  Links outside the association pattern have no entry at all, which
-makes "relay i never mixes non-associated inputs" a structural fact
-rather than a numerical one.
+The per-link input coefficients are user k's members evaluated at the
+points of its own B relays, and no coefficient row is ever expanded:
+``build_code_design`` evaluates I_k and every g_b at those points as
+(K, B) arrays over all links at once, taking the h_l from the top B
+coefficients of I_k alone.  The result is one read-only (K, B, B) int64
+array, entry [k-1, j] for link j of user k.  Links outside the
+association pattern have no entry at all, which makes "relay i never
+mixes non-associated inputs" a structural fact rather than a numerical
+one.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gf import DuplicatePointsError, PrimeField, matmul_mod, power_table, vandermonde
-from .topology import Topology, _check_index, _read_only
+from .gf import DuplicatePointsError, PrimeField, vandermonde
+from .topology import Topology, _read_only
 
 
 class ConstructionError(RuntimeError):
@@ -83,13 +86,15 @@ def _root_product(q: int, roots: Iterable[int]) -> list[int]:
     return poly
 
 
-def lagrange_rows(q: int, points: Sequence[int]) -> list[list[int]]:
-    """Coefficient rows of the Lagrange basis polynomials of distinct points mod q.
+def lagrange_rows(q: int, points: Sequence[int], count: int) -> list[list[int]]:
+    """The top ``count`` coefficients of each Lagrange basis polynomial of distinct points mod q.
 
-    Row r is l_r, which is 1 at points[r] and 0 at every other point, so
-    row r is column r of the inverse of ``vandermonde(field, points, n)``.
-    The full product is divided synthetically by (x - p_r) and the
-    quotient scaled by 1 / prod_{j != r} (p_r - p_j): one inverse per row.
+    Row r ends with the coefficient of x**(n-1) of l_r, which is 1 at
+    points[r] and 0 at every other point; with count = n, row r is column
+    r of the inverse of ``vandermonde(field, points, n)``.  The full
+    product is divided synthetically by (x - p_r) from the top down,
+    stopping after ``count`` quotient coefficients, and the quotient is
+    scaled by 1 / prod_{j != r} (p_r - p_j): one inverse per row.
     """
     points = [p % q for p in points]
     if len(set(points)) != len(points):
@@ -98,10 +103,10 @@ def lagrange_rows(q: int, points: Sequence[int]) -> list[list[int]]:
     full = _root_product(q, points)
     rows = []
     for p in points:
-        quotient = [0] * n
+        quotient = [0] * count
         carry = 0
-        for t in range(n - 1, -1, -1):
-            carry = quotient[t] = (full[t + 1] + p * carry) % q
+        for t in range(count - 1, -1, -1):  # quotient[t] multiplies x**(n-count+t)
+            carry = quotient[t] = (full[n - count + t + 1] + p * carry) % q
         scale = pow(prod(p - other for other in points if other != p), -1, q)
         rows.append([c * scale % q for c in quotient])
     return rows
@@ -114,65 +119,15 @@ def recovery_matrix(field: PrimeField, K: int, B: int) -> np.ndarray:
 
 
 def _recovery_matrix(q: int, points: tuple[int, ...], B: int) -> np.ndarray:
-    rows = [row[len(points) - B:] for row in lagrange_rows(q, points)]
-    return _read_only(np.array(rows, np.int64))
-
-
-def _require_family(topo: Topology) -> None:
-    if topo.B == topo.K:
-        raise ValueError("full association has no recursive family; code at B = K-1")
-
-
-def family_rows(topo: Topology, field: PrimeField, k: int) -> tuple[tuple[int, ...], ...]:
-    """User k's B coefficient rows, each of length K.
-
-    Row 1 is the monic degree K-B indicator polynomial, which vanishes at
-    relay j's point exactly when relay j is outside user k's association
-    set.  Row b is x times row b-1 minus the coefficient of x^(K-B-1) in
-    row b-1 times row 1.  The subtraction index stays fixed at K-B-1;
-    that is what zeroes the coefficient band under the leading 1 while
-    keeping every row divisible by the indicator polynomial.
-    """
-    _require_family(topo)
-    _check_index(topo, k, "user")
-    table = _family_table(topo, field.q, evaluation_points(field, topo.K, topo.B))
-    return tuple(map(tuple, table[k - 1].tolist()))
-
-
-def _family_table(topo: Topology, q: int, points: tuple[int, ...]) -> np.ndarray:
-    """int64 array of shape (K, B, K) whose slice k-1 is ``family_rows(topo, field, k)``.
-
-    Step j multiplies every user's indicator by (x - p) at the point of
-    its j-th non-associated relay, ``topo.skipped_relay``: K-B steps, each
-    over all K users at once.  The recursion then takes B-1 steps, each
-    over all users too.  Every product is of two entries in [0, q), below
-    q**2 < 2**62.
-    """
-    K, B = topo.K, topo.B
-    P = np.array(points, dtype=np.int64) % q
-    roots = P[topo.skipped_relay]
-    # Each row sits after a zero column, so shifting a row's window one
-    # column left reads x times it.
-    table = np.zeros((K, B, K + 1), dtype=np.int64)
-    base = table[:, 0]
-    base[:, 1] = 1
-    for j in range(K - B):  # base has degree j, in columns 1 .. j+1
-        shifted, row = base[:, :j + 2], base[:, 1:j + 3]
-        np.remainder(shifted - roots[:, j, None] * row, q, out=row)
-    drop = K - B  # the column of x**(K-B-1)
-    for b in range(1, B):
-        prev = table[:, b - 1]
-        np.remainder(prev[:, :-1] - prev[:, drop, None] * base[:, 1:], q, out=table[:, b, 1:])
-    return table[:, :, 1:]
+    return _read_only(np.array(lagrange_rows(q, points, B), np.int64))
 
 
 @dataclass(frozen=True, eq=False)
 class CodeDesign:
     """Compiled message design for one (topology, field) choice.
 
-    input_coeffs[k-1, j] holds the B coefficients of link j of user k:
-    ``family_rows(topo, field, k)`` evaluated at the point of relay
-    ``relays_of_user(topo, k)[j]``.
+    input_coeffs[k-1, j, b] is member b of user k's family, I_k * g_b,
+    evaluated at the point of relay ``relays_of_user(topo, k)[j]``.
     """
 
     topo: Topology
@@ -185,20 +140,44 @@ class CodeDesign:
 def build_code_design(topo: Topology, field: PrimeField) -> CodeDesign:
     """Recovery matrix and per-link coefficients; absent links mean zero.
 
-    Row j of user k's (B, K) slice of the gathered power table holds the
-    powers of the point of its link j's relay, so one stacked product with
-    the transposed family table gives every link's coefficients.
+    Every array below is (K, B): entry [k-1, j] is link j of user k's,
+    or, in the band and the h, entry [k-1, i] is user k's.  Each of the
+    K - B steps over ``topo.skipped_relay`` multiplies (x - p) into I_k
+    at every link's point x and into a_0 = 1, a_1, ..., a_(B-1), the
+    coefficients of x**n, ..., x**(n-B+1) of I_k.  Since the sum over
+    i <= l of a_i * h_(l-i) is 0 for l >= 1, B - 1 steps give h_1 ..
+    h_(B-1) from that band, and B steps give the g_b.  Every product is
+    of two entries in (-q, q), below q**2 < 2**62, and each h_l sums l
+    reduced products, below B * q.
     """
-    _require_family(topo)
+    if topo.B == topo.K:
+        raise ValueError("full association has no recursive family; code at B = K-1")
     K, B, q = topo.K, topo.B, field.q
+    # Allocated first, so a (K, B) too large to hold fails before any work.
+    input_coeffs = np.empty((K, B, B), np.int64)
     points = evaluation_points(field, K, B)
-    family = _family_table(topo, q, points)
-    input_coeffs = matmul_mod(power_table(points, K, q)[topo.link_relay], family.swapaxes(1, 2), q)
-    input_coeffs.flags.writeable = False
+    P = np.array(points, dtype=np.int64) % q
+    x = P[topo.link_relay]
+    indicator = np.ones((K, B), np.int64)  # I_k at the point of link j
+    band = np.zeros((K, B), np.int64)  # column i is a_i of user k's I_k
+    band[:, 0] = 1
+    for column in topo.skipped_relay.T:
+        root = P[column, None]
+        indicator = indicator * (x - root) % q
+        band[:, 1:] = (band[:, 1:] - root * band[:, :-1]) % q
+    h = np.zeros((K, B), np.int64)  # column l is h_l of user k's roots
+    h[:, 0] = 1
+    for l in range(1, B):
+        h[:, l] = -(band[:, 1:l + 1] * h[:, l - 1::-1] % q).sum(axis=1) % q
+    g = np.ones((K, B), np.int64)
+    for b in range(B):
+        if b:
+            g = (x * g + h[:, b, None]) % q
+        input_coeffs[:, :, b] = indicator * g % q
     return CodeDesign(
         topo=topo,
         field=field,
         recovery=_recovery_matrix(q, points, B),
-        input_coeffs=input_coeffs,
+        input_coeffs=_read_only(input_coeffs),
         points=points,
     )

@@ -7,8 +7,8 @@ throughout.  The module holds the field, ``field_array``, the one
 strict converter from Python ints or integer arrays to reduced int64
 arrays, ``rank_mod``, the one rank of the library, and the Vandermonde
 constructor, which returns a read-only int64 array as every scheme
-matrix is held.  The message design keeps its polynomials as plain
-coefficient rows (``code_design.family_rows``).  Every system
+matrix is held.  The message design evaluates its polynomials at the
+links in closed form (``code_design.build_code_design``).  Every system
 construction meets has a closed-form solution (Lagrange rows, and the
 circulant key design's Fourier eigenvalues), so the library solves
 nothing.  ``Matrix``, a read-only int64 array with one Gauss-Jordan

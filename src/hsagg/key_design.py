@@ -365,20 +365,20 @@ def _vandermonde_witness(M: np.ndarray, q: int, points: tuple[int, ...]) -> bool
     """True iff M = V @ T over GF(q) for V with rows [1, p, ..., p**(m-1)] at distinct
     points and T invertible.
 
-    The top m rows give T = V_top**-1 @ M_top in closed form: row r of
-    ``lagrange_rows`` is column r of V_top's inverse.  Both products,
-    T and V @ T, are ``matmul_mod`` products of int64 arrays; V @ T is
-    compared with M on every row, and then rank T is counted.
+    Column c of M is V @ T's exactly when the polynomial interpolating it
+    at the points has degree below m, that is, when its coefficients of
+    x**m .. x**(K-1) vanish.  Those are the top K - m coefficients of the
+    Lagrange basis polynomials (``lagrange_rows``) applied to the column,
+    so one ``matmul_mod`` of that tail with M decides it.  Then the top m
+    rows give M[:m] = V_top @ T with V_top invertible, so rank T is the
+    rank of M[:m].
     """
     K, m = M.shape
     points = [p % q for p in points]
     if len(points) != K or len(set(points)) != K or m > K:
         return False
-    inverse_t = np.array(lagrange_rows(q, points[:m]), dtype=np.int64).T
-    T = matmul_mod(inverse_t, M[:m], q)
-    if not np.array_equal(matmul_mod(power_table(points, m, q), T, q), M):
-        return False
-    return rank_mod(T, q) == m
+    tail = np.array(lagrange_rows(q, points, K - m), dtype=np.int64)
+    return not matmul_mod(tail.T, M, q).any() and rank_mod(M[:m], q) == m
 
 
 def mds_proof(M: np.ndarray, q: int, size: int, points: tuple[int, ...]) -> "str | None":
@@ -388,7 +388,9 @@ def mds_proof(M: np.ndarray, q: int, size: int, points: tuple[int, ...]) -> "str
     name says which proof gave it:
 
       "vandermonde"  M = V @ T with T invertible, for the Vandermonde rows
-                     V at the distinct points (``_vandermonde_witness``).
+                     V at the distinct points: every column of M
+                     interpolates to a polynomial of degree below m, and
+                     M's top m rows have full rank (``_vandermonde_witness``).
                      Any size <= m rows of V are independent, and T keeps
                      them so.  This covers every key design built here.
       "subsets"      one rank per size-row subset.

@@ -17,7 +17,7 @@ from hsagg.audit import (
     exhaustive_recovery_audit,
     golden_example1,
 )
-from hsagg.code_design import build_code_design, evaluation_matrix, family_rows
+from hsagg.code_design import build_code_design, evaluation_matrix
 from hsagg.gf import Matrix, PrimeField
 from hsagg.key_design import (
     REGIME_CIRCULANT,
@@ -30,6 +30,8 @@ from hsagg.key_design import (
 from hsagg.protocol import build_scheme, direct_sum, random_inputs, run_round
 from hsagg.rates import achievable_rates, converse_bounds, measured_rates
 from hsagg.topology import Topology, relays_of_user, users_of_relay
+
+from test_code_design import reference_code_matrix
 
 SWEEP = [(K, B) for K in range(2, 9) for B in range(1, K)]
 FULL_ASSOC = [(K, K) for K in range(2, 7)]
@@ -234,7 +236,7 @@ def test_criterion_8_property_suites():
     for K in range(2, 9):
         for B in range(1, K):
             code = build_code_design(Topology(K, B), big)
-            rows = [row for k in code.topo.users() for row in family_rows(code.topo, big, k)]
+            rows = reference_code_matrix(code).tolist()
             values = (Matrix(big, rows) @ Matrix(big, evaluation_matrix(big, K, B))).a.tolist()
             for k in range(1, K + 1):
                 assoc = set(relays_of_user(code.topo, k))

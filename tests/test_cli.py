@@ -425,6 +425,44 @@ def test_unallocatable_build_maps_to_construction_error():
     )
 
 
+def test_rates_refuse_a_table_above_the_row_cap():
+    # --K 2:1000000000 selects about 5e17 rows.  The count is taken from
+    # the two ranges before any row is built, in a process that caps its
+    # own address space at 1 GB.
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from hsagg.cli import main\n"
+        "sys.exit(main(['rates', '--K', '2:1000000000']))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    count = 10**9 * (10**9 + 1) // 2 - 1
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_CONFIG, "")
+    assert proc.stderr == (
+        f"config error: --K and --B select up to {count} rows, above the cap of "
+        f"{cli.MAX_RATE_ROWS}\n"
+    )
+
+
+def test_rates_row_count_reads_only_the_selected_pairs(capsys):
+    # Without --B, K contributes its K rows: 2:316 selects one row over the
+    # cap and 2:315 selects 49769 rows.  With --B, only B in [1, max K]
+    # counts, so a wide --B range stays under the cap.
+    assert cli.MAX_RATE_ROWS == 50_000
+    code, _, err = run_cli(["rates", "--K", "2:316"], capsys)
+    assert code == cli.EXIT_CONFIG and "up to 50085 rows" in err
+    code, _, err = run_cli(["rates", "--K", "2:25001", "--B", "1:3"], capsys)
+    assert code == cli.EXIT_CONFIG and "up to 75000 rows" in err
+    code, out, _ = run_cli(["rates", "--K", "3:4", "--B", "0:1000000000"], capsys)
+    assert code == 0
+    assert [(r["K"], r["B"]) for r in json.loads(out)["rows"]] == [
+        (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (4, 4)
+    ]
+
+
 def test_ranges_keep_single_values_and_equal_ends(capsys):
     code, out, _ = run_cli(["rates", "--K", "4:4", "--B", "2"], capsys)
     assert code == 0

@@ -1,17 +1,17 @@
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import hsagg.code_design
 from hsagg.code_design import (
     ConstructionError,
-    _family_table,
     _root_product,
     build_code_design,
     evaluation_matrix,
     evaluation_points,
-    family_rows,
     lagrange_rows,
 )
 from hsagg.gf import DuplicatePointsError, Matrix, PrimeField, is_prime, matmul_mod, vandermonde
@@ -28,10 +28,11 @@ BIG = PrimeField(2147483647)
 # regime's K-th roots of unity exist.
 ROOTS = PrimeField(2147478481)
 
-# sha256 over the input coefficients, code matrix rows and recovery matrix of
-# every (K, B < K) with K <= 10, at select_field(K, B) and at BIG, with
-# the circulant regime at its roots of unity; a field without them
-# contributes its ConstructionError message instead.
+# sha256 over the input coefficients, the code matrix rows of
+# ``reference_code_matrix`` and the recovery matrix of every (K, B < K)
+# with K <= 10, at select_field(K, B) and at BIG, with the circulant
+# regime at its roots of unity; a field without them contributes its
+# ConstructionError message instead.
 DESIGN_DIGEST = "e2daee6132b041286d62d0d7a2d60140999122a963900b74d5e540b5ffe130d5"
 # The same digest over the non-circulant (K, B) alone, as the integer
 # points of every regime built them before the circulant regime moved to
@@ -39,41 +40,42 @@ DESIGN_DIGEST = "e2daee6132b041286d62d0d7a2d60140999122a963900b74d5e540b5ffe130d
 NON_CIRCULANT_DESIGN_DIGEST = "87246aad0012329289e86492a5b72b9aaf7be3dbda58b783fd918c4bd3a93a67"
 
 
+def _first_user_rows(K, B, field):
+    return reference_code_matrix(build_code_design(Topology(K, B), field))[:B].tolist()
+
+
 def test_association_polynomial_single_factor():
-    rows = family_rows(Topology(3, 2), GF7, 1)
-    assert rows[0] == (-3 % 7, 1, 0)  # x - 3
+    rows = _first_user_rows(3, 2, GF7)
+    assert rows[0] == [-3 % 7, 1, 0]  # x - 3
 
 
 def test_association_polynomial_two_factors():
-    rows = family_rows(Topology(5, 3), PrimeField(53), 1)
-    assert rows[0] == (20, -9 % 53, 1, 0, 0)  # (x-4)(x-5) = x^2 - 9x + 20
+    rows = _first_user_rows(5, 3, PrimeField(53))
+    assert rows[0] == [20, -9 % 53, 1, 0, 0]  # (x-4)(x-5) = x^2 - 9x + 20
     # circulant points 1, 8, 12, 5 mod 13: (x-12)(x-5) = x^2 - 17x + 60
-    rows = family_rows(Topology(4, 2), PrimeField(13), 1)
-    assert rows[0] == (60 % 13, -17 % 13, 1, 0)
+    rows = _first_user_rows(4, 2, PrimeField(13))
+    assert rows[0] == [60 % 13, -17 % 13, 1, 0]
 
 
 def test_recursion_hand_expanded_example():
     # base x - 3; subtract coefficient index K-B-1 = 0 holds -3, so the
     # second member is x(x-3) - (-3)(x-3) = x^2 - 9.
-    rows = family_rows(Topology(3, 2), GF7, 1)
-    assert rows == ((-3 % 7, 1, 0), (-9 % 7, 0, 1))
+    assert _first_user_rows(3, 2, GF7) == [[-3 % 7, 1, 0], [-9 % 7, 0, 1]]
 
 
 def test_recursive_family_rejects_full_association():
     with pytest.raises(ValueError):
-        family_rows(Topology(3, 3), GF7, 1)
+        build_code_design(Topology(3, 3), GF7)
 
 
 def test_degree_ladder_and_leading_band():
     for K in range(2, 9):
         for B in range(1, K):
-            field = select_field(K, B)
             topo = Topology(K, B)
-            code = build_code_design(topo, field)
+            code = build_code_design(topo, select_field(K, B))
+            matrix = reference_code_matrix(code).tolist()
             for k in topo.users():
-                rows = family_rows(topo, field, k)
-                stacked = _code_matrix(code)[(k - 1) * B : k * B]
-                assert list(rows) == list(map(tuple, stacked.tolist()))
+                rows = matrix[(k - 1) * B : k * B]
                 for b, row in enumerate(rows, start=1):
                     assert len(row) == K
                     assert row[K - B + b - 1] == 1
@@ -102,32 +104,50 @@ def family_table_reference(topo, q, points):
 
 
 @pytest.mark.parametrize("q", [None, 2147483647])  # None: select_field(K, B)
-def test_family_table_matches_the_per_user_recursion(q):
-    # At q = 2**31 - 1 the points are the K largest field elements, so
-    # every product the table takes lies near its q**2 < 2**62 headroom.
-    for K in range(2, 15):
+def test_family_table_matches_the_per_user_recursion(q, monkeypatch):
+    # Every link's coefficients are the reference rows of its user
+    # evaluated at its relay's point.  At q = 2**31 - 1 the points are the
+    # K largest field elements, so every product the closed form takes
+    # lies near its q**2 < 2**62 headroom.
+    if q is not None:
+        monkeypatch.setattr(
+            hsagg.code_design,
+            "evaluation_points",
+            lambda field, K, B: tuple(range(q - 1, q - 1 - K, -1)),
+        )
+    for K in range(2, 20):
         for B in range(1, K):
             topo = Topology(K, B)
-            if q is None:
-                field_q = select_field(K, B).q
-                points = evaluation_points(PrimeField(field_q), K, B)
-            else:
-                field_q, points = q, tuple(range(q - 1, q - 1 - K, -1))
-            table = _family_table(topo, field_q, points)
-            assert table.dtype == np.int64 and table.shape == (K, B, K)
-            assert table.tolist() == family_table_reference(topo, field_q, points), (K, B)
+            code = build_code_design(topo, select_field(K, B) if q is None else PrimeField(q))
+            field_q, points = code.field.q, code.points
+            assert code.input_coeffs.dtype == np.int64 and code.input_coeffs.shape == (K, B, B)
+            expected = [
+                [
+                    [_horner(row, points[i - 1], field_q) for row in rows]
+                    for i in relays_of_user(topo, k)
+                ]
+                for k, rows in zip(topo.users(), family_table_reference(topo, field_q, points))
+            ]
+            assert code.input_coeffs.tolist() == expected, (K, B)
 
 
-def _code_matrix(code):
-    """The BK x K code matrix: every user's family rows, stacked in user order."""
-    topo = code.topo
-    return _family_table(topo, code.field.q, code.points).reshape(-1, topo.K)
+def _horner(row, x, q):
+    value = 0
+    for c in reversed(row):
+        value = (value * x + c) % q
+    return value
+
+
+def reference_code_matrix(code):
+    """The BK x K code matrix: every user's reference family rows, stacked in user order."""
+    table = family_table_reference(code.topo, code.field.q, code.points)
+    return np.array(table, dtype=np.int64).reshape(-1, code.topo.K)
 
 
 def _row_values(code):
     """Entry (r, j-1) is code row r evaluated at relay j's point."""
     evaluation = evaluation_matrix(code.field, code.topo.K, code.topo.B)
-    return matmul_mod(_code_matrix(code), evaluation, code.field.q).tolist()
+    return matmul_mod(reference_code_matrix(code), evaluation, code.field.q).tolist()
 
 
 def test_zero_on_non_associated_relays_any_field():
@@ -159,7 +179,7 @@ def test_code_matrix_shape_and_identity_tail():
     for (K, B) in [(3, 2), (5, 2), (5, 4), (8, 3)]:
         field = select_field(K, B)
         code = build_code_design(Topology(K, B), field)
-        m = _code_matrix(code)
+        m = reference_code_matrix(code)
         assert m.shape == (B * K, K)
         tail = m[:, K - B:]
         for u in range(K):
@@ -168,7 +188,7 @@ def test_code_matrix_shape_and_identity_tail():
 
 def test_code_matrix_rows_for_first_user():
     code = build_code_design(Topology(3, 2), GF7)
-    assert _code_matrix(code)[:2].tolist() == [[-3 % 7, 1, 0], [-9 % 7, 0, 1]]
+    assert reference_code_matrix(code)[:2].tolist() == [[-3 % 7, 1, 0], [-9 % 7, 0, 1]]
 
 
 def test_recovery_matrix_is_inverse_tail():
@@ -190,12 +210,14 @@ def test_lagrange_rows_are_columns_of_the_vandermonde_inverse(q):
         scattered = rng.sample(range(field.q), K)
         for points in (range(1, K + 1), scattered):
             inverse = Matrix(field, vandermonde(field, points, K)).inverse()
-            assert lagrange_rows(field.q, points) == inverse.a.T.tolist()
+            rows = inverse.a.T.tolist()
+            for count in range(K + 1):
+                assert lagrange_rows(field.q, points, count) == [row[K - count:] for row in rows]
 
 
 def test_lagrange_rows_refuse_colliding_points():
     with pytest.raises(DuplicatePointsError):
-        lagrange_rows(7, [1, 8])
+        lagrange_rows(7, [1, 8], 2)
 
 
 def test_recovery_reproduces_sums_for_random_inputs():
@@ -206,7 +228,8 @@ def test_recovery_reproduces_sums_for_random_inputs():
     rng = random.Random(99)
     for _ in range(20):
         w = [rng.randrange(7) for _ in range(B * K)]
-        relay_values = np.array([w]) @ _code_matrix(code) @ evaluation_matrix(GF7, K, B) % 7
+        code_rows = reference_code_matrix(code)
+        relay_values = np.array([w]) @ code_rows @ evaluation_matrix(GF7, K, B) % 7
         decoded = relay_values @ code.recovery % 7
         sums = [sum(w[u * B + b] for u in range(K)) % 7 for b in range(B)]
         assert decoded[0].tolist() == sums
@@ -306,13 +329,13 @@ def _design_digest(keep):
                     code = build_code_design(topo, field)
                     # The pinned digests hash the links as ((user, relay),
                     # coefficients) items in user order, then every user's
-                    # family rows, stacked.
+                    # reference family rows, stacked.
                     links = [
                         ((k, i), tuple(code.input_coeffs[k - 1, j].tolist()))
                         for k in topo.users()
                         for j, i in enumerate(relays_of_user(topo, k))
                     ]
-                    rows = tuple(row for k in topo.users() for row in family_rows(topo, field, k))
+                    rows = tuple(map(tuple, reference_code_matrix(code).tolist()))
                     recovery = tuple(map(tuple, code.recovery.tolist()))
                     item = (K, B, field.q, links, rows, recovery)
                 except ConstructionError as e:
@@ -329,3 +352,16 @@ def test_non_circulant_design_bytes_are_unchanged():
     assert _design_digest(lambda K, B: regime_for(K, B) != REGIME_CIRCULANT) == (
         NON_CIRCULANT_DESIGN_DIGEST
     )
+
+
+def test_build_allocates_no_more_than_twice_its_coefficients():
+    # The link coefficients of (120, 61) take 3.4 MiB.  The design holds no
+    # (K, B, K) family table or gathered power rows, each 6.7 MiB there.
+    topo, field = Topology(120, 61), select_field(120, 61)
+    tracemalloc.start()
+    try:
+        code = build_code_design(topo, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * code.input_coeffs.nbytes, (peak, code.input_coeffs.nbytes)
