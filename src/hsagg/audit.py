@@ -18,8 +18,8 @@ Every message is a linear form in the inputs and source symbols.  A
 check's forms are one int64 array, one row of coefficients per message
 symbol, cut from one array of every link's forms that each audit builds
 once from ``input_coeffs`` and the ``key_design._relay_masks`` rows that
-validation and the algebraic audit read: a relay check takes its links'
-rows, the server check each relay's sum of them.  Each check evaluates
+the algebraic audit reads: a relay check takes its links' rows, the
+server check each relay's sum of them.  Each check evaluates
 its messages over only the variables they read (an unread one only
 repeats rows or values, so no verdict changes), in the narrowest integer
 type of at least 16 bits that holds them, and sorts its rows in place:
@@ -38,6 +38,12 @@ pairs at messages * q**L + sum, in bounded chunks, from the leaders'
 rows and any row that differs from its leader, which between them hold
 every pair that occurs, and reads the pairs from the flat table, in
 increasing order.
+
+At its peak a check holds its code array, one bool per row that marks
+the rows recovery reads, the numbers of the marked rows, and slices of
+at most ``_COMPARE_CHUNK`` rows or entries.  The server match returns
+only the marked rows' codes and sums, so the other rows are freed before
+recovery allocates its table, which sits beside the marked rows only.
 
 This module also carries the worked 3-user instance over GF(3) as a
 hard-coded golden scheme; its coefficients come from a manual design and
@@ -85,8 +91,8 @@ def relay_security_algebraic(params: SchemeParams, i: int) -> CheckResult:
 
 def _relay_checks(params: SchemeParams, relays: Sequence[int]) -> list[CheckResult]:
     """``relay_security_algebraic`` of each relay: one gather of every relay's
-    link coefficients and masked key rows (``key_design._relay_masks``, the
-    rows ``masked_key_span`` sums), then one rank per relay."""
+    link coefficients and masked key rows (``key_design._relay_masks``),
+    then one rank per relay."""
     want, q = params.topo.B, params.field.q
     index = np.array(relays) - 1
     lam, masked = _relay_masks(params.key_matrix, params.key_coeffs, params.topo, q)
@@ -148,8 +154,8 @@ class _StateSpace:
     coefficients.  forms, a read-only (K, B, blocks, n_vars) int64 array,
     holds in entry [i-1, j, t] the block-t symbol on relay i's j-th link
     in ``topo.relay_links`` order, built from ``input_coeffs`` and the
-    ``key_design._relay_masks`` rows that validation and the algebraic
-    audit read; a misshaped key_coeffs raises their ValueError.
+    ``key_design._relay_masks`` rows that the algebraic audit reads; a
+    misshaped key_coeffs raises validation's ValueError.
     """
 
     def __init__(self, params: SchemeParams, L: "int | None", max_states: int):
@@ -282,8 +288,8 @@ class _StateSpace:
 
 
 # Elements compared per step when rows are checked against a reference
-# row, and codes marked per step in the recovery table, which bounds the
-# temporaries of both.
+# row, rows per step when the leader table is built, and codes marked per
+# step in the recovery table, which bounds the temporaries of all three.
 _COMPARE_CHUNK = 1 << 16
 
 # _sort_rows sorts rows of at most _NETWORK_BYTES bytes, and at least
@@ -349,50 +355,58 @@ def _rows_match(rows: np.ndarray, group: "np.ndarray | None" = None) -> tuple[bo
     when the test passes they are the leaders alone.
     """
     _sort_rows(rows)
-    index = np.arange(len(rows))
-    if group is None:
-        lead = np.zeros_like(index)
-    else:
-        # Indexing by intp skips a cast in both the table and the gather.
-        group = group.astype(np.intp)
-        first = np.full(int(group.max()) + 1, len(rows))
-        np.minimum.at(first, group, index)
-        lead = first[group]
-    marked = lead == index
-    ok = True
+    n = len(rows)
     step = max(1, _COMPARE_CHUNK // rows.shape[1])
-    for start in range(0, len(rows), step):
+    # One bool per row; row indices are made per slice.  np.full keeps the
+    # recovery table the module's only bool np.zeros, which the tests
+    # refuse on its own.
+    marked = np.full(n, False)
+    if group is None:
+        marked[0] = True
+    else:
+        # first[g] is the first row of group g, n for a group with no row.
+        # Indexing by intp skips a cast in both the table and the gathers,
+        # so each slice of group is cast on its own.
+        first = np.full(int(group.max()) + 1, n)
+        for start in range(0, n, _COMPARE_CHUNK):
+            stop = min(start + _COMPARE_CHUNK, n)
+            np.minimum.at(first, group[start:stop].astype(np.intp), np.arange(start, stop))
+        marked[first[first < n]] = True
+    ok = True
+    for start in range(0, n, step):
+        block = rows[start : start + step]
         # np.take gathers narrow rows several times faster than indexing.
-        ref = rows[0] if group is None else np.take(rows, lead[start : start + step], axis=0)
-        same = rows[start : start + step] == ref
-        if not same.all():
+        if group is None:
+            ref = rows[0]
+        else:
+            ref = np.take(rows, first[group[start : start + step].astype(np.intp)], axis=0)
+        if not (block == ref).all():
             ok = False
-            marked[start : start + step] |= ~same.all(axis=1)
+            marked[start : start + step] |= (block != ref).any(axis=1)
+        # Freed before the next chunk's leaders are gathered.
+        del ref
     return ok, np.flatnonzero(marked)
 
 
-def _server_match(
-    space: _StateSpace, check: str
-) -> tuple[bool, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _server_match(space: _StateSpace, check: str) -> tuple[bool, tuple[np.ndarray, np.ndarray]]:
     """``_rows_match`` of the relay symbols' rows, grouped by the sum.
 
     The sum depends on the inputs only, so one packed sum per row, from
     the sum forms evaluated over the inputs alone, groups the rows; within
     a group of equal sums rows of (messages, sum) codes match exactly when
     rows of relay messages do.  Returns the verdict, and for
-    ``_recovery_check`` the sorted rows, each row's packed sum and the rows
-    it marks.
+    ``_recovery_check`` the sorted codes of the rows it marks and their
+    packed sums, so the other rows are freed before recovery's table is
+    allocated.
     """
     rows = space.rows(space.joint(check))
     sums = space.evaluate(check, space.sum_forms()).reshape(-1)
     ok, marked = _rows_match(rows, sums)
-    return ok, (rows, sums, marked)
+    return ok, (np.take(rows, marked, axis=0), sums[marked])
 
 
-def _mi_checks(
-    space: _StateSpace,
-) -> tuple[list[CheckResult], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Relay and server MI checks, plus the rows, sums and marked rows of
+def _mi_checks(space: _StateSpace) -> tuple[list[CheckResult], tuple[np.ndarray, np.ndarray]]:
+    """Relay and server MI checks, plus the marked rows' codes and sums of
     the server match, which recovery reads."""
     checks = []
     for i in space.params.topo.relays():
@@ -420,29 +434,26 @@ def _mi_checks(
     return checks, match
 
 
-def _recovery_check(
-    space: _StateSpace, rows: np.ndarray, sums: np.ndarray, marked: np.ndarray
-) -> CheckResult:
+def _recovery_check(space: _StateSpace, codes: np.ndarray, sums: np.ndarray) -> CheckResult:
     """Decode equals the true sum on every realization, and the relay
     messages determine the sum as a function.
 
     Both are read off one table of the (relay messages, sum) pairs that
     occur: decoding every pair that occurs covers every realization.  The
     table is marked, in bounded chunks, at messages * q**L + sum for each
-    code of the marked rows, which ``_server_match`` returned with the rows
-    and their sums; they hold every code of the relay symbols.
+    code of the rows ``_server_match`` marked, one row of codes and one
+    sum each; they hold every code of the relay symbols.
     """
-    q, K, blocks, bs = space.q, space.K, space.blocks, space.params.block_size
+    q, K, blocks = space.q, space.K, space.blocks
     n_s = q**space.L
     try:
         pairs = np.zeros(q ** (K * blocks) * n_s, dtype=bool)
     except MemoryError as exc:
         raise StateSpaceError(q ** (K * blocks) * n_s, None, "recovery-exhaustive") from exc
-    step = max(1, _COMPARE_CHUNK // rows.shape[1])
-    for start in range(0, len(marked), step):
-        chunk = marked[start : start + step]
-        codes = np.take(rows, chunk, axis=0).astype(np.int64)
-        pairs[codes * n_s + sums[chunk, None]] = True
+    step = max(1, _COMPARE_CHUNK // codes.shape[1])
+    for start in range(0, len(codes), step):
+        chunk = codes[start : start + step].astype(np.int64)
+        pairs[chunk * n_s + sums[start : start + step, None]] = True
     # Pairs come in increasing order, so the messages y determine the sum
     # s exactly when no y repeats.
     y, s = np.divmod(np.flatnonzero(pairs), n_s)

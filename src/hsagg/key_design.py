@@ -425,21 +425,25 @@ class MaskedKeySpan:
     spans: bool    # cancels, and its nullspace and the recovery span both have dimension B
 
 
+def _check_key_coeffs(key_coeffs: np.ndarray, topo: Topology) -> None:
+    """A key_coeffs array not of shape (K, B), one per link, raises ValueError."""
+    K, B = topo.K, topo.B
+    if key_coeffs.shape != (K, B):
+        raise ValueError(
+            f"key_coeffs must have shape ({K}, {B}), one per link, got {key_coeffs.shape}"
+        )
+
+
 def _relay_masks(
     key_matrix: np.ndarray, key_coeffs: np.ndarray, topo: Topology, q: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each relay's (K, B) link coefficients and (K, B, n) masked key rows.
 
     Row i-1 of each holds relay i's links in ``topo.relay_links`` order; a
-    masked row is the link's coefficient times its sender's key row.  A
-    key_coeffs array not of shape (K, B) raises ValueError."""
-    K, B = topo.K, topo.B
-    if key_coeffs.shape != (K, B):
-        raise ValueError(
-            f"key_coeffs must have shape ({K}, {B}), one per link, got {key_coeffs.shape}"
-        )
+    masked row is the link's coefficient times its sender's key row."""
+    _check_key_coeffs(key_coeffs, topo)
     lam = key_coeffs.reshape(-1)[topo.relay_links]
-    return lam, lam[:, :, None] * key_matrix[topo.relay_links // B] % q
+    return lam, lam[:, :, None] * key_matrix[topo.relay_links // topo.B] % q
 
 
 def masked_key_span(
@@ -448,11 +452,17 @@ def masked_key_span(
     """Rank, nullspace dimension and recovery-span verdicts of the masked key matrix.
 
     The relay-message combinations that cancel every key are the nullspace
-    of the masked matrix, whose column i sums relay i's ``_relay_masks``
-    rows; the server learns only the sum exactly when that nullspace is
-    B-dimensional and spanned by the recovery columns.
+    of the (n, K) masked matrix, whose column i sums relay i's masked key
+    rows (``_relay_masks``); the server learns only the sum exactly when
+    that nullspace is B-dimensional and spanned by the recovery columns.
+    The matrix is one product: entry [i-1, k-1] of the (K, K) weights is
+    user k's key coefficient on its link to relay i, and 0 when there is
+    no such link.
     """
-    masked = _relay_masks(key_matrix, key_coeffs, topo, q)[1].sum(axis=1).T % q
+    _check_key_coeffs(key_coeffs, topo)
+    weights = np.zeros((topo.K, topo.K), np.int64)
+    weights[topo.link_relay, np.arange(topo.K)[:, None]] = key_coeffs
+    masked = matmul_mod(weights, key_matrix, q).T
     cancels = not matmul_mod(masked, recovery, q).any()
     rank = rank_mod(masked, q)
     null_dim = masked.shape[1] - rank

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -685,27 +686,40 @@ _SERVER_MATCH_CASES = {
 def test_server_match_equals_a_match_on_the_full_joint_code(monkeypatch, params, L, chunk):
     # The server code holds the relay symbols only, and each row's sum
     # comes from the input grid.  Its verdict, its sorted rows with their
-    # sums packed back in, and the rows it returns for recovery must equal
-    # a match on the code that packs every sum symbol into every state.
+    # sums packed back in, the rows it marks, and the codes and sums of
+    # those rows that it returns for recovery must equal a match on the
+    # code that packs every sum symbol into every state.
     want_ok, want_marked, want_rows = _full_joint_match(params, L)
     monkeypatch.setattr(audit, "_COMPARE_CHUNK", chunk)
-    server_match = audit._server_match
-    got = []
+    server_match, rows_match = audit._server_match, audit._rows_match
+    got, matched = [], []
 
-    def spy(space, check):
+    def server_spy(space, check):
         got.append(server_match(space, check))
         return got[-1]
 
-    monkeypatch.setattr(audit, "_server_match", spy)
+    def rows_spy(rows, group=None):
+        result = rows_match(rows, group)
+        if group is not None:
+            # rows are sorted in place, so they are kept as sorted
+            matched.append((rows, group, result))
+        return result
+
+    monkeypatch.setattr(audit, "_server_match", server_spy)
+    monkeypatch.setattr(audit, "_rows_match", rows_spy)
     report = full_audit(params, level="exhaustive", L=L)
     assert report.checks[-2].name == "server-mi" and report.checks[-2].passed == want_ok
     exhaustive_recovery_audit(params, L=L)
-    assert len(got) == 2
-    for ok, (rows, sums, marked) in got:
-        assert ok == want_ok
+    assert len(got) == len(matched) == 2
+    n_s = params.field.q**L
+    for (ok, (codes, code_sums)), (rows, sums, (match_ok, marked)) in zip(got, matched):
+        assert ok == match_ok == want_ok
         assert marked.tolist() == want_marked.tolist()
         assert sums.shape == (len(rows),)
-        assert (rows.astype(np.int64) * params.field.q**L + sums[:, None] == want_rows).all()
+        # every sorted row, not only the marked ones
+        assert (rows.astype(np.int64) * n_s + sums[:, None] == want_rows).all()
+        assert codes.shape == (len(want_marked), rows.shape[1]) and code_sums.shape == (len(codes),)
+        assert (codes.astype(np.int64) * n_s + code_sums[:, None] == want_rows[want_marked]).all()
 
 
 @pytest.mark.parametrize("params, L", list(_UNREAD_INPUT.values()), ids=list(_UNREAD_INPUT))
@@ -767,6 +781,30 @@ def test_unallocatable_check_array_raises_state_space_error(monkeypatch, run, on
         run(params, L=2)
     assert (err.value.required, err.value.cap) == (nbytes, None)
     assert str(err.value) == f"{check} needs {nbytes} bytes, more than numpy can allocate"
+
+
+@pytest.mark.parametrize(
+    "params, L, code_mib, limit_mib",
+    [(build_scheme(2, 1), 3, 3.73, 5.5), (build_scheme(3, 2, q=7), 2, 1.57, 4.0)],
+    ids=["single-L3", "q7"],
+)
+def test_exhaustive_audit_holds_little_beyond_its_code(params, L, code_mib, limit_mib):
+    # The largest check array is the int16 server code of 5**9 states
+    # (3.73 MiB) at (2, 1), and the int16 joint code of 7**7 states
+    # (1.57 MiB) over GF(7).  Beside it a check holds one bool per row and
+    # chunk-bounded temporaries, and recovery holds its table beside the
+    # marked rows only: with three int64 arrays per row and every server
+    # row kept for recovery the peaks were 7.29 and 4.92 MiB.
+    space = audit._StateSpace(params, L, 10**8)
+    assert space.joint("test").nbytes / 2**20 == pytest.approx(code_mib, abs=0.01)
+    tracemalloc.start()
+    try:
+        report = full_audit(params, level="exhaustive", L=L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < limit_mib * 2**20, peak / 2**20
 
 
 def test_state_space_cap_enforced():

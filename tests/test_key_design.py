@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from dataclasses import replace
 from math import comb, gcd
 
@@ -528,6 +529,21 @@ def test_misshaped_key_coeffs_are_refused_before_any_product(K, B, monkeypatch):
             masked_key_span(params.key_matrix, bad, params.recovery, params.topo, params.field.q)
         with pytest.raises(ValueError, match=message):
             validate_scheme(replace(params.keys, key_coeffs=bad), params.code)
+
+
+def test_validation_takes_the_masked_key_matrix_as_one_product():
+    # At (120, 60) the (K, B, n) masked key rows and their reduced copy
+    # took 6.71 MiB; the (K, K) weights and their (K, n) product with the
+    # key matrix take 0.16 MiB.
+    params = build_scheme(120, 60)
+    tracemalloc.start()
+    try:
+        report = validate_scheme(params.keys, params.code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 2 * 2**20, peak / 2**20
 
 
 def vandermonde_witness_reference(M, q, points):
