@@ -20,6 +20,7 @@ from hsagg.audit import (
     exhaustive_mi_audit,
     exhaustive_recovery_audit,
     full_audit,
+    golden_decode,
     golden_example1,
     relay_security_algebraic,
     server_security_algebraic,
@@ -290,9 +291,9 @@ def test_chunked_row_comparison_matches_one_chunk(monkeypatch, params, functiona
     # one row and three rows per chunk must give the same checks,
     # verdicts and details as the default size; a check's rows span only
     # the source symbols it reads, so three rows are sized from each array.
-    # The recovery table is marked in chunks of the same size, and each
-    # corrupted scheme makes it no function of the messages; the last one
-    # zeroes an input coefficient at (2, 1).
+    # Recovery decodes its pairs in chunks of the same size, and each
+    # corrupted scheme makes the sum no function of the messages; the last
+    # one shifts an input coefficient at (2, 1).
     whole = full_audit(params, level="exhaustive", L=2)
     detail = whole.checks[-1].detail
     assert f"messages determine the sum: {functional}" in detail
@@ -393,10 +394,12 @@ _GOLDEN = audit._StateSpace(golden_example1(), 2, 10**8)
         (_Q7, _random_forms(_Q7, 11, 5), np.int32),
         (_Q7, _random_forms(_Q7, 12, 6), np.int64),
         (_GOLDEN, np.array([[1, 2, 1, 2, 1, 2, 1, 2], [1, 0, 0, 0, 0, 0, 0, 2]]), np.int16),
+        (_Q7, np.array([[1, 2, 3, 4, 0, 0], [0, 5, 0, 1, 0, 2], [0, 0, 6, 0, 0, 0]]), np.int16),
+        (_Q7, np.array([[1, 2, 3, 4, 0, 1], [0, 0, 0, 0, 3, 2]]), np.int16),
     ],
     ids=[
         "golden-joint-shuffled", "q7-joint-shuffled", "disjoint", "zero-forms",
-        "int32-top", "int64-bottom", "inputs-in-inner",
+        "int32-top", "int64-bottom", "inputs-in-inner", "source-major", "wide",
     ],
 )
 def test_evaluate_matches_every_state(monkeypatch, space, forms, dtype, inner):
@@ -405,7 +408,9 @@ def test_evaluate_matches_every_state(monkeypatch, space, forms, dtype, inner):
     # per merged axis, the default split, and every read variable merged
     # must all give the same code; the golden space's default inner axis
     # holds its last 6 variables, 4 of them inputs, so rows() must still
-    # split inputs from source symbols.
+    # split inputs from source symbols.  The "source-major" forms read 7**4
+    # inputs and one source symbol, whose rows the network sorts; the
+    # "wide" ones read both source symbols, 49 entries a row.
     monkeypatch.setattr(audit, "_INNER_AXIS", inner)
     code = space.evaluate("test", forms)
     read = forms.any(axis=0)
@@ -421,47 +426,91 @@ def test_evaluate_matches_every_state(monkeypatch, space, forms, dtype, inner):
     assert rows.shape == (n_rows, code.size // n_rows)
     assert np.shares_memory(rows, code)
     assert (rows == full[kept].reshape(rows.shape)).all()
+    # rows the network sorts are the transposed view of a C-contiguous
+    # array; a single row or column is both layouts at once
+    if min(rows.shape) > 1:
+        assert rows.T.flags.c_contiguous == _networked(rows) != rows.flags.c_contiguous
+
+
+def _networked(rows):
+    """Whether evaluate lays rows out for the network: at least
+    _NETWORK_ROWS of them, of at most _NETWORK_BYTES each."""
+    n, width = rows.shape
+    return n >= audit._NETWORK_ROWS and width * rows.itemsize <= audit._NETWORK_BYTES
+
+
+def _source_major(rows):
+    """rows as the transposed view of a C-contiguous array, the layout in
+    which evaluate hands the network its rows."""
+    return np.ascontiguousarray(np.asarray(rows).T).T
+
+
+def _counting_minimum():
+    """numpy's namespace with an np.minimum that counts its calls, one per
+    compare-exchange round of the network, and the list that counts them."""
+    rounds = []
+    minimum = np.minimum
+
+    def spy(*args, **kwargs):
+        rounds.append(1)
+        return minimum(*args, **kwargs)
+
+    spy.at = minimum.at
+    return SimpleNamespace(**{**vars(np), "minimum": spy}), rounds
 
 
 @pytest.mark.parametrize("chunk", [1, audit._COMPARE_CHUNK])
 @pytest.mark.parametrize("dtype", [np.int16, np.int32])
 def test_rows_match_compares_each_row_with_its_group_leader(monkeypatch, dtype, chunk):
     monkeypatch.setattr(audit, "_COMPARE_CHUNK", chunk)
-    # with a floor of one row the network sorts these rows, and with the
-    # default floor numpy's per-row sort does
-    for network_rows in (1, audit._NETWORK_ROWS):
-        monkeypatch.setattr(audit, "_NETWORK_ROWS", network_rows)
+    counting, rounds = _counting_minimum()
+    monkeypatch.setattr(audit, "np", counting)
+    # the network sorts source-major rows, and numpy's per-row sort
+    # row-major ones; either is sorted in place, and the leaders are
+    # gathered along its contiguous axis
+    for layout, network in ((np.array, False), (_source_major, True)):
+        rounds.clear()
         # groups 20000, 3 and 500 lead at rows 0, 1 and 4; rows of a group
         # hold its leader's multiset in any order, so only the leaders'
         # rows come back
         group = np.array([20000, 3, 20000, 3, 500, 3], dtype=dtype)
         rows = [[4, 1, 1], [2, 7, 5], [1, 4, 1], [5, 2, 7], [0, 0, 9], [7, 5, 2]]
-        got = np.array(rows, dtype=dtype)
+        got = layout(np.array(rows, dtype=dtype))
         ok, marked = audit._rows_match(got, group.copy())
         assert ok and marked.tolist() == [0, 1, 4]
         assert (got == np.sort(rows, axis=1)).all()
+        assert bool(rounds) == network
         # row 3 now holds group 20000's multiset, not its own group's, so
         # it comes back with the leaders
         rows[3] = [1, 1, 4]
-        ok, marked = audit._rows_match(np.array(rows, dtype=dtype), group.copy())
+        ok, marked = audit._rows_match(layout(np.array(rows, dtype=dtype)), group.copy())
         assert not ok and marked.tolist() == [0, 1, 3, 4]
         # without groups every row is compared with row 0, which leads them
-        ok, marked = audit._rows_match(np.array(rows, dtype=dtype))
+        ok, marked = audit._rows_match(layout(np.array(rows, dtype=dtype)))
         assert not ok and marked.tolist() == [0, 1, 4, 5]
-        ok, marked = audit._rows_match(np.array([[3, 1], [1, 3], [3, 1]], dtype=dtype))
+        ok, marked = audit._rows_match(layout(np.array([[3, 1], [1, 3], [3, 1]], dtype=dtype)))
         assert ok and marked.tolist() == [0]
+        # one row, and rows of one entry
+        ok, marked = audit._rows_match(layout(np.array([[2, 0, 1]], dtype=dtype)))
+        assert ok and marked.tolist() == [0]
+        one = layout(np.array([[5], [4], [5]], dtype=dtype))
+        ok, marked = audit._rows_match(one, np.array([1, 0, 1], dtype=dtype))
+        assert ok and marked.tolist() == [0, 1]
+        ok, marked = audit._rows_match(one)
+        assert not ok and marked.tolist() == [0, 1]
 
 
 def _network_width(dtype):
-    """Widest row, in entries, that _sort_rows sorts with its network."""
+    """Widest row, in entries, that evaluate lays out for the network."""
     return audit._NETWORK_BYTES // np.dtype(dtype).itemsize
 
 
 @st.composite
 def _row_arrays(draw):
     """Row arrays as _sort_rows may meet them: a dtype, any width from 1
-    to two past the network's, one row or many, and entries from either a
-    few values, so rows hold ties, or the dtype's whole range."""
+    to two past the widest that evaluate lays out for the network, one row
+    or many, and entries from either a few values, so rows hold ties, or
+    the dtype's whole range."""
     dtype = draw(st.sampled_from([np.int16, np.int32, np.int64]))
     width = draw(st.integers(min_value=1, max_value=_network_width(dtype) + 2))
     n_rows = draw(st.sampled_from([1, 2, 7, 40]))
@@ -473,28 +522,42 @@ def _row_arrays(draw):
 @given(_row_arrays(), st.integers(min_value=1, max_value=5))
 @settings(max_examples=200, deadline=None)
 def test_sort_rows_matches_np_sort(rows, block_rows):
-    # Every row count takes the network when the width allows it, and a
-    # block holds block_rows rows, so blocks end inside the array.
+    # Source-major rows of at most _NETWORK_BYTES take the network, in
+    # slabs of block_rows columns of the array under them, so slabs end
+    # inside the array; W rounds sort each slab.  So does a single narrow
+    # row or column, which is both layouts at once.  Wider rows and other
+    # row-major ones take numpy's sort.  Both sort in place.
     want = np.sort(rows, axis=1)
-    block = block_rows * rows.shape[1] * rows.itemsize
-    with mock.patch.object(audit, "_NETWORK_ROWS", 1), mock.patch.object(
-        audit, "_NETWORK_BLOCK", block
+    n, width = rows.shape
+    block = block_rows * width * rows.itemsize
+    network = width * -(-n // block_rows) if width <= _network_width(rows.dtype) else 0
+    for layout, n_rounds in (
+        (np.copy, network if min(n, width) == 1 else 0),
+        (_source_major, network),
     ):
-        audit._sort_rows(rows)
-    assert rows.dtype == want.dtype and (rows == want).all()
+        got = layout(rows)
+        counting, rounds = _counting_minimum()
+        with mock.patch.object(audit, "_NETWORK_BLOCK", block), mock.patch.object(
+            audit, "np", counting
+        ):
+            audit._sort_rows(got)
+        assert got.dtype == want.dtype and (got == want).all()
+        assert len(rounds) == n_rounds
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
 def test_sort_network_sorts_every_zero_one_row(monkeypatch, dtype):
     # A comparator network that sorts every row of zeros and ones sorts
     # every row (Knuth, TAOCP vol. 3, 5.3.4, Theorem Z), so this proves
-    # the network at each width it takes.
-    monkeypatch.setattr(audit, "_NETWORK_ROWS", 1)
+    # the network at each width that evaluate lays out for it.
+    counting, rounds = _counting_minimum()
+    monkeypatch.setattr(audit, "np", counting)
     for width in range(1, _network_width(dtype) + 1):
-        rows = (np.arange(2**width)[:, None] >> np.arange(width) & 1).astype(dtype)
+        rows = _source_major((np.arange(2**width)[:, None] >> np.arange(width) & 1).astype(dtype))
         want = np.sort(rows, axis=1)
+        rounds.clear()
         audit._sort_rows(rows)
-        assert (rows == want).all(), width
+        assert (rows == want).all() and len(rounds) == width, width
 
 
 # The schemes and L of the audit-exhaustive benchmark workload, each
@@ -640,6 +703,7 @@ _EXHAUSTIVE_SCHEMES = {
 _UNREAD_INPUT = {
     "golden-unread": (_unread_input(golden_example1()), 2),
     "single-unread-L3": (_unread_input(build_scheme(2, 1)), 3),
+    "q7-unread": (_unread_input(build_scheme(3, 2, q=7)), 2),
 }
 
 
@@ -727,12 +791,20 @@ def test_unread_input_keeps_every_row_with_its_own_sum(params, L):
     # No relay symbol reads user 1's first input, so the relay code has a
     # length-1 axis there; each row must still be one value of every input,
     # with its own sum.  Every exhaustive verdict and detail must equal the
-    # references on the full (relay messages, sum) code.
+    # references on the full (relay messages, sum) code.  Over GF(7) the
+    # joint's 7-entry rows are sorted by the network, so the code spread
+    # over the missing axis must stay source-major: its rows a transposed
+    # view of one C-contiguous array.
     space = audit._StateSpace(params, L, 10**8)
     # User 1's first input symbol is variable 0.
     read = space.evaluate("test", space.joint_forms()).shape
     assert read[0] == 1
-    assert space.joint("test").shape[: space.n_w] == (space.q,) * space.n_w
+    joint = space.joint("test")
+    assert joint.shape == (space.q,) * space.n_w + read[space.n_w :]
+    rows = space.rows(joint)
+    assert rows.shape == (space.q**space.n_w, math.prod(read[space.n_w :]))
+    assert np.shares_memory(rows, joint)
+    assert rows.T.flags.c_contiguous == _networked(rows) != rows.flags.c_contiguous
     server_ok, _, _ = _full_joint_match(params, L)
     recovery = _full_scatter_recovery(params, L)
     assert not server_ok and not recovery.passed
@@ -752,31 +824,29 @@ def test_unread_input_keeps_every_row_with_its_own_sum(params, L):
         assert full[n_algebraic + i - 1] == CheckResult(f"relay-mi[{i}]", True, detail)
 
 
-def _unallocatable(monkeypatch, only=None):
-    """np.zeros in hsagg.audit raises MemoryError, as numpy does for an
-    array it cannot allocate, for every dtype or only the given one."""
-    zeros = np.zeros
+def _unallocatable(monkeypatch, name):
+    """np.<name> in hsagg.audit raises MemoryError, as numpy does for an
+    array it cannot allocate."""
 
-    def refuse(shape, dtype):
-        if only is None or dtype is only:
-            raise MemoryError
-        return zeros(shape, dtype=dtype)
+    def refuse(*args, **kwargs):
+        raise MemoryError
 
-    monkeypatch.setattr(audit, "np", SimpleNamespace(**{**vars(np), "zeros": refuse}))
+    monkeypatch.setattr(audit, "np", SimpleNamespace(**{**vars(np), name: refuse}))
 
 
 @pytest.mark.parametrize(
-    "run, only, check, nbytes",
+    "run, name, check, nbytes",
     [
-        (exhaustive_mi_audit, None, "relay-mi[1]", 7**6 * 2),
-        (exhaustive_recovery_audit, None, "recovery-exhaustive", 7**7 * 2),
-        (exhaustive_recovery_audit, bool, "recovery-exhaustive", 7 ** (3 + 2)),
+        (exhaustive_mi_audit, "zeros", "relay-mi[1]", 7**6 * 2),
+        (exhaustive_recovery_audit, "zeros", "recovery-exhaustive", 7**7 * 2),
+        # the int64 pair index of each of the 7 codes of the 49 leaders
+        (exhaustive_recovery_audit, "multiply", "recovery-exhaustive", 7**2 * 7 * 8),
     ],
-    ids=["relay-code", "joint-code", "recovery-table"],
+    ids=["relay-code", "joint-code", "recovery-pairs"],
 )
-def test_unallocatable_check_array_raises_state_space_error(monkeypatch, run, only, check, nbytes):
+def test_unallocatable_check_array_raises_state_space_error(monkeypatch, run, name, check, nbytes):
     params = build_scheme(3, 2, q=7)
-    _unallocatable(monkeypatch, only)
+    _unallocatable(monkeypatch, name)
     with pytest.raises(StateSpaceError) as err:
         run(params, L=2)
     assert (err.value.required, err.value.cap) == (nbytes, None)
@@ -805,6 +875,95 @@ def test_exhaustive_audit_holds_little_beyond_its_code(params, L, code_mib, limi
         tracemalloc.stop()
     assert report.passed
     assert peak < limit_mib * 2**20, peak / 2**20
+
+
+def test_server_rows_are_source_major_and_sorted_in_place():
+    # The (3, 2) server rows over GF(7) are 7**6 rows of 7 int16 entries:
+    # a transposed view of the C-contiguous code, which the network sorts
+    # with no copy.  The 125-entry rows of (2, 1) at L = 3 and the 49-entry
+    # relay rows over GF(7) stay row-major for numpy's sort.
+    space = audit._StateSpace(build_scheme(3, 2, q=7), 2, 10**8)
+    code = space.joint("test")
+    rows = space.rows(code)
+    assert rows.shape == (7**6, 7) and rows.dtype == np.int16
+    assert rows.T.flags.c_contiguous and not rows.flags.c_contiguous
+    assert np.shares_memory(rows, code) and rows.T.base is code.base
+    want = np.sort(rows, axis=1)
+    sums = space.evaluate("test", space.sum_forms()).reshape(-1)
+    ok, marked = audit._rows_match(rows, sums)
+    assert ok and len(marked) == 7**2
+    assert (rows == want).all() and (space.rows(code) == want).all()
+    relay = space.rows(space.evaluate("test", space.forms[0].reshape(-1, space.n_vars)))
+    wide = audit._StateSpace(build_scheme(2, 1), 3, 10**8)
+    for rows, shape in ((relay, (7**4, 49)), (wide.rows(wide.joint("test")), (5**6, 125))):
+        assert rows.shape == shape and rows.flags.c_contiguous
+
+
+def test_recovery_holds_little_beyond_its_pairs():
+    # Recovery reads the pairs that occur off the sorted int64 pair
+    # indices of the marked codes, 125 leaders of 125 codes at (2, 1) with
+    # L = 3, with no table over every (messages, sum) value: 5**9 bytes,
+    # and 3.53 MiB traced with its decode arrays.
+    space = audit._StateSpace(build_scheme(2, 1), 3, 10**8)
+    _, (codes, sums) = audit._server_match(space, "test")
+    assert codes.shape == (125, 125)
+    tracemalloc.start()
+    try:
+        check = audit._recovery_check(space, codes, sums)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.passed
+    assert peak < 2.5 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("chunk", [1, 2, audit._COMPARE_CHUNK])
+def test_recovery_reads_each_verdict_to_the_last_chunk(monkeypatch, chunk):
+    # Recovery may stop early only once both verdicts have failed: a wrong
+    # decode in the first pair must not hide a message that repeats in a
+    # later chunk, a repeat across two chunks must be seen, and repeated
+    # pairs count once.  Golden relay messages are 3 digits base 3, and
+    # message 26 sets every relay symbol to 2.
+    monkeypatch.setattr(audit, "_COMPARE_CHUNK", chunk)
+    space = audit._StateSpace(golden_example1(), 2, 10**8)
+    a, b = golden_decode({1: (2,), 2: (2,), 3: (2,)})
+    right = 3 * a + b
+
+    def detail(pairs):
+        codes = np.array([[y] for y, _ in pairs], np.int16)
+        sums = np.array([s for _, s in pairs], np.int16)
+        return audit._recovery_check(space, codes, sums).detail
+
+    realizations = f" ({space.size} realizations)"
+    assert detail([(0, 5), (26, right), (26, (right + 1) % 9)]) == (
+        "decode exact: False; messages determine the sum: False" + realizations
+    )
+    assert detail([(26, right), (0, 5)]) == (
+        "decode exact: False; messages determine the sum: True" + realizations
+    )
+    assert detail([(26, right), (0, 0), (26, right), (0, 0)]) == (
+        "decode exact: True; messages determine the sum: True" + realizations
+    )
+
+
+def test_failing_recovery_decodes_in_bounded_chunks():
+    # With one input coefficient shifted at (2, 1), L = 3, the server match
+    # marks most of the 5**6 rows, and about 2 M pairs occur.  They are
+    # decoded _COMPARE_CHUNK at a time, with no whole-length message,
+    # sum, digit or decode array: 199.7 MiB traced when those were whole.
+    params = _input_coeff_shifted(build_scheme(2, 1))
+    tracemalloc.start()
+    try:
+        report = full_audit(params, level="exhaustive", L=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.checks[-1] == CheckResult(
+        "recovery-exhaustive",
+        False,
+        "decode exact: False; messages determine the sum: False (1953125 realizations)",
+    )
+    assert peak < 100 * 2**20, peak / 2**20
 
 
 def test_state_space_cap_enforced():
