@@ -35,14 +35,17 @@ reads; the sum runs in the order that grows the grid least, over a grid
 whose trailing variables share one inner axis of about 1k entries, so no
 pass runs a length-q inner loop.  The server check's code holds the
 relay symbols only, on the grid of every input (an input no relay reads
-still gets its own axis there).  The sum is a function of the inputs, so
-each row takes its sum from one evaluation of the sum forms over the
-inputs alone, and groups of equal sums find their first row, their
-leader, in a table indexed by the sum.  Recovery reads the (messages,
-sum) pairs that occur from the leaders' rows and any row that differs
-from its leader, which between them hold every one: their int64 pair
-indices messages * q**L + sum, sorted with adjacent repeats dropped, in
-increasing order, with no table over every possible pair.
+still gets its own axis there), at (s, w_2, ..., w_K, z) with s = w_1 +
+... + w_K symbolwise: a bijection of the inputs, the same for every
+scheme, so each realization is still enumerated once, by brute force.
+Each sum's rows are one contiguous block, and a row's packed sum is its
+block index; relay checks, whose forms read fewer inputs, keep the input
+coordinates.  Row matches compare each block with its first row, its
+leader.  Recovery reads the (messages, sum) pairs that occur from the
+leaders' rows and any row that differs from its leader, which between
+them hold every one: their int64 pair indices messages * q**L + sum,
+sorted with adjacent repeats dropped, in increasing order, with no table
+over every possible pair.
 
 At its peak a check holds its code array, one bool per row that marks
 the rows recovery reads, the numbers of the marked rows, and slices of
@@ -278,11 +281,15 @@ class _StateSpace:
                 weight = q ** (len(forms) - 1 - f)
                 table = ((np.arange(q)[:, None] + tail) % q * weight).astype(dtype)
                 term = table[head % q]
+                # A term whose grid covers the code's holds the new code.
                 if axes[f] <= grid:
                     code += term
+                elif axes[f] >= grid:
+                    term += code
+                    code = term
                 else:
                     code = code + term
-                    grid |= axes[f]
+                grid |= axes[f]
             code = code.reshape(shape)
             if shape != full:
                 code = np.broadcast_to(code, full).copy()
@@ -306,23 +313,25 @@ class _StateSpace:
         """Every relay symbol, relay-major: the sum of its links' forms."""
         return (self.forms.sum(axis=1) % self.q).reshape(-1, self.n_vars)
 
-    def sum_forms(self) -> np.ndarray:
-        """Every sum symbol, in input order; each reads every user's input."""
-        eye = np.eye(self.L, dtype=np.int64)
-        return np.hstack([eye] * self.K + [np.zeros((self.L, self.n_z), np.int64)])
+    def server_forms(self) -> np.ndarray:
+        """The joint forms in the sum-major coordinates (s, w_2, ..., w_K, z),
+        with s = w_1 + ... + w_K symbolwise: a form with coefficients a_k on
+        w_k reads a_1 on s and a_k - a_1 on w_k, for k >= 2, there."""
+        forms, L = self.joint_forms(), self.L
+        forms[:, L : self.n_w] -= np.tile(forms[:, :L], self.K - 1)
+        return forms % self.q
 
     def joint(self, check: str) -> np.ndarray:
-        """The relay symbols, packed, on the grid of every input: an input
-        that no relay symbol reads still gets its own axis, so each row is
-        one value of all the inputs and has one sum.  The sum symbols are
-        not packed in; ``_server_match`` evaluates them over the inputs
-        alone."""
-        return self.evaluate(check, self.joint_forms(), every_input=True)
+        """The relay symbols, packed, on the grid of every sum-major input:
+        an input that no relay symbol reads still gets its own axis, so
+        each row is one value of all the inputs.  Rows of sum s, packed
+        base q, are the s-th contiguous block of q**(L*(K-1)) rows."""
+        return self.evaluate(check, self.server_forms(), every_input=True)
 
 
-# Elements compared per step when rows are checked against a reference
-# row, rows per step when the leader table is built, and pairs decoded per
-# step by recovery, which bounds the temporaries of all three.
+# Elements compared per step when rows are checked against their leaders,
+# and pairs decoded per step by recovery, which bounds the temporaries of
+# both.
 _COMPARE_CHUNK = 1 << 16
 
 # evaluate lays out source-major, for _sort_rows' network, the codes of at
@@ -384,17 +393,18 @@ def _take_rows(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.take(rows.T, index, axis=1).T
 
 
-def _rows_match(rows: np.ndarray, group: "np.ndarray | None" = None) -> tuple[bool, np.ndarray]:
-    """Exact test that rows tell nothing about the inputs beyond group, and
-    the rows that hold every value of rows.
+def _rows_match(rows: np.ndarray, groups: int = 1) -> tuple[bool, np.ndarray]:
+    """Exact test that rows tell nothing about the inputs beyond their
+    block, and the rows that hold every value of rows.
 
     Each row holds the code on one value of the inputs it reads, over
-    every value of the source symbols it reads; group gives one value per
-    row, a function of the inputs, and without it every row is compared
-    with the first.  The mutual information of the code and the inputs
-    given group is zero exactly when every row holds the same multiset of
-    values as the first row of its group, its leader; sorted rows compare
-    those multisets.  rows are sorted in place, so the audit must own them.
+    every value of the source symbols it reads, and the rows fall into
+    groups contiguous blocks of equal length, one per value of a function
+    of the inputs.  The mutual information of the code and the inputs
+    given the block is zero exactly when every row holds the same multiset
+    of values as the first row of its block, its leader; sorted rows
+    compare those multisets, each block with its leader by broadcasting.
+    rows are sorted in place, so the audit must own them.
 
     The rows returned, in increasing order, are every leader and every row
     whose multiset differs from its leader's.  Any other row holds its
@@ -402,52 +412,41 @@ def _rows_match(rows: np.ndarray, group: "np.ndarray | None" = None) -> tuple[bo
     when the test passes they are the leaders alone.
     """
     _sort_rows(rows)
-    n = len(rows)
-    step = max(1, _COMPARE_CHUNK // rows.shape[1])
-    # One bool per row; row indices are made per slice.
-    marked = np.full(n, False)
-    if group is None:
-        marked[0] = True
-    else:
-        # first[g] is the first row of group g, n for a group with no row.
-        # Indexing by intp skips a cast in both the table and the gathers,
-        # so each slice of group is cast on its own.
-        first = np.full(int(group.max()) + 1, n)
-        for start in range(0, n, _COMPARE_CHUNK):
-            stop = min(start + _COMPARE_CHUNK, n)
-            np.minimum.at(first, group[start:stop].astype(np.intp), np.arange(start, stop))
-        marked[first[first < n]] = True
+    n, width = rows.shape
+    size = n // groups
+    # A view under either layout, as only the row axis is split.
+    blocks = rows.reshape(groups, size, width)
+    # Each step compares whole blocks, or slices of one block, of at most
+    # _COMPARE_CHUNK entries in all.
+    step = max(1, _COMPARE_CHUNK // width)
+    per, part = max(1, step // size), min(step, size)
+    marked = np.full((groups, size), False)
+    marked[:, 0] = True
     ok = True
-    for start in range(0, n, step):
-        block = rows[start : start + step]
-        # np.take gathers narrow rows several times faster than indexing.
-        if group is None:
-            ref = rows[0]
-        else:
-            ref = _take_rows(rows, first[group[start : start + step].astype(np.intp)])
-        if not (block == ref).all():
-            ok = False
-            marked[start : start + step] |= (block != ref).any(axis=1)
-        # Freed before the next chunk's leaders are gathered.
-        del ref
+    for g in range(0, groups, per):
+        lead = blocks[g : g + per, :1]
+        for start in range(0, size, part):
+            block = blocks[g : g + per, start : start + part]
+            if not (block == lead).all():
+                ok = False
+                marked[g : g + per, start : start + part] |= (block != lead).any(axis=2)
     return ok, np.flatnonzero(marked)
 
 
 def _server_match(space: _StateSpace, check: str) -> tuple[bool, tuple[np.ndarray, np.ndarray]]:
-    """``_rows_match`` of the relay symbols' rows, grouped by the sum.
+    """``_rows_match`` of the relay symbols' rows, one block per sum.
 
-    The sum depends on the inputs only, so one packed sum per row, from
-    the sum forms evaluated over the inputs alone, groups the rows; within
-    a group of equal sums rows of (messages, sum) codes match exactly when
-    rows of relay messages do.  Returns the verdict, and for
-    ``_recovery_check`` the sorted codes of the rows it marks and their
-    packed sums, so the other rows are freed before recovery forms its
-    pair indices.
+    The joint code is enumerated sum-major, so the rows of each sum are
+    one contiguous block and a row's block index is its packed sum; within
+    a block rows of (messages, sum) codes match exactly when rows of relay
+    messages do.  Returns the verdict, and for ``_recovery_check`` the
+    sorted codes of the rows it marks and their packed sums, so the other
+    rows are freed before recovery forms its pair indices.
     """
     rows = space.rows(space.joint(check))
-    sums = space.evaluate(check, space.sum_forms()).reshape(-1)
-    ok, marked = _rows_match(rows, sums)
-    return ok, (_take_rows(rows, marked), sums[marked])
+    n_s = space.q**space.L
+    ok, marked = _rows_match(rows, n_s)
+    return ok, (_take_rows(rows, marked), marked // (len(rows) // n_s))
 
 
 def _mi_checks(space: _StateSpace) -> tuple[list[CheckResult], tuple[np.ndarray, np.ndarray]]:
@@ -485,11 +484,11 @@ def _recovery_check(space: _StateSpace, codes: np.ndarray, sums: np.ndarray) -> 
 
     Both are read off the (relay messages, sum) pairs that occur: decoding
     every pair that occurs covers every realization.  Each code of the
-    rows ``_server_match`` marked, one row of codes and one sum each, which
-    hold every code of the relay symbols, gives the int64 pair index
-    messages * q**L + sum; sorted, with adjacent repeats dropped, these are
-    the pairs that occur, in increasing order, decoded ``_COMPARE_CHUNK``
-    at a time.
+    rows ``_server_match`` marked, one row of codes and one sum each, its
+    block index, which hold every code of the relay symbols, gives the
+    int64 pair index messages * q**L + sum; sorted, with adjacent repeats
+    dropped, these are the pairs that occur, in increasing order, decoded
+    ``_COMPARE_CHUNK`` at a time.
     """
     q, K, blocks = space.q, space.K, space.blocks
     n_s = q**space.L

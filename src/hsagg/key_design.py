@@ -228,11 +228,12 @@ def _inverses(a: np.ndarray, q: int) -> np.ndarray:
     return np.array([pow(x, -1, q) for x in a.ravel().tolist()], np.int64).reshape(a.shape)
 
 
-def _relay_solve_data(field: PrimeField, K: int, B: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every relay's solve of the K x B Vandermonde key block, as (first, rest).
+def _relay_solve_data(field: PrimeField, K: int, B: int) -> tuple[np.ndarray, ...]:
+    """Every relay's solve of the K x B Vandermonde key block, as (first,
+    rest), and the bad anchors -rest / first that zero each coefficient.
 
-    Both are (K, B) int64 arrays laid out like ``topo.relay_links``, so
-    row i-1 is relay i's, by ascending sender.  The relay's
+    All three are (K, B) int64 arrays laid out like ``topo.relay_links``,
+    so row i-1 is relay i's, by ascending sender.  The relay's
     coefficients are anchor * first + rest.  They solve the transposed
     B x B block of the senders' key rows, a Vandermonde matrix at the
     senders' points, against the target (anchor, p, p**2, ..., p**T, 0,
@@ -252,7 +253,9 @@ def _relay_solve_data(field: PrimeField, K: int, B: int) -> tuple[np.ndarray, np
     each of the B senders' columns multiplies its factor into N's low
     coefficients and its difference into the other senders' weight
     products.  The constant term w_u * Q_0 is, up to sign, a product of
-    nonzero differences over p_u, so first has no zero entry.
+    nonzero differences over p_u, so first has no zero entry, and with R
+    the sum that rest weights by w_u, -rest / first = R * p_u / N_0, which
+    inverts only each relay's N_0.
     """
     q = field.q
     topo = Topology(K, B)
@@ -279,17 +282,13 @@ def _relay_solve_data(field: PrimeField, K: int, B: int) -> tuple[np.ndarray, np
     for t in range(1, T + 1):
         c = (c - low[:, t, None]) * inv_p % q
         rest = (rest + c * powers[:, t, None]) % q
-    return first, weight * rest % q
-
-
-def _bad_anchors(q: int, first: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    # The anchor c zeroes coefficient c * f + r exactly when c = -r / f.
-    return -rest * _inverses(first, q) % q
+    bad = rest * p % q * _inverses(low[:, :1], q) % q
+    return first, weight * rest % q, bad
 
 
 def anchor_bad_sets(K: int, B: int, field: PrimeField) -> dict[int, set[int]]:
     """Anchors that zero some coefficient of a relay; at most B per relay."""
-    bad = _bad_anchors(field.q, *_relay_solve_data(field, K, B))
+    bad = _relay_solve_data(field, K, B)[2]
     return {i: set(row) for i, row in enumerate(bad.tolist(), 1)}
 
 
@@ -299,8 +298,8 @@ def vandermonde_keygen(K: int, B: int, field: PrimeField) -> KeyDesign:
         raise ValueError(f"vandermonde regime needs K/2 < B <= K-1, got K={K}, B={B}")
     q = field.q
     key_matrix = vandermonde(field, evaluation_points(field, K, B), B)
-    first, rest = _relay_solve_data(field, K, B)
-    bad = set(_bad_anchors(q, first, rest).ravel().tolist())
+    first, rest, anchors = _relay_solve_data(field, K, B)
+    bad = set(anchors.ravel().tolist())
 
     # |bad| <= K*B, so this takes at most K*B + 1 tries.
     anchor = next((c for c in range(1, q) if c not in bad), None)

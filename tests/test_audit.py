@@ -239,6 +239,13 @@ def _unread_input(params):
     return replace(params, input_coeffs=coeffs)
 
 
+def _inputs_read(params, users):
+    """params with the input coefficients of every user outside users zeroed."""
+    coeffs = params.input_coeffs.copy()
+    coeffs[[k - 1 for k in params.topo.users() if k not in users]] = 0
+    return replace(params, input_coeffs=coeffs)
+
+
 def _silent_relay(params):
     """params with every input and key coefficient zeroed on the links
     into relay 1, so that relay 1's check reads no variable."""
@@ -259,6 +266,8 @@ def _silent_relay(params):
         (build_scheme(2, 1), 2),
         (_corrupt(build_scheme(2, 1), key_matrix=(1, 0, 0)), 2),
         (_unread_input(golden_example1()), 2),
+        (_inputs_read(golden_example1(), {2, 3}), 2),
+        (_inputs_read(golden_example1(), {1}), 2),
     ],
 )
 def test_exhaustive_verdicts_match_count_table_reference(params, L):
@@ -302,10 +311,10 @@ def test_chunked_row_comparison_matches_one_chunk(monkeypatch, params, functiona
     rows_match = audit._rows_match
     widths = []
 
-    def three_rows(rows, group=None):
+    def three_rows(rows, groups=1):
         widths.append(rows.shape[1])
         monkeypatch.setattr(audit, "_COMPARE_CHUNK", 3 * rows.shape[1])
-        return rows_match(rows, group)
+        return rows_match(rows, groups)
 
     monkeypatch.setattr(audit, "_rows_match", three_rows)
     assert full_audit(params, level="exhaustive", L=2) == whole
@@ -363,8 +372,10 @@ def _random_forms(space, count, seed):
 
 def _relay_and_sum_forms(space):
     """The forms of the (relay messages, sum) code: every relay symbol,
-    relay-major, then every sum symbol."""
-    return np.vstack([space.joint_forms(), space.sum_forms()])
+    relay-major, then every sum symbol, in input order, each reading every
+    user's input."""
+    sums = np.hstack([np.eye(space.L, dtype=np.int64)] * space.K)
+    return np.vstack([space.joint_forms(), np.pad(sums, ((0, 0), (0, space.n_z)))])
 
 
 _Q7 = audit._StateSpace(build_scheme(2, 1, q=7), 2, 10**8)
@@ -455,49 +466,67 @@ def _counting_minimum():
         rounds.append(1)
         return minimum(*args, **kwargs)
 
-    spy.at = minimum.at
     return SimpleNamespace(**{**vars(np), "minimum": spy}), rounds
 
 
-@pytest.mark.parametrize("chunk", [1, audit._COMPARE_CHUNK])
-@pytest.mark.parametrize("dtype", [np.int16, np.int32])
+@pytest.mark.parametrize("chunk", [1, 6, 15, audit._COMPARE_CHUNK])
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
 def test_rows_match_compares_each_row_with_its_group_leader(monkeypatch, dtype, chunk):
+    # Steps of 1, 2 and 5 three-entry rows, or all of them, end inside
+    # blocks of 2 or 3 rows, at their ends, and across several blocks.
     monkeypatch.setattr(audit, "_COMPARE_CHUNK", chunk)
     counting, rounds = _counting_minimum()
     monkeypatch.setattr(audit, "np", counting)
     # the network sorts source-major rows, and numpy's per-row sort
-    # row-major ones; either is sorted in place, and the leaders are
-    # gathered along its contiguous axis
+    # row-major ones; either is sorted in place, and each block is compared
+    # with its first row, its leader
     for layout, network in ((np.array, False), (_source_major, True)):
         rounds.clear()
-        # groups 20000, 3 and 500 lead at rows 0, 1 and 4; rows of a group
+        # three blocks of two rows lead at rows 0, 2 and 4; rows of a block
         # hold its leader's multiset in any order, so only the leaders'
         # rows come back
-        group = np.array([20000, 3, 20000, 3, 500, 3], dtype=dtype)
-        rows = [[4, 1, 1], [2, 7, 5], [1, 4, 1], [5, 2, 7], [0, 0, 9], [7, 5, 2]]
+        rows = [[4, 1, 1], [1, 4, 1], [2, 7, 5], [5, 2, 7], [0, 0, 9], [9, 0, 0]]
         got = layout(np.array(rows, dtype=dtype))
-        ok, marked = audit._rows_match(got, group.copy())
-        assert ok and marked.tolist() == [0, 1, 4]
+        ok, marked = audit._rows_match(got, 3)
+        assert ok and marked.tolist() == [0, 2, 4]
         assert (got == np.sort(rows, axis=1)).all()
         assert bool(rounds) == network
-        # row 3 now holds group 20000's multiset, not its own group's, so
-        # it comes back with the leaders
+        # in two blocks of three rows, rows 2, 4 and 5 differ from their
+        # leaders, rows 0 and 3
+        ok, marked = audit._rows_match(layout(np.array(rows, dtype=dtype)), 2)
+        assert not ok and marked.tolist() == [0, 2, 3, 4, 5]
+        # row 3 now holds the first block's multiset, not its own block's,
+        # so it comes back with the leaders
         rows[3] = [1, 1, 4]
-        ok, marked = audit._rows_match(layout(np.array(rows, dtype=dtype)), group.copy())
-        assert not ok and marked.tolist() == [0, 1, 3, 4]
-        # without groups every row is compared with row 0, which leads them
+        ok, marked = audit._rows_match(layout(np.array(rows, dtype=dtype)), 3)
+        assert not ok and marked.tolist() == [0, 2, 3, 4]
+        # one block: every row is compared with row 0, which leads them
         ok, marked = audit._rows_match(layout(np.array(rows, dtype=dtype)))
-        assert not ok and marked.tolist() == [0, 1, 4, 5]
+        assert not ok and marked.tolist() == [0, 2, 4, 5]
         ok, marked = audit._rows_match(layout(np.array([[3, 1], [1, 3], [3, 1]], dtype=dtype)))
         assert ok and marked.tolist() == [0]
         # one row, and rows of one entry
         ok, marked = audit._rows_match(layout(np.array([[2, 0, 1]], dtype=dtype)))
         assert ok and marked.tolist() == [0]
-        one = layout(np.array([[5], [4], [5]], dtype=dtype))
-        ok, marked = audit._rows_match(one, np.array([1, 0, 1], dtype=dtype))
-        assert ok and marked.tolist() == [0, 1]
+        one = layout(np.array([[5], [5], [4], [4]], dtype=dtype))
+        ok, marked = audit._rows_match(one, 2)
+        assert ok and marked.tolist() == [0, 2]
         ok, marked = audit._rows_match(one)
-        assert not ok and marked.tolist() == [0, 1]
+        assert not ok and marked.tolist() == [0, 2, 3]
+        # blocks of 1 to 24 rows of zeros and ones, many of them ties,
+        # against each row's own comparison with its leader
+        rng = np.random.default_rng(chunk)
+        for groups in (1, 2, 3, 8, 24):
+            rows = rng.integers(0, 2, size=(24, 3))
+            want = np.sort(rows, axis=1)
+            size = 24 // groups
+            lead = np.arange(24) % size == 0
+            differs = (want != want[np.arange(24) - np.arange(24) % size]).any(axis=1)
+            got = layout(rows.astype(dtype))
+            ok, marked = audit._rows_match(got, groups)
+            assert ok == (not differs.any()), groups
+            assert marked.tolist() == np.flatnonzero(lead | differs).tolist(), groups
+            assert (got == want).all()
 
 
 def _network_width(dtype):
@@ -597,23 +626,60 @@ def test_forms_evaluate_to_the_messages_a_round_sends(params, L, seed):
     assert dict(zip(params.topo.relays(), map(tuple, relays.tolist()))) == transcript.relay_messages
 
 
+_SUM_MAJOR_CASES = {
+    "golden": (golden_example1(), 2),
+    "single-L3": (build_scheme(2, 1), 3),
+    "q7": (build_scheme(3, 2, q=7), 2),
+    "q7-no-user-1": (_inputs_read(build_scheme(3, 2, q=7), {2, 3}), 2),
+    "q7-only-user-1": (_inputs_read(build_scheme(3, 2, q=7), {1}), 2),
+}
+
+
+@pytest.mark.parametrize(
+    "params, L", list(_SUM_MAJOR_CASES.values()), ids=list(_SUM_MAJOR_CASES)
+)
+def test_server_forms_are_the_joint_forms_in_sum_major_coordinates(params, L):
+    # The server code is enumerated at (s, w_2, ..., w_K, z) with
+    # s = w_1 + ... + w_K mod q symbolwise, which fixes w_1, so it takes
+    # the relay symbols of the realization (w, z) there.  Relay forms that
+    # read no input of user 1 read nothing of s, and ones that read only
+    # user 1 read every input.
+    space = audit._StateSpace(params, L, math.inf)
+    q, K = space.q, params.K
+    rng = np.random.default_rng(K * L + q)
+    w = rng.integers(q, size=(K, L, 500))
+    z = rng.integers(q, size=(space.n_z, 500))
+    s = w.sum(axis=0) % q
+    joint = space.joint_forms() @ np.vstack([w.reshape(space.n_w, -1), z]) % q
+    sum_major = space.server_forms() @ np.vstack([s, w[1:].reshape(-1, 500), z]) % q
+    assert (joint == sum_major).all()
+    forms = space.server_forms()
+    assert forms.min() >= 0 and forms.max() < q
+    assert (forms[:, space.n_w :] == space.joint_forms()[:, space.n_w :]).all()
+    if not params.input_coeffs[0].any():
+        assert not forms[:, :L].any()
+    if not params.input_coeffs[1:].any():
+        assert forms[:, : space.n_w].any(axis=0).all()
+
+
 def test_checks_hold_only_the_variables_their_forms_read(monkeypatch):
     # At (3, 2) over GF(7) with L = 2 a relay reads its 2 senders' 4 input
     # symbols and 2 source symbols, and the joint code reads every input
-    # but drops a source symbol that no relay message reads.
+    # but drops a source symbol that no relay message reads.  A relay's
+    # rows are one block, and the joint's one block per sum.
     shapes = []
     rows_match = audit._rows_match
 
-    def spy(rows, group=None):
-        shapes.append(rows.shape)
-        return rows_match(rows, group)
+    def spy(rows, groups=1):
+        shapes.append((rows.shape, groups))
+        return rows_match(rows, groups)
 
     monkeypatch.setattr(audit, "_rows_match", spy)
     report = exhaustive_mi_audit(build_scheme(3, 2, q=7), L=2)
     assert report.passed
-    *relays, joint = shapes
-    assert [math.prod(shape) for shape in relays] == [7**6] * 3
-    assert joint[0] == 7 ** (3 * 2) and math.prod(joint) < 7**8
+    *relays, (joint, groups) = shapes
+    assert [(math.prod(shape), groups) for shape, groups in relays] == [(7**6, 1)] * 3
+    assert joint[0] == 7 ** (3 * 2) and math.prod(joint) < 7**8 and groups == 7**2
     # every detail still names the full realization count
     assert all(f"over {7**8} realizations" in c.detail for c in report.checks[:3])
 
@@ -722,14 +788,26 @@ def test_recovery_marks_every_pair_a_full_scatter_marks(monkeypatch, params, chu
     assert exhaustive_recovery_audit(params, L=2) == want
 
 
+def _sum_major_rows(space):
+    """For each row of the sum-major server code, the index in input order
+    of its input value: row r holds (s, w_2, ..., w_K), packed base q with
+    the first symbol most significant, and w_1 = s - w_2 - ... - w_K."""
+    q, K, L = space.q, space.K, space.L
+    digits = np.indices((q,) * space.n_w).reshape(K, L, -1)
+    w_1 = (digits[0] - digits[1:].sum(axis=0)) % q
+    inputs = np.concatenate([w_1[None], digits[1:]]).reshape(space.n_w, -1)
+    return q ** np.arange(space.n_w - 1, -1, -1) @ inputs
+
+
 def _full_joint_match(params, L):
     """server-mi's verdict, and the rows recovery marks, from the (relay
-    messages, sum) code: each row sorted, grouped by the sum digits of its
-    first code, and compared with the first row of its group.  Returns
-    them with the sorted rows."""
+    messages, sum) code in input order: each row sorted, taken in sum-major
+    order, grouped by the sum digits of its first code, and compared with
+    the first row of its group.  Returns them with the sorted rows, in
+    sum-major order."""
     space = audit._StateSpace(params, L, 10**8)
     code = space.evaluate("reference", _relay_and_sum_forms(space))
-    rows = np.sort(code.reshape(space.q**space.n_w, -1), axis=1)
+    rows = np.sort(code.reshape(space.q**space.n_w, -1), axis=1)[_sum_major_rows(space)]
     _, first, inverse = np.unique(rows[:, 0] % space.q**L, return_index=True, return_inverse=True)
     lead = first[inverse.reshape(-1)]
     differs = (rows != rows[lead]).any(axis=1)
@@ -748,11 +826,13 @@ _SERVER_MATCH_CASES = {
     "params, L", list(_SERVER_MATCH_CASES.values()), ids=list(_SERVER_MATCH_CASES)
 )
 def test_server_match_equals_a_match_on_the_full_joint_code(monkeypatch, params, L, chunk):
-    # The server code holds the relay symbols only, and each row's sum
-    # comes from the input grid.  Its verdict, its sorted rows with their
-    # sums packed back in, the rows it marks, and the codes and sums of
-    # those rows that it returns for recovery must equal a match on the
-    # code that packs every sum symbol into every state.
+    # The server code holds the relay symbols only, enumerated sum-major,
+    # and a row's sum is its block index.  Its verdict, its sorted rows
+    # with their block indices packed in as sums, the rows it marks, and
+    # the codes and sums of those rows that it returns for recovery must
+    # equal a match on the code that packs every sum symbol into every
+    # state in input order; the returned pairs are exactly the
+    # (messages, sum) pairs that occur.
     want_ok, want_marked, want_rows = _full_joint_match(params, L)
     monkeypatch.setattr(audit, "_COMPARE_CHUNK", chunk)
     server_match, rows_match = audit._server_match, audit._rows_match
@@ -762,11 +842,11 @@ def test_server_match_equals_a_match_on_the_full_joint_code(monkeypatch, params,
         got.append(server_match(space, check))
         return got[-1]
 
-    def rows_spy(rows, group=None):
-        result = rows_match(rows, group)
-        if group is not None:
+    def rows_spy(rows, groups=1):
+        result = rows_match(rows, groups)
+        if groups > 1:
             # rows are sorted in place, so they are kept as sorted
-            matched.append((rows, group, result))
+            matched.append((rows, groups, result))
         return result
 
     monkeypatch.setattr(audit, "_server_match", server_spy)
@@ -776,14 +856,17 @@ def test_server_match_equals_a_match_on_the_full_joint_code(monkeypatch, params,
     exhaustive_recovery_audit(params, L=L)
     assert len(got) == len(matched) == 2
     n_s = params.field.q**L
-    for (ok, (codes, code_sums)), (rows, sums, (match_ok, marked)) in zip(got, matched):
+    for (ok, (codes, code_sums)), (rows, groups, (match_ok, marked)) in zip(got, matched):
         assert ok == match_ok == want_ok
+        assert groups == n_s
         assert marked.tolist() == want_marked.tolist()
-        assert sums.shape == (len(rows),)
+        sums = np.arange(len(rows)) // (len(rows) // n_s)
         # every sorted row, not only the marked ones
         assert (rows.astype(np.int64) * n_s + sums[:, None] == want_rows).all()
         assert codes.shape == (len(want_marked), rows.shape[1]) and code_sums.shape == (len(codes),)
-        assert (codes.astype(np.int64) * n_s + code_sums[:, None] == want_rows[want_marked]).all()
+        pairs = codes.astype(np.int64) * n_s + code_sums[:, None]
+        assert (pairs == want_rows[want_marked]).all()
+        assert np.array_equal(np.unique(pairs), np.unique(want_rows))
 
 
 @pytest.mark.parametrize("params, L", list(_UNREAD_INPUT.values()), ids=list(_UNREAD_INPUT))
@@ -889,9 +972,8 @@ def test_server_rows_are_source_major_and_sorted_in_place():
     assert rows.T.flags.c_contiguous and not rows.flags.c_contiguous
     assert np.shares_memory(rows, code) and rows.T.base is code.base
     want = np.sort(rows, axis=1)
-    sums = space.evaluate("test", space.sum_forms()).reshape(-1)
-    ok, marked = audit._rows_match(rows, sums)
-    assert ok and len(marked) == 7**2
+    ok, marked = audit._rows_match(rows, 7**2)
+    assert ok and marked.tolist() == list(range(0, 7**6, 7**4))
     assert (rows == want).all() and (space.rows(code) == want).all()
     relay = space.rows(space.evaluate("test", space.forms[0].reshape(-1, space.n_vars)))
     wide = audit._StateSpace(build_scheme(2, 1), 3, 10**8)

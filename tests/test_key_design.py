@@ -390,11 +390,16 @@ def test_relay_solve_data_matches_the_generic_solve():
                 assert senders.tolist() == [
                     list(users_of_relay(Topology(K, solved_B), i)) for i in range(1, K + 1)
                 ]
-                first, rest = _relay_solve_data(field, K, solved_B)
-                for got in (first, rest):
+                first, rest, bad = _relay_solve_data(field, K, solved_B)
+                for got in (first, rest, bad):
                     assert got.dtype == np.int64 and got.shape == (K, solved_B)
                 expected = relay_solve_reference(field, K, solved_B)
                 assert (first.tolist(), rest.tolist()) == expected, (K, B, field.q)
+                # the anchor that zeroes each coefficient, -rest / first
+                q = field.q
+                assert bad.tolist() == [
+                    [-r * pow(f, -1, q) % q for f, r in zip(*rows)] for rows in zip(*expected)
+                ], (K, B, q)
                 checked += 1
     assert checked == 2 * sum(K - K // 2 for K in range(3, 21))  # vandermonde B, and B = K
 
